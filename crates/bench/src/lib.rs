@@ -24,7 +24,6 @@
 
 pub mod loc;
 pub mod runner;
-pub mod serving;
 pub mod workloads;
 
 pub use runner::{measure, JoinKind, Strategy};

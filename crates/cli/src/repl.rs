@@ -449,7 +449,7 @@ impl Repl {
                 },
                 None => "usage: \\serve <seed>\n".to_owned(),
             },
-            "help" | "?" => HELP.to_owned(),
+            "help" | "?" => help(),
             "q" | "quit" | "exit" => String::new(),
             other => format!("unknown command \\{other}; try \\help\n"),
         }
@@ -555,8 +555,19 @@ fn parse_type(name: &str) -> fudj_types::Result<fudj_types::DataType> {
     })
 }
 
-/// `\help` text.
-pub const HELP: &str = r#"FUDJ shell
+/// `\help` text: the statement and meta-command reference, then one line
+/// per `SET` key rendered from [`fudj_sql::SETTINGS`].
+pub fn help() -> String {
+    let mut text = HELP_COMMANDS.to_owned();
+    text.push_str("  SET knobs (statements, end with ';'):\n");
+    for (name, syntax, doc) in fudj_sql::SETTINGS {
+        text.push_str(&format!("    SET {name} = {syntax};\n        {doc}\n"));
+    }
+    text.push_str("    \\help         this text            \\q         quit\n");
+    text
+}
+
+const HELP_COMMANDS: &str = r#"FUDJ shell
   statements end with ';' and may span lines:
     SELECT ... FROM ds a, ds2 b WHERE ... GROUP BY ... ORDER BY ... LIMIT n;
     EXPLAIN SELECT ...;
@@ -595,32 +606,6 @@ pub const HELP: &str = r#"FUDJ shell
                                       through the serving tier (plan +
                                       result caches) and report hit rates
                                       and latency percentiles
-  scheduler knobs (statements, end with ';'):
-    SET max_inflight_queries = N;     SET admission_queue_limit = N;
-    SET memory_quota_rows = N|off;    SET stage_slots = N;
-    SET priority = N;                 SET deadline_ms = N|off;
-  spill knobs (statements, end with ';'):
-    SET memory_budget_rows = N|off;   SET spill_fanout = N|off;
-    SET spill_recursion_limit = N|off;  (0 = always block-nested-loop)
-  execution knobs (statements, end with ';'):
-    SET exec_mode = row|columnar|off; (off = engine default, columnar)
-  serving knobs (statements, end with ';'; read by serving tiers):
-    SET plan_cache_entries = N|none;  SET result_cache_entries = N|none;
-    SET result_cache = on|off;        (0 entries disables a cache)
-  recovery knobs (statements, end with ';'):
-    SET checkpoint_stages = all|off|'stage,stage,...';
-    SET checkpoint_budget_bytes = N|off;
-    SET worker_quarantine_threshold = N|off;
-  persistence knobs (statements, end with ';'):
-    SET wal_dir = '<path>'|off;       open a crash-consistent store: replay
-                                      committed state, then WAL every table
-                                      append and CREATE/DROP JOIN
-    SET durability = sync|N|off;      fsync every record / every N / never
-    SET checkpoint_durable = on|off;  journal queries and write their stage
-                                      checkpoints through the WAL's
-                                      filesystem; a reopened wal_dir then
-                                      resumes in-flight queries from their
-                                      last committed stage boundary
     \persist                          write an atomic snapshot and compact
                                       the WAL behind it
     \chaos disk <seed>                the next SET wal_dir injects seeded
@@ -633,7 +618,6 @@ pub const HELP: &str = r#"FUDJ shell
     \save <ds> <file.csv>             export a dataset to CSV
     \load <ds> <file.csv> [c:t,...]   import CSV (new schema or an
                                       existing dataset's)
-    \help         this text            \q         quit
 "#;
 
 #[cfg(test)]
@@ -703,6 +687,7 @@ mod tests {
         // opens a string literal (inner matches arm on `Some(..)`/`None`/
         // enum variants instead), so a new `\command` arm without a
         // matching `\help` line fails here.
+        let help = help();
         let source = include_str!("repl.rs");
         let body = source
             .split("fn run_meta")
@@ -726,11 +711,20 @@ mod tests {
             }
             arms += 1;
             assert!(
-                commands.iter().any(|c| HELP.contains(&format!("\\{c}"))),
+                commands.iter().any(|c| help.contains(&format!("\\{c}"))),
                 "run_meta arm {commands:?} has no \\command line in HELP"
             );
         }
         assert!(arms >= 15, "expected the dispatch arms, found {arms}");
+    }
+
+    #[test]
+    fn help_lists_every_set_key_once() {
+        let help = help();
+        for (name, syntax, _) in fudj_sql::SETTINGS {
+            let line = format!("    SET {name} = {syntax};\n");
+            assert_eq!(help.matches(&line).count(), 1, "{line}");
+        }
     }
 
     #[test]

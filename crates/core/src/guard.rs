@@ -173,29 +173,31 @@ pub enum GuardMode {
 // Statistics
 // ---------------------------------------------------------------------------
 
-/// Guardrail counters for one query. Counts are per distinct violation
-/// *site* (phase + offending key/pair), so fault-recovery re-executions of a
-/// partition cannot double-count the same misbehaving row.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UdfStats {
-    pub summarize_violations: u64,
-    pub merge_violations: u64,
-    pub divide_violations: u64,
-    pub assign_violations: u64,
-    pub match_violations: u64,
-    pub verify_violations: u64,
-    pub dedup_violations: u64,
-    /// Violations that were caught panics.
-    pub caught_panics: u64,
-    /// Violations that were budget overruns (time / size / replication).
-    pub budget_overruns: u64,
-    /// Violations that were contract-check failures (range, determinism,
-    /// symmetry, associativity).
-    pub contract_breaches: u64,
-    /// Keys/rows/pairs dropped under [`UdfPolicy::Quarantine`].
-    pub quarantined_rows: u64,
-    /// Times the engine degraded to the hash-equality fallback path.
-    pub fallback_activations: u64,
+fudj_types::counters! {
+    /// Guardrail counters for one query. Counts are per distinct violation
+    /// *site* (phase + offending key/pair), so fault-recovery re-executions of a
+    /// partition cannot double-count the same misbehaving row. One query may
+    /// run several guarded joins; their stats `merge` field-wise.
+    pub struct UdfStats("udf."), cells UdfCounterCells {
+        summarize_violations: sum,
+        merge_violations: sum,
+        divide_violations: sum,
+        assign_violations: sum,
+        match_violations: sum,
+        verify_violations: sum,
+        dedup_violations: sum,
+        /// Violations that were caught panics.
+        caught_panics: sum,
+        /// Violations that were budget overruns (time / size / replication).
+        budget_overruns: sum,
+        /// Violations that were contract-check failures (range, determinism,
+        /// symmetry, associativity).
+        contract_breaches: sum,
+        /// Keys/rows/pairs dropped under [`UdfPolicy::Quarantine`].
+        quarantined_rows: sum,
+        /// Times the engine degraded to the hash-equality fallback path.
+        fallback_activations: sum,
+    }
 }
 
 impl UdfStats {
@@ -208,27 +210,6 @@ impl UdfStats {
             + self.match_violations
             + self.verify_violations
             + self.dedup_violations
-    }
-
-    /// Whether anything at all was recorded.
-    pub fn any(&self) -> bool {
-        *self != UdfStats::default()
-    }
-
-    /// Field-wise accumulate (one query may run several guarded joins).
-    pub fn merge(&mut self, other: &UdfStats) {
-        self.summarize_violations += other.summarize_violations;
-        self.merge_violations += other.merge_violations;
-        self.divide_violations += other.divide_violations;
-        self.assign_violations += other.assign_violations;
-        self.match_violations += other.match_violations;
-        self.verify_violations += other.verify_violations;
-        self.dedup_violations += other.dedup_violations;
-        self.caught_panics += other.caught_panics;
-        self.budget_overruns += other.budget_overruns;
-        self.contract_breaches += other.contract_breaches;
-        self.quarantined_rows += other.quarantined_rows;
-        self.fallback_activations += other.fallback_activations;
     }
 }
 
@@ -267,12 +248,7 @@ enum Kind {
 
 #[derive(Default)]
 struct UdfCells {
-    by_phase: [AtomicU64; 7],
-    caught_panics: AtomicU64,
-    budget_overruns: AtomicU64,
-    contract_breaches: AtomicU64,
-    quarantined: AtomicU64,
-    fallbacks: AtomicU64,
+    counts: UdfCounterCells,
     /// Distinct violation sites already counted — makes counters idempotent
     /// across fault-recovery re-executions of the same partition.
     seen: Mutex<HashSet<u64>>,
@@ -361,22 +337,7 @@ impl GuardHandle {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> UdfStats {
-        let c = &self.cells;
-        let p = |i: usize| c.by_phase[i].load(Ordering::Relaxed);
-        UdfStats {
-            summarize_violations: p(0),
-            merge_violations: p(1),
-            divide_violations: p(2),
-            assign_violations: p(3),
-            match_violations: p(4),
-            verify_violations: p(5),
-            dedup_violations: p(6),
-            caught_panics: c.caught_panics.load(Ordering::Relaxed),
-            budget_overruns: c.budget_overruns.load(Ordering::Relaxed),
-            contract_breaches: c.contract_breaches.load(Ordering::Relaxed),
-            quarantined_rows: c.quarantined.load(Ordering::Relaxed),
-            fallback_activations: c.fallbacks.load(Ordering::Relaxed),
-        }
+        self.cells.counts.load()
     }
 
     /// Surface a violation deferred by a callback that cannot return
@@ -397,7 +358,7 @@ impl GuardHandle {
 
     /// Record that the engine degraded to the hash-equality fallback path.
     pub fn note_fallback(&self) {
-        self.cells.fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.cells.counts.fallback_activations.add(1);
     }
 
     /// Count a violation once per distinct site and resolve it per policy:
@@ -420,14 +381,24 @@ impl GuardHandle {
             .lock()
             .expect("guard seen lock")
             .insert(full_site);
+        let counts = &self.cells.counts;
         if is_new {
-            self.cells.by_phase[phase as usize].fetch_add(1, Ordering::Relaxed);
-            let counter = match kind {
-                Kind::Panic => &self.cells.caught_panics,
-                Kind::Budget => &self.cells.budget_overruns,
-                Kind::Contract => &self.cells.contract_breaches,
+            let by_phase = match phase {
+                Phase::Summarize => &counts.summarize_violations,
+                Phase::Merge => &counts.merge_violations,
+                Phase::Divide => &counts.divide_violations,
+                Phase::Assign => &counts.assign_violations,
+                Phase::Match => &counts.match_violations,
+                Phase::Verify => &counts.verify_violations,
+                Phase::Dedup => &counts.dedup_violations,
             };
-            counter.fetch_add(1, Ordering::Relaxed);
+            by_phase.add(1);
+            let by_kind = match kind {
+                Kind::Panic => &counts.caught_panics,
+                Kind::Budget => &counts.budget_overruns,
+                Kind::Contract => &counts.contract_breaches,
+            };
+            by_kind.add(1);
         }
         let err = FudjError::UdfViolation {
             phase: phase.as_str().to_owned(),
@@ -437,7 +408,7 @@ impl GuardHandle {
         match (self.config.policy, quarantine) {
             (UdfPolicy::Quarantine, Some(neutral)) => {
                 if is_new {
-                    self.cells.quarantined.fetch_add(1, Ordering::Relaxed);
+                    counts.quarantined_rows.add(1);
                 }
                 Ok(neutral)
             }

@@ -29,6 +29,7 @@ pub struct Cluster {
     faults: Option<fudj_core::FaultConfig>,
     pool: Arc<WorkerPool>,
     recovery: Arc<ClusterRecovery>,
+    pub(crate) spill: Arc<crate::spill::SpillDir>,
 }
 
 impl Cluster {
@@ -44,6 +45,7 @@ impl Cluster {
             faults: None,
             pool: Arc::new(WorkerPool::new(workers)),
             recovery: Arc::new(ClusterRecovery::new(workers)),
+            spill: Arc::default(),
         }
     }
 
@@ -61,6 +63,14 @@ impl Cluster {
         let mut c = Cluster::new(workers);
         c.faults = Some(config);
         c
+    }
+
+    /// The directory this cluster's spilling joins write to, once one has
+    /// spilled. It holds no files between queries — every spill file is
+    /// unlinked when its join finishes or fails — and is removed when the
+    /// last clone of the cluster drops.
+    pub fn spill_dir(&self) -> Option<std::path::PathBuf> {
+        self.spill.path()
     }
 
     /// Number of workers.

@@ -50,38 +50,39 @@ pub enum DeliveryFault {
     Duplicate,
 }
 
-/// Counters for injected faults and the recovery work they triggered.
-/// Deterministic per seed: two runs of the same query with the same
-/// [`FaultConfig`] produce identical stats.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Task attempts that panicked by injection.
-    pub injected_panics: u64,
-    /// Task attempts that failed with an injected transient error.
-    pub injected_transients: u64,
-    /// Task attempts lost to an injected worker failure.
-    pub injected_worker_losses: u64,
-    /// Tasks slowed by an injected straggler delay.
-    pub injected_stragglers: u64,
-    /// Remote partition deliveries dropped by injection.
-    pub dropped_deliveries: u64,
-    /// Remote partition deliveries duplicated by injection.
-    pub duplicated_deliveries: u64,
-    /// Duplicate partition copies discarded by receiver sequence dedup.
-    pub duplicates_discarded: u64,
-    /// Task retries performed (all fault classes).
-    pub task_retries: u64,
-    /// Tasks re-executed on a different worker after a worker loss.
-    pub reexecutions: u64,
-    /// Tasks speculatively re-executed because they straggled past the
-    /// policy threshold.
-    pub speculations: u64,
-    /// Partition retransmissions performed after drops.
-    pub delivery_retries: u64,
-    /// Failures that exhausted the retry budget and escalated.
-    pub retry_exhaustions: u64,
-    /// Simulated milliseconds spent in backoff + straggler delays.
-    pub sim_clock_ms: u64,
+fudj_types::counters! {
+    /// Counters for injected faults and the recovery work they triggered.
+    /// Deterministic per seed: two runs of the same query with the same
+    /// [`FaultConfig`] produce identical stats.
+    pub struct FaultStats("fault."), cells StatsCells {
+        /// Task attempts that panicked by injection.
+        injected_panics: sum,
+        /// Task attempts that failed with an injected transient error.
+        injected_transients: sum,
+        /// Task attempts lost to an injected worker failure.
+        injected_worker_losses: sum,
+        /// Tasks slowed by an injected straggler delay.
+        injected_stragglers: sum,
+        /// Remote partition deliveries dropped by injection.
+        dropped_deliveries: sum,
+        /// Remote partition deliveries duplicated by injection.
+        duplicated_deliveries: sum,
+        /// Duplicate partition copies discarded by receiver sequence dedup.
+        duplicates_discarded: sum,
+        /// Task retries performed (all fault classes).
+        task_retries: sum,
+        /// Tasks re-executed on a different worker after a worker loss.
+        reexecutions: sum,
+        /// Tasks speculatively re-executed because they straggled past the
+        /// policy threshold.
+        speculations: sum,
+        /// Partition retransmissions performed after drops.
+        delivery_retries: sum,
+        /// Failures that exhausted the retry budget and escalated.
+        retry_exhaustions: sum,
+        /// Simulated milliseconds spent in backoff + straggler delays.
+        sim_clock_ms: sum,
+    }
 }
 
 impl FaultStats {
@@ -100,29 +101,6 @@ impl FaultStats {
     pub fn total_recoveries(&self) -> u64 {
         self.task_retries + self.reexecutions + self.speculations + self.delivery_retries
     }
-
-    /// Whether any counter is non-zero.
-    pub fn any(&self) -> bool {
-        *self != FaultStats::default()
-    }
-}
-
-/// Atomic accumulator behind one query's [`FaultStats`].
-#[derive(Default)]
-struct StatsCells {
-    injected_panics: AtomicU64,
-    injected_transients: AtomicU64,
-    injected_worker_losses: AtomicU64,
-    injected_stragglers: AtomicU64,
-    dropped_deliveries: AtomicU64,
-    duplicated_deliveries: AtomicU64,
-    duplicates_discarded: AtomicU64,
-    task_retries: AtomicU64,
-    reexecutions: AtomicU64,
-    speculations: AtomicU64,
-    delivery_retries: AtomicU64,
-    retry_exhaustions: AtomicU64,
-    sim_clock_ms: AtomicU64,
 }
 
 /// Simulated base duration of one fault-free task, in milliseconds. Only
@@ -285,21 +263,21 @@ impl FaultContext {
         loop {
             match self.delivery_fault(step, src, dst, attempt) {
                 Some(DeliveryFault::Drop) => {
-                    self.count(&self.stats.dropped_deliveries);
+                    self.stats.dropped_deliveries.add(1);
                     if attempt >= self.config.retry.max_retries {
-                        self.count(&self.stats.retry_exhaustions);
+                        self.stats.retry_exhaustions.add(1);
                         return Err(FudjError::Execution(format!(
                             "injected fault: partition {src} → {dst} lost; \
                              retry budget exhausted after {} retransmissions",
                             attempt
                         )));
                     }
-                    self.count(&self.stats.delivery_retries);
+                    self.stats.delivery_retries.add(1);
                     self.backoff(attempt);
                     attempt += 1;
                 }
                 Some(DeliveryFault::Duplicate) => {
-                    self.count(&self.stats.duplicated_deliveries);
+                    self.stats.duplicated_deliveries.add(1);
                     return Ok(2);
                 }
                 None => return Ok(1),
@@ -316,77 +294,57 @@ impl FaultContext {
             .retry
             .backoff_base_ms
             .saturating_mul(1u64 << attempt.min(20));
-        self.stats.sim_clock_ms.fetch_add(ms, Ordering::Relaxed);
+        self.stats.sim_clock_ms.add(ms);
         ms
     }
 
     /// Advance the simulated clock by `ms` milliseconds.
     pub fn advance_sim_clock(&self, ms: u64) {
-        self.stats.sim_clock_ms.fetch_add(ms, Ordering::Relaxed);
-    }
-
-    fn count(&self, cell: &AtomicU64) {
-        cell.fetch_add(1, Ordering::Relaxed);
+        self.stats.sim_clock_ms.add(ms);
     }
 
     /// Record an injected task fault of the given kind.
     pub fn note_task_fault(&self, fault: TaskFault) {
         match fault {
-            TaskFault::Panic => self.count(&self.stats.injected_panics),
-            TaskFault::Transient => self.count(&self.stats.injected_transients),
-            TaskFault::WorkerLoss => self.count(&self.stats.injected_worker_losses),
+            TaskFault::Panic => self.stats.injected_panics.add(1),
+            TaskFault::Transient => self.stats.injected_transients.add(1),
+            TaskFault::WorkerLoss => self.stats.injected_worker_losses.add(1),
         }
     }
 
     /// Record one task retry.
     pub fn note_task_retry(&self) {
-        self.count(&self.stats.task_retries);
+        self.stats.task_retries.add(1);
     }
 
     /// Record a re-execution on a surviving worker.
     pub fn note_reexecution(&self) {
-        self.count(&self.stats.reexecutions);
+        self.stats.reexecutions.add(1);
     }
 
     /// Record an injected straggler.
     pub fn note_straggler(&self) {
-        self.count(&self.stats.injected_stragglers);
+        self.stats.injected_stragglers.add(1);
     }
 
     /// Record a speculative re-execution.
     pub fn note_speculation(&self) {
-        self.count(&self.stats.speculations);
+        self.stats.speculations.add(1);
     }
 
     /// Record a duplicate partition copy discarded by a receiver.
     pub fn note_duplicate_discarded(&self) {
-        self.count(&self.stats.duplicates_discarded);
+        self.stats.duplicates_discarded.add(1);
     }
 
     /// Record a retry-budget exhaustion (escalated failure).
     pub fn note_exhaustion(&self) {
-        self.count(&self.stats.retry_exhaustions);
+        self.stats.retry_exhaustions.add(1);
     }
 
     /// Copy out the counters.
     pub fn stats(&self) -> FaultStats {
-        let s = &self.stats;
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        FaultStats {
-            injected_panics: get(&s.injected_panics),
-            injected_transients: get(&s.injected_transients),
-            injected_worker_losses: get(&s.injected_worker_losses),
-            injected_stragglers: get(&s.injected_stragglers),
-            dropped_deliveries: get(&s.dropped_deliveries),
-            duplicated_deliveries: get(&s.duplicated_deliveries),
-            duplicates_discarded: get(&s.duplicates_discarded),
-            task_retries: get(&s.task_retries),
-            reexecutions: get(&s.reexecutions),
-            speculations: get(&s.speculations),
-            delivery_retries: get(&s.delivery_retries),
-            retry_exhaustions: get(&s.retry_exhaustions),
-            sim_clock_ms: get(&s.sim_clock_ms),
-        }
+        self.stats.load()
     }
 }
 

@@ -270,6 +270,7 @@ fn execute_flexible(
             dedup_mode,
             combine: node.combine,
             metrics,
+            spill_dir: &cluster.spill,
         };
         cluster.parallel_map(metrics, zipped, |(lrows, rrows)| {
             // Avoidance dedup re-invokes `assign`; each combine task gets
@@ -468,6 +469,7 @@ pub(crate) struct CombineContext<'a> {
     pub(crate) dedup_mode: DedupMode,
     pub(crate) combine: crate::plan::CombineStrategy,
     pub(crate) metrics: &'a QueryMetrics,
+    pub(crate) spill_dir: &'a crate::spill::SpillDir,
 }
 
 /// COMBINE on one worker: match local bucket pairs, run local joins, dedup.

@@ -68,8 +68,8 @@ pub use fudj_core::{
 };
 pub use metrics::{apply_seed, flatten_counters};
 pub use metrics::{
-    CounterFingerprint, MetricsSnapshot, NetworkModel, PhaseSkew, QueryMetrics, ServingStats,
-    WorkerStats,
+    CounterFingerprint, EngineStats, MetricsSnapshot, NetworkModel, PhaseSkew, QueryMetrics,
+    ServingStats, WorkerStats,
 };
 pub use mode::ExecMode;
 pub use plan::{
@@ -81,4 +81,4 @@ pub use recovery::{
     ClusterRecovery, CounterSeed, Membership, QueryJournal, QueryTag, RecoveryContext,
     RecoveryStats, ResumeSpec, WorkerInfo, WorkerState,
 };
-pub use spill::{SpillConfig, SpillStats};
+pub use spill::SpillConfig;

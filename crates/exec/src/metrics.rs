@@ -96,79 +96,86 @@ impl PhaseSkew {
     }
 }
 
-/// Serving-tier counters: plan/result cache effectiveness and admission
-/// outcomes, accumulated per tier (one tier outlives many queries, like
-/// the durable store behind [`fudj_storage::DurabilityStats`]). All zero
-/// unless the query went through `fudj-serve`, which stamps its counters
-/// into each response snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServingStats {
-    /// Statements the tier admitted and ran (or answered from cache).
-    pub admissions: u64,
-    /// Statements rejected by scheduler admission control.
-    pub rejections: u64,
-    /// Statements that reused a cached physical plan (no bind/plan).
-    pub plan_cache_hits: u64,
-    /// Statements that had to bind + plan.
-    pub plan_cache_misses: u64,
-    /// Plans evicted by the plan cache's LRU bound.
-    pub plan_cache_evictions: u64,
-    /// Statements answered from the result cache (no execution).
-    pub result_cache_hits: u64,
-    /// Statements that had to execute (no usable cached result).
-    pub result_cache_misses: u64,
-    /// Cached results discarded because a table/DDL epoch moved on.
-    pub result_cache_invalidations: u64,
-    /// Results evicted by the result cache's LRU bound.
-    pub result_cache_evictions: u64,
-    /// Deepest scheduler queue observed while the tier submitted work.
-    pub queue_depth_high_water: u64,
+fudj_types::counters! {
+    /// Serving-tier counters: plan/result cache effectiveness and admission
+    /// outcomes, accumulated per tier (one tier outlives many queries, like
+    /// the durable store behind [`fudj_storage::DurabilityStats`]). All zero
+    /// unless the query went through `fudj-serve`, which stamps its counters
+    /// into each response snapshot.
+    pub struct ServingStats("serving.") {
+        /// Statements the tier admitted and ran (or answered from cache).
+        admissions: sum,
+        /// Statements rejected by scheduler admission control.
+        rejections: sum,
+        /// Statements that reused a cached physical plan (no bind/plan).
+        plan_cache_hits: sum,
+        /// Statements that had to bind + plan.
+        plan_cache_misses: sum,
+        /// Plans evicted by the plan cache's LRU bound.
+        plan_cache_evictions: sum,
+        /// Statements answered from the result cache (no execution).
+        result_cache_hits: sum,
+        /// Statements that had to execute (no usable cached result).
+        result_cache_misses: sum,
+        /// Cached results discarded because a table/DDL epoch moved on.
+        result_cache_invalidations: sum,
+        /// Results evicted by the result cache's LRU bound.
+        result_cache_evictions: sum,
+        /// Deepest scheduler queue observed while the tier submitted work.
+        queue_depth_high_water: max,
+    }
 }
 
-impl ServingStats {
-    /// Whether any serving work was recorded.
-    pub fn any(&self) -> bool {
-        *self != ServingStats::default()
+fudj_types::counters! {
+    /// The engine's own per-query counters: exchange volume, join work and
+    /// the hybrid-hash spill path. [`MetricsSnapshot`] derefs to this group,
+    /// so they read as `snapshot.rows_shuffled`. A spilling COMBINE task
+    /// accumulates its `spill_*` counters in a private `EngineStats` and
+    /// `merge`s it into the query totals when it succeeds.
+    pub struct EngineStats("") {
+        /// Rows that crossed worker boundaries in hash/random shuffles.
+        rows_shuffled: sum,
+        /// Serialized bytes of those rows.
+        bytes_shuffled: sum,
+        /// Row deliveries performed by broadcasts (rows × receivers).
+        rows_broadcast: sum,
+        /// Serialized bytes delivered by broadcasts.
+        bytes_broadcast: sum,
+        /// Bytes of join state (summaries, PPlans) moved between workers.
+        state_bytes: sum,
+        /// `verify` invocations in join operators.
+        verify_calls: sum,
+        /// Output pairs dropped by duplicate handling.
+        dedup_rejections: sum,
+        /// Rows spilled to temporary files by memory-budgeted joins
+        /// (eviction + streamed arrivals).
+        spilled_rows: sum,
+        /// Bytes written to spill files.
+        spilled_bytes: sum,
+        /// Sub-partitions the hybrid-hash COMBINE kept memory-resident.
+        spill_resident_partitions: sum,
+        /// Sub-partitions the hybrid-hash COMBINE streamed to disk.
+        spill_spilled_partitions: sum,
+        /// Partitioning passes run by spilling joins (1 per spill plus 1 per
+        /// recursive repartitioning of an over-budget sub-partition).
+        spill_passes: sum,
+        /// Deepest recursive repartitioning level reached (0 = first pass).
+        spill_recursion_depth: max,
+        /// Sub-partitions joined by the block-nested-loop fallback (recursion
+        /// depth cap hit, or a single hot bucket that rehashing cannot split).
+        spill_bnl_fallbacks: sum,
+        /// Largest row working set a spilling COMBINE task ever held resident
+        /// (slot memory plus unflushed write buffers, or one readback / block
+        /// pair downstream); bounded by the budget plus one write batch.
+        spill_peak_resident_rows: max,
     }
 }
 
 /// Point-in-time copy of the counters.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
-    /// Rows that crossed worker boundaries in hash/random shuffles.
-    pub rows_shuffled: u64,
-    /// Serialized bytes of those rows.
-    pub bytes_shuffled: u64,
-    /// Row deliveries performed by broadcasts (rows × receivers).
-    pub rows_broadcast: u64,
-    /// Serialized bytes delivered by broadcasts.
-    pub bytes_broadcast: u64,
-    /// Bytes of join state (summaries, PPlans) moved between workers.
-    pub state_bytes: u64,
-    /// `verify` invocations in join operators.
-    pub verify_calls: u64,
-    /// Output pairs dropped by duplicate handling.
-    pub dedup_rejections: u64,
-    /// Rows spilled to temporary files by memory-budgeted joins.
-    pub spilled_rows: u64,
-    /// Bytes written to spill files.
-    pub spilled_bytes: u64,
-    /// Sub-partitions the hybrid-hash COMBINE kept memory-resident.
-    pub spill_resident_partitions: u64,
-    /// Sub-partitions the hybrid-hash COMBINE streamed to disk.
-    pub spill_spilled_partitions: u64,
-    /// Partitioning passes run by spilling joins (1 per spill plus 1 per
-    /// recursive repartitioning of an over-budget sub-partition).
-    pub spill_passes: u64,
-    /// Deepest recursive repartitioning level reached (0 = first pass).
-    pub spill_recursion_depth: u64,
-    /// Sub-partitions joined by the block-nested-loop fallback (recursion
-    /// depth cap hit, or a single hot bucket that rehashing cannot split).
-    pub spill_bnl_fallbacks: u64,
-    /// Largest row working set a spilling COMBINE task ever held resident
-    /// (slot memory plus unflushed write buffers); bounded by the budget
-    /// plus one write batch.
-    pub spill_peak_resident_rows: u64,
+    /// The engine's own counters (exchange volume, join work, spill).
+    pub engine: EngineStats,
     /// Named phase durations, in completion order (phases repeat per join).
     pub phases: Vec<(String, Duration)>,
     /// Per-worker counters, indexed by worker id. Grows on demand to the
@@ -206,6 +213,20 @@ pub struct MetricsSnapshot {
     pub exec_mode: ExecMode,
 }
 
+impl std::ops::Deref for MetricsSnapshot {
+    type Target = EngineStats;
+
+    fn deref(&self) -> &EngineStats {
+        &self.engine
+    }
+}
+
+impl std::ops::DerefMut for MetricsSnapshot {
+    fn deref_mut(&mut self) -> &mut EngineStats {
+        &mut self.engine
+    }
+}
+
 impl MetricsSnapshot {
     /// Total duration of all phases with the given name.
     pub fn phase_total(&self, name: &str) -> Duration {
@@ -221,31 +242,22 @@ impl MetricsSnapshot {
         self.bytes_shuffled + self.bytes_broadcast + self.state_bytes
     }
 
+    /// Phase names in completion order (durations dropped).
+    pub fn phase_names(&self) -> Vec<String> {
+        self.phases.iter().map(|(n, _)| n.clone()).collect()
+    }
+
     /// The deterministic-counter fingerprint of this snapshot — see
     /// [`CounterFingerprint`].
     pub fn fingerprint(&self) -> CounterFingerprint {
         CounterFingerprint {
-            rows_shuffled: self.rows_shuffled,
-            bytes_shuffled: self.bytes_shuffled,
-            rows_broadcast: self.rows_broadcast,
-            bytes_broadcast: self.bytes_broadcast,
-            state_bytes: self.state_bytes,
-            verify_calls: self.verify_calls,
-            dedup_rejections: self.dedup_rejections,
-            spilled_rows: self.spilled_rows,
-            spilled_bytes: self.spilled_bytes,
-            spill_resident_partitions: self.spill_resident_partitions,
-            spill_spilled_partitions: self.spill_spilled_partitions,
-            spill_passes: self.spill_passes,
-            spill_recursion_depth: self.spill_recursion_depth,
-            spill_bnl_fallbacks: self.spill_bnl_fallbacks,
-            spill_peak_resident_rows: self.spill_peak_resident_rows,
-            phases: self.phases.iter().map(|(n, _)| n.clone()).collect(),
+            engine: self.engine,
             fault: self.fault,
             udf: self.udf,
             recovery: self.recovery,
             durability: self.durability,
             serving: self.serving,
+            phases: self.phase_names(),
         }
     }
 
@@ -276,46 +288,17 @@ impl MetricsSnapshot {
     }
 }
 
-/// The deterministic subset of a [`MetricsSnapshot`]: every counter that
-/// must be bit-identical between a serial and a concurrent (scheduled)
-/// execution of the same query, plus the phase-name sequence. Wall-clock
-/// durations, per-worker busy splits, and the control-plane clock are
-/// deliberately excluded — they legitimately vary with machine load and
-/// interleaving. This is what the scheduler's differential tests compare.
+/// The deterministic subset of a [`MetricsSnapshot`]: every counter group
+/// — each must be bit-identical between a serial and a concurrent
+/// (scheduled) execution of the same query — plus the phase-name sequence.
+/// Wall-clock durations, per-worker busy splits, the control-plane clock
+/// and the exec mode are deliberately excluded — they legitimately vary
+/// with machine load, interleaving and evaluation strategy. This is what
+/// the differential suites compare.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterFingerprint {
-    /// Rows that crossed worker boundaries in hash/random shuffles.
-    pub rows_shuffled: u64,
-    /// Serialized bytes of those rows.
-    pub bytes_shuffled: u64,
-    /// Row deliveries performed by broadcasts.
-    pub rows_broadcast: u64,
-    /// Serialized bytes delivered by broadcasts.
-    pub bytes_broadcast: u64,
-    /// Bytes of join state moved between workers.
-    pub state_bytes: u64,
-    /// `verify` invocations in join operators.
-    pub verify_calls: u64,
-    /// Output pairs dropped by duplicate handling.
-    pub dedup_rejections: u64,
-    /// Rows spilled by memory-budgeted joins.
-    pub spilled_rows: u64,
-    /// Bytes written to spill files.
-    pub spilled_bytes: u64,
-    /// Sub-partitions kept memory-resident by the hybrid-hash COMBINE.
-    pub spill_resident_partitions: u64,
-    /// Sub-partitions streamed to disk by the hybrid-hash COMBINE.
-    pub spill_spilled_partitions: u64,
-    /// Partitioning passes run by spilling joins.
-    pub spill_passes: u64,
-    /// Deepest recursive repartitioning level reached.
-    pub spill_recursion_depth: u64,
-    /// Sub-partitions joined by the block-nested-loop fallback.
-    pub spill_bnl_fallbacks: u64,
-    /// Largest resident row working set of any spilling COMBINE task.
-    pub spill_peak_resident_rows: u64,
-    /// Phase names in completion order (durations excluded).
-    pub phases: Vec<String>,
+    /// The engine's own counters.
+    pub engine: EngineStats,
     /// Injected-fault and recovery counters.
     pub fault: FaultStats,
     /// UDF guardrail counters.
@@ -330,110 +313,57 @@ pub struct CounterFingerprint {
     /// are *tier*-scoped, so differentials comparing a cached tier against
     /// a cache-off oracle zero this field before comparing.
     pub serving: ServingStats,
+    /// Phase names in completion order (durations excluded).
+    pub phases: Vec<String>,
+}
+
+/// Engine counters read flat on the fingerprint too, as on the snapshot.
+impl std::ops::Deref for CounterFingerprint {
+    type Target = EngineStats;
+
+    fn deref(&self) -> &EngineStats {
+        &self.engine
+    }
+}
+
+impl CounterFingerprint {
+    /// Every counter of every group as `(name, value)`: engine counters
+    /// bare, the rest prefixed with their group (`fault.`, `udf.`,
+    /// `recovery.`, `durability.`, `serving.`).
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        let mut all = self.engine.fields().to_vec();
+        all.extend(self.fault.fields());
+        all.extend(self.udf.fields());
+        all.extend(self.recovery.fields());
+        all.extend(self.durability.fields());
+        all.extend(self.serving.fields());
+        all
+    }
 }
 
 /// Flatten a snapshot's logical counters into `(name, value)` pairs —
-/// the payload of a journaled `StageCommitted` record. Covers every
-/// numeric [`CounterFingerprint`] counter plus the recovery counters
-/// (`recovery.` prefix); fault, UDF, durability, and serving counters are
-/// deliberately excluded — the first two are zero under the storage-only
-/// crash fault plan, the last two are stamped at session/tier scope after
-/// execution and normalized by the restart differential.
+/// the payload of a journaled `StageCommitted` record: the engine group
+/// then the recovery group. Fault, UDF, durability, and serving counters
+/// are deliberately excluded — the first two are zero under the
+/// storage-only crash fault plan, the last two are stamped at
+/// session/tier scope after execution and normalized by the restart
+/// differential.
 pub fn flatten_counters(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
-    let r = &snap.recovery;
-    vec![
-        ("rows_shuffled".into(), snap.rows_shuffled),
-        ("bytes_shuffled".into(), snap.bytes_shuffled),
-        ("rows_broadcast".into(), snap.rows_broadcast),
-        ("bytes_broadcast".into(), snap.bytes_broadcast),
-        ("state_bytes".into(), snap.state_bytes),
-        ("verify_calls".into(), snap.verify_calls),
-        ("dedup_rejections".into(), snap.dedup_rejections),
-        ("spilled_rows".into(), snap.spilled_rows),
-        ("spilled_bytes".into(), snap.spilled_bytes),
-        (
-            "spill_resident_partitions".into(),
-            snap.spill_resident_partitions,
-        ),
-        (
-            "spill_spilled_partitions".into(),
-            snap.spill_spilled_partitions,
-        ),
-        ("spill_passes".into(), snap.spill_passes),
-        ("spill_recursion_depth".into(), snap.spill_recursion_depth),
-        ("spill_bnl_fallbacks".into(), snap.spill_bnl_fallbacks),
-        (
-            "spill_peak_resident_rows".into(),
-            snap.spill_peak_resident_rows,
-        ),
-        ("recovery.checkpoints_written".into(), r.checkpoints_written),
-        (
-            "recovery.checkpoint_bytes_written".into(),
-            r.checkpoint_bytes_written,
-        ),
-        ("recovery.checkpoints_read".into(), r.checkpoints_read),
-        ("recovery.checkpoints_evicted".into(), r.checkpoints_evicted),
-        ("recovery.partitions_restored".into(), r.partitions_restored),
-        (
-            "recovery.partitions_recomputed".into(),
-            r.partitions_recomputed,
-        ),
-        ("recovery.full_stage_replays".into(), r.full_stage_replays),
-        ("recovery.deaths_survived".into(), r.deaths_survived),
-        ("recovery.workers_quarantined".into(), r.workers_quarantined),
-        ("recovery.stages_resumed".into(), r.stages_resumed),
-        (
-            "recovery.resume_rows_restored".into(),
-            r.resume_rows_restored,
-        ),
-        ("recovery.resume_full_replays".into(), r.resume_full_replays),
-    ]
+    let (engine, recovery) = (snap.engine.fields(), snap.recovery.fields());
+    let fields = engine.iter().chain(&recovery);
+    fields.map(|&(name, v)| (name.to_owned(), v)).collect()
 }
 
 /// Apply a resume's counter seed to a snapshot: the journaled values of
-/// the skipped upstream work fold into this run's counters (sums for
-/// volume counters, `max` for the two high-water marks), and the skipped
-/// phases are prepended with zero durations so the phase-name sequence —
-/// part of the fingerprint — matches an uninterrupted run. Unknown names
-/// are ignored (journals written by a newer build replay cleanly).
+/// the skipped upstream work fold into this run's counters (by each
+/// counter's declared kind: sums for volume counters, `max` for the
+/// high-water marks), and the skipped phases are prepended with zero
+/// durations so the phase-name sequence — part of the fingerprint —
+/// matches an uninterrupted run. Unknown names are ignored (journals
+/// written by a newer build replay cleanly).
 pub fn apply_seed(snap: &mut MetricsSnapshot, seed: &crate::recovery::CounterSeed) {
     for (name, v) in &seed.counters {
-        let v = *v;
-        let r = &mut snap.recovery;
-        match name.as_str() {
-            "rows_shuffled" => snap.rows_shuffled += v,
-            "bytes_shuffled" => snap.bytes_shuffled += v,
-            "rows_broadcast" => snap.rows_broadcast += v,
-            "bytes_broadcast" => snap.bytes_broadcast += v,
-            "state_bytes" => snap.state_bytes += v,
-            "verify_calls" => snap.verify_calls += v,
-            "dedup_rejections" => snap.dedup_rejections += v,
-            "spilled_rows" => snap.spilled_rows += v,
-            "spilled_bytes" => snap.spilled_bytes += v,
-            "spill_resident_partitions" => snap.spill_resident_partitions += v,
-            "spill_spilled_partitions" => snap.spill_spilled_partitions += v,
-            "spill_passes" => snap.spill_passes += v,
-            "spill_recursion_depth" => {
-                snap.spill_recursion_depth = snap.spill_recursion_depth.max(v)
-            }
-            "spill_bnl_fallbacks" => snap.spill_bnl_fallbacks += v,
-            "spill_peak_resident_rows" => {
-                snap.spill_peak_resident_rows = snap.spill_peak_resident_rows.max(v)
-            }
-            "recovery.checkpoints_written" => r.checkpoints_written += v,
-            "recovery.checkpoint_bytes_written" => r.checkpoint_bytes_written += v,
-            "recovery.checkpoints_read" => r.checkpoints_read += v,
-            "recovery.checkpoints_evicted" => r.checkpoints_evicted += v,
-            "recovery.partitions_restored" => r.partitions_restored += v,
-            "recovery.partitions_recomputed" => r.partitions_recomputed += v,
-            "recovery.full_stage_replays" => r.full_stage_replays += v,
-            "recovery.deaths_survived" => r.deaths_survived += v,
-            "recovery.workers_quarantined" => r.workers_quarantined += v,
-            "recovery.stages_resumed" => r.stages_resumed += v,
-            "recovery.resume_rows_restored" => r.resume_rows_restored += v,
-            "recovery.resume_full_replays" => r.resume_full_replays += v,
-            _ => {}
-        }
+        let _known = snap.engine.fold(name, *v) || snap.recovery.fold(name, *v);
     }
     let mut phases: Vec<(String, Duration)> = seed
         .phases
@@ -572,54 +502,38 @@ impl QueryMetrics {
     /// Record a shuffle of `rows` rows totalling `bytes` serialized bytes.
     pub fn record_shuffle(&self, rows: u64, bytes: u64) {
         let mut m = self.inner.lock();
-        m.snap.rows_shuffled += rows;
-        m.snap.bytes_shuffled += bytes;
+        m.snap.engine.rows_shuffled += rows;
+        m.snap.engine.bytes_shuffled += bytes;
     }
 
     /// Record a broadcast delivering `rows` row-copies / `bytes` bytes.
     pub fn record_broadcast(&self, rows: u64, bytes: u64) {
         let mut m = self.inner.lock();
-        m.snap.rows_broadcast += rows;
-        m.snap.bytes_broadcast += bytes;
+        m.snap.engine.rows_broadcast += rows;
+        m.snap.engine.bytes_broadcast += bytes;
     }
 
     /// Record movement of join state (summary/PPlan) bytes.
     pub fn record_state_bytes(&self, bytes: u64) {
-        self.inner.lock().snap.state_bytes += bytes;
+        self.inner.lock().snap.engine.state_bytes += bytes;
     }
 
     /// Count `n` verify calls.
     pub fn record_verify_calls(&self, n: u64) {
-        self.inner.lock().snap.verify_calls += n;
+        self.inner.lock().snap.engine.verify_calls += n;
     }
 
     /// Count `n` pairs dropped by dedup.
     pub fn record_dedup_rejections(&self, n: u64) {
-        self.inner.lock().snap.dedup_rejections += n;
-    }
-
-    /// Record rows/bytes written to spill files.
-    pub fn record_spill(&self, rows: u64, bytes: u64) {
-        let mut m = self.inner.lock();
-        m.snap.spilled_rows += rows;
-        m.snap.spilled_bytes += bytes;
+        self.inner.lock().snap.engine.dedup_rejections += n;
     }
 
     /// Fold one hybrid-hash spill run's counters into the query totals.
     /// Called once per spilling COMBINE task, after it succeeds — volume
     /// and partition counters accumulate, depth and peak-working-set are
     /// high-water marks across tasks.
-    pub fn record_spill_run(&self, stats: &crate::spill::SpillStats) {
-        let mut m = self.inner.lock();
-        let s = &mut m.snap;
-        s.spilled_rows += stats.spilled_rows;
-        s.spilled_bytes += stats.spilled_bytes;
-        s.spill_resident_partitions += stats.resident_partitions;
-        s.spill_spilled_partitions += stats.spilled_partitions;
-        s.spill_passes += stats.passes;
-        s.spill_recursion_depth = s.spill_recursion_depth.max(stats.max_depth);
-        s.spill_bnl_fallbacks += stats.bnl_fallbacks;
-        s.spill_peak_resident_rows = s.spill_peak_resident_rows.max(stats.peak_resident_rows);
+    pub fn record_spill_run(&self, stats: &EngineStats) {
+        self.inner.lock().snap.engine.merge(stats);
     }
 
     /// Fold one guarded join's guardrail counters into the query totals.

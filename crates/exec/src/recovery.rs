@@ -43,60 +43,38 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Counters for the checkpoint/recovery work of one query. Deterministic
-/// per fault seed, like [`crate::FaultStats`]; all zero unless the query
-/// ran with a [`RecoveryContext`] attached.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Stage partitions snapshotted into the checkpoint store.
-    pub checkpoints_written: u64,
-    /// Serialized bytes those snapshots occupy.
-    pub checkpoint_bytes_written: u64,
-    /// Checkpoints decoded to restore lost partitions.
-    pub checkpoints_read: u64,
-    /// Checkpoints evicted under byte-budget pressure during this query.
-    pub checkpoints_evicted: u64,
-    /// Lost partitions restored from checkpoints (no recomputation).
-    pub partitions_restored: u64,
-    /// Partitions recomputed because no checkpoint covered a loss.
-    pub partitions_recomputed: u64,
-    /// Stage boundaries that fell back to replaying the whole stage.
-    pub full_stage_replays: u64,
-    /// Permanent worker deaths injected and survived.
-    pub deaths_survived: u64,
-    /// Workers quarantined by the failure-rate circuit breaker.
-    pub workers_quarantined: u64,
-    /// Stage boundaries this query resumed from (durable checkpoints
-    /// restored instead of re-executing everything upstream).
-    pub stages_resumed: u64,
-    /// Rows restored from durable checkpoints by crash-restart resume.
-    pub resume_rows_restored: u64,
-    /// Resumes that fell back to full replay because some partition of
-    /// the committed stage had no decodable durable checkpoint.
-    pub resume_full_replays: u64,
-}
-
-impl RecoveryStats {
-    /// Whether any counter is non-zero.
-    pub fn any(&self) -> bool {
-        *self != RecoveryStats::default()
+fudj_types::counters! {
+    /// Counters for the checkpoint/recovery work of one query. Deterministic
+    /// per fault seed, like [`crate::FaultStats`]; all zero unless the query
+    /// ran with a [`RecoveryContext`] attached.
+    pub struct RecoveryStats("recovery."), cells RecoveryCells {
+        /// Stage partitions snapshotted into the checkpoint store.
+        checkpoints_written: sum,
+        /// Serialized bytes those snapshots occupy.
+        checkpoint_bytes_written: sum,
+        /// Checkpoints decoded to restore lost partitions.
+        checkpoints_read: sum,
+        /// Checkpoints evicted under byte-budget pressure during this query.
+        checkpoints_evicted: sum,
+        /// Lost partitions restored from checkpoints (no recomputation).
+        partitions_restored: sum,
+        /// Partitions recomputed because no checkpoint covered a loss.
+        partitions_recomputed: sum,
+        /// Stage boundaries that fell back to replaying the whole stage.
+        full_stage_replays: sum,
+        /// Permanent worker deaths injected and survived.
+        deaths_survived: sum,
+        /// Workers quarantined by the failure-rate circuit breaker.
+        workers_quarantined: sum,
+        /// Stage boundaries this query resumed from (durable checkpoints
+        /// restored instead of re-executing everything upstream).
+        stages_resumed: sum,
+        /// Rows restored from durable checkpoints by crash-restart resume.
+        resume_rows_restored: sum,
+        /// Resumes that fell back to full replay because some partition of
+        /// the committed stage had no decodable durable checkpoint.
+        resume_full_replays: sum,
     }
-}
-
-#[derive(Default)]
-struct RecoveryCells {
-    checkpoints_written: AtomicU64,
-    checkpoint_bytes_written: AtomicU64,
-    checkpoints_read: AtomicU64,
-    checkpoints_evicted: AtomicU64,
-    partitions_restored: AtomicU64,
-    partitions_recomputed: AtomicU64,
-    full_stage_replays: AtomicU64,
-    deaths_survived: AtomicU64,
-    workers_quarantined: AtomicU64,
-    stages_resumed: AtomicU64,
-    resume_rows_restored: AtomicU64,
-    resume_full_replays: AtomicU64,
 }
 
 /// Logical counter values captured at a durably committed stage boundary.
@@ -601,9 +579,7 @@ impl RecoveryContext {
     pub fn on_batch_start(&self) {
         let applied = self.shared.membership.apply_pending();
         if applied > 0 {
-            self.cells
-                .workers_quarantined
-                .fetch_add(applied, Ordering::Relaxed);
+            self.cells.workers_quarantined.add(applied);
         }
     }
 
@@ -666,56 +642,31 @@ impl RecoveryContext {
                     // committed boundary is not fully covered on disk
                     // (budget eviction or torn frames), so replay fully.
                     Some(Err(_)) | None => {
-                        self.cells
-                            .resume_full_replays
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.cells.resume_full_replays.add(1);
                         return None;
                     }
                 }
             }
             restored.push(parts);
         }
-        self.cells.stages_resumed.fetch_add(1, Ordering::Relaxed);
+        self.cells.stages_resumed.add(1);
         self.cells
             .checkpoints_read
-            .fetch_add((datasets.len() * nparts) as u64, Ordering::Relaxed);
-        self.cells
-            .resume_rows_restored
-            .fetch_add(rows_restored, Ordering::Relaxed);
+            .add((datasets.len() * nparts) as u64);
+        self.cells.resume_rows_restored.add(rows_restored);
         *self.consumed_seed.lock() = Some(spec.seed);
         Some(restored)
     }
 
     fn note_put(&self, outcome: PutOutcome) {
-        self.cells
-            .checkpoints_written
-            .fetch_add(1, Ordering::Relaxed);
-        self.cells
-            .checkpoint_bytes_written
-            .fetch_add(outcome.bytes, Ordering::Relaxed);
-        self.cells
-            .checkpoints_evicted
-            .fetch_add(outcome.evicted, Ordering::Relaxed);
+        self.cells.checkpoints_written.add(1);
+        self.cells.checkpoint_bytes_written.add(outcome.bytes);
+        self.cells.checkpoints_evicted.add(outcome.evicted);
     }
 
     /// Copy out the counters.
     pub fn stats(&self) -> RecoveryStats {
-        let c = &self.cells;
-        let get = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
-        RecoveryStats {
-            checkpoints_written: get(&c.checkpoints_written),
-            checkpoint_bytes_written: get(&c.checkpoint_bytes_written),
-            checkpoints_read: get(&c.checkpoints_read),
-            checkpoints_evicted: get(&c.checkpoints_evicted),
-            partitions_restored: get(&c.partitions_restored),
-            partitions_recomputed: get(&c.partitions_recomputed),
-            full_stage_replays: get(&c.full_stage_replays),
-            deaths_survived: get(&c.deaths_survived),
-            workers_quarantined: get(&c.workers_quarantined),
-            stages_resumed: get(&c.stages_resumed),
-            resume_rows_restored: get(&c.resume_rows_restored),
-            resume_full_replays: get(&c.resume_full_replays),
-        }
+        self.cells.load()
     }
 }
 
@@ -767,11 +718,7 @@ pub fn stage_boundary(
                 rec.query(),
                 stage,
                 &crate::metrics::flatten_counters(&snap),
-                &snap
-                    .phases
-                    .iter()
-                    .map(|(n, _)| n.clone())
-                    .collect::<Vec<_>>(),
+                &snap.phase_names(),
             )?;
         }
     }
@@ -800,7 +747,7 @@ pub fn stage_boundary(
         .filter(|&p| membership.route(p) == victim)
         .collect();
     membership.mark_dead(victim);
-    rec.cells.deaths_survived.fetch_add(1, Ordering::Relaxed);
+    rec.cells.deaths_survived.add(1);
 
     // 3. Genuinely drop the victim's partitions, then restore each from
     // its checkpoint. Any uncovered loss forces the full-stage fallback.
@@ -814,10 +761,8 @@ pub fn stage_boundary(
             match rec.store().get(rec.query(), &format!("{stage}/{name}"), p) {
                 Some(rows) => {
                     parts[p] = rows?;
-                    rec.cells.checkpoints_read.fetch_add(1, Ordering::Relaxed);
-                    rec.cells
-                        .partitions_restored
-                        .fetch_add(1, Ordering::Relaxed);
+                    rec.cells.checkpoints_read.add(1);
+                    rec.cells.partitions_restored.add(1);
                 }
                 None => uncovered = true,
             }
@@ -837,10 +782,8 @@ pub fn stage_boundary(
             total += fresh.len() as u64;
             **parts = fresh;
         }
-        rec.cells
-            .partitions_recomputed
-            .fetch_add(total, Ordering::Relaxed);
-        rec.cells.full_stage_replays.fetch_add(1, Ordering::Relaxed);
+        rec.cells.partitions_recomputed.add(total);
+        rec.cells.full_stage_replays.add(1);
     }
     Ok(())
 }

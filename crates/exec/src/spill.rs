@@ -32,9 +32,10 @@
 //!   the same, and per pair Σᵢⱼ |L∩blockᵢ|·|R∩blockⱼ| = |L|·|R| `verify`
 //!   calls, while dedup decisions are per-pair and thus unchanged.
 //!
-//! Every spill file is owned by an RAII [`SpillFile`] guard that unlinks
-//! it on drop, so an error anywhere mid-join (a UDF violation under
-//! FailFast, an I/O failure) leaves no `fudj-spill-*` litter behind.
+//! Every spill file lives in its cluster's own [`SpillDir`] and is owned
+//! by an RAII [`SpillFile`] guard that unlinks it on drop, so an error
+//! anywhere mid-join (a UDF violation under FailFast, an I/O failure)
+//! leaves that directory empty, and dropping the cluster removes it.
 //!
 //! Only default-match joins take the hybrid-hash path: their matches
 //! never cross bucket-hash sub-partitions, so the union of
@@ -45,9 +46,11 @@
 
 use crate::exchange;
 use crate::fudj_join::{bucket_of, join_worker_partition, CombineContext};
+use crate::metrics::EngineStats;
 use bytes::{Buf, BytesMut};
 use fudj_core::BucketId;
 use fudj_types::{wire, FudjError, Result, Row};
+use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -77,29 +80,6 @@ impl Default for SpillConfig {
     }
 }
 
-/// Counters of one spilling COMBINE task, folded into
-/// [`crate::metrics::QueryMetrics`] via `record_spill_run` on success.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpillStats {
-    /// Rows written to spill files (eviction + streamed arrivals).
-    pub spilled_rows: u64,
-    /// Bytes written to spill files.
-    pub spilled_bytes: u64,
-    /// Sub-partitions that stayed memory-resident end to end.
-    pub resident_partitions: u64,
-    /// Sub-partitions that went to disk.
-    pub spilled_partitions: u64,
-    /// Partitioning passes (1 plus one per recursive repartition).
-    pub passes: u64,
-    /// Deepest recursion level reached (0 = first pass only).
-    pub max_depth: u64,
-    /// Sub-partitions joined by the block-nested-loop fallback.
-    pub bnl_fallbacks: u64,
-    /// High-water mark of rows held resident at once (slot memory plus
-    /// unflushed write buffers, or one readback / block pair downstream).
-    pub peak_resident_rows: u64,
-}
-
 /// Owns one spill file's path and unlinks it on drop — the cleanup guard
 /// that makes every error path leak-free.
 struct SpillFile {
@@ -112,8 +92,53 @@ impl Drop for SpillFile {
     }
 }
 
-/// Process-unique sequence for spill file names.
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
+/// One cluster's spill scope: a private `fudj-spill-<pid>-<n>` directory
+/// under the temp dir, created by the first task that spills and removed
+/// when the cluster is dropped. File names only need to be unique within
+/// it, so the sequence is per cluster and nothing two clusters do can
+/// collide on disk.
+#[derive(Debug, Default)]
+pub struct SpillDir {
+    path: Mutex<Option<PathBuf>>,
+    seq: AtomicU64,
+}
+
+impl SpillDir {
+    /// The directory, once some task has spilled.
+    pub fn path(&self) -> Option<PathBuf> {
+        self.path.lock().clone()
+    }
+
+    /// The directory, created on first use. `create_dir` fails on an
+    /// existing name, so concurrent clusters (and processes sharing a
+    /// recycled pid's leftovers) each claim a distinct `<n>`.
+    fn ensure(&self) -> Result<PathBuf> {
+        let mut path = self.path.lock();
+        if let Some(p) = &*path {
+            return Ok(p.clone());
+        }
+        let (base, pid) = (std::env::temp_dir(), std::process::id());
+        let mut n = 0u64;
+        let created = loop {
+            let candidate = base.join(format!("fudj-spill-{pid}-{n}"));
+            match std::fs::create_dir(&candidate) {
+                Ok(()) => break candidate,
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => n += 1,
+                Err(e) => return Err(io_err("directory create", e)),
+            }
+        };
+        *path = Some(created.clone());
+        Ok(created)
+    }
+}
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        if let Some(p) = self.path.get_mut().take() {
+            let _ = std::fs::remove_dir_all(p);
+        }
+    }
+}
 
 fn io_err(what: &str, e: std::io::Error) -> FudjError {
     FudjError::Execution(format!("spill {what} failed: {e}"))
@@ -135,12 +160,11 @@ struct SideWriter {
 }
 
 impl SideWriter {
-    fn create(depth: usize, part: usize, side: usize) -> Result<Self> {
-        let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "fudj-spill-{}-{seq}-d{depth}-p{part}-s{side}.bin",
-            std::process::id()
-        ));
+    fn create(dir: &SpillDir, depth: usize, part: usize, side: usize) -> Result<Self> {
+        let seq = dir.seq.fetch_add(1, Ordering::Relaxed);
+        let path = dir
+            .ensure()?
+            .join(format!("{seq}-d{depth}-p{part}-s{side}.bin"));
         let file = File::create(&path).map_err(|e| io_err("create", e))?;
         Ok(SideWriter {
             guard: SpillFile { path },
@@ -322,7 +346,7 @@ pub(crate) fn hybrid_hash_join(
     budget: usize,
     cfg: &SpillConfig,
 ) -> Result<Vec<Row>> {
-    let mut stats = SpillStats::default();
+    let mut stats = EngineStats::default();
     let mut out = Vec::new();
     pass(
         ctx,
@@ -354,7 +378,7 @@ pub(crate) fn theta_bnl_join(
 ) -> Result<Vec<Row>> {
     let batch = cfg.write_batch_rows.max(1);
     let spill_side = |rows: Vec<Row>, side: usize| -> Result<ClosedSide> {
-        let mut w = SideWriter::create(0, 0, side)?;
+        let mut w = SideWriter::create(ctx.spill_dir, 0, 0, side)?;
         for row in rows {
             w.push(&row);
             if w.buffered_rows >= batch {
@@ -365,13 +389,13 @@ pub(crate) fn theta_bnl_join(
     };
     let lc = spill_side(lrows, 0)?;
     let rc = spill_side(rrows, 1)?;
-    let mut stats = SpillStats {
-        passes: 1,
-        spilled_partitions: 1,
+    let mut stats = EngineStats {
+        spill_passes: 1,
+        spill_spilled_partitions: 1,
         spilled_rows: lc.rows + rc.rows,
         spilled_bytes: lc.bytes + rc.bytes,
-        bnl_fallbacks: 1,
-        ..SpillStats::default()
+        spill_bnl_fallbacks: 1,
+        ..EngineStats::default()
     };
     let mut out = Vec::new();
     if lc.rows > 0 && rc.rows > 0 {
@@ -393,14 +417,14 @@ fn pass<I>(
     budget: usize,
     depth: usize,
     cfg: &SpillConfig,
-    stats: &mut SpillStats,
+    stats: &mut EngineStats,
     out: &mut Vec<Row>,
 ) -> Result<()>
 where
     I: Iterator<Item = Result<Row>>,
 {
-    stats.passes += 1;
-    stats.max_depth = stats.max_depth.max(depth as u64);
+    stats.spill_passes += 1;
+    stats.spill_recursion_depth = stats.spill_recursion_depth.max(depth as u64);
     let fanout = cfg.fanout.max(2);
     let mut slots: Vec<Slot> = (0..fanout).map(|_| Slot::new()).collect();
     // Working-set accounting: `resident` rows live in slot memory,
@@ -429,7 +453,9 @@ where
                     resident += 1;
                 }
             }
-            stats.peak_resident_rows = stats.peak_resident_rows.max((resident + buffered) as u64);
+            stats.spill_peak_resident_rows = stats
+                .spill_peak_resident_rows
+                .max((resident + buffered) as u64);
             // A spilled slot's buffer flushes once it holds a full batch.
             if slots[p].writers.is_some() && slots[p].buffered_rows() >= cfg.write_batch_rows {
                 let ws = slots[p].writers.as_mut().expect("spilled slot has writers");
@@ -446,7 +472,7 @@ where
                     .filter(|&i| slots[i].writers.is_none() && slots[i].mem_rows() > 0)
                     .max_by_key(|&i| slots[i].mem_rows());
                 if let Some(v) = victim {
-                    resident -= evict(&mut slots[v], depth, v, cfg)?;
+                    resident -= evict(&mut slots[v], ctx.spill_dir, depth, v, cfg)?;
                 } else {
                     let fullest = (0..fanout).max_by_key(|&i| slots[i].buffered_rows());
                     match fullest {
@@ -471,7 +497,7 @@ where
         if slot.mem_rows() == 0 {
             continue;
         }
-        stats.resident_partitions += 1;
+        stats.spill_resident_partitions += 1;
         let l = std::mem::take(&mut slot.mem[0]);
         let r = std::mem::take(&mut slot.mem[1]);
         if !l.is_empty() && !r.is_empty() {
@@ -486,7 +512,7 @@ where
         };
         let lc = lw.finish()?;
         let rc = rw.finish()?;
-        stats.spilled_partitions += 1;
+        stats.spill_spilled_partitions += 1;
         stats.spilled_rows += lc.rows + rc.rows;
         stats.spilled_bytes += lc.bytes + rc.bytes;
         if lc.rows == 0 || rc.rows == 0 {
@@ -497,10 +523,10 @@ where
         if total <= budget.max(1) {
             let l = SpillReader::open(lc.path())?.read_block(usize::MAX)?;
             let r = SpillReader::open(rc.path())?.read_block(usize::MAX)?;
-            stats.peak_resident_rows = stats.peak_resident_rows.max(total as u64);
+            stats.spill_peak_resident_rows = stats.spill_peak_resident_rows.max(total as u64);
             out.extend(join_worker_partition(ctx, l, r)?);
         } else if depth >= cfg.recursion_limit || !slot.multi_bucket {
-            stats.bnl_fallbacks += 1;
+            stats.spill_bnl_fallbacks += 1;
             block_nested_join(ctx, &lc, &rc, budget, stats, out)?;
         } else {
             pass(
@@ -521,10 +547,16 @@ where
 
 /// Evict a resident slot to disk: create its writers and stream its rows
 /// out in write-batch-sized flushes. Returns the number of rows freed.
-fn evict(slot: &mut Slot, depth: usize, part: usize, cfg: &SpillConfig) -> Result<usize> {
+fn evict(
+    slot: &mut Slot,
+    dir: &SpillDir,
+    depth: usize,
+    part: usize,
+    cfg: &SpillConfig,
+) -> Result<usize> {
     let mut writers = [
-        SideWriter::create(depth, part, 0)?,
-        SideWriter::create(depth, part, 1)?,
+        SideWriter::create(dir, depth, part, 0)?,
+        SideWriter::create(dir, depth, part, 1)?,
     ];
     let freed = slot.mem_rows();
     let batch = cfg.write_batch_rows.max(1);
@@ -550,7 +582,7 @@ fn block_nested_join(
     lc: &ClosedSide,
     rc: &ClosedSide,
     budget: usize,
-    stats: &mut SpillStats,
+    stats: &mut EngineStats,
     out: &mut Vec<Row>,
 ) -> Result<()> {
     let block = (budget / 2).max(1);
@@ -566,8 +598,8 @@ fn block_nested_join(
             if rblock.is_empty() {
                 break;
             }
-            stats.peak_resident_rows = stats
-                .peak_resident_rows
+            stats.spill_peak_resident_rows = stats
+                .spill_peak_resident_rows
                 .max((lblock.len() + rblock.len()) as u64);
             out.extend(join_worker_partition(ctx, lblock.clone(), rblock)?);
         }
@@ -586,7 +618,8 @@ mod tests {
 
     #[test]
     fn writer_reader_roundtrip_streams_frames() {
-        let mut w = SideWriter::create(0, 0, 0).unwrap();
+        let dir = SpillDir::default();
+        let mut w = SideWriter::create(&dir, 0, 0, 0).unwrap();
         let rows: Vec<Row> = (0..500).map(|i| tagged_row(i, i % 7)).collect();
         for row in &rows {
             w.push(row);
@@ -603,16 +636,22 @@ mod tests {
 
     #[test]
     fn spill_file_guard_unlinks_on_drop() {
-        let w = SideWriter::create(3, 1, 0).unwrap();
+        let dir = SpillDir::default();
+        let w = SideWriter::create(&dir, 3, 1, 0).unwrap();
         let path = w.guard.path.clone();
         assert!(path.exists());
         drop(w);
         assert!(!path.exists(), "dropping the writer must unlink its file");
+        let scope = dir.path().expect("the writer created the directory");
+        assert_eq!(std::fs::read_dir(&scope).unwrap().count(), 0);
+        drop(dir);
+        assert!(!scope.exists(), "dropping the scope must remove it");
     }
 
     #[test]
     fn read_block_honors_limit_and_drains() {
-        let mut w = SideWriter::create(0, 0, 1).unwrap();
+        let dir = SpillDir::default();
+        let mut w = SideWriter::create(&dir, 0, 0, 1).unwrap();
         for i in 0..10 {
             w.push(&tagged_row(i, 0));
         }

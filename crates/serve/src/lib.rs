@@ -18,7 +18,7 @@
 //!   response's `MetricsSnapshot`;
 //! * a **deterministic workload generator** (seeded tenant mixes with
 //!   Zipf-skewed shape popularity) that drives both the differential
-//!   tests and the `BENCH_PR9.json` latency benchmark.
+//!   tests and `fudjbench`'s `serve_mix` workload.
 //!
 //! Entry point: [`ServingTier::serve`] — SQL text in, cached-or-computed
 //! rows out, bit-identical to what an uncached session would return.

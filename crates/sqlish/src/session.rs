@@ -101,6 +101,75 @@ struct SessionVars {
     checkpoint_durable: bool,
 }
 
+/// Every `SET` key, once: `(name, value syntax, one-line doc)`.
+/// [`Session::apply_set`] names them when it rejects a key, the REPL's
+/// `\help` renders its `SET` block from it, and tests keep `apply_set`'s
+/// `match` arms and README's knob rows naming exactly these keys.
+#[rustfmt::skip]
+pub const SETTINGS: &[(&str, &str, &str)] = &[
+    ("max_inflight_queries", "N", "admission: concurrent query cap"),
+    ("admission_queue_limit", "N", "bounded FIFO wait queue"),
+    ("memory_quota_rows", "N|off", "aggregate spill-budget quota of admitted queries"),
+    ("stage_slots", "N", "concurrent pool batches across queries"),
+    ("priority", "N", "fair-share weight of this session's \\submit jobs"),
+    ("deadline_ms", "N|off", "simulated-clock deadline of \\submit jobs"),
+    ("memory_budget_rows", "N|off", "per-worker COMBINE row budget; over it the join spills"),
+    ("spill_fanout", "N|off", "sub-partitions per spill partitioning pass"),
+    ("spill_recursion_limit", "N|off", "repartitioning depth before block-nested-loop (0 = always)"),
+    ("exec_mode", "row|columnar|off", "evaluation strategy (off = engine default, columnar)"),
+    ("checkpoint_budget_bytes", "N|off", "checkpoint store budget, FIFO eviction past it"),
+    ("checkpoint_stages", "all|off|'stage,stage,...'", "stage boundaries to checkpoint"),
+    ("checkpoint_durable", "on|off", "journal queries + durable stage checkpoints; a reopened wal_dir resumes them"),
+    ("worker_quarantine_threshold", "N|off", "injected-failure count that quarantines a worker"),
+    ("wal_dir", "'<path>'|off", "open a crash-consistent store: replay, then WAL appends and CREATE/DROP JOIN"),
+    ("durability", "sync|N|off", "fsync every record / every N / never"),
+    ("plan_cache_entries", "N|none", "serving plan-cache LRU bound (0 disables, none = default)"),
+    ("result_cache_entries", "N|none", "serving result-cache LRU bound (0 disables, none = default)"),
+    ("result_cache", "on|off", "bypass result-cache lookup and insert without clearing it"),
+];
+
+/// One `SET` key that shapes the physical plan. A resumed query must be
+/// re-planned under the same values, so exactly these keys ride in the
+/// `QuerySubmitted` journal record — in this order.
+struct PlanKnob {
+    name: &'static str,
+    /// Lay the session's `SET` value, when set, over the planner option.
+    overlay: fn(&SessionVars, &mut PlanOptions),
+    /// The option's journal text, when set.
+    get: fn(&PlanOptions) -> Option<String>,
+    /// Restore the option from its journal text.
+    set: fn(&mut PlanOptions, &str),
+}
+
+const PLAN_KNOBS: &[PlanKnob] = &[
+    PlanKnob {
+        name: "exec_mode",
+        overlay: |v, o| o.exec_mode = v.exec_mode.or(o.exec_mode),
+        get: |o| o.exec_mode.map(|m| m.to_string()),
+        set: |o, text| o.exec_mode = ExecMode::parse(text),
+    },
+    PlanKnob {
+        name: "memory_budget_rows",
+        overlay: |v, o| o.memory_budget_rows = v.memory_budget_rows.or(o.memory_budget_rows),
+        get: |o| o.memory_budget_rows.map(|n| n.to_string()),
+        set: |o, text| o.memory_budget_rows = text.parse().ok(),
+    },
+    PlanKnob {
+        name: "spill_fanout",
+        overlay: |v, o| o.spill_fanout = v.spill_fanout.or(o.spill_fanout),
+        get: |o| o.spill_fanout.map(|n| n.to_string()),
+        set: |o, text| o.spill_fanout = text.parse().ok(),
+    },
+    PlanKnob {
+        name: "spill_recursion_limit",
+        overlay: |v, o| {
+            o.spill_recursion_limit = v.spill_recursion_limit.or(o.spill_recursion_limit)
+        },
+        get: |o| o.spill_recursion_limit.map(|n| n.to_string()),
+        set: |o, text| o.spill_recursion_limit = text.parse().ok(),
+    },
+];
+
 /// Stages a crashed query can resume from: their checkpoints carry the
 /// complete post-boundary input (`join:combine` holds the joined rows
 /// before duplicate handling, `agg:shuffle` the shuffled partials before
@@ -595,24 +664,10 @@ impl Session {
     /// serialized into the `QuerySubmitted` journal record.
     fn journal_options(&self) -> Vec<(String, String)> {
         let options = self.effective_options();
-        let mut pairs = Vec::new();
-        if let Some(mode) = options.exec_mode {
-            let name = match mode {
-                ExecMode::Row => "row",
-                ExecMode::Columnar => "columnar",
-            };
-            pairs.push(("exec_mode".to_owned(), name.to_owned()));
-        }
-        if let Some(n) = options.memory_budget_rows {
-            pairs.push(("memory_budget_rows".to_owned(), n.to_string()));
-        }
-        if let Some(n) = options.spill_fanout {
-            pairs.push(("spill_fanout".to_owned(), n.to_string()));
-        }
-        if let Some(n) = options.spill_recursion_limit {
-            pairs.push(("spill_recursion_limit".to_owned(), n.to_string()));
-        }
-        pairs
+        PLAN_KNOBS
+            .iter()
+            .filter_map(|knob| Some((knob.name.to_owned(), (knob.get)(&options)?)))
+            .collect()
     }
 
     /// Invert [`Session::journal_options`]: the session's base planner
@@ -621,12 +676,8 @@ impl Session {
     fn options_from_journal(&self, pairs: &[(String, String)]) -> PlanOptions {
         let mut options = self.options.clone();
         for (key, value) in pairs {
-            match key.as_str() {
-                "exec_mode" => options.exec_mode = ExecMode::parse(value),
-                "memory_budget_rows" => options.memory_budget_rows = value.parse().ok(),
-                "spill_fanout" => options.spill_fanout = value.parse().ok(),
-                "spill_recursion_limit" => options.spill_recursion_limit = value.parse().ok(),
-                _ => {}
+            if let Some(knob) = PLAN_KNOBS.iter().find(|knob| knob.name == key) {
+                (knob.set)(&mut options, value);
             }
         }
         options
@@ -661,17 +712,8 @@ impl Session {
     pub fn effective_options(&self) -> PlanOptions {
         let vars = self.vars();
         let mut options = self.options.clone();
-        if vars.memory_budget_rows.is_some() {
-            options.memory_budget_rows = vars.memory_budget_rows;
-        }
-        if vars.spill_fanout.is_some() {
-            options.spill_fanout = vars.spill_fanout;
-        }
-        if vars.spill_recursion_limit.is_some() {
-            options.spill_recursion_limit = vars.spill_recursion_limit;
-        }
-        if vars.exec_mode.is_some() {
-            options.exec_mode = vars.exec_mode;
+        for knob in PLAN_KNOBS {
+            (knob.overlay)(&vars, &mut options);
         }
         options
     }
@@ -946,15 +988,13 @@ impl Session {
                 }
             }
             other => {
+                let (last, rest) = SETTINGS.split_last().expect("SETTINGS is not empty");
+                let rest: Vec<&str> = rest.iter().map(|(name, ..)| *name).collect();
                 return Err(FudjError::Execution(format!(
-                    "unknown SET variable {other:?} (expected max_inflight_queries, \
-                     admission_queue_limit, memory_quota_rows, stage_slots, priority, \
-                     deadline_ms, memory_budget_rows, spill_fanout, \
-                     spill_recursion_limit, exec_mode, checkpoint_budget_bytes, \
-                     checkpoint_stages, checkpoint_durable, \
-                     worker_quarantine_threshold, wal_dir, durability, \
-                     plan_cache_entries, result_cache_entries, or result_cache)"
-                )))
+                    "unknown SET variable {other:?} (expected {}, or {})",
+                    rest.join(", "),
+                    last.0
+                )));
             }
         }
         Ok(QueryOutput::Ack(format!("set {key} = {value}")))
@@ -1894,5 +1934,86 @@ mod tests {
             .sum();
         assert_eq!(total, 150);
         let _ = Value::Int64(0);
+    }
+
+    /// `"a" | "b" =>` arm labels of `apply_set`'s `match key`, from this
+    /// file's own source.
+    fn apply_set_arms() -> Vec<String> {
+        let body = include_str!("session.rs")
+            .split("fn apply_set")
+            .nth(1)
+            .and_then(|s| s.split("fn submit").next())
+            .expect("apply_set body precedes submit");
+        body.lines()
+            .map(str::trim_start)
+            .filter(|l| l.starts_with('"') && l.contains("=>"))
+            .flat_map(|l| l.split("=>").next().unwrap().split('|'))
+            .filter_map(|t| t.trim().strip_prefix('"')?.strip_suffix('"'))
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn settings_table_is_the_one_list_of_set_keys() {
+        let mut names: Vec<&str> = SETTINGS.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(names.len(), 19);
+        let mut arms = apply_set_arms();
+        names.sort_unstable();
+        arms.sort_unstable();
+        assert_eq!(arms, names, "apply_set arms vs SETTINGS");
+        for knob in PLAN_KNOBS {
+            assert!(names.contains(&knob.name), "{} is not a SET key", knob.name);
+        }
+    }
+
+    #[test]
+    fn readme_knob_rows_name_exactly_the_set_keys() {
+        let readme = include_str!("../../../README.md");
+        let mut documented: Vec<&str> = readme
+            .split("SET ")
+            .skip(1)
+            .filter_map(|rest| {
+                let end = rest.find(|c: char| !(c.is_ascii_lowercase() || c == '_'))?;
+                rest[end..].starts_with(" =").then_some(&rest[..end])
+            })
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut names: Vec<&str> = SETTINGS.iter().map(|(name, ..)| *name).collect();
+        names.sort_unstable();
+        assert_eq!(documented, names);
+    }
+
+    #[test]
+    fn plan_knobs_round_trip_through_the_journal_in_a_fixed_order() {
+        let s = session();
+        assert_eq!(
+            s.journal_options(),
+            Vec::new(),
+            "nothing set, nothing journaled"
+        );
+        s.execute("SET spill_recursion_limit = 0").unwrap();
+        s.execute("SET spill_fanout = 4").unwrap();
+        s.execute("SET memory_budget_rows = 64").unwrap();
+        s.execute("SET exec_mode = row").unwrap();
+        let pairs = s.journal_options();
+        let text: Vec<(&str, &str)> = pairs
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(
+            text,
+            [
+                ("exec_mode", "row"),
+                ("memory_budget_rows", "64"),
+                ("spill_fanout", "4"),
+                ("spill_recursion_limit", "0"),
+            ]
+        );
+        let restored = session().options_from_journal(&pairs);
+        assert_eq!(restored.exec_mode, Some(ExecMode::Row));
+        assert_eq!(restored.memory_budget_rows, Some(64));
+        assert_eq!(restored.spill_fanout, Some(4));
+        assert_eq!(restored.spill_recursion_limit, Some(0));
     }
 }

@@ -37,50 +37,44 @@ use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Lifetime durability counters for one store (plus the fault layer's
-/// injection counts). Deterministic per seed and operation sequence.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// WAL records appended.
-    pub wal_records_appended: u64,
-    /// WAL bytes appended (framing included — comparable to shuffle and
-    /// checkpoint byte meters).
-    pub wal_bytes_appended: u64,
-    /// Fsyncs issued against the WAL.
-    pub wal_fsyncs: u64,
-    /// Fsyncs the (simulated) disk silently dropped.
-    pub fsyncs_dropped: u64,
-    /// Snapshots committed.
-    pub snapshots_written: u64,
-    /// Snapshot bytes written.
-    pub snapshot_bytes_written: u64,
-    /// WAL records replayed during recovery.
-    pub wal_records_replayed: u64,
-    /// Table rows restored via replayed appends.
-    pub rows_replayed: u64,
-    /// WAL tails physically truncated as torn.
-    pub torn_tails_truncated: u64,
-    /// Corrupt WAL frames skipped (checksum failure with resync).
-    pub corrupt_records_quarantined: u64,
-    /// Corrupt snapshot/manifest artifacts set aside during recovery.
-    pub corrupt_snapshots_quarantined: u64,
-    /// Replayed records dropped as inconsistent (duplicate DDL, appends
-    /// to unknown tables, width-mismatched rows).
-    pub replay_quarantined: u64,
-    /// Query-journal records appended (`QuerySubmitted` /
-    /// `StageCommitted` / `QueryFinished`).
-    pub journal_records_appended: u64,
-    /// Query-journal records recovered during replay.
-    pub journal_records_replayed: u64,
-    /// Storage faults injected by the fault layer (bit flips + dropped
-    /// fsyncs + simulated crashes).
-    pub faults_injected: u64,
-}
-
-impl DurabilityStats {
-    /// Whether any counter is non-zero.
-    pub fn any(&self) -> bool {
-        *self != DurabilityStats::default()
+fudj_types::counters! {
+    /// Lifetime durability counters for one store (plus the fault layer's
+    /// injection counts). Deterministic per seed and operation sequence.
+    pub struct DurabilityStats("durability.") {
+        /// WAL records appended.
+        wal_records_appended: sum,
+        /// WAL bytes appended (framing included — comparable to shuffle and
+        /// checkpoint byte meters).
+        wal_bytes_appended: sum,
+        /// Fsyncs issued against the WAL.
+        wal_fsyncs: sum,
+        /// Fsyncs the (simulated) disk silently dropped.
+        fsyncs_dropped: sum,
+        /// Snapshots committed.
+        snapshots_written: sum,
+        /// Snapshot bytes written.
+        snapshot_bytes_written: sum,
+        /// WAL records replayed during recovery.
+        wal_records_replayed: sum,
+        /// Table rows restored via replayed appends.
+        rows_replayed: sum,
+        /// WAL tails physically truncated as torn.
+        torn_tails_truncated: sum,
+        /// Corrupt WAL frames skipped (checksum failure with resync).
+        corrupt_records_quarantined: sum,
+        /// Corrupt snapshot/manifest artifacts set aside during recovery.
+        corrupt_snapshots_quarantined: sum,
+        /// Replayed records dropped as inconsistent (duplicate DDL, appends
+        /// to unknown tables, width-mismatched rows).
+        replay_quarantined: sum,
+        /// Query-journal records appended (`QuerySubmitted` /
+        /// `StageCommitted` / `QueryFinished`).
+        journal_records_appended: sum,
+        /// Query-journal records recovered during replay.
+        journal_records_replayed: sum,
+        /// Storage faults injected by the fault layer (bit flips + dropped
+        /// fsyncs + simulated crashes).
+        faults_injected: sum,
     }
 }
 

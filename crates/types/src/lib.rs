@@ -13,8 +13,11 @@
 //!   This is the paper's proxy-built-in-function serialization boundary.
 //! * [`wire`] — a compact binary row format used by exchange operators so
 //!   the simulated cluster's shuffled-byte accounting is honest.
+//! * [`counters!`] — the declare-once table every counter group (engine,
+//!   fault, UDF guard, recovery, durability, serving) is generated from.
 
 pub mod column;
+pub mod counters;
 pub mod datatype;
 pub mod error;
 pub mod ext;

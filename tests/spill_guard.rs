@@ -1,13 +1,14 @@
 //! Spill-file hygiene under failure: a join that dies mid-spill (a UDF
-//! violation under the fail-fast guard policy) must leave no
-//! `fudj-spill-*` litter in the temp directory. The RAII guards inside
-//! the hybrid-hash COMBINE own every file from the moment it is created,
-//! so cleanup holds on *every* error path, not just the happy one.
+//! violation under the fail-fast guard policy) must leave no spill file
+//! behind. The RAII guards inside the hybrid-hash COMBINE own every file
+//! from the moment it is created, so cleanup holds on *every* error path,
+//! not just the happy one.
 //!
-//! This suite deliberately lives in its own test binary: spill file
-//! names embed the process id, so scanning the temp dir filtered by this
-//! process's pid cannot race with spill files created by other
-//! concurrently running test binaries.
+//! Spill files are scoped per `Cluster` (each has its own directory), so
+//! every assertion here inspects only the directory of the cluster it ran
+//! on: empty after any query, gone once the cluster is dropped. Tests in
+//! this binary — and anything else spilling in the temp dir — cannot see
+//! each other's live files.
 
 use fudj_repro::core::{
     EngineJoin, FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm, UdfPolicy,
@@ -22,15 +23,27 @@ use std::sync::Arc;
 const WORKERS: usize = 3;
 const BUDGET: usize = 16;
 
-/// Spill files created by *this* process and still present on disk.
-fn spill_litter() -> Vec<String> {
-    let prefix = format!("fudj-spill-{}-", std::process::id());
-    std::fs::read_dir(std::env::temp_dir())
-        .expect("temp dir must be listable")
+/// Files still present in `cluster`'s spill directory (none when it never
+/// spilled, so no directory exists).
+fn spill_litter(cluster: &Cluster) -> Vec<String> {
+    let Some(dir) = cluster.spill_dir() else {
+        return Vec::new();
+    };
+    std::fs::read_dir(dir)
+        .expect("a live cluster keeps its spill dir")
         .filter_map(|e| e.ok())
         .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|name| name.starts_with(&prefix))
         .collect()
+}
+
+/// Drop the cluster and require its spill directory (if a task got as
+/// far as creating it) to go with it.
+fn assert_scope_removed(cluster: Cluster) {
+    let dir = cluster.spill_dir();
+    drop(cluster);
+    if let Some(dir) = dir {
+        assert!(!dir.exists(), "{dir:?} outlived its cluster");
+    }
 }
 
 fn keys() -> Vec<Value> {
@@ -107,7 +120,11 @@ fn failfast_violation_mid_spill_leaves_no_litter() {
         snap.spilled_rows > 0,
         "budget {BUDGET} must spill: {snap:?}"
     );
-    assert_eq!(spill_litter(), Vec::<String>::new());
+    let scope = cluster
+        .spill_dir()
+        .expect("a spilling run creates the scope");
+    assert!(scope.is_dir());
+    assert_eq!(spill_litter(&cluster), Vec::<String>::new());
 
     // The actual regression: panic inside `verify` on poisoned keys.
     let err = match cluster.execute(&spilling_plan(
@@ -122,10 +139,11 @@ fn failfast_violation_mid_spill_leaves_no_litter() {
         "unexpected error: {err:?}"
     );
     assert_eq!(
-        spill_litter(),
+        spill_litter(&cluster),
         Vec::<String>::new(),
         "mid-spill failure leaked spill files"
     );
+    assert_scope_removed(cluster);
 }
 
 /// The same guarantee on a second, earlier failure point: a violation in
@@ -145,8 +163,9 @@ fn failfast_assign_violation_also_leaves_no_litter() {
         "unexpected error: {err:?}"
     );
     assert_eq!(
-        spill_litter(),
+        spill_litter(&cluster),
         Vec::<String>::new(),
         "assign failure leaked spill files"
     );
+    assert_scope_removed(cluster);
 }
