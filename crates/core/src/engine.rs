@@ -12,11 +12,13 @@
 //!   `EngineJoin` directly on native values with concrete state types — the
 //!   paper's from-scratch baseline, which FUDJ is benchmarked against.
 //!
-//! `EngineJoin` also exposes [`EngineJoin::local_join_pairs`], the per-bucket
-//! local join. The default is the nested loop the plain FUDJ operator uses;
-//! the §VII-F "advanced" spatial operator overrides it with a plane sweep.
+//! `EngineJoin` also exposes [`EngineJoin::local_join_pairs`], the local join
+//! of one matched bucket pair and COMBINE's only way into a strategy. The
+//! default is the nested `verify` loop; [`FudjEngineJoin`] overrides it to
+//! translate each key once per block, and the §VII-F "advanced" spatial
+//! operator overrides it with a plane sweep.
 
-use crate::model::{avoidance_accepts, BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{avoidance_accepts, verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
 use crate::state::{PPlanState, SummaryState};
 use fudj_types::{ext, Result, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -264,14 +266,12 @@ pub trait EngineJoin: Send + Sync {
         pplan: &PPlanState,
         emit: &mut dyn FnMut(usize, usize),
     ) -> Result<()> {
-        for (i, k1) in left_keys.iter().enumerate() {
-            for (j, k2) in right_keys.iter().enumerate() {
-                if self.verify(b1, k1, b2, k2, pplan)? {
-                    emit(i, j);
-                }
-            }
-        }
-        Ok(())
+        verify_pairs(
+            left_keys,
+            right_keys,
+            |k1, k2| self.verify(b1, k1, b2, k2, pplan),
+            emit,
+        )
     }
 
     /// The guardrail handle, when the underlying algorithm is wrapped in a
@@ -285,8 +285,9 @@ pub trait EngineJoin: Send + Sync {
 
 /// Adapter: a registered FUDJ algorithm as an [`EngineJoin`].
 ///
-/// Carries the per-call [`Value`] → [`fudj_types::ExtValue`] translation and
-/// counts every crossing of the boundary.
+/// Carries the [`Value`] → [`fudj_types::ExtValue`] translation — per call in
+/// SUMMARIZE and PARTITION, per block in COMBINE — and counts every key
+/// that crosses the boundary.
 pub struct FudjEngineJoin {
     alg: Arc<dyn JoinAlgorithm>,
     translations: AtomicU64,
@@ -322,7 +323,8 @@ impl FudjEngineJoin {
     }
 
     /// How many engine→external value translations have happened — the
-    /// extensibility-boundary traffic the §VII-B experiment quantifies.
+    /// extensibility-boundary traffic the §VII-B experiment quantifies:
+    /// one per key per call, and m + n per m × n COMBINE block.
     pub fn translation_count(&self) -> u64 {
         self.translations.load(Ordering::Relaxed)
     }
@@ -331,6 +333,13 @@ impl FudjEngineJoin {
     fn xlate(&self, v: &Value) -> Result<fudj_types::ExtValue> {
         self.translations.fetch_add(1, Ordering::Relaxed);
         ext::to_external(v)
+    }
+
+    /// Translate one side of a block, counted as one crossing per key.
+    fn xlate_all(&self, keys: &[Value]) -> Result<Vec<fudj_types::ExtValue>> {
+        self.translations
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        keys.iter().map(ext::to_external).collect()
     }
 }
 
@@ -424,6 +433,27 @@ impl EngineJoin for FudjEngineJoin {
             DedupMode::Custom => self.alg.dedup(b1, &e1, b2, &e2, pplan),
             _ => avoidance_accepts(self.alg.as_ref(), b1, &e1, b2, &e2, pplan),
         }
+    }
+
+    /// COMBINE crosses the boundary one block at a time: each key of the
+    /// matched bucket pair is translated once (m + n translations, not
+    /// 2·m·n) and the library sees both sides in one
+    /// [`JoinAlgorithm::verify_block`] call.
+    fn local_join_pairs(
+        &self,
+        b1: BucketId,
+        left_keys: &[Value],
+        b2: BucketId,
+        right_keys: &[Value],
+        pplan: &PPlanState,
+        emit: &mut dyn FnMut(usize, usize),
+    ) -> Result<()> {
+        if left_keys.is_empty() || right_keys.is_empty() {
+            return Ok(());
+        }
+        let left = self.xlate_all(left_keys)?;
+        let right = self.xlate_all(right_keys)?;
+        self.alg.verify_block(b1, &left, b2, &right, pplan, emit)
     }
 
     fn guard(&self) -> Option<&crate::guard::GuardHandle> {
@@ -581,17 +611,54 @@ mod tests {
     }
 
     #[test]
-    fn default_local_join_is_verified_nested_loop() {
+    fn block_join_translates_each_key_once_and_agrees_with_per_pair_verify() {
         let ej = FudjEngineJoin::new(Arc::new(ProxyJoin::new(EqJoin)));
         let s = ej.new_summary(Side::Left);
         let plan = ej.divide(&s, &s, &[]).unwrap();
         let left = vec![Value::Int64(1), Value::Int64(2)];
         let right = vec![Value::Int64(2), Value::Int64(1), Value::Int64(2)];
+
+        let before = ej.translation_count();
         let mut pairs = Vec::new();
         ej.local_join_pairs(0, &left, 0, &right, &plan, &mut |i, j| pairs.push((i, j)))
             .unwrap();
-        pairs.sort_unstable();
+        // m + n crossings for the block; the per-pair loop paid 2·m·n.
+        assert_eq!(ej.translation_count() - before, 2 + 3);
         assert_eq!(pairs, vec![(0, 1), (1, 0), (1, 2)]);
+
+        let mut nested = Vec::new();
+        for (i, k1) in left.iter().enumerate() {
+            for (j, k2) in right.iter().enumerate() {
+                if ej.verify(0, k1, 0, k2, &plan).unwrap() {
+                    nested.push((i, j));
+                }
+            }
+        }
+        assert_eq!(pairs, nested, "same pairs, same row-major order");
+
+        // A block with an empty side has no candidate pair and crosses nothing.
+        let before = ej.translation_count();
+        ej.local_join_pairs(0, &left, 0, &[], &plan, &mut |_, _| unreachable!())
+            .unwrap();
+        assert_eq!(ej.translation_count(), before);
+    }
+
+    #[test]
+    fn single_pair_verify_and_dedup_translate_two_keys_per_call() {
+        // `fudjbench` derives `core.translations_per_key` by subtracting two
+        // translations per single-pair `verify` / `dedup` call from the total.
+        let ej = FudjEngineJoin::new(Arc::new(ProxyJoin::new(EqJoin)));
+        let s = ej.new_summary(Side::Left);
+        let plan = ej.divide(&s, &s, &[]).unwrap();
+        let (a, b) = (Value::Int64(18), Value::Int64(2));
+        for calls in 1..=3u64 {
+            let before = ej.translation_count();
+            ej.verify(2, &a, 2, &b, &plan).unwrap();
+            assert_eq!(ej.translation_count() - before, 2, "verify call {calls}");
+            let before = ej.translation_count();
+            ej.dedup(2, &a, 2, &b, &plan).unwrap();
+            assert_eq!(ej.translation_count() - before, 2, "dedup call {calls}");
+        }
     }
 
     #[test]

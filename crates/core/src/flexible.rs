@@ -1,6 +1,6 @@
 //! The user-facing typed programming model and its proxy adapter.
 
-use crate::model::{BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
 use crate::state::{PPlanState, StateObject, SummaryState};
 use fudj_types::{ExtValue, FudjError, Result};
 use std::fmt;
@@ -245,6 +245,21 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
     ) -> Result<bool> {
         let plan = self.pplan(pplan, "verify")?;
         self.join.verify(k1, k2, plan)
+    }
+
+    fn verify_block(
+        &self,
+        _b1: BucketId,
+        left: &[ExtValue],
+        _b2: BucketId,
+        right: &[ExtValue],
+        pplan: &PPlanState,
+        emit: &mut dyn FnMut(usize, usize),
+    ) -> Result<()> {
+        // One plan downcast per block; the user's `verify` is called on the
+        // typed plan directly.
+        let plan = self.pplan(pplan, "verify")?;
+        verify_pairs(left, right, |k1, k2| self.join.verify(k1, k2, plan), emit)
     }
 
     fn dedup_mode(&self) -> DedupMode {

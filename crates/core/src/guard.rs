@@ -34,13 +34,13 @@
 //! bit-identical results and metrics to an unguarded one, which the test
 //! suite pins.
 
-use crate::model::{BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
 use crate::state::{PPlanState, SummaryState};
 use fudj_types::{ExtValue, FudjError, Result};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -255,6 +255,9 @@ struct UdfCells {
     /// Deferred violation from a callback that cannot return `Result`
     /// (`matches`); surfaced by the next fallible call or by `check()`.
     pending: Mutex<Option<FudjError>>,
+    /// Set once `pending` holds a violation, so the check in front of every
+    /// guarded call is a load, not a lock.
+    has_pending: AtomicBool,
     /// Sampled summaries for the associativity probe, per side.
     assoc_samples: Mutex<[Vec<SummaryState>; 2]>,
     assoc_checked: [AtomicU64; 2],
@@ -290,6 +293,23 @@ fn ext_hash(v: &ExtValue) -> u64 {
         ExtValue::TextArray(ts) => ts.iter().fold(splitmix(8), |h, t| {
             t.bytes().fold(fold(h, 9), |h, b| fold(h, b as u64))
         }),
+    }
+}
+
+/// A key with its [`ext_hash`]: a block hashes each key once and every pair
+/// it takes part in reuses the value.
+#[derive(Clone, Copy)]
+struct Hashed<'a> {
+    key: &'a ExtValue,
+    hash: u64,
+}
+
+impl<'a> Hashed<'a> {
+    fn new(key: &'a ExtValue) -> Self {
+        Hashed {
+            key,
+            hash: ext_hash(key),
+        }
     }
 }
 
@@ -423,9 +443,15 @@ impl GuardHandle {
         if slot.is_none() {
             *slot = Some(err);
         }
+        // Release, paired with the Acquire load in `pending`: a reader that
+        // sees the flag then finds the slot filled.
+        self.cells.has_pending.store(true, Ordering::Release);
     }
 
     fn pending(&self) -> Option<FudjError> {
+        if !self.cells.has_pending.load(Ordering::Acquire) {
+            return None;
+        }
         self.cells
             .pending
             .lock()
@@ -826,7 +852,74 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         k2: &ExtValue,
         pplan: &PPlanState,
     ) -> Result<bool> {
-        let site_hash = fold(fold(fold(ext_hash(k1), ext_hash(k2)), b1), b2);
+        self.verify_pair(b1, Hashed::new(k1), b2, Hashed::new(k2), pplan)
+    }
+
+    fn verify_block(
+        &self,
+        b1: BucketId,
+        left: &[ExtValue],
+        b2: BucketId,
+        right: &[ExtValue],
+        pplan: &PPlanState,
+        emit: &mut dyn FnMut(usize, usize),
+    ) -> Result<()> {
+        // Only the key hashes are per block. Every pair still goes through
+        // `verify_pair` — its own `catch_unwind`, budget check, site and
+        // probe decision — so the inner algorithm is never handed the block.
+        let left: Vec<Hashed<'_>> = left.iter().map(Hashed::new).collect();
+        let right: Vec<Hashed<'_>> = right.iter().map(Hashed::new).collect();
+        verify_pairs(
+            &left,
+            &right,
+            |&k1, &k2| self.verify_pair(b1, k1, b2, k2, pplan),
+            emit,
+        )
+    }
+
+    fn dedup_mode(&self) -> DedupMode {
+        self.inner.dedup_mode()
+    }
+
+    fn dedup(
+        &self,
+        b1: BucketId,
+        k1: &ExtValue,
+        b2: BucketId,
+        k2: &ExtValue,
+        pplan: &PPlanState,
+    ) -> Result<bool> {
+        let site_hash = fold(fold(fold(ext_hash(k1), ext_hash(k2)), b1 + 7), b2 + 7);
+        self.guarded(
+            Phase::Dedup,
+            site_hash,
+            || format!("pair ({}, {})", short(k1), short(k2)),
+            || Some(false), // quarantine: suppress the emission
+            || self.inner.dedup(b1, k1, b2, k2, pplan),
+        )
+    }
+
+    fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
+        self.inner.declared_buckets(pplan)
+    }
+
+    fn guard(&self) -> Option<&GuardHandle> {
+        Some(&self.handle)
+    }
+}
+
+impl<J: JoinAlgorithm> GuardedJoin<J> {
+    /// One guarded `verify` call on keys whose hashes are already known.
+    fn verify_pair(
+        &self,
+        b1: BucketId,
+        k1: Hashed<'_>,
+        b2: BucketId,
+        k2: Hashed<'_>,
+        pplan: &PPlanState,
+    ) -> Result<bool> {
+        let site_hash = fold(fold(fold(k1.hash, k2.hash), b1), b2);
+        let (k1, k2) = (k1.key, k2.key);
         let site = || format!("pair ({}, {})", short(k1), short(k2));
         let accepted = self.guarded(
             Phase::Verify,
@@ -864,38 +957,6 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         Ok(accepted)
     }
 
-    fn dedup_mode(&self) -> DedupMode {
-        self.inner.dedup_mode()
-    }
-
-    fn dedup(
-        &self,
-        b1: BucketId,
-        k1: &ExtValue,
-        b2: BucketId,
-        k2: &ExtValue,
-        pplan: &PPlanState,
-    ) -> Result<bool> {
-        let site_hash = fold(fold(fold(ext_hash(k1), ext_hash(k2)), b1 + 7), b2 + 7);
-        self.guarded(
-            Phase::Dedup,
-            site_hash,
-            || format!("pair ({}, {})", short(k1), short(k2)),
-            || Some(false), // quarantine: suppress the emission
-            || self.inner.dedup(b1, k1, b2, k2, pplan),
-        )
-    }
-
-    fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
-        self.inner.declared_buckets(pplan)
-    }
-
-    fn guard(&self) -> Option<&GuardHandle> {
-        Some(&self.handle)
-    }
-}
-
-impl<J: JoinAlgorithm> GuardedJoin<J> {
     /// Probe merge associativity once per side, as soon as three summaries
     /// have been sampled: `(a ⊕ b) ⊕ c` and `a ⊕ (b ⊕ c)` must agree. The
     /// states are opaque, so agreement is compared on the serialized size —
@@ -951,6 +1012,7 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
 mod tests {
     use super::*;
     use crate::standalone::{run_guarded, run_standalone};
+    use proptest::prelude::*;
 
     /// A raw hash-mod equality join over `Long` keys with switchable
     /// misbehavior. Key 13 is the poison key: every fault fires only for it,
@@ -1300,6 +1362,81 @@ mod tests {
         let (phase, detail) = phase_of(run(Bad::AsymVerify, config).unwrap_err());
         assert_eq!(phase, "verify");
         assert!(detail.contains("not symmetric"), "{detail}");
+    }
+
+    /// One matched bucket pair through a fresh guard over `Wild`: the pairs
+    /// emitted, the first error, and the counters afterwards.
+    fn guarded_block(
+        bad: Bad,
+        config: GuardConfig,
+        (b1, b2): (BucketId, BucketId),
+        left: &[ExtValue],
+        right: &[ExtValue],
+        block: bool,
+    ) -> (Vec<(usize, usize)>, Result<()>, UdfStats) {
+        let guarded = GuardedJoin::new(Wild::new(bad), config);
+        let plan = PPlanState::new(4u64);
+        let mut pairs = Vec::new();
+        let result = if block {
+            guarded.verify_block(b1, left, b2, right, &plan, &mut |i, j| pairs.push((i, j)))
+        } else {
+            (|| {
+                for (i, k1) in left.iter().enumerate() {
+                    for (j, k2) in right.iter().enumerate() {
+                        if guarded.verify(b1, k1, b2, k2, &plan)? {
+                            pairs.push((i, j));
+                        }
+                    }
+                }
+                Ok(())
+            })()
+        };
+        (pairs, result, guarded.stats())
+    }
+
+    proptest! {
+        /// The guard's block entry point is the per-pair loop with the key
+        /// hashes hoisted: same pairs, same first violation (phase, site,
+        /// detail), same counters — for a clean and an asymmetric `verify`,
+        /// under both row-scoped policies and every probe rate.
+        #[test]
+        fn verify_block_agrees_with_per_pair_verify(
+            left in prop::collection::vec(0i64..12, 0..7),
+            right in prop::collection::vec(0i64..12, 0..7),
+            bad in prop::sample::select(vec![Bad::None, Bad::AsymVerify]),
+            policy in prop::sample::select(vec![UdfPolicy::FailFast, UdfPolicy::Quarantine]),
+            check_sample in prop::sample::select(vec![0u64, 1, 3, 16]),
+            buckets in (0u64..4, 0u64..4),
+        ) {
+            let mut config = GuardConfig::with_policy(policy);
+            config.limits.check_sample = check_sample;
+            let (left, right) = (longs(&left), longs(&right));
+            prop_assert_eq!(
+                guarded_block(bad, config.clone(), buckets, &left, &right, true),
+                guarded_block(bad, config, buckets, &left, &right, false)
+            );
+        }
+    }
+
+    #[test]
+    fn asymmetric_verify_in_a_block_quarantines_exactly_the_offending_pair() {
+        // 1 <= 2 but not 2 <= 1: with every pair probed, (1, 2) is a breach
+        // and is dropped; (2, 2) in the same block survives.
+        let mut config = GuardConfig::with_policy(UdfPolicy::Quarantine);
+        config.limits.check_sample = 1;
+        let (pairs, result, stats) = guarded_block(
+            Bad::AsymVerify,
+            config,
+            (0, 0),
+            &longs(&[1, 2]),
+            &longs(&[2]),
+            true,
+        );
+        assert_eq!(result, Ok(()));
+        assert_eq!(pairs, vec![(1, 0)]);
+        assert_eq!(stats.verify_violations, 1);
+        assert_eq!(stats.contract_breaches, 1);
+        assert_eq!(stats.quarantined_rows, 1);
     }
 
     #[test]

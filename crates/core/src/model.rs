@@ -142,6 +142,30 @@ pub trait JoinAlgorithm: Send + Sync {
         pplan: &PPlanState,
     ) -> Result<bool>;
 
+    /// [`Self::verify`] over one matched bucket pair: `emit(i, j)` for every
+    /// `(left[i], right[j])` that belongs in the result, in row-major order.
+    /// The engine adapter crosses the Fig. 7 boundary through this method —
+    /// each key is translated once per block, not once per candidate pair —
+    /// so wrappers override it to hoist their own per-key work (the proxy's
+    /// plan downcast, the guard's key hashes). The default is the per-pair
+    /// loop, which is what a raw algorithm wants.
+    fn verify_block(
+        &self,
+        b1: BucketId,
+        left: &[ExtValue],
+        b2: BucketId,
+        right: &[ExtValue],
+        pplan: &PPlanState,
+        emit: &mut dyn FnMut(usize, usize),
+    ) -> Result<()> {
+        verify_pairs(
+            left,
+            right,
+            |k1, k2| self.verify(b1, k1, b2, k2, pplan),
+            emit,
+        )
+    }
+
     /// Duplicate-handling strategy.
     fn dedup_mode(&self) -> DedupMode {
         DedupMode::Avoidance
@@ -179,6 +203,25 @@ pub trait JoinAlgorithm: Send + Sync {
     fn guard(&self) -> Option<&crate::guard::GuardHandle> {
         None
     }
+}
+
+/// The candidate loop every [`JoinAlgorithm::verify_block`] shares:
+/// `emit(i, j)` for each pair `verify` accepts, row-major, stopping at the
+/// first error.
+pub(crate) fn verify_pairs<L, R>(
+    left: &[L],
+    right: &[R],
+    mut verify: impl FnMut(&L, &R) -> Result<bool>,
+    emit: &mut dyn FnMut(usize, usize),
+) -> Result<()> {
+    for (i, k1) in left.iter().enumerate() {
+        for (j, k2) in right.iter().enumerate() {
+            if verify(k1, k2)? {
+                emit(i, j);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Forward the whole [`JoinAlgorithm`] surface through a smart pointer or
@@ -244,6 +287,17 @@ macro_rules! forward_join_algorithm {
                 pplan: &PPlanState,
             ) -> Result<bool> {
                 (**self).verify(b1, k1, b2, k2, pplan)
+            }
+            fn verify_block(
+                &self,
+                b1: BucketId,
+                left: &[ExtValue],
+                b2: BucketId,
+                right: &[ExtValue],
+                pplan: &PPlanState,
+                emit: &mut dyn FnMut(usize, usize),
+            ) -> Result<()> {
+                (**self).verify_block(b1, left, b2, right, pplan, emit)
             }
             fn dedup_mode(&self) -> DedupMode {
                 (**self).dedup_mode()

@@ -192,6 +192,9 @@ fn run_flow(
         for &i in lefts {
             for &j in rights {
                 stats.verified_pairs += 1;
+                // Per-pair `verify` on purpose: this runner is the oracle the
+                // distributed engine is checked against (§VI-D-2), so it
+                // must not share COMBINE's `verify_block` path.
                 if !alg.verify(b1, &left_keys[i], b2, &right_keys[j], &pplan)? {
                     continue;
                 }

@@ -593,21 +593,6 @@ fn join_bucket_pair(
     // the difference between avoidance beating or losing to elimination.
     let mut lassign: Vec<Option<Vec<BucketId>>> = vec![None; lkeys.len()];
     let mut rassign: Vec<Option<Vec<BucketId>>> = vec![None; rkeys.len()];
-    let cached_assign = |side: Side,
-                         keys: &[Value],
-                         cache: &mut Vec<Option<Vec<BucketId>>>,
-                         k: usize|
-     -> Result<Vec<BucketId>> {
-        if let Some(cached) = &cache[k] {
-            return Ok(cached.clone());
-        }
-        let mut buckets = Vec::new();
-        ctx.join.assign(side, &keys[k], ctx.pplan, &mut buckets)?;
-        buckets.sort_unstable();
-        buckets.dedup();
-        cache[k] = Some(buckets.clone());
-        Ok(buckets)
-    };
 
     let mut rejections = 0u64;
     for (i, j) in verified {
@@ -617,11 +602,11 @@ fn join_bucket_pair(
             DedupMode::Avoidance => {
                 // Accept only from the first matching bucket pair — the
                 // same canonical order as `fudj_core::avoidance_accepts`.
-                let lb = cached_assign(Side::Left, &lkeys, &mut lassign, i)?;
-                let rb = cached_assign(Side::Right, &rkeys, &mut rassign, j)?;
+                let lb = cached_assign(ctx, Side::Left, &lkeys[i], &mut lassign[i])?;
+                let rb = cached_assign(ctx, Side::Right, &rkeys[j], &mut rassign[j])?;
                 let mut first = None;
-                'outer: for &x in &lb {
-                    for &y in &rb {
+                'outer: for &x in lb {
+                    for &y in rb {
                         if ctx.join.matches(x, y) {
                             first = Some((x, y));
                             break 'outer;
@@ -639,6 +624,24 @@ fn join_bucket_pair(
     }
     ctx.metrics.record_dedup_rejections(rejections);
     Ok(())
+}
+
+/// A key's sorted, deduplicated bucket list for avoidance dedup, assigned on
+/// first use and borrowed from `slot` afterwards.
+fn cached_assign<'c>(
+    ctx: &CombineContext<'_>,
+    side: Side,
+    key: &Value,
+    slot: &'c mut Option<Vec<BucketId>>,
+) -> Result<&'c [BucketId]> {
+    if slot.is_none() {
+        let mut buckets = Vec::new();
+        ctx.join.assign(side, key, ctx.pplan, &mut buckets)?;
+        buckets.sort_unstable();
+        buckets.dedup();
+        *slot = Some(buckets);
+    }
+    Ok(slot.as_deref().unwrap_or_default())
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! implementations of the FUDJ semantics to one another.
 
 use fudj_repro::core::{
-    reference_execute, standalone::run_standalone, EngineJoin, FudjEngineJoin, ProxyJoin,
+    reference_execute,
+    standalone::{run_standalone, run_standalone_with_stats},
+    EngineJoin, FudjEngineJoin, ProxyJoin,
 };
 use fudj_repro::exec::{Cluster, FudjJoinNode, PhysicalPlan};
 use fudj_repro::geo::{Point, Polygon, Rect};
@@ -202,5 +204,58 @@ proptest! {
             }
         }
         prop_assert_eq!(&distributed, &truth);
+    }
+}
+
+/// A theta join in which the one left bucket matches every right bucket:
+/// COMBINE re-enters the per-block translation of the same left keys once
+/// per matched bucket pair, while the standalone oracle verifies pair by
+/// pair and never sees a block. The two must still agree.
+#[test]
+fn theta_join_with_several_matched_right_buckets_per_left_bucket() {
+    let iv = |s: i64, e: i64| Value::Interval(Interval::new(s, e));
+    let left = vec![iv(5, 995), iv(10, 990), iv(20, 980)];
+    let right = vec![
+        iv(50, 60),
+        iv(55, 70),
+        iv(450, 460),
+        iv(455, 470),
+        iv(930, 940),
+        iv(985, 999),
+    ];
+    let params = vec![Value::Int64(10)];
+    let alg = Arc::new(ProxyJoin::new(IntervalFudj::new()));
+
+    let external = |keys: &[Value]| -> Vec<ExtValue> {
+        keys.iter().map(|v| ext::to_external(v).unwrap()).collect()
+    };
+    let (oracle, stats) = run_standalone_with_stats(
+        alg.as_ref(),
+        &external(&left),
+        &external(&right),
+        &external(&params),
+    )
+    .unwrap();
+    assert_eq!(stats.left_buckets, 1);
+    assert!(stats.right_buckets >= 2, "{stats:?}");
+    assert_eq!(stats.matched_bucket_pairs, stats.right_buckets);
+    let oracle: Vec<(i64, i64)> = oracle
+        .into_iter()
+        .map(|(i, j)| (i as i64, j as i64))
+        .collect();
+    assert_eq!(oracle.len(), 17, "every pair but (20..980, 985..999)");
+
+    for workers in [1, 3] {
+        let adapter = Arc::new(FudjEngineJoin::new(alg.clone()));
+        let distributed = run_distributed(adapter.clone(), &left, &right, params.clone(), workers);
+        assert_eq!(distributed, oracle, "workers={workers}");
+        if workers == 1 {
+            // SUMMARIZE and PARTITION translate every key once each, DIVIDE
+            // its one parameter, and COMBINE the left bucket again for every
+            // right bucket it matched — not two keys per candidate pair.
+            let keys = (left.len() + right.len()) as u64;
+            let combine = (left.len() * stats.right_buckets + right.len()) as u64;
+            assert_eq!(adapter.translation_count(), 2 * keys + 1 + combine);
+        }
     }
 }
