@@ -267,9 +267,9 @@ pub trait EngineJoin: Send + Sync {
         emit: &mut dyn FnMut(usize, usize),
     ) -> Result<()> {
         verify_pairs(
-            left_keys,
-            right_keys,
-            |k1, k2| self.verify(b1, k1, b2, k2, pplan),
+            left_keys.len(),
+            right_keys.len(),
+            |i, j| self.verify(b1, &left_keys[i], b2, &right_keys[j], pplan),
             emit,
         )
     }

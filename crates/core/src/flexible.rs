@@ -1,6 +1,6 @@
 //! The user-facing typed programming model and its proxy adapter.
 
-use crate::model::{verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{verify_prepared, BucketId, DedupMode, JoinAlgorithm, Side};
 use crate::state::{PPlanState, StateObject, SummaryState};
 use fudj_types::{ExtValue, FudjError, Result};
 use std::fmt;
@@ -11,9 +11,13 @@ use std::marker::PhantomData;
 /// A developer supplies concrete `Summary` and `PPlan` types plus the seven
 /// functions of the paper's Fig. 6; the engine-side machinery (distributed
 /// aggregation, PPlan broadcast, shuffling, bucket matching, dedup) is
-/// inherited. Compare the paper's ~100–250 LOC per algorithm to the ~2,000
-/// LOC of a hand-integrated operator — Table II, which the bench harness
-/// recomputes over this repository's own sources.
+/// inherited. One optional eighth function, [`FlexibleJoin::prepare`], is the
+/// original set-similarity algorithm's "project the key once, verify many
+/// times": a library whose `verify` starts by decoding its keys can do that
+/// decoding once per key instead of once per candidate pair. Compare the
+/// paper's ~100–250 LOC per algorithm to the ~2,000 LOC of a hand-integrated
+/// operator — Table II, which the bench harness recomputes over this
+/// repository's own sources.
 ///
 /// Asymmetric joins (different key types or logic per side) override the
 /// `*_right` variants and return `false` from [`FlexibleJoin::symmetric`];
@@ -81,6 +85,17 @@ pub trait FlexibleJoin: Send + Sync + 'static {
 
     /// Final record-pair check.
     fn verify(&self, k1: &ExtValue, k2: &ExtValue, pplan: &Self::PPlan) -> Result<bool>;
+
+    /// A form of `key` that `verify` reads faster than the key itself, or
+    /// `None` (the default) to keep the key. COMBINE calls this once per key
+    /// of a matched bucket pair and hands `verify` the result for every
+    /// candidate pair the key takes part in. The contract: `verify` accepts
+    /// a prepared form wherever it accepts the key — on either side, beside
+    /// a raw key or another prepared form — and gives the same answer. The
+    /// guard replays a sample of pairs on the raw keys to check it.
+    fn prepare(&self, _key: &ExtValue, _pplan: &Self::PPlan) -> Result<Option<ExtValue>> {
+        Ok(None)
+    }
 
     /// Duplicate handling; the framework default is avoidance.
     fn dedup_mode(&self) -> DedupMode {
@@ -247,6 +262,11 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
         self.join.verify(k1, k2, plan)
     }
 
+    fn prepare(&self, _side: Side, key: &ExtValue, pplan: &PPlanState) -> Result<Option<ExtValue>> {
+        let plan = self.pplan(pplan, "prepare")?;
+        self.join.prepare(key, plan)
+    }
+
     fn verify_block(
         &self,
         _b1: BucketId,
@@ -256,10 +276,16 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
         pplan: &PPlanState,
         emit: &mut dyn FnMut(usize, usize),
     ) -> Result<()> {
-        // One plan downcast per block; the user's `verify` is called on the
-        // typed plan directly.
+        // One plan downcast per block; the user's `prepare` and `verify` are
+        // called on the typed plan directly.
         let plan = self.pplan(pplan, "verify")?;
-        verify_pairs(left, right, |k1, k2| self.join.verify(k1, k2, plan), emit)
+        verify_prepared(
+            left,
+            right,
+            |_, key| self.join.prepare(key, plan),
+            |k1, k2| self.join.verify(k1, k2, plan),
+            emit,
+        )
     }
 
     fn dedup_mode(&self) -> DedupMode {
@@ -288,6 +314,7 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
 mod tests {
     use super::*;
     use crate::model::avoidance_accepts;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A toy modulo equi-join: keys are longs, bucket = key mod n. Exists to
     /// exercise the proxy plumbing, not to be a sensible join.
@@ -399,6 +426,101 @@ mod tests {
         assert!(avoidance_accepts(&p, 2, &k, 2, &k, &plan).unwrap());
         // A pair reported from the wrong bucket is rejected.
         assert!(!avoidance_accepts(&p, 3, &k, 3, &k, &plan).unwrap());
+    }
+
+    /// Equality on longs whose `prepare` wraps the key in a one-element
+    /// array; counts every call and every `verify` operand that arrived raw.
+    #[derive(Default)]
+    struct PreparingJoin {
+        prepares: AtomicUsize,
+        verifies: AtomicUsize,
+        raw_operands: AtomicUsize,
+    }
+
+    impl PreparingJoin {
+        fn read(&self, key: &ExtValue) -> Result<i64> {
+            match key {
+                ExtValue::LongArray(form) => Ok(form[0]),
+                raw => {
+                    self.raw_operands.fetch_add(1, Ordering::Relaxed);
+                    raw.as_long()
+                }
+            }
+        }
+    }
+
+    impl FlexibleJoin for PreparingJoin {
+        type Summary = i64;
+        type PPlan = i64;
+
+        fn name(&self) -> &str {
+            "preparing_join"
+        }
+        fn summarize(&self, _key: &ExtValue, _summary: &mut i64) -> Result<()> {
+            Ok(())
+        }
+        fn merge_summaries(&self, a: i64, _b: i64) -> i64 {
+            a
+        }
+        fn divide(&self, _l: &i64, _r: &i64, _params: &[ExtValue]) -> Result<i64> {
+            Ok(1)
+        }
+        fn assign(&self, _key: &ExtValue, _pplan: &i64, out: &mut Vec<BucketId>) -> Result<()> {
+            out.push(0);
+            Ok(())
+        }
+        fn prepare(&self, key: &ExtValue, _pplan: &i64) -> Result<Option<ExtValue>> {
+            self.prepares.fetch_add(1, Ordering::Relaxed);
+            Ok(Some(ExtValue::LongArray(vec![key.as_long()?])))
+        }
+        fn verify(&self, k1: &ExtValue, k2: &ExtValue, _pplan: &i64) -> Result<bool> {
+            self.verifies.fetch_add(1, Ordering::Relaxed);
+            Ok(self.read(k1)? == self.read(k2)?)
+        }
+    }
+
+    #[test]
+    fn block_prepares_each_key_once_and_verifies_prepared_forms() {
+        let p = ProxyJoin::new(PreparingJoin::default());
+        let plan = PPlanState::new(1i64);
+        let longs = |xs: &[i64]| xs.iter().map(|&x| ExtValue::Long(x)).collect::<Vec<_>>();
+        let (left, right) = (longs(&[1, 2, 3]), longs(&[3, 1, 3, 9]));
+        let count = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+
+        let mut block = Vec::new();
+        p.verify_block(0, &left, 0, &right, &plan, &mut |i, j| block.push((i, j)))
+            .unwrap();
+        let join = p.inner();
+        assert_eq!(count(&join.prepares), 3 + 4, "m + n");
+        assert_eq!(count(&join.verifies), 3 * 4, "m·n");
+        assert_eq!(
+            count(&join.raw_operands),
+            0,
+            "verify saw prepared forms only"
+        );
+
+        // Single-pair `verify` is on raw keys, never prepares, and agrees.
+        let mut nested = Vec::new();
+        for (i, k1) in left.iter().enumerate() {
+            for (j, k2) in right.iter().enumerate() {
+                if p.verify(0, k1, 0, k2, &plan).unwrap() {
+                    nested.push((i, j));
+                }
+            }
+        }
+        assert_eq!(block, nested);
+        assert_eq!(block, vec![(0, 1), (2, 0), (2, 2)]);
+        assert_eq!(count(&join.prepares), 3 + 4, "no prepare outside the block");
+        assert_eq!(count(&join.raw_operands), 2 * 3 * 4);
+
+        // No candidate pair, no prepare.
+        p.verify_block(0, &left, 0, &[], &plan, &mut |_, _| unreachable!())
+            .unwrap();
+        assert_eq!(count(&join.prepares), 3 + 4);
+
+        // A join that does not override `prepare` keeps its keys.
+        let kept = proxy().prepare(Side::Left, &left[0], &PPlanState::new(4i64));
+        assert_eq!(kept.unwrap(), None);
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //! * **contract-checked** — bucket ids must fall inside the range the
 //!   library declares for its plan ([`JoinAlgorithm::declared_buckets`]),
 //!   `assign` must be deterministic (spot re-invoked on a seeded sample of
-//!   keys), `verify` must be symmetric under the default dedup mode, and
-//!   summaries must merge associatively (probed on a sampled triple).
+//!   keys), `verify` must be symmetric under the default dedup mode and
+//!   answer on a `prepare`d form as it does on the raw key (replayed on a
+//!   thinner sample), and summaries must merge associatively (probed on a
+//!   sampled triple).
 //!
 //! Violations route through a configurable [`UdfPolicy`]: fail fast with a
 //! phase-tagged diagnostic, quarantine the offending key/row and continue,
@@ -296,12 +298,25 @@ fn ext_hash(v: &ExtValue) -> u64 {
     }
 }
 
-/// A key with its [`ext_hash`]: a block hashes each key once and every pair
-/// it takes part in reuses the value.
-#[derive(Clone, Copy)]
+/// What `verify` is handed for one key of a block.
+enum Form {
+    /// The key itself: `prepare` returned `None`, or was never called
+    /// (single-pair `verify`).
+    Raw,
+    /// The library's prepared form.
+    Prepared(ExtValue),
+    /// `prepare` violated on this key under [`UdfPolicy::Quarantine`]: every
+    /// pair the key takes part in is dropped from the block.
+    Dropped,
+}
+
+/// A key with its [`ext_hash`] and its [`Form`]: a block hashes and prepares
+/// each key once and every pair it takes part in reuses both. The hash, and
+/// with it every violation site and probe decision, is always the raw key's.
 struct Hashed<'a> {
     key: &'a ExtValue,
     hash: u64,
+    form: Form,
 }
 
 impl<'a> Hashed<'a> {
@@ -309,6 +324,15 @@ impl<'a> Hashed<'a> {
         Hashed {
             key,
             hash: ext_hash(key),
+            form: Form::Raw,
+        }
+    }
+
+    /// The value `verify` reads.
+    fn value(&self) -> &ExtValue {
+        match &self.form {
+            Form::Prepared(form) => form,
+            Form::Raw | Form::Dropped => self.key,
         }
     }
 }
@@ -554,13 +578,27 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
     /// Whether the seeded 1-in-N sampler selects this site for a contract
     /// probe.
     fn sampled(&self, salt: u64, site_hash: u64) -> bool {
-        let n = self.handle.limits().check_sample;
+        self.sampled_every(1, salt, site_hash)
+    }
+
+    /// [`Self::sampled`] thinned to 1 in `stride`·N, for probes whose replay
+    /// costs more than the call they check.
+    fn sampled_every(&self, stride: u64, salt: u64, site_hash: u64) -> bool {
+        let n = self.handle.limits().check_sample.saturating_mul(stride);
         n > 0 && fold(site_hash, salt).is_multiple_of(n)
     }
 }
 
 const SALT_DETERMINISM: u64 = 0xD373;
 const SALT_SYMMETRY: u64 = 0x5E77;
+const SALT_PREPARE: u64 = 0x9A3E;
+
+/// The prepare probe replays `verify` on the raw keys — the very cost
+/// `prepare` exists to avoid (~8 µs on the text join against ~1 µs on token
+/// sets) — so it samples 1 in 8·`check_sample` prepared pairs: 1 in 128 at
+/// the default, ~780 replays on `fudjbench`'s `text_join` (~2 % of its
+/// `query_s`; the symmetry probe's 1 in 16 would be ~18 %).
+const PREPARE_PROBE_STRIDE: u64 = 8;
 
 impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
     fn name(&self) -> &str {
@@ -852,7 +890,7 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         k2: &ExtValue,
         pplan: &PPlanState,
     ) -> Result<bool> {
-        self.verify_pair(b1, Hashed::new(k1), b2, Hashed::new(k2), pplan)
+        self.verify_pair(b1, &Hashed::new(k1), b2, &Hashed::new(k2), pplan)
     }
 
     fn verify_block(
@@ -864,15 +902,19 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         pplan: &PPlanState,
         emit: &mut dyn FnMut(usize, usize),
     ) -> Result<()> {
-        // Only the key hashes are per block. Every pair still goes through
-        // `verify_pair` — its own `catch_unwind`, budget check, site and
-        // probe decision — so the inner algorithm is never handed the block.
-        let left: Vec<Hashed<'_>> = left.iter().map(Hashed::new).collect();
-        let right: Vec<Hashed<'_>> = right.iter().map(Hashed::new).collect();
+        // Only the per-key work is per block: the key hashes and one guarded
+        // `prepare` each. Every pair still goes through `verify_pair` — its
+        // own `catch_unwind`, budget check, site and probe decisions — so
+        // the inner algorithm is never handed the block.
+        if left.is_empty() || right.is_empty() {
+            return Ok(());
+        }
+        let left = self.prepare_side(Side::Left, left, pplan)?;
+        let right = self.prepare_side(Side::Right, right, pplan)?;
         verify_pairs(
-            &left,
-            &right,
-            |&k1, &k2| self.verify_pair(b1, k1, b2, k2, pplan),
+            left.len(),
+            right.len(),
+            |i, j| self.verify_pair(b1, &left[i], b2, &right[j], pplan),
             emit,
         )
     }
@@ -909,16 +951,59 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
 }
 
 impl<J: JoinAlgorithm> GuardedJoin<J> {
-    /// One guarded `verify` call on keys whose hashes are already known.
+    /// One guarded `prepare` call: the key hashed, and its form for the
+    /// block. The site is the raw key's, like `assign`'s; a violation counts
+    /// under `Phase::Verify` — `prepare` is the first half of `verify` — and
+    /// under `Quarantine` marks the key [`Form::Dropped`], once per distinct
+    /// key however many blocks it recurs in.
+    fn prepare_key<'a>(
+        &self,
+        side: Side,
+        key: &'a ExtValue,
+        pplan: &PPlanState,
+    ) -> Result<Hashed<'a>> {
+        let hash = ext_hash(key);
+        let form = self.guarded(
+            Phase::Verify,
+            fold(hash, side as u64 + 20),
+            || format!("{side} key {}", short(key)),
+            || Some(Form::Dropped),
+            || {
+                let form = self.inner.prepare(side, key, pplan)?;
+                Ok(form.map_or(Form::Raw, Form::Prepared))
+            },
+        )?;
+        Ok(Hashed { key, hash, form })
+    }
+
+    /// [`Self::prepare_key`] on every key of one side of a block.
+    fn prepare_side<'a>(
+        &self,
+        side: Side,
+        keys: &'a [ExtValue],
+        pplan: &PPlanState,
+    ) -> Result<Vec<Hashed<'a>>> {
+        keys.iter()
+            .map(|key| self.prepare_key(side, key, pplan))
+            .collect()
+    }
+
+    /// One guarded `verify` call on keys whose hashes and forms are already
+    /// known.
     fn verify_pair(
         &self,
         b1: BucketId,
-        k1: Hashed<'_>,
+        k1: &Hashed<'_>,
         b2: BucketId,
-        k2: Hashed<'_>,
+        k2: &Hashed<'_>,
         pplan: &PPlanState,
     ) -> Result<bool> {
+        if matches!(k1.form, Form::Dropped) || matches!(k2.form, Form::Dropped) {
+            return Ok(false);
+        }
         let site_hash = fold(fold(fold(k1.hash, k2.hash), b1), b2);
+        let prepared = matches!(k1.form, Form::Prepared(_)) || matches!(k2.form, Form::Prepared(_));
+        let (v1, v2) = (k1.value(), k2.value());
         let (k1, k2) = (k1.key, k2.key);
         let site = || format!("pair ({}, {})", short(k1), short(k2));
         let accepted = self.guarded(
@@ -926,7 +1011,7 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
             site_hash,
             site,
             || Some(false), // quarantine: drop the pair
-            || self.inner.verify(b1, k1, b2, k2, pplan),
+            || self.inner.verify(b1, v1, b2, v2, pplan),
         )?;
 
         // Contract: symmetry under the default dedup mode. Only meaningful
@@ -938,7 +1023,7 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
             && std::mem::discriminant(k1) == std::mem::discriminant(k2)
         {
             let swapped = catch_unwind(AssertUnwindSafe(|| {
-                self.inner.verify(b2, k2, b1, k1, pplan)
+                self.inner.verify(b2, v2, b1, v1, pplan)
             }));
             if !matches!(swapped, Ok(Ok(v)) if v == accepted) {
                 return self.handle.violation(
@@ -949,6 +1034,27 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
                     format!(
                         "verify is not symmetric: verify(k1, k2) = {accepted}, \
                          swapped call did not agree"
+                    ),
+                    Some(false),
+                );
+            }
+        }
+
+        // Contract: `prepare` must not change `verify`'s answer. Replayed on
+        // the raw keys, for pairs in which a prepared form took part.
+        if prepared && self.sampled_every(PREPARE_PROBE_STRIDE, SALT_PREPARE, site_hash) {
+            let raw = catch_unwind(AssertUnwindSafe(|| {
+                self.inner.verify(b1, k1, b2, k2, pplan)
+            }));
+            if !matches!(raw, Ok(Ok(v)) if v == accepted) {
+                return self.handle.violation(
+                    Phase::Verify,
+                    Kind::Contract,
+                    site_hash,
+                    &site(),
+                    format!(
+                        "prepare changed verify's answer: {accepted} on the prepared \
+                         forms, the raw keys did not agree"
                     ),
                     Some(false),
                 );
@@ -1029,6 +1135,13 @@ mod tests {
         BigPplan,
         AsymVerify,
         PanicMatches,
+        /// A correct `prepare`: the key in a one-element array.
+        Prepare,
+        /// `prepare` panics / hangs on the poison key, on the left side only.
+        PanicPrepare,
+        HangPrepare,
+        /// `prepare` halves the key, so 2 and 3 verify equal when prepared.
+        LossyPrepare,
     }
 
     struct Wild {
@@ -1140,6 +1253,28 @@ mod tests {
             self.bad != Bad::PanicMatches
         }
 
+        fn prepare(
+            &self,
+            side: Side,
+            key: &ExtValue,
+            _pplan: &PPlanState,
+        ) -> Result<Option<ExtValue>> {
+            let k = key.as_long()?;
+            let poisoned = k == POISON && side == Side::Left;
+            let form = match self.bad {
+                Bad::Prepare => k,
+                Bad::PanicPrepare if poisoned => panic!("prepare kaboom"),
+                Bad::HangPrepare if poisoned => {
+                    consume_udf_time(60_000);
+                    k
+                }
+                Bad::PanicPrepare | Bad::HangPrepare => k,
+                Bad::LossyPrepare => k / 2,
+                _ => return Ok(None),
+            };
+            Ok(Some(ExtValue::LongArray(vec![form])))
+        }
+
         fn verify(
             &self,
             _b1: BucketId,
@@ -1148,7 +1283,12 @@ mod tests {
             k2: &ExtValue,
             _pplan: &PPlanState,
         ) -> Result<bool> {
-            let (a, b) = (k1.as_long()?, k2.as_long()?);
+            // A key, or the form `prepare` made of it.
+            let long = |key: &ExtValue| match key {
+                ExtValue::LongArray(form) => Ok(form[0]),
+                raw => raw.as_long(),
+            };
+            let (a, b) = (long(k1)?, long(k2)?);
             if self.bad == Bad::AsymVerify {
                 return Ok(a <= b);
             }
@@ -1396,14 +1536,15 @@ mod tests {
 
     proptest! {
         /// The guard's block entry point is the per-pair loop with the key
-        /// hashes hoisted: same pairs, same first violation (phase, site,
-        /// detail), same counters — for a clean and an asymmetric `verify`,
-        /// under both row-scoped policies and every probe rate.
+        /// hashes and `prepare` hoisted: same pairs, same first violation
+        /// (phase, site, detail), same counters — for a clean and an
+        /// asymmetric `verify` and one that reads prepared forms, under both
+        /// row-scoped policies and every probe rate.
         #[test]
         fn verify_block_agrees_with_per_pair_verify(
             left in prop::collection::vec(0i64..12, 0..7),
             right in prop::collection::vec(0i64..12, 0..7),
-            bad in prop::sample::select(vec![Bad::None, Bad::AsymVerify]),
+            bad in prop::sample::select(vec![Bad::None, Bad::AsymVerify, Bad::Prepare]),
             policy in prop::sample::select(vec![UdfPolicy::FailFast, UdfPolicy::Quarantine]),
             check_sample in prop::sample::select(vec![0u64, 1, 3, 16]),
             buckets in (0u64..4, 0u64..4),
@@ -1437,6 +1578,109 @@ mod tests {
         assert_eq!(stats.verify_violations, 1);
         assert_eq!(stats.contract_breaches, 1);
         assert_eq!(stats.quarantined_rows, 1);
+    }
+
+    #[test]
+    fn violation_in_prepare_fails_fast_with_the_raw_key_as_site() {
+        for (bad, kind) in [
+            (Bad::PanicPrepare, "prepare kaboom"),
+            (Bad::HangPrepare, "simulated time"),
+        ] {
+            let (pairs, result, stats) = guarded_block(
+                bad,
+                GuardConfig::default(),
+                (0, 0),
+                &longs(&[1, POISON, 5]),
+                &longs(&[POISON, 5, 1]),
+                true,
+            );
+            assert_eq!(pairs, vec![], "prepare runs before the first pair");
+            match result {
+                Err(FudjError::UdfViolation {
+                    phase,
+                    site,
+                    detail,
+                }) => {
+                    assert_eq!(phase, "verify");
+                    assert_eq!(site, format!("left key {POISON}"));
+                    assert!(detail.contains(kind), "{detail}");
+                }
+                other => panic!("expected a UdfViolation, got {other:?}"),
+            }
+            assert_eq!(stats.verify_violations, 1);
+            assert_eq!(stats.caught_panics + stats.budget_overruns, 1);
+        }
+    }
+
+    #[test]
+    fn violation_in_prepare_quarantines_the_key_once_across_blocks() {
+        for bad in [Bad::PanicPrepare, Bad::HangPrepare] {
+            let guarded = GuardedJoin::new(
+                Wild::new(bad),
+                GuardConfig::with_policy(UdfPolicy::Quarantine),
+            );
+            let plan = PPlanState::new(4u64);
+            let (left, right) = (longs(&[1, POISON, 5]), longs(&[POISON, 5, 1]));
+            // The poisoned left key recurs in three blocks: its pairs are
+            // dropped from each, the other keys' pairs survive, and the site
+            // is counted once. The right-side 13 is not poisoned.
+            for b in 0..3 {
+                let mut pairs = Vec::new();
+                guarded
+                    .verify_block(b, &left, b, &right, &plan, &mut |i, j| pairs.push((i, j)))
+                    .unwrap();
+                assert_eq!(pairs, vec![(0, 2), (2, 1)], "block {b}: (1, 0) dropped");
+            }
+            let stats = guarded.stats();
+            assert_eq!(stats.verify_violations, 1);
+            assert_eq!(stats.quarantined_rows, 1);
+            assert_eq!(stats.contract_breaches, 0);
+        }
+    }
+
+    /// The blocks `[2] × [3]` under bucket ids `(b, b)`, `b` in `0..256`:
+    /// how many the guard failed with a prepare-contract breach.
+    fn prepare_breaches(bad: Bad, check_sample: u64) -> usize {
+        let mut config = GuardConfig::default();
+        config.limits.check_sample = check_sample;
+        (0..256)
+            .filter(|&b| {
+                let (pairs, result, stats) = guarded_block(
+                    bad,
+                    config.clone(),
+                    (b, b),
+                    &longs(&[2]),
+                    &longs(&[3]),
+                    true,
+                );
+                match result {
+                    Ok(()) => false,
+                    Err(err) => {
+                        let (phase, detail) = phase_of(err);
+                        assert_eq!(phase, "verify");
+                        assert!(
+                            detail.contains("prepare changed verify's answer"),
+                            "{detail}"
+                        );
+                        assert_eq!(pairs, vec![]);
+                        assert_eq!(stats.contract_breaches, 1);
+                        true
+                    }
+                }
+            })
+            .count()
+    }
+
+    #[test]
+    fn wrong_prepare_is_caught_by_the_raw_replay_probe() {
+        // 2 / 2 == 3 / 2 but 2 != 3. The probe samples 1 in 8·check_sample
+        // prepared pairs, seeded by the site (which the bucket ids are part of).
+        let caught = prepare_breaches(Bad::LossyPrepare, 1);
+        assert!((16..=48).contains(&caught), "1 in 8 of 256, got {caught}");
+        let caught = prepare_breaches(Bad::LossyPrepare, 16);
+        assert!((1..=8).contains(&caught), "1 in 128 of 256, got {caught}");
+        assert_eq!(prepare_breaches(Bad::LossyPrepare, 0), 0, "probes off");
+        assert_eq!(prepare_breaches(Bad::Prepare, 1), 0, "a correct prepare");
     }
 
     #[test]

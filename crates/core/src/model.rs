@@ -142,13 +142,30 @@ pub trait JoinAlgorithm: Send + Sync {
         pplan: &PPlanState,
     ) -> Result<bool>;
 
+    /// A form of `key` that [`Self::verify`] reads faster than the key — the
+    /// text join's token set — or `None` (the default) for "the key
+    /// itself". `verify` must accept a prepared form wherever it accepts the
+    /// key and give the same answer. Only [`Self::verify_block`] calls this,
+    /// once per key per block; single-pair `verify` and `dedup` always get
+    /// raw keys.
+    fn prepare(
+        &self,
+        _side: Side,
+        _key: &ExtValue,
+        _pplan: &PPlanState,
+    ) -> Result<Option<ExtValue>> {
+        Ok(None)
+    }
+
     /// [`Self::verify`] over one matched bucket pair: `emit(i, j)` for every
     /// `(left[i], right[j])` that belongs in the result, in row-major order.
     /// The engine adapter crosses the Fig. 7 boundary through this method —
     /// each key is translated once per block, not once per candidate pair —
-    /// so wrappers override it to hoist their own per-key work (the proxy's
-    /// plan downcast, the guard's key hashes). The default is the per-pair
-    /// loop, which is what a raw algorithm wants.
+    /// and every per-key step happens here once per block too:
+    /// [`Self::prepare`] on each of the m + n keys, then `verify` on the
+    /// m·n pairs of prepared forms. Wrappers override it to hoist their own
+    /// per-key work as well (the proxy's plan downcast, the guard's key
+    /// hashes).
     fn verify_block(
         &self,
         b1: BucketId,
@@ -158,9 +175,10 @@ pub trait JoinAlgorithm: Send + Sync {
         pplan: &PPlanState,
         emit: &mut dyn FnMut(usize, usize),
     ) -> Result<()> {
-        verify_pairs(
+        verify_prepared(
             left,
             right,
+            |side, key| self.prepare(side, key, pplan),
             |k1, k2| self.verify(b1, k1, b2, k2, pplan),
             emit,
         )
@@ -206,22 +224,77 @@ pub trait JoinAlgorithm: Send + Sync {
 }
 
 /// The candidate loop every [`JoinAlgorithm::verify_block`] shares:
-/// `emit(i, j)` for each pair `verify` accepts, row-major, stopping at the
-/// first error.
-pub(crate) fn verify_pairs<L, R>(
-    left: &[L],
-    right: &[R],
-    mut verify: impl FnMut(&L, &R) -> Result<bool>,
+/// `emit(i, j)` for each of the m × n pairs `verify(i, j)` accepts,
+/// row-major, stopping at the first error.
+pub(crate) fn verify_pairs(
+    m: usize,
+    n: usize,
+    mut verify: impl FnMut(usize, usize) -> Result<bool>,
     emit: &mut dyn FnMut(usize, usize),
 ) -> Result<()> {
-    for (i, k1) in left.iter().enumerate() {
-        for (j, k2) in right.iter().enumerate() {
-            if verify(k1, k2)? {
+    for i in 0..m {
+        for j in 0..n {
+            if verify(i, j)? {
                 emit(i, j);
             }
         }
     }
     Ok(())
+}
+
+/// One side of a block after `prepare`: the prepared form where the library
+/// returned one, the key itself — borrowed, not cloned — where it returned
+/// `None`. `forms` is filled only up to the last key that has a form, so a
+/// library that prepares nothing allocates nothing.
+struct PreparedSide<'a> {
+    keys: &'a [ExtValue],
+    forms: Vec<Option<ExtValue>>,
+}
+
+impl<'a> PreparedSide<'a> {
+    fn new(
+        keys: &'a [ExtValue],
+        mut prepare: impl FnMut(&ExtValue) -> Result<Option<ExtValue>>,
+    ) -> Result<Self> {
+        let mut forms = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            if let Some(form) = prepare(key)? {
+                forms.resize_with(i, || None);
+                forms.push(Some(form));
+            }
+        }
+        Ok(PreparedSide { keys, forms })
+    }
+
+    fn get(&self, i: usize) -> &ExtValue {
+        match self.forms.get(i) {
+            Some(Some(form)) => form,
+            _ => &self.keys[i],
+        }
+    }
+}
+
+/// The block path of an unguarded algorithm: `prepare` once per key (m + n
+/// calls; none when a side is empty, since no pair exists), then `verify` on
+/// every pair of prepared forms.
+pub(crate) fn verify_prepared(
+    left: &[ExtValue],
+    right: &[ExtValue],
+    mut prepare: impl FnMut(Side, &ExtValue) -> Result<Option<ExtValue>>,
+    mut verify: impl FnMut(&ExtValue, &ExtValue) -> Result<bool>,
+    emit: &mut dyn FnMut(usize, usize),
+) -> Result<()> {
+    if left.is_empty() || right.is_empty() {
+        return Ok(());
+    }
+    let left = PreparedSide::new(left, |key| prepare(Side::Left, key))?;
+    let right = PreparedSide::new(right, |key| prepare(Side::Right, key))?;
+    verify_pairs(
+        left.keys.len(),
+        right.keys.len(),
+        |i, j| verify(left.get(i), right.get(j)),
+        emit,
+    )
 }
 
 /// Forward the whole [`JoinAlgorithm`] surface through a smart pointer or
@@ -287,6 +360,14 @@ macro_rules! forward_join_algorithm {
                 pplan: &PPlanState,
             ) -> Result<bool> {
                 (**self).verify(b1, k1, b2, k2, pplan)
+            }
+            fn prepare(
+                &self,
+                side: Side,
+                key: &ExtValue,
+                pplan: &PPlanState,
+            ) -> Result<Option<ExtValue>> {
+                (**self).prepare(side, key, pplan)
             }
             fn verify_block(
                 &self,

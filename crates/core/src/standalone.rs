@@ -192,9 +192,11 @@ fn run_flow(
         for &i in lefts {
             for &j in rights {
                 stats.verified_pairs += 1;
-                // Per-pair `verify` on purpose: this runner is the oracle the
-                // distributed engine is checked against (§VI-D-2), so it
-                // must not share COMBINE's `verify_block` path.
+                // Per-pair `verify` on raw keys on purpose: this runner is
+                // the oracle the distributed engine is checked against
+                // (§VI-D-2), so it must not share COMBINE's `verify_block`
+                // path — and since it never calls `prepare`, agreeing with
+                // it is what cross-checks a library's `prepare` contract.
                 if !alg.verify(b1, &left_keys[i], b2, &right_keys[j], &pplan)? {
                     continue;
                 }

@@ -587,10 +587,13 @@ fn join_bucket_pair(
             verified.push((i, j));
         })?;
 
-    // Framework duplicate avoidance, engine-side: each key's bucket list is
-    // computed once per bucket group, not once per verified pair — for text
-    // joins, per-pair re-assignment means re-tokenizing both records and is
-    // the difference between avoidance beating or losing to elimination.
+    // Once per key per block, never once per pair: the library call above
+    // runs `prepare` on each of the m + n keys before it verifies the m·n
+    // pairs, and the framework's duplicate avoidance below runs `assign` on
+    // a key the first time one of its pairs verifies and reuses the bucket
+    // list afterwards. For the text join either step per pair would mean
+    // re-tokenising both records — in `assign`'s case the difference
+    // between avoidance beating or losing to elimination.
     let mut lassign: Vec<Option<Vec<BucketId>>> = vec![None; lkeys.len()];
     let mut rassign: Vec<Option<Vec<BucketId>>> = vec![None; rkeys.len()];
 

@@ -583,10 +583,11 @@ pub struct BuiltinTextPlan {
     threshold: f64,
 }
 
-/// Hand-integrated prefix-filtering set-similarity operator. Its engine
-/// access shows in the local join: each bucket's records are tokenized
-/// *once* and verified from cached token sets, which a per-call UDF boundary
-/// cannot do — one source of the (small) built-in advantage in Fig. 9c.
+/// Hand-integrated prefix-filtering set-similarity operator. Its local join
+/// tokenizes each bucket's records *once* and verifies from the cached token
+/// sets — the step the FUDJ twin gets through `FlexibleJoin::prepare`. What
+/// is left of the (small) built-in advantage in Fig. 9c is native dedup on
+/// the rank table and no translation or guard in the candidate loop.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BuiltinTextSimJoin;
 

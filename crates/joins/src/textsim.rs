@@ -6,6 +6,7 @@
 //! ASSIGN(text, PPlan):  first p ranks of the record's tokens,
 //!                       p = (l − ceil(t·l)) + 1
 //! MATCH:                default (rank equality)
+//! PREPARE(text):        tokens(text)             (once per record per block)
 //! VERIFY(t1, t2):       jaccard(tokens(t1), tokens(t2)) ≥ t
 //! ```
 //!
@@ -21,6 +22,7 @@ use fudj_core::{DedupMode, FlexibleJoin};
 use fudj_text::{jaccard_of_sorted, prefix_length, token_set, tokenize, TokenCounts, TokenRanks};
 use fudj_types::{ExtValue, FudjError, Result};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Duplicate-handling flavor for the text join (Fig. 12a's subjects).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -124,10 +126,12 @@ impl FlexibleJoin for TextSimilarityFudj {
         Ok(())
     }
 
+    fn prepare(&self, key: &ExtValue, _pplan: &TextPPlan) -> Result<Option<ExtValue>> {
+        Ok(Some(ExtValue::TextArray(token_set(key.as_text()?))))
+    }
+
     fn verify(&self, k1: &ExtValue, k2: &ExtValue, pplan: &TextPPlan) -> Result<bool> {
-        let a = token_set(k1.as_text()?);
-        let b = token_set(k2.as_text()?);
-        Ok(jaccard_of_sorted(&a, &b) >= pplan.threshold)
+        Ok(jaccard_of_sorted(&tokens_of(k1)?, &tokens_of(k2)?) >= pplan.threshold)
     }
 
     fn dedup_mode(&self) -> DedupMode {
@@ -136,6 +140,15 @@ impl FlexibleJoin for TextSimilarityFudj {
             TextDedup::Elimination => DedupMode::Elimination,
         }
     }
+}
+
+/// A key's token set: borrowed from the form `prepare` made, tokenised here
+/// from a raw text — the same strings either way.
+fn tokens_of(key: &ExtValue) -> Result<Cow<'_, [String]>> {
+    Ok(match key {
+        ExtValue::TextArray(tokens) => Cow::Borrowed(tokens),
+        text => Cow::Owned(token_set(text.as_text()?)),
+    })
 }
 
 #[cfg(test)]

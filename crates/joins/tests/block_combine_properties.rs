@@ -4,17 +4,21 @@
 //! `EngineJoin::verify` it replaced — on the pairs emitted, on the first
 //! error (a `UdfViolation`'s phase, site and detail included) and on every
 //! `UdfStats` counter — for the three library joins and for the adversarial
-//! `verify` fixtures, under `FailFast` and `Quarantine`.
+//! `verify` fixtures, under `FailFast` and `Quarantine`. The per-pair path
+//! never calls `prepare`, so for the text join the same comparison pins
+//! `prepare`'s contract: token sets made once per key per block answer as
+//! the raw texts do.
 
 use fudj_core::{
-    BucketId, EngineJoin, FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm, ProxyJoin, Side,
-    UdfPolicy, UdfStats,
+    BucketId, EngineJoin, FlexibleJoin, FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm,
+    ProxyJoin, Side, UdfPolicy, UdfStats,
 };
 use fudj_geo::{Point, Polygon, Rect};
 use fudj_joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_joins::{IntervalFudj, SpatialFudj, TextSimilarityFudj};
 use fudj_temporal::Interval;
-use fudj_types::{Result, Value};
+use fudj_text::TokenCounts;
+use fudj_types::{ExtValue, FudjError, Result, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -122,6 +126,43 @@ fn arb_buckets() -> impl Strategy<Value = (BucketId, BucketId)> {
     (0u64..6, 0u64..6)
 }
 
+/// Review-like texts that stress the tokeniser: empty, punctuation-only,
+/// repeated tokens, mixed case, non-ASCII, separators of every kind.
+fn arb_text() -> impl Strategy<Value = String> {
+    const PIECES: [&str; 16] = [
+        "river",
+        "River",
+        "RIVER",
+        "trail",
+        "lake",
+        "peak",
+        "...",
+        "--",
+        "über",
+        "ÜBER",
+        "日本",
+        "café",
+        "",
+        "trail,trail",
+        "a.b",
+        "lake!",
+    ];
+    const SEPARATORS: [&str; 4] = [" ", ", ", "  ", "\t"];
+    prop::collection::vec(
+        (
+            prop::sample::select(PIECES.to_vec()),
+            prop::sample::select(SEPARATORS.to_vec()),
+        ),
+        0..6,
+    )
+    .prop_map(|pieces| {
+        pieces
+            .into_iter()
+            .flat_map(|(piece, separator)| [piece, separator])
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -188,6 +229,55 @@ proptest! {
             &texts(&left),
             &texts(&right),
         ));
+    }
+
+    /// The same on texts that stress the tokeniser, at several thresholds:
+    /// the block path verifies token sets `prepare` made once per key, the
+    /// per-pair path tokenises both raw texts per call.
+    #[test]
+    fn text_block_on_prepared_token_sets_agrees_with_raw_per_pair(
+        left in prop::collection::vec(arb_text(), 1..7),
+        right in prop::collection::vec(arb_text(), 1..7),
+        threshold in prop::sample::select(vec![0.3f64, 0.5, 0.9, 1.0]),
+        guard in arb_guard(),
+        buckets in arb_buckets(),
+    ) {
+        let texts = |side: &[String]| -> Vec<Value> { side.iter().map(Value::str).collect() };
+        assert_clean(assert_paths_agree(
+            &|| Arc::new(ProxyJoin::new(TextSimilarityFudj::new())),
+            guard,
+            &[Value::Float64(threshold)],
+            buckets,
+            &texts(&left),
+            &texts(&right),
+        ));
+    }
+
+    /// `prepare`'s contract on the library itself: a prepared form on both
+    /// sides, on either side, or on neither gives one answer — also under a
+    /// plan whose rank table has seen none of the tokens.
+    #[test]
+    fn text_verify_reads_prepared_and_raw_keys_alike(
+        a in arb_text(),
+        b in arb_text(),
+        threshold in prop::sample::select(vec![0.3f64, 0.5, 0.9, 1.0]),
+        plan_saw_tokens in any::<bool>(),
+    ) {
+        let join = TextSimilarityFudj::new();
+        let (a, b) = (ExtValue::Text(a), ExtValue::Text(b));
+        let mut counts = TokenCounts::new();
+        if plan_saw_tokens {
+            join.summarize(&a, &mut counts).unwrap();
+            join.summarize(&b, &mut counts).unwrap();
+        }
+        let plan = join.divide(&counts, &counts, &[ExtValue::Double(threshold)]).unwrap();
+        let prepare = |key: &ExtValue| join.prepare(key, &plan).unwrap().expect("text prepares");
+        let (pa, pb) = (prepare(&a), prepare(&b));
+
+        let raw = join.verify(&a, &b, &plan).unwrap();
+        prop_assert_eq!(join.verify(&pa, &pb, &plan).unwrap(), raw);
+        prop_assert_eq!(join.verify(&pa, &b, &plan).unwrap(), raw);
+        prop_assert_eq!(join.verify(&a, &pb, &plan).unwrap(), raw);
     }
 
     /// A `verify` that panics, or burns simulated time, on poisoned left
@@ -276,4 +366,93 @@ fn panicking_verify_in_a_block_fails_fast_or_drops_the_poisoned_rows() {
         "both of the poisoned row's pairs dropped"
     );
     assert_eq!((stats.verify_violations, stats.quarantined_rows), (2, 2));
+}
+
+/// The text join with a `prepare` that loses the key's last token.
+struct DropsAToken(TextSimilarityFudj);
+
+impl FlexibleJoin for DropsAToken {
+    type Summary = <TextSimilarityFudj as FlexibleJoin>::Summary;
+    type PPlan = <TextSimilarityFudj as FlexibleJoin>::PPlan;
+
+    fn name(&self) -> &str {
+        "drops_a_token"
+    }
+    fn summarize(&self, key: &ExtValue, summary: &mut Self::Summary) -> Result<()> {
+        self.0.summarize(key, summary)
+    }
+    fn merge_summaries(&self, a: Self::Summary, b: Self::Summary) -> Self::Summary {
+        self.0.merge_summaries(a, b)
+    }
+    fn divide(
+        &self,
+        left: &Self::Summary,
+        right: &Self::Summary,
+        params: &[ExtValue],
+    ) -> Result<Self::PPlan> {
+        self.0.divide(left, right, params)
+    }
+    fn assign(&self, key: &ExtValue, pplan: &Self::PPlan, out: &mut Vec<BucketId>) -> Result<()> {
+        self.0.assign(key, pplan, out)
+    }
+    fn prepare(&self, key: &ExtValue, pplan: &Self::PPlan) -> Result<Option<ExtValue>> {
+        Ok(self.0.prepare(key, pplan)?.map(|form| match form {
+            ExtValue::TextArray(mut tokens) => {
+                tokens.pop();
+                ExtValue::TextArray(tokens)
+            }
+            other => other,
+        }))
+    }
+    fn verify(&self, k1: &ExtValue, k2: &ExtValue, pplan: &Self::PPlan) -> Result<bool> {
+        self.0.verify(k1, k2, pplan)
+    }
+}
+
+/// A `prepare` that breaks its contract is caught by the guard's raw-key
+/// replay: every pair below is {alpha} = {alpha} once the distinguishing
+/// token is dropped, and 1/3 < 0.5 on the raw texts.
+#[test]
+fn a_prepare_that_drops_a_token_is_caught_by_the_guard_probe() {
+    let texts = |tag: &str| -> Vec<Value> {
+        (0..8)
+            .map(|i| Value::str(format!("alpha {tag}{i}")))
+            .collect()
+    };
+    let (left, right) = (texts("l"), texts("r"));
+    let run = |policy: UdfPolicy, check_sample: u64| {
+        let mut config = GuardConfig::with_policy(policy);
+        config.limits.check_sample = check_sample;
+        let alg: Arc<dyn JoinAlgorithm> =
+            Arc::new(ProxyJoin::new(DropsAToken(TextSimilarityFudj::new())));
+        let ej = engine_join(alg, Some(config));
+        combine(&ej, &[Value::Float64(0.5)], (2, 2), &left, &right, true)
+    };
+
+    let (_, result, stats) = run(UdfPolicy::FailFast, 1);
+    match result {
+        Err(FudjError::UdfViolation { phase, detail, .. }) => {
+            assert_eq!(phase, "verify");
+            assert!(
+                detail.contains("prepare changed verify's answer"),
+                "{detail}"
+            );
+        }
+        other => panic!("expected a contract breach, got {other:?}"),
+    }
+    assert_eq!((stats.verify_violations, stats.contract_breaches), (1, 1));
+
+    // Quarantine drops the pairs the probe sampled (1 in 8 of the 64); the
+    // rest are the wrong answer the probe exists to bound, and with the
+    // probes off nothing is caught at all.
+    let (pairs, result, stats) = run(UdfPolicy::Quarantine, 1);
+    assert_eq!(result, Ok(()));
+    assert!(stats.quarantined_rows >= 1);
+    assert_eq!(stats.quarantined_rows, stats.contract_breaches);
+    assert_eq!(pairs.len() as u64 + stats.quarantined_rows, 64);
+    let (pairs, result, stats) = run(UdfPolicy::Quarantine, 0);
+    assert_eq!(
+        (pairs.len(), result, stats),
+        (64, Ok(()), UdfStats::default())
+    );
 }

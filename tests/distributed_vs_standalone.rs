@@ -44,7 +44,19 @@ fn run_distributed(
     params: Vec<Value>,
     workers: usize,
 ) -> Vec<(i64, i64)> {
-    let plan = PhysicalPlan::FudjJoin(FudjJoinNode::new(
+    run_distributed_budgeted(join, left, right, params, workers, None).0
+}
+
+/// [`run_distributed`] under a COMBINE memory budget; also the rows spilled.
+fn run_distributed_budgeted(
+    join: Arc<dyn EngineJoin>,
+    left: &[Value],
+    right: &[Value],
+    params: Vec<Value>,
+    workers: usize,
+    memory_budget_rows: Option<usize>,
+) -> (Vec<(i64, i64)>, u64) {
+    let mut node = FudjJoinNode::new(
         PhysicalPlan::Scan {
             dataset: dataset("l", left, workers),
         },
@@ -55,15 +67,18 @@ fn run_distributed(
         1,
         1,
         params,
-    ));
-    let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
+    );
+    node.memory_budget_rows = memory_budget_rows;
+    let (batch, metrics) = Cluster::new(workers)
+        .execute(&PhysicalPlan::FudjJoin(node))
+        .unwrap();
     let mut pairs: Vec<(i64, i64)> = batch
         .rows()
         .iter()
         .map(|r| (r.get(0).as_i64().unwrap(), r.get(2).as_i64().unwrap()))
         .collect();
     pairs.sort_unstable();
-    pairs
+    (pairs, metrics.snapshot().spilled_rows)
 }
 
 /// Standalone-runner pairs (operates on external values).
@@ -256,6 +271,71 @@ fn theta_join_with_several_matched_right_buckets_per_left_bucket() {
             let keys = (left.len() + right.len()) as u64;
             let combine = (left.len() * stats.right_buckets + right.len()) as u64;
             assert_eq!(adapter.translation_count(), 2 * keys + 1 + combine);
+        }
+    }
+}
+
+/// A text join at a threshold low enough that similar records share several
+/// prefix buckets: the same key enters COMBINE in more than one block, so
+/// `prepare` is re-run on it per block and avoidance dedup keeps one of the
+/// copies. The standalone oracle verifies pair by pair on raw texts and never
+/// prepares. They must agree in memory and under a budget that spills.
+#[test]
+fn text_join_with_keys_in_several_shared_prefix_buckets() {
+    const VOCAB: [&str; 44] = [
+        "river", "trail", "lake", "peak", "camp", "view", "rock", "fern", "moss", "pine", "creek",
+        "ridge", "marsh", "dune", "cove", "glen", "bluff", "ford", "grove", "heath", "knoll",
+        "ledge", "mesa", "notch", "oasis", "pond", "quarry", "rapids", "scree", "tarn", "upland",
+        "vale", "weir", "yard", "zenith", "arch", "basin", "cliff", "delta", "eddy", "fjord",
+        "gorge", "haven", "isle",
+    ];
+    // Groups of three variants: nine words of the group's window plus one of
+    // the variant's own. Same group: Jaccard 9/11; neighbouring groups: 4/16.
+    let texts = |variants: std::ops::Range<usize>| -> Vec<Value> {
+        (0..8)
+            .flat_map(|group| variants.clone().map(move |v| (group, v)))
+            .map(|(group, v)| {
+                let mut words: Vec<&str> = (0..9).map(|k| VOCAB[(group * 5 + k) % 40]).collect();
+                words.push(VOCAB[40 + v]);
+                Value::str(words.join(" "))
+            })
+            .collect()
+    };
+    let (left, right) = (texts(0..3), texts(1..4));
+    let params = vec![Value::Float64(0.5)];
+    let alg = Arc::new(ProxyJoin::new(TextSimilarityFudj::new()));
+
+    let external = |keys: &[Value]| -> Vec<ExtValue> {
+        keys.iter().map(|v| ext::to_external(v).unwrap()).collect()
+    };
+    let (oracle, stats) = run_standalone_with_stats(
+        alg.as_ref(),
+        &external(&left),
+        &external(&right),
+        &external(&params),
+    )
+    .unwrap();
+    assert!(
+        stats.left_assignments >= 2 * left.len(),
+        "multi-assign: {stats:?}"
+    );
+    assert!(
+        stats.deduped_pairs >= oracle.len(),
+        "every result pair met in at least two shared buckets: {stats:?}"
+    );
+    let oracle: Vec<(i64, i64)> = oracle
+        .into_iter()
+        .map(|(i, j)| (i as i64, j as i64))
+        .collect();
+    assert_eq!(oracle.len(), 8 * 3 * 3, "each group joins itself only");
+
+    for workers in [1, 3] {
+        for budget in [None, Some(6)] {
+            let adapter: Arc<dyn EngineJoin> = Arc::new(FudjEngineJoin::new(alg.clone()));
+            let (distributed, spilled) =
+                run_distributed_budgeted(adapter, &left, &right, params.clone(), workers, budget);
+            assert_eq!(distributed, oracle, "workers={workers} budget={budget:?}");
+            assert_eq!(spilled > 0, budget.is_some(), "workers={workers}");
         }
     }
 }
