@@ -26,7 +26,7 @@ fn main() {
                 sample = Some(args.next().and_then(|v| v.parse().ok()).unwrap_or(2_000));
             }
             "--help" | "-h" => {
-                println!("{}", fudj_cli::repl::help());
+                println!("{}", fudj_cli::repl::help(None));
                 return;
             }
             other => die(&format!("unknown flag {other}; try --help")),

@@ -281,7 +281,7 @@ impl Repl {
             "workers" => match args.first().map(String::as_str) {
                 None => {
                     let mut out = String::new();
-                    for info in self.session.workers_status() {
+                    for info in self.session.cluster().workers_status() {
                         let state = match info.state {
                             fudj_exec::WorkerState::Active => "active",
                             fudj_exec::WorkerState::Dead => "dead",
@@ -300,7 +300,7 @@ impl Repl {
                     out
                 }
                 Some("drop") => match args.get(1).and_then(|a| a.parse::<usize>().ok()) {
-                    Some(w) => match self.session.decommission_worker(w) {
+                    Some(w) => match self.session.cluster().decommission_worker(w) {
                         Ok(()) => format!(
                             "worker {w} decommissioned; its partitions rehash onto survivors\n"
                         ),
@@ -308,7 +308,7 @@ impl Repl {
                     },
                     None => "usage: \\workers drop <worker id>\n".to_owned(),
                 },
-                Some("add") => match self.session.add_worker() {
+                Some("add") => match self.session.cluster().add_worker() {
                     Ok(w) => format!("worker {w} rejoined the cluster\n"),
                     Err(e) => format!("error: {e}\n"),
                 },
@@ -449,7 +449,7 @@ impl Repl {
                 },
                 None => "usage: \\serve <seed>\n".to_owned(),
             },
-            "help" | "?" => help(),
+            "help" | "?" => help(Some(&self.session)),
             "q" | "quit" | "exit" => String::new(),
             other => format!("unknown command \\{other}; try \\help\n"),
         }
@@ -555,13 +555,24 @@ fn parse_type(name: &str) -> fudj_types::Result<fudj_types::DataType> {
     })
 }
 
-/// `\help` text: the statement and meta-command reference, then one line
-/// per `SET` key rendered from [`fudj_sql::SETTINGS`].
-pub fn help() -> String {
+/// `\help` text: the statement and meta-command reference, then every
+/// row of [`fudj_sql::KNOBS`] — the `SET` keys (with the value in force,
+/// given a session) and the `CREATE JOIN … WITH` options.
+pub fn help(session: Option<&Session>) -> String {
     let mut text = HELP_COMMANDS.to_owned();
     text.push_str("  SET knobs (statements, end with ';'):\n");
-    for (name, syntax, doc) in fudj_sql::SETTINGS {
-        text.push_str(&format!("    SET {name} = {syntax};\n        {doc}\n"));
+    for knob in fudj_sql::KNOBS.iter().filter(|k| k.is_set_key()) {
+        let now = session
+            .and_then(|s| s.setting(knob.name))
+            .map(|value| format!("  [now {value}]"))
+            .unwrap_or_default();
+        let _ = writeln!(text, "    SET {} = {};{now}", knob.name, knob.syntax);
+        let _ = writeln!(text, "        {}", knob.doc);
+    }
+    text.push_str("  CREATE JOIN ... WITH (option = value, ...):\n");
+    for knob in fudj_sql::KNOBS.iter().filter(|k| k.is_join_option()) {
+        let _ = writeln!(text, "    {} = {}", knob.name, knob.syntax);
+        let _ = writeln!(text, "        {}", knob.doc);
     }
     text.push_str("    \\help         this text            \\q         quit\n");
     text
@@ -681,50 +692,45 @@ mod tests {
     }
 
     #[test]
-    fn every_dispatched_meta_command_is_in_help() {
-        // Parse the top-level dispatch arms of `run_meta` out of this very
-        // source file: they are the lines whose first non-space character
-        // opens a string literal (inner matches arm on `Some(..)`/`None`/
-        // enum variants instead), so a new `\command` arm without a
-        // matching `\help` line fails here.
-        let help = help();
-        let source = include_str!("repl.rs");
-        let body = source
-            .split("fn run_meta")
-            .nth(1)
-            .and_then(|s| s.split("fn load_sample").next())
-            .expect("run_meta body precedes load_sample");
-        let mut arms = 0;
-        for line in body.lines() {
-            let trimmed = line.trim_start();
-            if !trimmed.starts_with('"') || !trimmed.contains("=>") {
-                continue;
-            }
-            let lhs = trimmed.split("=>").next().unwrap();
-            let commands: Vec<&str> = lhs
-                .split('|')
-                .map(str::trim)
-                .filter_map(|t| t.strip_prefix('"').and_then(|t| t.strip_suffix('"')))
-                .collect();
-            if commands.is_empty() {
-                continue;
-            }
-            arms += 1;
-            assert!(
-                commands.iter().any(|c| help.contains(&format!("\\{c}"))),
-                "run_meta arm {commands:?} has no \\command line in HELP"
-            );
+    fn every_command_help_names_is_dispatched() {
+        let mut r = Repl::new(2);
+        let help = help(None);
+        let mut commands: Vec<&str> = help
+            .split('\\')
+            .skip(1)
+            .map(|rest| {
+                rest.split(|c: char| !c.is_ascii_lowercase())
+                    .next()
+                    .unwrap()
+            })
+            .collect();
+        commands.sort_unstable();
+        commands.dedup();
+        assert!(commands.len() >= 15, "{commands:?}");
+        for cmd in commands {
+            let out = r.run_meta(cmd, &[]);
+            assert!(!out.contains("unknown command"), "\\{cmd}: {out}");
         }
-        assert!(arms >= 15, "expected the dispatch arms, found {arms}");
     }
 
     #[test]
-    fn help_lists_every_set_key_once() {
-        let help = help();
-        for (name, syntax, _) in fudj_sql::SETTINGS {
-            let line = format!("    SET {name} = {syntax};\n");
-            assert_eq!(help.matches(&line).count(), 1, "{line}");
+    fn help_lists_every_knob_once_and_the_values_in_force() {
+        let text = help(None);
+        for knob in fudj_sql::KNOBS {
+            let (name, syntax) = (knob.name, knob.syntax);
+            if knob.is_set_key() {
+                let line = format!("    SET {name} = {syntax};\n");
+                assert_eq!(text.matches(&line).count(), 1, "{line}");
+            }
+            if knob.is_join_option() {
+                let line = format!("    {name} = {syntax}\n");
+                assert_eq!(text.matches(&line).count(), 1, "{line}");
+            }
         }
+        let mut r = Repl::new(2);
+        r.run_statement("SET stage_slots = 3;");
+        let live = r.run_meta("help", &[]);
+        assert!(live.contains("SET stage_slots = N;  [now 3]\n"), "{live}");
     }
 
     #[test]

@@ -725,46 +725,19 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
     ) -> Result<()> {
         let site_hash = fold(ext_hash(key), side as u64 + 10);
         let site = || format!("{side} key {}", short(key));
-        if let Some(err) = self.handle.pending() {
-            return Err(err);
-        }
         let start = out.len();
-        let t0 = udf_clock();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.inner.assign(side, key, pplan, out)
-        }));
-        let elapsed = udf_clock().saturating_sub(t0);
-        match outcome {
-            Err(payload) => {
-                // Quarantining a misbehaving row means dropping whatever
-                // buckets it managed to emit before the violation.
-                return self
-                    .handle
-                    .violation(
-                        Phase::Assign,
-                        Kind::Panic,
-                        site_hash,
-                        &site(),
-                        format!("callback panicked: {}", panic_text(payload)),
-                        Some(()),
-                    )
-                    .map(|()| out.truncate(start));
-            }
-            Ok(result) => result?,
-        }
-        let budget = self.handle.limits().call_budget_ms;
-        if elapsed > budget {
-            return self
-                .handle
-                .violation(
-                    Phase::Assign,
-                    Kind::Budget,
-                    site_hash,
-                    &site(),
-                    format!("call consumed {elapsed} ms of simulated time (budget {budget} ms)"),
-                    Some(()),
-                )
-                .map(|()| out.truncate(start));
+        let ran = self.guarded(
+            Phase::Assign,
+            site_hash,
+            site,
+            || Some(false),
+            || self.inner.assign(side, key, pplan, out).map(|()| true),
+        )?;
+        if !ran {
+            // Quarantining a misbehaving row means dropping whatever
+            // buckets it managed to emit before the violation.
+            out.truncate(start);
+            return Ok(());
         }
         let added = out.len() - start;
 

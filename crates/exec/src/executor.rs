@@ -32,6 +32,27 @@ pub struct Cluster {
     pub(crate) spill: Arc<crate::spill::SpillDir>,
 }
 
+/// What one execution carries besides its plan. The default is a plain
+/// run: nobody can cancel it, nothing gates its batches, nothing is
+/// journaled.
+#[derive(Default)]
+pub struct ExecOptions {
+    /// Evaluation strategy; `None` is the process default,
+    /// [`ExecMode::from_env`] (columnar unless `FUDJ_EXEC_MODE=row`) —
+    /// what `SET exec_mode` leaves in place when the session never
+    /// touched the knob.
+    pub mode: Option<ExecMode>,
+    /// The query's cancel token and simulated-clock deadline.
+    pub control: Option<Arc<crate::control::QueryControl>>,
+    /// The scheduler's dispatch gate, consulted by the pool before every
+    /// batch. Only read when `control` is set.
+    pub gate: Option<Arc<dyn crate::control::DispatchGate>>,
+    /// Crash-tolerance identity of a journaled query: stable checkpoint
+    /// namespace, `StageCommitted` journal sink, and — when re-running a
+    /// crashed query — the resume point recovered from the journal.
+    pub tag: Option<crate::recovery::QueryTag>,
+}
+
 impl Cluster {
     /// Cluster with `workers` nodes and a free (zero-cost) network.
     ///
@@ -47,13 +68,6 @@ impl Cluster {
             recovery: Arc::new(ClusterRecovery::new(workers)),
             spill: Arc::default(),
         }
-    }
-
-    /// Cluster whose exchanges pay for their bytes under `network`.
-    pub fn with_network(workers: usize, network: crate::metrics::NetworkModel) -> Self {
-        let mut c = Cluster::new(workers);
-        c.network = Some(network);
-        c
     }
 
     /// Cluster whose queries run under the seeded fault plan `config`:
@@ -76,11 +90,6 @@ impl Cluster {
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The network model, if any.
-    pub fn network(&self) -> Option<crate::metrics::NetworkModel> {
-        self.network
     }
 
     /// Swap the network model without recreating the cluster — the worker
@@ -158,69 +167,28 @@ impl Cluster {
         self.membership().snapshot()
     }
 
-    /// Execute a plan and gather the result on the coordinator. The
-    /// evaluation strategy comes from [`ExecMode::from_env`] (columnar
-    /// unless `FUDJ_EXEC_MODE=row`).
+    /// Execute a plan and gather the result on the coordinator, with no
+    /// scheduler control, no crash-tolerance tag and the default
+    /// evaluation strategy.
     pub fn execute(&self, plan: &PhysicalPlan) -> Result<(Batch, QueryMetrics)> {
-        self.execute_with(plan, None, None)
+        self.execute_with(plan, ExecOptions::default())
     }
 
-    /// Execute a plan under an explicit evaluation strategy. `None` means
-    /// the environment default — what `SET exec_mode` leaves in place when
-    /// the session never touched the knob.
-    pub fn execute_mode(
-        &self,
-        plan: &PhysicalPlan,
-        mode: Option<ExecMode>,
-    ) -> Result<(Batch, QueryMetrics)> {
-        self.execute_with_mode(plan, None, None, mode.unwrap_or_else(ExecMode::from_env))
-    }
-
-    /// Execute a plan under scheduler control: `control` carries the
-    /// query's cancel token and simulated-clock deadline, `gate` is the
-    /// scheduler's dispatch gate (consulted by the pool before every
-    /// batch). Both `None` is exactly [`Cluster::execute`].
+    /// Execute a plan under `opts` (see [`ExecOptions`]); the default
+    /// options are exactly [`Cluster::execute`].
     pub fn execute_with(
         &self,
         plan: &PhysicalPlan,
-        control: Option<Arc<crate::control::QueryControl>>,
-        gate: Option<Arc<dyn crate::control::DispatchGate>>,
-    ) -> Result<(Batch, QueryMetrics)> {
-        self.execute_with_mode(plan, control, gate, ExecMode::from_env())
-    }
-
-    /// The full execution entry point: scheduler control plus an explicit
-    /// evaluation strategy.
-    pub fn execute_with_mode(
-        &self,
-        plan: &PhysicalPlan,
-        control: Option<Arc<crate::control::QueryControl>>,
-        gate: Option<Arc<dyn crate::control::DispatchGate>>,
-        mode: ExecMode,
-    ) -> Result<(Batch, QueryMetrics)> {
-        self.execute_with_opts(plan, control, gate, mode, None)
-    }
-
-    /// [`Cluster::execute_with_mode`] plus an optional [`QueryTag`]: the
-    /// crash-tolerance identity of a journaled query (stable checkpoint
-    /// namespace, `StageCommitted` journal sink, and — when re-running a
-    /// crashed query — the resume point recovered from the journal).
-    pub fn execute_with_opts(
-        &self,
-        plan: &PhysicalPlan,
-        control: Option<Arc<crate::control::QueryControl>>,
-        gate: Option<Arc<dyn crate::control::DispatchGate>>,
-        mode: ExecMode,
-        tag: Option<crate::recovery::QueryTag>,
+        opts: ExecOptions,
     ) -> Result<(Batch, QueryMetrics)> {
         let mut metrics = QueryMetrics::with_config(self.network, self.faults);
-        metrics.set_exec_mode(mode);
-        if let Some(ctrl) = control {
-            metrics.attach_control(ctrl, gate);
+        metrics.set_exec_mode(opts.mode.unwrap_or_else(ExecMode::from_env));
+        if let Some(ctrl) = opts.control {
+            metrics.attach_control(ctrl, opts.gate);
         }
         if let Some(rec) = self
             .recovery
-            .attach_tagged(self.faults.as_ref(), tag.as_ref())
+            .attach_tagged(self.faults.as_ref(), opts.tag.as_ref())
         {
             metrics.attach_recovery(rec);
         }
@@ -237,7 +205,7 @@ impl Cluster {
     }
 
     /// Execute a plan, leaving the result partitioned across workers.
-    pub fn execute_partitioned(
+    pub(crate) fn execute_partitioned(
         &self,
         plan: &PhysicalPlan,
         metrics: &QueryMetrics,

@@ -482,12 +482,6 @@ impl QueryMetrics {
         self.fault.as_ref()
     }
 
-    /// The innermost currently-open phase name, if any (used to label
-    /// fault-injection sites).
-    pub fn current_phase(&self) -> Option<String> {
-        self.inner.lock().phase_stack.last().cloned()
-    }
-
     /// Charge the simulated network for one worker's receive of `bytes`
     /// bytes: blocks the calling (worker) thread for the transfer time.
     pub fn charge_network(&self, bytes: u64) {

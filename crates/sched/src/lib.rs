@@ -27,4 +27,6 @@ pub mod dag;
 pub mod scheduler;
 
 pub use dag::{StageKind, TaskDag, TaskStage};
-pub use scheduler::{JobHandle, JobInfo, JobState, QuerySpec, Scheduler, SchedulerConfig};
+pub use scheduler::{
+    JobHandle, JobInfo, JobOutput, JobState, QuerySpec, Scheduler, SchedulerConfig,
+};

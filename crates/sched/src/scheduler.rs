@@ -18,7 +18,9 @@
 //! fails with [`FudjError::Admission`].
 
 use crate::dag::TaskDag;
-use fudj_exec::{Cluster, DispatchGate, ExecMode, MetricsSnapshot, PhysicalPlan, QueryControl};
+use fudj_exec::{
+    Cluster, DispatchGate, ExecMode, ExecOptions, MetricsSnapshot, PhysicalPlan, QueryControl,
+};
 use fudj_types::{Batch, FudjError, Result};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -68,7 +70,7 @@ pub struct QuerySpec {
     /// aggregate quota while the query runs.
     pub memory_budget_rows: Option<u64>,
     /// Execution-mode override (`SET exec_mode`); the executor default
-    /// ([`ExecMode::from_env`]) applies when unset.
+    /// applies when unset.
     pub exec_mode: Option<ExecMode>,
     /// Crash-tolerance identity of a journaled query: stable checkpoint
     /// namespace, stage-commit journal sink, and an optional resume point
@@ -104,20 +106,8 @@ impl QuerySpec {
     }
 
     /// Declare a memory budget, in rows.
-    /// Pin the execution mode (row vs columnar) for this query.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = Some(mode);
-        self
-    }
-
     pub fn with_memory_budget_rows(mut self, rows: u64) -> Self {
         self.memory_budget_rows = Some(rows);
-        self
-    }
-
-    /// Attach a crash-tolerance [`fudj_exec::QueryTag`].
-    pub fn with_query_tag(mut self, tag: fudj_exec::QueryTag) -> Self {
-        self.tag = Some(tag);
         self
     }
 }
@@ -137,13 +127,6 @@ pub enum JobState {
     Cancelled,
     /// Stopped by its simulated-clock deadline.
     DeadlineExceeded,
-}
-
-impl JobState {
-    /// Whether the job has reached a final state.
-    pub fn is_terminal(&self) -> bool {
-        !matches!(self, JobState::Queued | JobState::Running)
-    }
 }
 
 impl std::fmt::Display for JobState {
@@ -202,6 +185,8 @@ pub struct JobHandle {
     label: String,
     inner: Arc<SchedInner>,
     rx: mpsc::Receiver<Result<JobOutput>>,
+    /// See [`JobHandle::and_then`].
+    on_delivery: Option<Box<dyn FnOnce(JobOutput) -> Result<JobOutput> + Send>>,
 }
 
 impl JobHandle {
@@ -210,23 +195,34 @@ impl JobHandle {
         self.id
     }
 
-    /// The label this query was submitted with.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Request cancellation; the query stops at its next task boundary.
     pub fn cancel(&self) {
         cancel_job(&self.inner, self.id);
     }
 
+    /// Pass the job's output through `f` at delivery: [`JobHandle::wait`]
+    /// runs it on the waiter's thread, after the job succeeded and before
+    /// the rows are handed over. The session seals a journaled query here,
+    /// so an undelivered result is one a restart still resumes.
+    pub fn and_then(
+        mut self,
+        f: impl FnOnce(JobOutput) -> Result<JobOutput> + Send + 'static,
+    ) -> Self {
+        self.on_delivery = Some(Box::new(f));
+        self
+    }
+
     /// Block until the query finishes and take its result.
     pub fn wait(self) -> Result<JobOutput> {
-        self.rx.recv().unwrap_or_else(|_| {
+        let output = self.rx.recv().unwrap_or_else(|_| {
             Err(FudjError::Execution(
                 "scheduler job thread exited without delivering a result".into(),
             ))
-        })
+        })?;
+        match self.on_delivery {
+            Some(f) => f(output),
+            None => Ok(output),
+        }
     }
 }
 
@@ -243,7 +239,6 @@ struct Job {
     stages_total: usize,
     stages_done: usize,
     error: Option<String>,
-    snapshot: Option<MetricsSnapshot>,
 }
 
 struct SchedState {
@@ -473,11 +468,6 @@ impl Scheduler {
         }
     }
 
-    /// The cluster this scheduler dispatches onto.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     /// Replace the cluster handle subsequent jobs execute on. Cluster
     /// clones share the worker pool but copy the network/fault arming at
     /// clone time, so a session that re-arms faults or swaps the network
@@ -551,7 +541,6 @@ impl Scheduler {
                 stages_total: dag.stage_count(),
                 stages_done: 0,
                 error: None,
-                snapshot: None,
             },
         );
         if admit_now {
@@ -566,19 +555,17 @@ impl Scheduler {
         let (tx, rx) = mpsc::channel();
         let inner = self.inner.clone();
         let cluster = self.cluster.clone();
-        let plan = spec.plan.clone();
         let label = spec.label.clone();
-        let mode = spec.exec_mode.unwrap_or_else(ExecMode::from_env);
-        let tag = spec.tag.clone();
         std::thread::Builder::new()
             .name(format!("fudj-sched-job-{id}"))
-            .spawn(move || run_job(inner, cluster, plan, id, ctrl, mode, tag, tx))
+            .spawn(move || run_job(inner, cluster, spec, id, ctrl, tx))
             .map_err(|e| FudjError::Execution(format!("failed to spawn job thread: {e}")))?;
         Ok(JobHandle {
             id,
             label,
             inner: self.inner.clone(),
             rx,
+            on_delivery: None,
         })
     }
 
@@ -615,15 +602,6 @@ impl Scheduler {
         self.jobs().into_iter().find(|j| j.id == id)
     }
 
-    /// A finished job's isolated metrics snapshot.
-    pub fn metrics(&self, id: u64) -> Option<MetricsSnapshot> {
-        self.inner
-            .lock()
-            .jobs
-            .get(&id)
-            .and_then(|j| j.snapshot.clone())
-    }
-
     /// The order in which dispatch slots were granted (job ids), for
     /// fairness diagnostics and the bounded-wait tests.
     pub fn grant_log(&self) -> Vec<u64> {
@@ -634,15 +612,12 @@ impl Scheduler {
 /// Body of one job's coordinator thread: wait for admission, execute the
 /// plan under the control plane, classify the outcome, release admission
 /// resources, deliver the result.
-#[allow(clippy::too_many_arguments)]
 fn run_job(
     inner: Arc<SchedInner>,
     cluster: Cluster,
-    plan: Arc<PhysicalPlan>,
+    spec: QuerySpec,
     id: u64,
     ctrl: Arc<QueryControl>,
-    mode: ExecMode,
-    tag: Option<fudj_exec::QueryTag>,
     tx: mpsc::Sender<Result<JobOutput>>,
 ) {
     // Admission wait: parked until the FIFO queue hands this job a slot.
@@ -668,8 +643,14 @@ fn run_job(
         id,
         ctrl: ctrl.clone(),
     });
+    let opts = ExecOptions {
+        mode: spec.exec_mode,
+        control: Some(ctrl),
+        gate: Some(gate),
+        tag: spec.tag,
+    };
     let result = cluster
-        .execute_with_opts(&plan, Some(ctrl.clone()), Some(gate), mode, tag)
+        .execute_with(&spec.plan, opts)
         .map(|(batch, metrics)| (batch, metrics.snapshot()));
 
     let final_state = match &result {
@@ -683,7 +664,6 @@ fn run_job(
         job.state = final_state;
         job.waiting = false;
         job.error = result.as_ref().err().map(|e| e.to_string());
-        job.snapshot = result.as_ref().ok().map(|(_, s)| s.clone());
     }
     st.release(id);
     st.admit_from_queue();
@@ -771,6 +751,38 @@ mod tests {
         assert_eq!(job.state, JobState::Done);
         assert!(job.stages_done > 0);
         assert!(job.sim_clock_ms > 0, "batches advance the simulated clock");
+    }
+
+    #[test]
+    fn and_then_runs_at_delivery_and_can_fail_it() {
+        let sched = Scheduler::new(Cluster::new(2));
+        let delivered = Arc::new(AtomicBool::new(false));
+        let flag = delivered.clone();
+        let handle = sched
+            .submit(QuerySpec::new(agg_plan(20), "sealed"))
+            .unwrap()
+            .and_then(move |output| {
+                flag.store(true, Ordering::Release);
+                Ok(output)
+            });
+        let id = handle.id();
+        while sched.job(id).unwrap().state != JobState::Done {
+            std::thread::yield_now();
+        }
+        assert!(
+            !delivered.load(Ordering::Acquire),
+            "a finished job nobody waited for is not delivered"
+        );
+        handle.wait().unwrap();
+        assert!(delivered.load(Ordering::Acquire));
+
+        let err = sched
+            .submit(QuerySpec::new(agg_plan(20), "refused"))
+            .unwrap()
+            .and_then(|_| Err(FudjError::Storage("seal failed".into())))
+            .wait()
+            .unwrap_err();
+        assert!(matches!(err, FudjError::Storage(_)), "{err}");
     }
 
     #[test]
@@ -924,8 +936,6 @@ mod tests {
             .wait()
             .unwrap_err();
         assert!(matches!(err, FudjError::Deadline(_)), "{err}");
-        let snap = sched.metrics(1);
-        assert!(snap.is_none(), "failed queries deliver no snapshot");
         let info = sched.job(1).unwrap();
         assert_eq!(info.state, JobState::DeadlineExceeded);
         assert!(
@@ -956,7 +966,6 @@ mod tests {
                     stages_total: 100,
                     stages_done: 0,
                     error: None,
-                    snapshot: None,
                 },
             );
             st.running.push(id);

@@ -29,7 +29,7 @@
 use crate::cache::LruCache;
 use crate::histogram::LatencyHistogram;
 use fudj_exec::{MetricsSnapshot, PhysicalPlan, ServingStats};
-use fudj_sched::{JobState, QuerySpec};
+use fudj_sched::JobState;
 use fudj_sql::ast::{SelectStatement, Statement};
 use fudj_sql::{parse, QueryOutput, Session};
 use fudj_types::{Batch, FudjError, Result, Value};
@@ -161,16 +161,7 @@ impl ServingTier {
         match parse(sql)? {
             Statement::Select(sel) => self.serve_select(tenant, priority, &sel, sql),
             Statement::Execute { name, params } => {
-                let template = self.session.prepared_statement(&name).ok_or_else(|| {
-                    FudjError::Execution(format!(
-                        "no prepared statement {name:?} (PREPARE it first)"
-                    ))
-                })?;
-                let values = params
-                    .iter()
-                    .map(fudj_sql::fingerprint::literal_value)
-                    .collect::<Result<Vec<_>>>()?;
-                let bound = fudj_sql::substitute_params(&template, &values)?;
+                let bound = self.session.bind_execute(&name, &params)?;
                 self.serve_select(tenant, priority, &bound, sql)
             }
             Statement::Prepare { name, select } => {
@@ -286,24 +277,13 @@ impl ServingTier {
             }
         };
 
-        // Execute through the scheduler under the tenant's priority.
+        // Execute through the scheduler under the tenant's priority. The
+        // session journals the statement (verbatim text) when
+        // `checkpoint_durable` is armed: a crash mid-execution leaves it
+        // in-flight in the WAL, and the next restart re-executes it
+        // exactly once.
         let label = format!("tenant {tenant}: {}", key.text);
-        let options = self.session.effective_options();
-        let mut spec = QuerySpec::new(plan, label).with_priority(priority.max(1));
-        if let Some(mode) = options.exec_mode {
-            spec = spec.with_exec_mode(mode);
-        }
-        if let Some(budget) = options.memory_budget_rows {
-            spec = spec.with_memory_budget_rows(budget as u64);
-        }
-        // Journal the statement (verbatim text) when `checkpoint_durable`
-        // is armed: a crash mid-execution leaves it in-flight in the WAL,
-        // and the next restart re-executes it exactly once.
-        let tag = self.session.journal_submit(sql)?;
-        if let Some(tag) = &tag {
-            spec = spec.with_query_tag(tag.clone());
-        }
-        let handle = match self.session.scheduler().submit(spec) {
+        let handle = match self.session.submit_planned(plan, sql, label, priority) {
             Ok(handle) => {
                 let queued = self
                     .session
@@ -318,14 +298,13 @@ impl ServingTier {
                 handle
             }
             Err(err) => {
-                self.lock().rejections += 1;
+                if matches!(err, FudjError::Admission(_)) {
+                    self.lock().rejections += 1;
+                }
                 return Err(err);
             }
         };
         let (batch, mut snapshot) = handle.wait()?;
-        if let Some(tag) = &tag {
-            self.session.journal_finish(tag)?;
-        }
 
         let mut state = self.lock();
         state.record_latency(tenant, snapshot.sim_clock_ms);

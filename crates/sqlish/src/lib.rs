@@ -29,4 +29,4 @@ pub use fingerprint::{
     param_count, shape_of, statement_fingerprint, substitute_params, StatementShape,
 };
 pub use parser::parse;
-pub use session::{QueryOutput, ResumedQuery, ServingConfig, Session, SETTINGS};
+pub use session::{Knob, QueryOutput, ResumedQuery, Scope, ServingConfig, Session, KNOBS};

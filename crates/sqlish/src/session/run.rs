@@ -1,0 +1,459 @@
+//! The run path: every SELECT this session executes — typed at the
+//! prompt, `EXECUTE`d, `\submit`ted, served by the tier, resumed after a
+//! crash, or measured by `EXPLAIN ANALYZE` — is bracketed by
+//! [`Session::begin`], and reaches the cluster one of two ways:
+//! [`Session::run_here`] on the caller's thread (the serial oracle of
+//! `sched_differential`) or [`Session::run_scheduled`] through admission
+//! and fair-share dispatch (the serving tier).
+
+use super::{QueryOutput, Session};
+use crate::ast::{SelectStatement, Statement};
+use crate::binder::bind_select;
+use crate::durability::JournalHook;
+use crate::fingerprint;
+use crate::parser::parse;
+use fudj_exec::{
+    CounterSeed, ExecMode, ExecOptions, MetricsSnapshot, PhysicalPlan, QueryTag, ResumeSpec,
+};
+use fudj_planner::PlanOptions;
+use fudj_sched::{JobHandle, JobOutput, QuerySpec};
+use fudj_storage::wal::WalRecord;
+use fudj_storage::{DurableStore, PendingQuery};
+use fudj_types::{Batch, FudjError, Result};
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+/// What a run records in the query journal.
+pub(super) enum Entry<'a> {
+    /// Nothing: not a statement a restart should resume (`EXPLAIN
+    /// ANALYZE`, an externally planned [`Session::execute_physical`]).
+    Unjournaled,
+    /// A new statement, journaled under its verbatim text when `SET
+    /// checkpoint_durable = on` over an open WAL, and not otherwise.
+    Statement(&'a str),
+    /// A statement the previous process left unfinished, re-run from its
+    /// last committed resumable stage.
+    Resumed(&'a PendingQuery),
+}
+
+/// Stages a crashed query can resume from: their checkpoints carry the
+/// complete post-boundary input (`join:combine` holds the joined rows
+/// before duplicate handling, `agg:shuffle` the shuffled partials before
+/// the final merge). Earlier boundaries need in-memory state a restart
+/// cannot reconstruct, so they fall back to full replay.
+const RESUMABLE_STAGES: &[&str] = &["join:combine", "agg:shuffle"];
+
+/// Where a resumed `query` restarts: its last committed resumable stage
+/// with the counters journaled there; `None` means full replay.
+pub(super) fn resume_point(query: &PendingQuery) -> Option<ResumeSpec> {
+    let commit = query
+        .committed
+        .iter()
+        .rev()
+        .find(|c| RESUMABLE_STAGES.contains(&c.stage.as_str()))?;
+    Some(ResumeSpec {
+        stage: commit.stage.clone(),
+        seed: CounterSeed {
+            counters: commit.counters.clone(),
+            phases: commit.phases.clone(),
+        },
+    })
+}
+
+/// Log `QuerySubmitted` for `sql` with the knobs it was planned under.
+/// A crash from here until [`journal_finish`] leaves a journal the next
+/// `SET wal_dir` resumes from.
+fn journal_submit(store: &DurableStore, sql: &str, options: &PlanOptions) -> Result<u64> {
+    let fingerprint = fingerprint::statement_fingerprint(sql);
+    store.append_journal(
+        &WalRecord::QuerySubmitted {
+            fingerprint,
+            sql: sql.to_owned(),
+            options: Session::journal_options(options),
+        },
+        "journal:submit",
+    )?;
+    Ok(fingerprint)
+}
+
+/// Seal a journaled query: its result is about to be delivered, so the
+/// journal entry and its durable checkpoints are dead on replay.
+fn journal_finish(store: &DurableStore, fingerprint: u64) -> Result<()> {
+    store.append_journal(&WalRecord::QueryFinished { fingerprint }, "journal:finish")
+}
+
+impl Session {
+    /// Bracket one execution of a planned SELECT: open its journal entry
+    /// now, and return the [`QueryTag`] the execution must carry (it pins
+    /// the checkpoint namespace to the statement fingerprint, routes stage
+    /// commits into the journal, and — when resuming — carries the
+    /// journal's resume point) plus the function its output must pass
+    /// through on delivery, which stamps the durability counters into the
+    /// snapshot and seals the entry. `QueryFinished` is logged *before*
+    /// the rows are handed over: a crash in between re-runs the query on
+    /// the next reopen, but a delivered result is never re-delivered.
+    /// `options` are already overlaid with the `SET` variables — once, by
+    /// the caller that planned under them.
+    fn begin(
+        &self,
+        options: &PlanOptions,
+        entry: Entry<'_>,
+    ) -> Result<(
+        Option<QueryTag>,
+        impl FnOnce(JobOutput) -> Result<JobOutput> + Send + 'static,
+    )> {
+        let store = self.durable();
+        let journaled = match (&store, entry) {
+            (Some(store), Entry::Statement(sql)) if self.vars().checkpoint_durable => {
+                Some((store, journal_submit(store, sql, options)?, None))
+            }
+            (Some(store), Entry::Resumed(query)) => {
+                Some((store, query.fingerprint, resume_point(query)))
+            }
+            _ => None,
+        };
+        let tag = journaled.map(|(store, fingerprint, resume)| QueryTag {
+            fingerprint,
+            journal: Some(JournalHook::new(store.clone())),
+            resume,
+        });
+        let seal = tag.as_ref().map(|tag| tag.fingerprint);
+        let finish = move |(batch, mut snapshot): JobOutput| {
+            if let Some(store) = &store {
+                // Durability is session-scoped (one WAL outlives many
+                // queries), so the session stamps the store's counters
+                // into each snapshot rather than the executor.
+                snapshot.durability = store.stats();
+                if let Some(fingerprint) = seal {
+                    journal_finish(store, fingerprint)?;
+                }
+            }
+            Ok((batch, snapshot))
+        };
+        Ok((tag, finish))
+    }
+
+    /// Run `plan` on the caller's thread, past admission control; blocks
+    /// until the rows are in.
+    pub(super) fn run_here(
+        &self,
+        plan: &PhysicalPlan,
+        options: &PlanOptions,
+        entry: Entry<'_>,
+    ) -> Result<JobOutput> {
+        let (tag, finish) = self.begin(options, entry)?;
+        let opts = ExecOptions {
+            mode: options.exec_mode,
+            tag,
+            ..ExecOptions::default()
+        };
+        let (batch, metrics) = self.cluster.execute_with(plan, opts)?;
+        finish((batch, metrics.snapshot()))
+    }
+
+    /// Run `plan`, the plan of statement text `sql`, through the
+    /// scheduler — admitted, fair-share dispatched, cancellable; returns
+    /// once the job is queued.
+    fn run_scheduled(
+        &self,
+        plan: Arc<PhysicalPlan>,
+        options: &PlanOptions,
+        sql: &str,
+        label: String,
+        priority: u32,
+        deadline_ms: Option<u64>,
+    ) -> Result<JobHandle> {
+        let (tag, finish) = self.begin(options, Entry::Statement(sql))?;
+        let mut spec = QuerySpec::new(plan, label).with_priority(priority);
+        spec.deadline_ms = deadline_ms;
+        spec.memory_budget_rows = options.memory_budget_rows.map(|rows| rows as u64);
+        spec.exec_mode = options.exec_mode;
+        spec.tag = tag;
+        Ok(self.scheduler.submit(spec)?.and_then(finish))
+    }
+
+    pub(super) fn plan_under(
+        &self,
+        sel: &SelectStatement,
+        options: &PlanOptions,
+    ) -> Result<PhysicalPlan> {
+        let logical = bind_select(sel, &self.catalog)?;
+        fudj_planner::plan(logical, &self.registry, options)
+    }
+
+    /// Bind and optimize a SELECT under the current `SET` variables —
+    /// the parse→bind→plan work the serving tier's plan cache amortizes.
+    pub fn plan_select(&self, sel: &SelectStatement) -> Result<PhysicalPlan> {
+        self.plan_under(sel, &self.effective_options())
+    }
+
+    /// Plan and run the SELECT behind statement text `sql` (the SELECT
+    /// itself, or the `EXECUTE` it was bound from) on the caller's thread.
+    pub(super) fn run_statement(&self, sel: &SelectStatement, sql: &str) -> Result<QueryOutput> {
+        let options = self.effective_options();
+        let physical = self.plan_under(sel, &options)?;
+        let (batch, snapshot) = self.run_here(&physical, &options, Entry::Statement(sql))?;
+        Ok(QueryOutput::Rows(batch, Box::new(snapshot)))
+    }
+
+    /// Execute an already-planned query on the caller's thread,
+    /// unjournaled, with durability counters stamped in.
+    pub fn execute_physical(
+        &self,
+        physical: &PhysicalPlan,
+        exec_mode: Option<ExecMode>,
+    ) -> Result<(Batch, MetricsSnapshot)> {
+        let options = PlanOptions {
+            exec_mode,
+            ..PlanOptions::default()
+        };
+        self.run_here(physical, &options, Entry::Unjournaled)
+    }
+
+    /// Submit a SELECT for asynchronous scheduled execution. The query is
+    /// planned now (under the current `SET` variables) and competes with
+    /// other in-flight queries under the scheduler's admission and
+    /// fair-share policies, at this session's `SET priority` and
+    /// `deadline_ms`.
+    pub fn submit(&self, sql: &str) -> Result<JobHandle> {
+        let sel = match parse(sql)? {
+            Statement::Select(sel) => sel,
+            other => {
+                return Err(FudjError::Execution(format!(
+                    "only SELECT statements can be submitted, got {other:?}"
+                )))
+            }
+        };
+        let options = self.effective_options();
+        let plan = Arc::new(self.plan_under(&sel, &options)?);
+        let label: String = sql.split_whitespace().collect::<Vec<_>>().join(" ");
+        let label = if label.chars().count() > 48 {
+            let head: String = label.chars().take(47).collect();
+            format!("{head}…")
+        } else {
+            label
+        };
+        let vars = self.vars();
+        self.run_scheduled(plan, &options, sql, label, vars.priority, vars.deadline_ms)
+    }
+
+    /// Submit an already-planned SELECT (the serving tier's cached plan
+    /// for statement text `sql`) for scheduled execution at `priority`.
+    pub fn submit_planned(
+        &self,
+        plan: Arc<PhysicalPlan>,
+        sql: &str,
+        label: String,
+        priority: u32,
+    ) -> Result<JobHandle> {
+        self.run_scheduled(plan, &self.effective_options(), sql, label, priority, None)
+    }
+
+    /// `EXPLAIN [ANALYZE]`: the plan text, and under `ANALYZE` what one
+    /// (unjournaled) execution of it measured.
+    pub(super) fn explain(&self, select: &SelectStatement, analyze: bool) -> Result<QueryOutput> {
+        let options = self.effective_options();
+        let physical = self.plan_under(select, &options)?;
+        let mut text = physical.explain();
+        if analyze {
+            let start = std::time::Instant::now();
+            let (batch, m) = self.run_here(&physical, &options, Entry::Unjournaled)?;
+            let elapsed = start.elapsed();
+            let _ = writeln!(text, "---");
+            let _ = writeln!(text, "rows: {}; total: {elapsed:?}", batch.len());
+            for (name, d) in &m.phases {
+                let _ = writeln!(text, "phase {name}: {d:?}");
+            }
+            let _ = writeln!(
+                text,
+                "network: {} bytes shuffled, {} broadcast, {} state; \
+                 verify calls: {}; dedup rejections: {}; spilled rows: {}",
+                m.bytes_shuffled,
+                m.bytes_broadcast,
+                m.state_bytes,
+                m.verify_calls,
+                m.dedup_rejections,
+                m.spilled_rows,
+            );
+            if self.durable().is_some() {
+                let d = &m.durability;
+                let _ = writeln!(
+                    text,
+                    "durability: {} wal records ({} bytes), {} fsyncs, \
+                     {} snapshots, {} replayed",
+                    d.wal_records_appended,
+                    d.wal_bytes_appended,
+                    d.wal_fsyncs,
+                    d.snapshots_written,
+                    d.wal_records_replayed,
+                );
+            }
+        }
+        Ok(QueryOutput::Plan(text))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::tests::session;
+
+    #[test]
+    fn submit_runs_selects_concurrently_with_session_vars() {
+        let s = session();
+        s.execute("SET priority = 3").unwrap();
+        s.execute("SET deadline_ms = 60000").unwrap();
+
+        let sql = "SELECT n1.Vendor, COUNT(*) AS c FROM NYCTaxi n1 \
+                   GROUP BY n1.Vendor ORDER BY n1.Vendor";
+        let serial = s.query(sql).unwrap();
+
+        let handles: Vec<_> = (0..3).map(|_| s.submit(sql).unwrap()).collect();
+        for handle in handles {
+            let id = handle.id();
+            let (batch, _) = handle.wait().unwrap();
+            assert_eq!(batch.rows(), serial.rows());
+            let info = s.scheduler().job(id).unwrap();
+            assert_eq!(info.priority, 3);
+            assert_eq!(info.deadline_ms, Some(60_000));
+            assert_eq!(info.state, fudj_sched::JobState::Done);
+        }
+
+        // Only SELECTs are submittable.
+        let err = s.submit("DROP JOIN nope").unwrap_err();
+        assert!(err.to_string().contains("only SELECT"), "{err}");
+    }
+
+    #[test]
+    fn create_join_memory_budget_spills_and_matches_in_memory() {
+        let sql = "SELECT p.id, COUNT(w.id) AS num_fires \
+                   FROM Parks p, Wildfires w \
+                   WHERE ST_Contains(p.boundary, w.location) \
+                   GROUP BY p.id ORDER BY num_fires DESC";
+
+        let run = |budget_clause: &str| {
+            let s = session();
+            s.execute(&format!(
+                r#"CREATE JOIN st_contains(a: polygon, b: point)
+                   RETURNS boolean AS "spatial.SpatialJoin" AT flexiblejoins{budget_clause};"#
+            ))
+            .unwrap();
+            let out = s.execute(sql).unwrap();
+            let QueryOutput::Rows(batch, metrics) = out else {
+                panic!("expected rows")
+            };
+            // The sort key (num_fires) ties across parks, so normalize the
+            // tie order before comparing.
+            let mut rows = batch.rows().to_vec();
+            rows.sort();
+            (rows, metrics.spilled_rows)
+        };
+
+        let (in_memory, spilled_none) = run("");
+        let (spilled, spilled_rows) = run(" WITH (memory_budget_rows = 4)");
+        assert_eq!(spilled_none, 0, "unbudgeted join must not spill");
+        assert!(spilled_rows > 0, "budget of 4 rows/worker must spill");
+        assert_eq!(in_memory, spilled, "grace spill must not change results");
+    }
+
+    #[test]
+    fn set_memory_budget_rows_overrides_per_query() {
+        let s = session();
+        s.execute(
+            r#"CREATE JOIN st_contains(a: polygon, b: point)
+               RETURNS boolean AS "spatial.SpatialJoin" AT flexiblejoins;"#,
+        )
+        .unwrap();
+        let sql = "SELECT COUNT(*) FROM Parks p, Wildfires w \
+                   WHERE st_contains(p.boundary, w.location)";
+
+        let baseline = s.execute(sql).unwrap();
+        assert_eq!(baseline.metrics().spilled_rows, 0);
+        let count = baseline.batch().rows()[0].get(0).clone();
+
+        s.execute("SET memory_budget_rows = 4").unwrap();
+        let budgeted = s.execute(sql).unwrap();
+        assert!(budgeted.metrics().spilled_rows > 0, "SET budget must spill");
+        assert_eq!(budgeted.batch().rows()[0].get(0), &count);
+
+        // `none` clears the variable again.
+        s.execute("SET memory_budget_rows = none").unwrap();
+        let cleared = s.execute(sql).unwrap();
+        assert_eq!(cleared.metrics().spilled_rows, 0);
+    }
+
+    #[test]
+    fn set_spill_knobs_tune_hybrid_hash_and_preserve_results() {
+        let s = session();
+        s.execute(
+            r#"CREATE JOIN st_contains(a: polygon, b: point)
+               RETURNS boolean AS "spatial.SpatialJoin" AT flexiblejoins;"#,
+        )
+        .unwrap();
+        let sql = "SELECT COUNT(*) FROM Parks p, Wildfires w \
+                   WHERE st_contains(p.boundary, w.location)";
+
+        s.execute("SET memory_budget_rows = 4").unwrap();
+        let default_knobs = s.execute(sql).unwrap();
+        let count = default_knobs.batch().rows()[0].get(0).clone();
+        assert!(default_knobs.metrics().spilled_rows > 0);
+
+        // A narrow fan-out with recursion allowed still answers correctly.
+        s.execute("SET spill_fanout = 2").unwrap();
+        let narrow = s.execute(sql).unwrap();
+        assert_eq!(narrow.batch().rows()[0].get(0), &count);
+        assert!(narrow.metrics().spill_passes >= 1);
+
+        // recursion_limit = 0 forbids repartitioning: over-budget
+        // sub-partitions must take the block-nested-loop fallback.
+        s.execute("SET spill_recursion_limit = 0").unwrap();
+        let bnl = s.execute(sql).unwrap();
+        assert_eq!(bnl.batch().rows()[0].get(0), &count);
+        assert_eq!(bnl.metrics().spill_recursion_depth, 0);
+        assert!(
+            bnl.metrics().spill_bnl_fallbacks > 0,
+            "depth cap 0 with a 4-row budget must hit the BNL fallback"
+        );
+
+        // `off` restores the engine defaults.
+        s.execute("SET spill_fanout = off").unwrap();
+        s.execute("SET spill_recursion_limit = off").unwrap();
+        let restored = s.execute(sql).unwrap();
+        assert_eq!(restored.batch().rows()[0].get(0), &count);
+    }
+
+    #[test]
+    fn set_exec_mode_switches_engine_and_preserves_answers() {
+        let s = session();
+        s.execute(
+            r#"CREATE JOIN st_contains(a: polygon, b: point)
+               RETURNS boolean AS "spatial.SpatialJoin" AT flexiblejoins;"#,
+        )
+        .unwrap();
+        let sql = "SELECT p.id, COUNT(w.id) AS c FROM Parks p, Wildfires w \
+                   WHERE st_contains(p.boundary, w.location) \
+                     AND w.fire_start >= parse_date('01/01/2022', 'M/D/Y') \
+                   GROUP BY p.id ORDER BY p.id";
+
+        s.execute("SET exec_mode = columnar").unwrap();
+        let columnar = s.execute(sql).unwrap();
+        assert_eq!(columnar.metrics().exec_mode, ExecMode::Columnar);
+
+        s.execute("SET exec_mode = row").unwrap();
+        let row = s.execute(sql).unwrap();
+        assert_eq!(row.metrics().exec_mode, ExecMode::Row);
+
+        assert_eq!(row.batch().rows(), columnar.batch().rows());
+        assert_eq!(
+            row.metrics().fingerprint(),
+            columnar.metrics().fingerprint(),
+            "logical counters must not depend on the execution mode"
+        );
+
+        // Bad values error; `off` clears back to the engine default.
+        let err = s.execute("SET exec_mode = turbo").unwrap_err();
+        assert!(err.to_string().contains("row or columnar"), "{err}");
+        s.execute("SET exec_mode = off").unwrap();
+        assert!(s.query(sql).is_ok());
+    }
+}

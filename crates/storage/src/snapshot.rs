@@ -22,7 +22,7 @@
 //! leaves only removable garbage. A corrupt or missing manifest falls
 //! back to a directory scan for the newest *checksum-valid* snapshot.
 
-use crate::wal::{crc32, GuardSpec, JoinSpec, MAX_FRAME};
+use crate::wal::{crc32, get_join_spec, get_str, need, put_join_spec, put_str, JoinSpec};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fudj_types::{wire, FudjError, Result, Row};
 
@@ -80,59 +80,13 @@ pub struct SnapshotState {
     pub tables: Vec<SnapshotTable>,
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(FudjError::Wire(format!(
-            "snapshot truncated reading {what}: need {n} bytes, have {}",
-            buf.remaining()
-        )));
-    }
-    Ok(())
-}
-
-fn get_str(buf: &mut Bytes, what: &str) -> Result<String> {
-    need(buf, 4, what)?;
-    let len = buf.get_u32_le() as usize;
-    if len > MAX_FRAME {
-        return Err(FudjError::Wire(format!("implausible {what} length {len}")));
-    }
-    need(buf, len, what)?;
-    let raw = buf.chunk()[..len].to_vec();
-    buf.advance(len);
-    String::from_utf8(raw).map_err(|_| FudjError::Wire(format!("{what} is not valid UTF-8")))
-}
-
 /// Encode a snapshot file: magic + body + trailing CRC32 over the body.
 pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
     let mut body = BytesMut::with_capacity(256);
     body.put_u64_le(state.last_seq);
     body.put_u32_le(state.joins.len() as u32);
     for spec in &state.joins {
-        put_str(&mut body, &spec.name);
-        put_str(&mut body, &spec.library);
-        put_str(&mut body, &spec.class);
-        body.put_u32_le(spec.arg_types.len() as u32);
-        for t in &spec.arg_types {
-            put_str(&mut body, t);
-        }
-        put_str(&mut body, &spec.guard.policy);
-        body.put_u64_le(spec.guard.call_budget_ms);
-        body.put_u64_le(spec.guard.max_pplan_bytes);
-        body.put_u64_le(spec.guard.max_buckets_per_key);
-        body.put_u64_le(spec.guard.max_assign_fanout);
-        body.put_u64_le(spec.guard.check_sample);
-        match spec.memory_budget_rows {
-            Some(b) => {
-                body.put_u8(1);
-                body.put_u64_le(b);
-            }
-            None => body.put_u8(0),
-        }
+        put_join_spec(&mut body, spec);
     }
     body.put_u32_le(state.tables.len() as u32);
     for table in &state.tables {
@@ -178,45 +132,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotState> {
     let njoins = buf.get_u32_le() as usize;
     let mut joins = Vec::with_capacity(njoins.min(1024));
     for _ in 0..njoins {
-        let name = get_str(&mut buf, "join name")?;
-        let library = get_str(&mut buf, "library")?;
-        let class = get_str(&mut buf, "class")?;
-        need(&buf, 4, "arg count")?;
-        let nargs = buf.get_u32_le() as usize;
-        let mut arg_types = Vec::with_capacity(nargs.min(64));
-        for _ in 0..nargs {
-            arg_types.push(get_str(&mut buf, "arg type")?);
-        }
-        let policy = get_str(&mut buf, "guard policy")?;
-        need(&buf, 8 * 5 + 1, "guard limits")?;
-        let guard = GuardSpec {
-            policy,
-            call_budget_ms: buf.get_u64_le(),
-            max_pplan_bytes: buf.get_u64_le(),
-            max_buckets_per_key: buf.get_u64_le(),
-            max_assign_fanout: buf.get_u64_le(),
-            check_sample: buf.get_u64_le(),
-        };
-        let memory_budget_rows = match buf.get_u8() {
-            0 => None,
-            1 => {
-                need(&buf, 8, "memory budget")?;
-                Some(buf.get_u64_le())
-            }
-            other => {
-                return Err(FudjError::Wire(format!(
-                    "bad memory-budget tag {other} in snapshot"
-                )))
-            }
-        };
-        joins.push(JoinSpec {
-            name,
-            library,
-            class,
-            arg_types,
-            guard,
-            memory_budget_rows,
-        });
+        joins.push(get_join_spec(&mut buf)?);
     }
     need(&buf, 4, "table count")?;
     let ntables = buf.get_u32_le() as usize;
@@ -280,6 +196,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::GuardSpec;
     use fudj_types::Value;
 
     fn state() -> SnapshotState {

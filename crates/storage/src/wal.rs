@@ -224,22 +224,26 @@ const KIND_QUERY_SUBMITTED: u8 = 6;
 const KIND_STAGE_COMMITTED: u8 = 7;
 const KIND_QUERY_FINISHED: u8 = 8;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+// The length-prefixed string and `JoinSpec` encodings below are shared with
+// the snapshot codec: a join spec is the same bytes in a `CreateJoin` log
+// record and in a snapshot image.
+
+pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
+pub(crate) fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     if buf.remaining() < n {
         return Err(FudjError::Wire(format!(
-            "log record truncated reading {what}: need {n} bytes, have {}",
+            "stored record truncated reading {what}: need {n} bytes, have {}",
             buf.remaining()
         )));
     }
     Ok(())
 }
 
-fn get_str(buf: &mut Bytes, what: &str) -> Result<String> {
+pub(crate) fn get_str(buf: &mut Bytes, what: &str) -> Result<String> {
     need(buf, 4, what)?;
     let len = buf.get_u32_le() as usize;
     if len > MAX_FRAME {
@@ -249,6 +253,71 @@ fn get_str(buf: &mut Bytes, what: &str) -> Result<String> {
     let raw = buf.chunk()[..len].to_vec();
     buf.advance(len);
     String::from_utf8(raw).map_err(|_| FudjError::Wire(format!("{what} is not valid UTF-8")))
+}
+
+pub(crate) fn put_join_spec(buf: &mut BytesMut, spec: &JoinSpec) {
+    put_str(buf, &spec.name);
+    put_str(buf, &spec.library);
+    put_str(buf, &spec.class);
+    buf.put_u32_le(spec.arg_types.len() as u32);
+    for t in &spec.arg_types {
+        put_str(buf, t);
+    }
+    put_str(buf, &spec.guard.policy);
+    buf.put_u64_le(spec.guard.call_budget_ms);
+    buf.put_u64_le(spec.guard.max_pplan_bytes);
+    buf.put_u64_le(spec.guard.max_buckets_per_key);
+    buf.put_u64_le(spec.guard.max_assign_fanout);
+    buf.put_u64_le(spec.guard.check_sample);
+    match spec.memory_budget_rows {
+        Some(b) => {
+            buf.put_u8(1);
+            buf.put_u64_le(b);
+        }
+        None => buf.put_u8(0),
+    }
+}
+
+pub(crate) fn get_join_spec(buf: &mut Bytes) -> Result<JoinSpec> {
+    let name = get_str(buf, "join name")?;
+    let library = get_str(buf, "library")?;
+    let class = get_str(buf, "class")?;
+    need(buf, 4, "arg count")?;
+    let nargs = buf.get_u32_le() as usize;
+    let mut arg_types = Vec::with_capacity(nargs.min(64));
+    for _ in 0..nargs {
+        arg_types.push(get_str(buf, "arg type")?);
+    }
+    let policy = get_str(buf, "guard policy")?;
+    need(buf, 8 * 5 + 1, "guard limits")?;
+    let guard = GuardSpec {
+        policy,
+        call_budget_ms: buf.get_u64_le(),
+        max_pplan_bytes: buf.get_u64_le(),
+        max_buckets_per_key: buf.get_u64_le(),
+        max_assign_fanout: buf.get_u64_le(),
+        check_sample: buf.get_u64_le(),
+    };
+    let memory_budget_rows = match buf.get_u8() {
+        0 => None,
+        1 => {
+            need(buf, 8, "memory budget")?;
+            Some(buf.get_u64_le())
+        }
+        other => {
+            return Err(FudjError::Wire(format!(
+                "bad memory-budget tag {other} in join spec"
+            )))
+        }
+    };
+    Ok(JoinSpec {
+        name,
+        library,
+        class,
+        arg_types,
+        guard,
+        memory_budget_rows,
+    })
 }
 
 impl WalRecord {
@@ -285,26 +354,7 @@ impl WalRecord {
             }
             WalRecord::CreateJoin(spec) => {
                 buf.put_u8(KIND_CREATE_JOIN);
-                put_str(buf, &spec.name);
-                put_str(buf, &spec.library);
-                put_str(buf, &spec.class);
-                buf.put_u32_le(spec.arg_types.len() as u32);
-                for t in &spec.arg_types {
-                    put_str(buf, t);
-                }
-                put_str(buf, &spec.guard.policy);
-                buf.put_u64_le(spec.guard.call_budget_ms);
-                buf.put_u64_le(spec.guard.max_pplan_bytes);
-                buf.put_u64_le(spec.guard.max_buckets_per_key);
-                buf.put_u64_le(spec.guard.max_assign_fanout);
-                buf.put_u64_le(spec.guard.check_sample);
-                match spec.memory_budget_rows {
-                    Some(b) => {
-                        buf.put_u8(1);
-                        buf.put_u64_le(b);
-                    }
-                    None => buf.put_u8(0),
-                }
+                put_join_spec(buf, spec);
             }
             WalRecord::DropJoin { name } => {
                 buf.put_u8(KIND_DROP_JOIN);
@@ -388,47 +438,7 @@ impl WalRecord {
                 }
                 WalRecord::Append { table, rows }
             }
-            KIND_CREATE_JOIN => {
-                let name = get_str(buf, "join name")?;
-                let library = get_str(buf, "library")?;
-                let class = get_str(buf, "class")?;
-                need(buf, 4, "arg count")?;
-                let nargs = buf.get_u32_le() as usize;
-                let mut arg_types = Vec::with_capacity(nargs.min(64));
-                for _ in 0..nargs {
-                    arg_types.push(get_str(buf, "arg type")?);
-                }
-                let policy = get_str(buf, "guard policy")?;
-                need(buf, 8 * 5 + 1, "guard limits")?;
-                let guard = GuardSpec {
-                    policy,
-                    call_budget_ms: buf.get_u64_le(),
-                    max_pplan_bytes: buf.get_u64_le(),
-                    max_buckets_per_key: buf.get_u64_le(),
-                    max_assign_fanout: buf.get_u64_le(),
-                    check_sample: buf.get_u64_le(),
-                };
-                let memory_budget_rows = match buf.get_u8() {
-                    0 => None,
-                    1 => {
-                        need(buf, 8, "memory budget")?;
-                        Some(buf.get_u64_le())
-                    }
-                    other => {
-                        return Err(FudjError::Wire(format!(
-                            "bad memory-budget tag {other} in join spec"
-                        )))
-                    }
-                };
-                WalRecord::CreateJoin(JoinSpec {
-                    name,
-                    library,
-                    class,
-                    arg_types,
-                    guard,
-                    memory_budget_rows,
-                })
-            }
+            KIND_CREATE_JOIN => WalRecord::CreateJoin(get_join_spec(buf)?),
             KIND_DROP_JOIN => WalRecord::DropJoin {
                 name: get_str(buf, "join name")?,
             },

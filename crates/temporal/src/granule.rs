@@ -82,12 +82,6 @@ impl GranuleTimeline {
         self.granules
     }
 
-    /// Granule length.
-    #[inline]
-    pub fn granule_len(&self) -> i64 {
-        self.d
-    }
-
     /// Granule index of time `t`, clamped into `[0, granules)` so every
     /// record gets a bucket even if it falls outside the summarized range
     /// (possible only when summaries were computed on a different snapshot).

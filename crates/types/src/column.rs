@@ -1,5 +1,5 @@
 //! Columnar batches: typed column vectors, selection bitmaps, and a
-//! columnar wire codec.
+//! columnar reader over the row wire format.
 //!
 //! The columnar execution mode keeps data in [`ColumnVec`]s — one typed
 //! vector per column — so operators run cache-friendly strides over
@@ -7,18 +7,17 @@
 //! [`SelectionBitmap`] carries filter verdicts between kernels without
 //! materializing survivors until a pipeline boundary.
 //!
-//! The wire codec here is **byte-identical** to the row codec in
-//! [`crate::wire`]: [`encode_columnar`] walks a [`ColumnarBatch`]
-//! row-major and emits exactly the bytes `wire::encode_batch` would emit
-//! for the same rows. Every byte-accounting pin (the 13-byte single-i64
-//! row, shuffle/broadcast byte counters) therefore holds in both
-//! execution modes by construction.
+//! On the wire there is one format, the row codec in [`crate::wire`]:
+//! [`ColumnReader`] decodes a stream of wire rows straight into columns,
+//! so every byte-accounting pin (the 13-byte single-i64 row,
+//! shuffle/broadcast byte counters) holds in both execution modes by
+//! construction.
 
 use crate::error::{FudjError, Result};
 use crate::row::Row;
 use crate::value::Value;
 use crate::wire;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use std::sync::Arc;
 
 /// One column of values. Homogeneous primitive columns get a typed
@@ -177,30 +176,6 @@ impl ColumnVec {
     pub fn to_values(&self) -> Vec<Value> {
         (0..self.len()).map(|i| self.value(i)).collect()
     }
-
-    /// The typed `i64` slice, when this is a homogeneous int column.
-    pub fn as_i64s(&self) -> Option<&[i64]> {
-        match self {
-            ColumnVec::Int64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The typed `f64` slice, when this is a homogeneous float column.
-    pub fn as_f64s(&self) -> Option<&[f64]> {
-        match self {
-            ColumnVec::Float64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The typed string slice, when this is a homogeneous string column.
-    pub fn as_strs(&self) -> Option<&[Arc<str>]> {
-        match self {
-            ColumnVec::Str(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 impl Default for ColumnVec {
@@ -324,19 +299,6 @@ pub struct ColumnarBatch {
 }
 
 impl ColumnarBatch {
-    /// Batch from pre-built columns.
-    ///
-    /// # Panics
-    /// Panics (debug builds) when column lengths disagree.
-    pub fn from_columns(columns: Vec<ColumnVec>) -> Self {
-        let rows = columns.first().map(ColumnVec::len).unwrap_or(0);
-        debug_assert!(
-            columns.iter().all(|c| c.len() == rows),
-            "ragged columnar batch"
-        );
-        ColumnarBatch { columns, rows }
-    }
-
     /// Transpose rows into columns. All rows must share one width; a
     /// ragged input is a caller bug surfaced as an error (the row layout
     /// tolerates ragged streams, the columnar layout cannot).
@@ -361,16 +323,6 @@ impl ColumnarBatch {
             columns,
             rows: rows.len(),
         })
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
     }
 
     /// Whether the batch holds no rows.
@@ -418,50 +370,6 @@ impl ColumnarBatch {
     }
 }
 
-/// Encode a columnar batch with **exactly** the bytes
-/// [`wire::encode_batch`] emits for the equivalent rows: a `u32` row
-/// count, then each row as a `u32` width plus tagged values, walked
-/// row-major across the columns.
-pub fn encode_columnar(batch: &ColumnarBatch) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + batch.num_rows() * 32);
-    buf.put_u32_le(batch.num_rows() as u32);
-    for i in 0..batch.num_rows() {
-        buf.put_u32_le(batch.num_columns() as u32);
-        for col in batch.columns() {
-            // Cloning the value is an `Arc` bump for large payloads;
-            // delegating to `wire::encode_value` keeps byte-identity
-            // with the row codec by construction.
-            wire::encode_value(&col.value(i), &mut buf);
-        }
-    }
-    buf.freeze()
-}
-
-/// Decode a batch produced by [`encode_columnar`] or
-/// [`wire::encode_batch`] straight into columns, without materializing
-/// intermediate rows. Rejects ragged rows and trailing bytes.
-pub fn decode_columnar(mut bytes: Bytes) -> Result<ColumnarBatch> {
-    let n = {
-        if bytes.remaining() < 4 {
-            return Err(FudjError::Wire(
-                "truncated input reading batch count".into(),
-            ));
-        }
-        bytes.get_u32_le() as usize
-    };
-    let mut reader = ColumnReader::new();
-    for _ in 0..n {
-        reader.read_row(&mut bytes)?;
-    }
-    if bytes.has_remaining() {
-        return Err(FudjError::Wire(format!(
-            "{} trailing bytes after batch",
-            bytes.remaining()
-        )));
-    }
-    Ok(reader.finish())
-}
-
 /// Incremental columnar decoder over a stream of wire-format rows (the
 /// exchange framing: rows back to back, no count prefix). Values land
 /// directly in column vectors; the underlying [`Bytes`] window is a
@@ -485,7 +393,7 @@ impl ColumnReader {
 
     /// Read one wire-format row into the columns. The first row fixes
     /// the batch width; later rows must match it.
-    pub fn read_row(&mut self, buf: &mut impl Buf) -> Result<()> {
+    fn read_row(&mut self, buf: &mut impl Buf) -> Result<()> {
         if buf.remaining() < 4 {
             return Err(FudjError::Wire("truncated input reading row width".into()));
         }
@@ -525,9 +433,7 @@ impl ColumnReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::Batch;
-    use crate::schema::{Field, Schema};
-    use crate::DataType;
+    use bytes::BytesMut;
 
     fn rows_of(values: Vec<Vec<Value>>) -> Vec<Row> {
         values.into_iter().map(Row::new).collect()
@@ -640,41 +546,6 @@ mod tests {
             p.to_rows(),
             rows_of(vec![vec![Value::Bool(true), Value::Int64(1)]])
         );
-    }
-
-    #[test]
-    fn columnar_codec_is_byte_identical_to_row_codec() {
-        let schema = Schema::shared(vec![
-            Field::new("a", DataType::Int64),
-            Field::new("b", DataType::String),
-        ]);
-        let rows = rows_of(vec![
-            vec![Value::Int64(-3), Value::str("one")],
-            vec![Value::Int64(99), Value::Null],
-        ]);
-        let row_bytes = wire::encode_batch(&Batch::new(schema, rows.clone()));
-        let col_bytes = encode_columnar(&ColumnarBatch::from_rows(&rows).unwrap());
-        assert_eq!(row_bytes, col_bytes);
-        let back = decode_columnar(col_bytes).unwrap();
-        assert_eq!(back.to_rows(), rows);
-    }
-
-    #[test]
-    fn columnar_codec_preserves_the_13_byte_pin() {
-        // One single-i64 row: 4 (count) + 4 (width) + 1 (tag) + 8 = 17
-        // for the batch; the row alone is the pinned 13 bytes.
-        let rows = rows_of(vec![vec![Value::Int64(7)]]);
-        let bytes = encode_columnar(&ColumnarBatch::from_rows(&rows).unwrap());
-        assert_eq!(bytes.len(), 4 + 13);
-    }
-
-    #[test]
-    fn decode_columnar_rejects_trailing_bytes() {
-        let rows = rows_of(vec![vec![Value::Int64(7)]]);
-        let bytes = encode_columnar(&ColumnarBatch::from_rows(&rows).unwrap());
-        let mut extended = BytesMut::from(&bytes[..]);
-        extended.put_u8(0xEE);
-        assert!(decode_columnar(extended.freeze()).is_err());
     }
 
     #[test]

@@ -184,16 +184,6 @@ impl Batch {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Consume into rows.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows
-    }
-
-    /// Mutable row access (used by in-place operators like sort).
-    pub fn rows_mut(&mut self) -> &mut Vec<Row> {
-        &mut self.rows
-    }
 }
 
 #[cfg(test)]

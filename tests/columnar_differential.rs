@@ -14,7 +14,7 @@ use fudj_repro::core::{
     UdfStats,
 };
 use fudj_repro::exec::{
-    Cluster, CounterFingerprint, ExecMode, FaultConfig, FudjJoinNode, PhysicalPlan,
+    Cluster, CounterFingerprint, ExecMode, ExecOptions, FaultConfig, FudjJoinNode, PhysicalPlan,
 };
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
@@ -26,8 +26,8 @@ use std::sync::Arc;
 
 const WORKERS: usize = 3;
 
-/// The seed matrix: `CHAOS_SEEDS=1,2,3` overrides (the CI columnar job
-/// pins the same fixed matrix as the chaos job).
+/// The seed matrix: `CHAOS_SEEDS=1,2,3` overrides (CI's `differentials` job
+/// pins one fixed matrix for every suite).
 fn seeds() -> Vec<u64> {
     match std::env::var("CHAOS_SEEDS") {
         Ok(s) => {
@@ -221,13 +221,20 @@ fn plan(w: &Workload, budget: Option<usize>) -> PhysicalPlan {
     PhysicalPlan::FudjJoin(node)
 }
 
+fn pinned(mode: ExecMode) -> ExecOptions {
+    ExecOptions {
+        mode: Some(mode),
+        ..ExecOptions::default()
+    }
+}
+
 /// Execute under one mode; sorted result rows + the counter fingerprint.
 fn run_mode(
     cluster: &Cluster,
     plan: &PhysicalPlan,
     mode: ExecMode,
 ) -> (Vec<Row>, CounterFingerprint) {
-    let (batch, metrics) = cluster.execute_mode(plan, Some(mode)).unwrap();
+    let (batch, metrics) = cluster.execute_with(plan, pinned(mode)).unwrap();
     let snap = metrics.snapshot();
     assert_eq!(snap.exec_mode, mode, "snapshot must report the pinned mode");
     let mut rows = batch.rows().to_vec();
@@ -356,7 +363,7 @@ fn quarantined_evil_join_agrees_across_modes() {
         ))
     };
     let run = |cluster: &Cluster, mode: ExecMode| -> (Vec<(i64, i64)>, UdfStats) {
-        let (batch, metrics) = cluster.execute_mode(&guarded_plan(), Some(mode)).unwrap();
+        let (batch, metrics) = cluster.execute_with(&guarded_plan(), pinned(mode)).unwrap();
         let mut pairs: Vec<(i64, i64)> = batch
             .rows()
             .iter()

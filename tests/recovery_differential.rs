@@ -15,7 +15,7 @@
 //!   replay fallback and the answer still matches.
 //!
 //! Like the chaos suite, the death schedule is a pure function of the
-//! seed: `RECOVERY_SEEDS=<seeds> cargo test --test recovery_differential`
+//! seed: `CHAOS_SEEDS=<seeds> cargo test --test recovery_differential`
 //! replays any matrix deterministically.
 
 use fudj_repro::core::{EngineJoin, FaultConfig, FudjEngineJoin, JoinAlgorithm, ProxyJoin};
@@ -38,13 +38,12 @@ fn deaths_only(seed: u64) -> FaultConfig {
     }
 }
 
-/// The seed matrix (`RECOVERY_SEEDS=1,2,3` overrides, mirroring
-/// `CHAOS_SEEDS` in the chaos suite).
+/// The seed matrix (`CHAOS_SEEDS=1,2,3` overrides, as in the chaos suite).
 fn seeds() -> Vec<u64> {
-    match std::env::var("RECOVERY_SEEDS") {
+    match std::env::var("CHAOS_SEEDS") {
         Ok(s) => s
             .split(',')
-            .map(|t| t.trim().parse().expect("RECOVERY_SEEDS must be u64s"))
+            .map(|t| t.trim().parse().expect("CHAOS_SEEDS must be u64s"))
             .collect(),
         Err(_) => (0..10).map(|i| 4_242 + 131 * i).collect(),
     }
