@@ -398,12 +398,11 @@ impl Repl {
                         .unwrap_or_default();
                     let _ = writeln!(
                         out,
-                        "job {}  {:<9} prio {}  stages {}/{}  sim {} ms{}  {}",
+                        "job {}  {:<9} prio {}  batches {}  sim {} ms{}  {}",
                         j.id,
                         j.state.to_string(),
                         j.priority,
-                        j.stages_done,
-                        j.stages_total,
+                        j.batches,
                         j.sim_clock_ms,
                         deadline,
                         j.label,
@@ -936,6 +935,31 @@ mod tests {
         // SET knobs flow through statements into the scheduler.
         r.run_statement("SET max_inflight_queries = 2;");
         assert_eq!(r.session().scheduler().config().max_inflight, 2);
+    }
+
+    /// `\jobs` progress is the count of pool batches the job's gate let
+    /// through — there is no predicted total it could overshoot (a stage
+    /// model beside the engine once made this line read `stages 24/18`).
+    #[test]
+    fn jobs_line_of_a_finished_join_reports_batches_dispatched() {
+        let mut r = Repl::new(4);
+        r.run_meta("sample", &["200".into()]);
+        let args: Vec<String> = "SELECT p.id, COUNT(w.id) AS fires FROM Parks p, Wildfires w \
+                                 WHERE ST_Contains(p.boundary, w.location) GROUP BY p.id"
+            .split_whitespace()
+            .map(str::to_owned)
+            .collect();
+        assert!(r.run_meta("submit", &args).contains("job 1 submitted"));
+        assert!(!r.run_meta("await", &["1".into()]).contains("error"));
+
+        let jobs = r.run_meta("jobs", &[]);
+        let fields: Vec<&str> = jobs.split_whitespace().collect();
+        assert_eq!(fields[..5], ["job", "1", "done", "prio", "1"], "{jobs}");
+        assert_eq!(fields[5], "batches", "{jobs}");
+        let batches: usize = fields[6].parse().expect("a plain count, not done/total");
+        let job = r.session().scheduler().job(1).expect("job 1 is listed");
+        assert_eq!(batches, job.batches);
+        assert!(batches > 0, "a join dispatches pool batches: {jobs}");
     }
 
     #[test]

@@ -194,11 +194,10 @@ pub trait EngineJoin: Send + Sync {
 
     /// Bucket ids for a whole key slice: `each(i, buckets)` is called once
     /// per key, in order, with that key's sorted, deduplicated bucket
-    /// list. The columnar executor calls this once per partition stride
-    /// instead of once per row, amortizing the call boundary the paper's
-    /// §VII-B measures; batch-aware operators can override it to assign a
-    /// slice in one pass. The default loops [`EngineJoin::assign`], so a
-    /// guarded join keeps its per-call panic/violation attribution.
+    /// list. The executor's ASSIGN/UNNEST calls this once per partition.
+    /// The default loops [`EngineJoin::assign`] — one UDF crossing per
+    /// key — so a guarded join keeps its per-call panic/violation
+    /// attribution.
     fn assign_slice(
         &self,
         side: Side,

@@ -1,175 +1,46 @@
-//! Columnar evaluation kernels — the stride implementations behind
-//! [`ExecMode::Columnar`].
+//! Typed evaluation kernels over row slices.
 //!
-//! Every kernel here has a row-mode twin and must agree with it
-//! bit-for-bit: same output rows, same errors, same accumulator states
-//! (f64 sums are order-sensitive, so strides fold values in row order
-//! within each group, exactly as the row path does). The typed fast paths
-//! mirror [`Value`]'s total order — same-variant `Int64` comparison goes
-//! through f64 `total_cmp` because the numeric variants share one number
-//! line — so a stride can never disagree with the interpreted comparison.
-//! `tests/columnar_differential.rs` pins all of this against the row path.
+//! The filter and the projection are the one kernel both execution modes
+//! run. [`partial_aggregate`] is the one typed fast path
+//! [`ExecMode::Columnar`] gates, and it must agree with the row fold it
+//! shadows bit-for-bit: same output rows, same errors, same accumulator
+//! states (f64 sums are order-sensitive, so it folds values in row order
+//! within each group, exactly as the row path does).
+//! `tests/columnar_differential.rs` pins that. The typed arms mirror
+//! [`Value`]'s total order — same-variant `Int64` comparison goes through
+//! f64 `total_cmp` because the numeric variants share one number line —
+//! so they can never disagree with the interpreted comparison.
 
 use crate::aggregate::Accumulator;
 use crate::mode::ExecMode;
 use crate::plan::{AggFunc, Aggregate, ColumnCompare};
-use fudj_types::{Result, Row, SelectionBitmap, Value};
+use fudj_types::{Result, Row, Value};
 use std::collections::HashMap;
 
-/// Apply a compiled conjunction of column comparisons to one partition.
-pub fn filter_rows(rows: Vec<Row>, compares: &[ColumnCompare], mode: ExecMode) -> Vec<Row> {
-    match mode {
-        ExecMode::Row => rows
-            .into_iter()
-            .filter(|r| compares.iter().all(|c| c.eval_row(r)))
-            .collect(),
-        ExecMode::Columnar => filter_columnar(rows, compares),
-    }
+/// Apply a compiled conjunction of column comparisons to one partition:
+/// one pass, short-circuiting at the first comparison a row fails, rows
+/// kept in input order. `_mode` is ignored — both execution modes run
+/// this kernel; the parameter stays for callers compiled against the
+/// two-mode signature.
+pub fn filter_rows(mut rows: Vec<Row>, compares: &[ColumnCompare], _mode: ExecMode) -> Vec<Row> {
+    rows.retain(|row| compares.iter().all(|c| holds(c, row)));
+    rows
 }
 
-fn filter_columnar(rows: Vec<Row>, compares: &[ColumnCompare]) -> Vec<Row> {
-    if rows.is_empty() || compares.is_empty() {
-        return rows;
-    }
-    // A lone comparison needs no selection bitmap: fuse the typed
-    // evaluation with the materialization so the batch is traversed once
-    // instead of twice (bitmap pass + gather pass).
-    if let [only] = compares {
-        return filter_single(rows, only);
-    }
-    let mut sel = compare_bitmap(&rows, &compares[0]);
-    for cmp in &compares[1..] {
-        if sel.count_ones() == 0 {
-            break;
-        }
-        refine_bitmap(&rows, cmp, &mut sel);
-    }
-    if sel.count_ones() == rows.len() {
-        return rows;
-    }
-    let mut out = Vec::with_capacity(sel.count_ones());
-    for (i, row) in rows.into_iter().enumerate() {
-        if sel.get(i) {
-            out.push(row);
-        }
-    }
-    out
-}
-
-/// Single-comparison filter, fused with materialization. The typed arm
-/// and the interpreted arm decide identically (`Value`'s numeric order
-/// is the same f64 `total_cmp` widening), so mixing them per row is
-/// safe — there is no cross-row state.
-fn filter_single(rows: Vec<Row>, cmp: &ColumnCompare) -> Vec<Row> {
-    let col = cmp.column;
-    let mut out = Vec::with_capacity(rows.len());
-    match &cmp.literal {
-        Value::Int64(lit) => {
-            let litf = *lit as f64;
-            for row in rows {
-                let keep = match row.get(col) {
-                    Value::Int64(x) => cmp.op.matches((*x as f64).total_cmp(&litf)),
-                    v => cmp.op.matches(v.cmp(&cmp.literal)),
-                };
-                if keep {
-                    out.push(row);
-                }
-            }
-        }
-        _ => {
-            for row in rows {
-                if cmp.op.matches(row.get(col).cmp(&cmp.literal)) {
-                    out.push(row);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// One comparison over a whole column stride. The typed loops are
-/// optimistic: the first value of an unexpected variant abandons the
-/// stride and the whole column re-runs through the interpreted loop, so
-/// the common all-one-type column pays exactly one pass (no separate
-/// type-scan) and a mixed column costs at most one wasted partial pass.
-fn compare_bitmap(rows: &[Row], cmp: &ColumnCompare) -> SelectionBitmap {
-    let col = cmp.column;
-    match &cmp.literal {
-        // Int64 stride: `Value`'s numeric variants compare through f64
-        // `total_cmp`, so the typed loop must widen exactly the same way.
-        Value::Int64(lit) => {
-            let litf = *lit as f64;
-            let mut sel = SelectionBitmap::new();
-            for row in rows {
-                let Value::Int64(x) = row.get(col) else {
-                    return interpreted_bitmap(rows, cmp);
-                };
-                sel.push(cmp.op.matches((*x as f64).total_cmp(&litf)));
-            }
-            sel
-        }
-        Value::Float64(lit) => {
-            let mut sel = SelectionBitmap::new();
-            for row in rows {
-                let Value::Float64(x) = row.get(col) else {
-                    return interpreted_bitmap(rows, cmp);
-                };
-                sel.push(cmp.op.matches(x.total_cmp(lit)));
-            }
-            sel
-        }
-        Value::Str(lit) => {
-            let mut sel = SelectionBitmap::new();
-            for row in rows {
-                let Value::Str(x) = row.get(col) else {
-                    return interpreted_bitmap(rows, cmp);
-                };
-                sel.push(cmp.op.matches(x.as_ref().cmp(lit.as_ref())));
-            }
-            sel
-        }
-        _ => interpreted_bitmap(rows, cmp),
-    }
-}
-
-/// Interpreted per-row comparison — the fallback for mixed columns and
-/// exotic literals, and the semantic reference the typed strides mirror.
-fn interpreted_bitmap(rows: &[Row], cmp: &ColumnCompare) -> SelectionBitmap {
-    let mut sel = SelectionBitmap::new();
-    for row in rows {
-        sel.push(cmp.op.matches(row.get(cmp.column).cmp(&cmp.literal)));
-    }
-    sel
-}
-
-/// AND one more comparison into an existing selection, evaluating only
-/// rows that are still selected. A conjunction is order-insensitive, so
-/// skipping dead rows cannot change the result — it only avoids the
-/// comparisons the row engine's short-circuit would also skip.
-fn refine_bitmap(rows: &[Row], cmp: &ColumnCompare, sel: &mut SelectionBitmap) {
-    let col = cmp.column;
-    let mut next = SelectionBitmap::new();
-    match &cmp.literal {
-        Value::Int64(lit) => {
-            let litf = *lit as f64;
-            for (i, row) in rows.iter().enumerate() {
-                let keep = sel.get(i) && {
-                    let Value::Int64(x) = row.get(col) else {
-                        sel.and_with(&interpreted_bitmap(rows, cmp));
-                        return;
-                    };
-                    cmp.op.matches((*x as f64).total_cmp(&litf))
-                };
-                next.push(keep);
-            }
-        }
-        _ => {
-            for (i, row) in rows.iter().enumerate() {
-                next.push(sel.get(i) && cmp.op.matches(row.get(col).cmp(&cmp.literal)));
-            }
-        }
-    }
-    *sel = next;
+/// One comparison on one row. The same-variant arms skip [`Value::cmp`]'s
+/// variant dispatch and decide exactly as it does (`Int64` widens through
+/// f64 `total_cmp`); any other pairing falls back to it per value, so a
+/// mixed column costs nothing extra and the result can never differ from
+/// [`ColumnCompare::eval_row`].
+#[inline]
+fn holds(cmp: &ColumnCompare, row: &Row) -> bool {
+    let ord = match (row.get(cmp.column), &cmp.literal) {
+        (Value::Int64(x), Value::Int64(lit)) => (*x as f64).total_cmp(&(*lit as f64)),
+        (Value::Float64(x), Value::Float64(lit)) => x.total_cmp(lit),
+        (Value::Str(x), Value::Str(lit)) => x.as_ref().cmp(lit.as_ref()),
+        (v, lit) => v.cmp(lit),
+    };
+    cmp.op.matches(ord)
 }
 
 /// Pure column projection. A row projection is already a column gather
@@ -339,6 +210,21 @@ mod tests {
         }
     }
 
+    /// The kernel's definition: every `eval_row` holds, input order kept.
+    fn reference(rows: &[Row], compares: &[ColumnCompare]) -> Vec<Row> {
+        rows.iter()
+            .filter(|r| compares.iter().all(|c| c.eval_row(r)))
+            .cloned()
+            .collect()
+    }
+
+    /// The kernel under both mode arguments, which it must ignore.
+    fn filter(rows: &[Row], compares: &[ColumnCompare]) -> Vec<Row> {
+        let out = filter_rows(rows.to_vec(), compares, ExecMode::Columnar);
+        assert_eq!(out, filter_rows(rows.to_vec(), compares, ExecMode::Row));
+        out
+    }
+
     #[test]
     fn filter_modes_agree_on_typed_and_mixed_columns() {
         let mut rows = rows_of(&[1, 5, 3, 9, 5, -2]);
@@ -352,10 +238,14 @@ mod tests {
             CmpOp::Gt,
             CmpOp::GtEq,
         ] {
-            let compares = vec![cmp(0, op, Value::Int64(4))];
-            let r = filter_rows(rows.clone(), &compares, ExecMode::Row);
-            let c = filter_rows(rows.clone(), &compares, ExecMode::Columnar);
-            assert_eq!(r, c, "op {op:?}");
+            for lit in [Value::Int64(4), Value::Float64(4.5), Value::Null] {
+                let compares = vec![cmp(0, op, lit.clone())];
+                assert_eq!(
+                    filter(&rows, &compares),
+                    reference(&rows, &compares),
+                    "op {op:?} literal {lit:?}"
+                );
+            }
         }
     }
 
@@ -366,12 +256,10 @@ mod tests {
             cmp(0, CmpOp::Gt, Value::Int64(2)),
             cmp(1, CmpOp::Lt, Value::Int64(80)),
         ];
-        let got = filter_rows(rows.clone(), &compares, ExecMode::Columnar);
-        let want: Vec<Row> = rows
-            .into_iter()
-            .filter(|r| compares.iter().all(|c| c.eval_row(r)))
-            .collect();
-        assert_eq!(got, want);
+        let got = filter(&rows, &compares);
+        assert_eq!(got, reference(&rows, &compares));
+        assert_eq!(got.len(), 4);
+        assert_eq!(filter(&rows, &[]), rows, "no compares keeps every row");
     }
 
     #[test]
@@ -381,10 +269,9 @@ mod tests {
             .map(|s| Row::new(vec![Value::str(*s)]))
             .collect();
         let compares = vec![cmp(0, CmpOp::GtEq, Value::str("fig"))];
-        let r = filter_rows(rows.clone(), &compares, ExecMode::Row);
-        let c = filter_rows(rows, &compares, ExecMode::Columnar);
-        assert_eq!(r, c);
-        assert_eq!(c.len(), 2);
+        let got = filter(&rows, &compares);
+        assert_eq!(got, reference(&rows, &compares));
+        assert_eq!(got.len(), 2);
     }
 
     #[test]

@@ -31,10 +31,9 @@
 
 use crate::fault::FaultContext;
 use crate::metrics::QueryMetrics;
-use crate::mode::ExecMode;
 use crate::pool::WorkerPool;
 use bytes::{Bytes, BytesMut};
-use fudj_types::{wire, ColumnReader, Result, Row};
+use fudj_types::{wire, Result, Row};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -323,19 +322,7 @@ pub fn gather(parts: Parts, pool: &WorkerPool, metrics: &QueryMetrics) -> Result
         }
         moved_bytes += buf.len() as u64;
         let mut b = buf;
-        // Columnar mode rebuilds each inbound stream as typed columns
-        // through the zero-copy reader; same bytes, same rows, same
-        // order — the counters cannot tell the difference.
-        moved_rows += match metrics.exec_mode() {
-            ExecMode::Columnar => {
-                let mut reader = ColumnReader::new();
-                reader.read_stream(&mut b)?;
-                let n = reader.rows();
-                out.extend(reader.finish().to_rows());
-                n as u64
-            }
-            ExecMode::Row => decode_all(&mut b, &mut out)? as u64,
-        };
+        moved_rows += decode_all(&mut b, &mut out)? as u64;
     }
     // The coordinator receives everything over its single link.
     metrics.charge_network(moved_bytes);
@@ -473,6 +460,34 @@ mod tests {
             s.per_worker[0].rows, 2,
             "gathered rows land on the coordinator"
         );
+    }
+
+    /// The decode every receiver (gather's coordinator included) runs on
+    /// an inbound buffer: bytes cut off mid-row are an error, never a panic.
+    #[test]
+    fn truncated_inbound_buffer_is_a_wire_error() {
+        let mut buf = BytesMut::new();
+        let rows = [
+            Row::new(vec![Value::Int64(7), Value::str("seven")]),
+            Row::new(vec![Value::Null, Value::Float64(0.5)]),
+        ];
+        let mut boundaries = vec![0];
+        for row in &rows {
+            wire::encode_row(row, &mut buf);
+            boundaries.push(buf.len());
+        }
+        let whole = buf.freeze();
+        for cut in 0..=whole.len() {
+            let mut out = Vec::new();
+            let got = decode_all(&mut whole.slice(..cut), &mut out);
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(n) => assert_eq!(got.unwrap(), n, "cut at a row boundary"),
+                None => assert!(
+                    matches!(got, Err(fudj_types::FudjError::Wire(_))),
+                    "cut {cut}: {got:?}"
+                ),
+            }
+        }
     }
 
     #[test]

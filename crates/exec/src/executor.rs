@@ -245,9 +245,8 @@ impl Cluster {
 
             PhysicalPlan::VecFilter { input, compares } => {
                 let parts = self.execute_partitioned(input, metrics)?;
-                let mode = metrics.exec_mode();
                 self.parallel_map(metrics, parts, |rows| {
-                    Ok(columnar::filter_rows(rows, compares, mode))
+                    Ok(columnar::filter_rows(rows, compares, ExecMode::default()))
                 })
             }
 
@@ -367,7 +366,7 @@ impl Cluster {
         // Step 1: per-worker partial aggregation.
         let partials = self.parallel_map(metrics, parts, |rows| {
             if mode == ExecMode::Columnar {
-                // Stride fast path: single-i64-key grouping with typed
+                // Typed fast path: single-i64-key grouping with typed
                 // accumulation; declines (→ row path) on other shapes.
                 if let Some(out) =
                     columnar::partial_aggregate(&rows, group_by, aggregates, &float_sum)

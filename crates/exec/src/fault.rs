@@ -1,9 +1,10 @@
 //! Deterministic fault injection + recovery bookkeeping for the exec layer.
 //!
 //! A [`FaultContext`] wraps a [`FaultConfig`] (the seed + probabilities +
-//! [`RetryPolicy`] knobs defined in `fudj-core`) and answers one question
-//! for every injection site: *does a fault happen here?* Sites are fully
-//! identified by `(seed, step, worker, task-or-src/dst, attempt)`:
+//! [`fudj_core::RetryPolicy`] knobs defined in `fudj-core`) and answers
+//! one question for every injection site: *does a fault happen here?*
+//! Sites are fully identified by
+//! `(seed, step, worker, task-or-src/dst, attempt)`:
 //!
 //! * `step` is a per-query dispatch counter taken by the coordinator at
 //!   the start of every pool batch and every exchange — the coordinator

@@ -395,7 +395,6 @@ fn assign_and_tag(
     pplan: &PPlanState,
     metrics: &QueryMetrics,
 ) -> Result<PartitionedData> {
-    let mode = metrics.exec_mode();
     cluster.parallel_map(metrics, parts, |rows| {
         // One task = one partition: open a fresh fan-out window for the
         // guard's per-partition assign budget.
@@ -403,33 +402,13 @@ fn assign_and_tag(
             g.begin_partition();
         }
         let mut out = Vec::with_capacity(rows.len());
-        match mode {
-            crate::mode::ExecMode::Columnar => {
-                // Stride path: slice out the key column and cross the UDF
-                // boundary once per partition via `assign_slice` — the
-                // batch-level amortization of the per-call overhead. The
-                // callback sees sorted, deduplicated buckets per key, so
-                // the tagged output is identical to the row path's.
-                let keys: Vec<&Value> = rows.iter().map(|r| r.get(key_col)).collect();
-                join.assign_slice(side, &keys, pplan, &mut |i, buckets| {
-                    for &b in buckets {
-                        out.push(rows[i].with_appended(Value::Int64(b as i64)));
-                    }
-                })?;
+        // The callback sees sorted, deduplicated buckets per key.
+        let keys: Vec<&Value> = rows.iter().map(|r| r.get(key_col)).collect();
+        join.assign_slice(side, &keys, pplan, &mut |i, buckets| {
+            for &b in buckets {
+                out.push(rows[i].with_appended(Value::Int64(b as i64)));
             }
-            crate::mode::ExecMode::Row => {
-                let mut buckets: Vec<BucketId> = Vec::new();
-                for row in rows {
-                    buckets.clear();
-                    join.assign(side, row.get(key_col), pplan, &mut buckets)?;
-                    buckets.sort_unstable();
-                    buckets.dedup();
-                    for &b in &buckets {
-                        out.push(row.with_appended(Value::Int64(b as i64)));
-                    }
-                }
-            }
-        }
+        })?;
         Ok(out)
     })
 }

@@ -1,19 +1,20 @@
 //! Row vs. columnar execution mode.
 //!
-//! The planner emits one plan; the mode only selects the *evaluation
-//! strategy* inside the executor (per-row closure calls vs. typed-column
-//! kernels over [`fudj_types::ColumnVec`] strides). Both strategies are
-//! required to produce bit-identical results and identical logical
-//! rows/bytes counters — `tests/columnar_differential.rs` pins that.
+//! The planner emits one plan, and every operator but one has a single
+//! kernel. The mode selects the *evaluation strategy* of partial
+//! aggregation only: the generic `Vec<Value>`-keyed fold, or the typed
+//! single-`Int64`-key fast path ([`crate::columnar::partial_aggregate`]).
+//! Both are required to produce bit-identical results and identical
+//! logical rows/bytes counters — `tests/columnar_differential.rs` pins that.
 
 use std::fmt;
 
 /// Which evaluation strategy the executor uses for vectorizable operators.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// Per-row closure evaluation (the original pipeline).
+    /// Generic per-row accumulation.
     Row,
-    /// Typed-column kernels with selection bitmaps (the default).
+    /// Typed fast path where the shape qualifies (the default).
     #[default]
     Columnar,
 }

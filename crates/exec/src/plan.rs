@@ -60,7 +60,7 @@ impl CmpOp {
 
 /// One `column <op> literal` comparison of a vectorized filter. Semantics
 /// are [`Value`]'s total order — exactly what the planner's interpreted
-/// `eval_binary` uses — so row and columnar evaluation agree bit-for-bit.
+/// `eval_binary` uses — so the typed kernel and the closure agree bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct ColumnCompare {
     pub column: usize,
@@ -241,9 +241,9 @@ pub enum PhysicalPlan {
         predicate: RowPredicate,
     },
     /// Planner-compiled filter: a conjunction of `column <op> literal`
-    /// comparisons. Row mode evaluates per row; columnar mode builds a
-    /// selection bitmap over typed column strides. Both agree with the
-    /// closure a [`PhysicalPlan::Filter`] would have carried.
+    /// comparisons, evaluated by [`crate::columnar::filter_rows`] in one
+    /// short-circuit pass. It agrees with the closure a
+    /// [`PhysicalPlan::Filter`] would have carried.
     VecFilter {
         input: Box<PhysicalPlan>,
         compares: Vec<ColumnCompare>,

@@ -33,14 +33,14 @@
 //!   calls, while dedup decisions are per-pair and thus unchanged.
 //!
 //! Every spill file lives in its cluster's own [`SpillDir`] and is owned
-//! by an RAII [`SpillFile`] guard that unlinks it on drop, so an error
+//! by an RAII `SpillFile` guard that unlinks it on drop, so an error
 //! anywhere mid-join (a UDF violation under FailFast, an I/O failure)
 //! leaves that directory empty, and dropping the cluster removes it.
 //!
 //! Only default-match joins take the hybrid-hash path: their matches
 //! never cross bucket-hash sub-partitions, so the union of
 //! per-sub-partition joins is exactly the in-memory join. Theta joins
-//! (matches span partitions) spill through [`theta_bnl_join`] instead:
+//! (matches span partitions) spill through `theta_bnl_join` instead:
 //! both sides stream to disk whole and join block against block, which
 //! is sound for any match predicate.
 

@@ -7,8 +7,8 @@
 use fudj_core::{FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm, UdfPolicy};
 use fudj_exec::exchange::{gather, rebalance, route_hash, shuffle_by};
 use fudj_exec::{
-    AggFunc, Aggregate, Cluster, FaultConfig, FudjJoinNode, PhysicalPlan, QueryMetrics, SortKey,
-    WorkerPool,
+    columnar, AggFunc, Aggregate, Cluster, CmpOp, ColumnCompare, ExecMode, FaultConfig,
+    FudjJoinNode, PhysicalPlan, QueryMetrics, SortKey, WorkerPool,
 };
 use fudj_joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_joins::poisoned;
@@ -156,6 +156,59 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// `(id, k)` dataset of Long keys.
+/// A cell or a literal of the filter property: the three typed variants
+/// the kernel fast-paths (drawn from small domains, so equality and ties
+/// actually occur) plus `Null`.
+fn arb_filter_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-3i64..4).prop_map(Value::Int64),
+        (-6i64..7).prop_map(|h| Value::Float64(h as f64 / 2.0)),
+        prop::sample::select(vec!["", "a", "ab", "b"]).prop_map(Value::str),
+        Just(Value::Null),
+    ]
+}
+
+fn arb_compare() -> impl Strategy<Value = ColumnCompare> {
+    let ops = vec![
+        CmpOp::Eq,
+        CmpOp::NotEq,
+        CmpOp::Lt,
+        CmpOp::LtEq,
+        CmpOp::Gt,
+        CmpOp::GtEq,
+    ];
+    (0usize..3, prop::sample::select(ops), arb_filter_value()).prop_map(|(column, op, literal)| {
+        ColumnCompare {
+            column,
+            op,
+            literal,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one filter kernel is its definition: over columns that mix
+    /// `Int64` / `Float64` / `Str` / `Null` cell by cell, it keeps exactly
+    /// the rows on which every `ColumnCompare::eval_row` holds, in input
+    /// order.
+    #[test]
+    fn filter_rows_keeps_exactly_the_rows_every_compare_accepts(
+        cells in prop::collection::vec(prop::collection::vec(arb_filter_value(), 3..4), 0..40),
+        compares in prop::collection::vec(arb_compare(), 0..5),
+    ) {
+        let rows: Vec<Row> = cells.into_iter().map(Row::new).collect();
+        let expected: Vec<Row> = rows
+            .iter()
+            .filter(|r| compares.iter().all(|c| c.eval_row(r)))
+            .cloned()
+            .collect();
+        let got = columnar::filter_rows(rows, &compares, ExecMode::default());
+        prop_assert_eq!(got, expected);
+    }
+}
+
 fn long_keys_dataset(keys: &[i64], partitions: usize) -> Arc<fudj_storage::Dataset> {
     let schema = Schema::shared(vec![
         Field::new("id", DataType::Int64),

@@ -8,8 +8,8 @@
 //! through this crate's [`DispatchGate`], which holds the batch until the
 //! weighted-round-robin policy picks its query and a stage slot is free.
 //! Batches are the engine's natural task boundary (a batch is one stage's
-//! per-partition task fan-out), so interleaving happens exactly where the
-//! task DAG says stages begin.
+//! per-partition task fan-out), so interleaving happens exactly where
+//! stages begin.
 //!
 //! Admission is two-dimensional: at most `max_inflight` queries run at
 //! once, and (optionally) the sum of the running queries' declared
@@ -17,7 +17,6 @@
 //! either limit wait in a bounded FIFO queue; past the queue, submission
 //! fails with [`FudjError::Admission`].
 
-use crate::dag::TaskDag;
 use fudj_exec::{
     Cluster, DispatchGate, ExecMode, ExecOptions, MetricsSnapshot, PhysicalPlan, QueryControl,
 };
@@ -154,10 +153,8 @@ pub struct JobInfo {
     pub state: JobState,
     /// Fair-share priority.
     pub priority: u32,
-    /// Stages (pool batches) dispatched so far.
-    pub stages_done: usize,
-    /// Stages the task DAG predicts in total.
-    pub stages_total: usize,
+    /// Pool batches the dispatch gate has let through so far.
+    pub batches: usize,
     /// The query's simulated clock, in milliseconds.
     pub sim_clock_ms: u64,
     /// The deadline, if one was set.
@@ -236,8 +233,7 @@ struct Job {
     /// Whether the job's coordinator is parked in [`DispatchGate::enter`].
     waiting: bool,
     budget_rows: u64,
-    stages_total: usize,
-    stages_done: usize,
+    batches: usize,
     error: Option<String>,
 }
 
@@ -417,7 +413,7 @@ impl DispatchGate for SchedGate {
         let mut st = self.inner.lock();
         st.slots_in_use = st.slots_in_use.saturating_sub(1);
         if let Some(job) = st.jobs.get_mut(&self.id) {
-            job.stages_done += 1;
+            job.batches += 1;
         }
         drop(st);
         self.inner.cv.notify_all();
@@ -523,7 +519,6 @@ impl Scheduler {
         let id = st.next_id;
         st.next_id += 1;
         let ctrl = Arc::new(QueryControl::new(spec.label.clone(), spec.deadline_ms));
-        let dag = TaskDag::from_plan(&spec.plan, self.cluster.workers());
         st.jobs.insert(
             id,
             Job {
@@ -538,8 +533,7 @@ impl Scheduler {
                 credits: priority,
                 waiting: false,
                 budget_rows: budget,
-                stages_total: dag.stage_count(),
-                stages_done: 0,
+                batches: 0,
                 error: None,
             },
         );
@@ -588,8 +582,7 @@ impl Scheduler {
                 label: job.label.clone(),
                 state: job.state,
                 priority: job.priority,
-                stages_done: job.stages_done,
-                stages_total: job.stages_total,
+                batches: job.batches,
                 sim_clock_ms: job.ctrl.sim_clock_ms(),
                 deadline_ms: job.ctrl.deadline_ms(),
                 error: job.error.clone(),
@@ -749,7 +742,7 @@ mod tests {
         assert_eq!(snap.fingerprint(), serial_metrics.snapshot().fingerprint());
         let job = &sched.jobs()[0];
         assert_eq!(job.state, JobState::Done);
-        assert!(job.stages_done > 0);
+        assert!(job.batches > 0);
         assert!(job.sim_clock_ms > 0, "batches advance the simulated clock");
     }
 
@@ -881,7 +874,7 @@ mod tests {
         assert!(matches!(err, FudjError::Cancelled(_)), "{err}");
         let info = sched.job(2).unwrap();
         assert_eq!(info.state, JobState::Cancelled);
-        assert_eq!(info.stages_done, 0, "cancelled before any dispatch");
+        assert_eq!(info.batches, 0, "cancelled before any dispatch");
 
         release.store(true, Ordering::Release);
         blocker.wait().unwrap();
@@ -963,8 +956,7 @@ mod tests {
                     credits: priority,
                     waiting: true,
                     budget_rows: 0,
-                    stages_total: 100,
-                    stages_done: 0,
+                    batches: 0,
                     error: None,
                 },
             );

@@ -3,11 +3,11 @@
 //! This file is statement dispatch — [`Session::execute`] sends each
 //! parsed statement to the module that owns it:
 //!
-//! * [`settings`] — the one table of knobs behind `SET` and `CREATE JOIN
+//! * `settings` — the one table of knobs behind `SET` and `CREATE JOIN
 //!   … WITH`;
-//! * [`run`] — the one function that turns a planned SELECT into rows,
+//! * `run` — the one function that turns a planned SELECT into rows,
 //!   blocking or through the scheduler;
-//! * [`lifecycle`] — opening, closing and snapshotting the durable store,
+//! * `lifecycle` — opening, closing and snapshotting the durable store,
 //!   and resuming the queries a crash left unfinished.
 
 mod lifecycle;

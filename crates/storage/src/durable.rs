@@ -279,7 +279,7 @@ impl std::fmt::Debug for DurableStore {
 impl DurableStore {
     /// Open (or create) a durable directory and recover its committed
     /// prefix. Unwritable directories fail with a clean
-    /// [`FudjError::Storage`]; corrupt artifacts are quarantined, never
+    /// [`fudj_types::FudjError::Storage`]; corrupt artifacts are quarantined, never
     /// fatal.
     pub fn open(
         dir: impl Into<PathBuf>,

@@ -2,7 +2,7 @@
 //!
 //! Every deterministic counter the engine exposes belongs to one group
 //! (engine, fault, UDF guard, recovery, durability, serving), and each
-//! group is one [`counters!`](crate::counters) table. The stats struct,
+//! group is one [`counters!`](crate::counters!) table. The stats struct,
 //! `any`/`merge`, the `(name, value)` export the journal persists, the
 //! by-name fold a resume seeds from, and the atomic cells worker threads
 //! bump are all generated from that table, so a counter cannot be in the

@@ -16,7 +16,6 @@
 //! * [`counters!`] — the declare-once table every counter group (engine,
 //!   fault, UDF guard, recovery, durability, serving) is generated from.
 
-pub mod column;
 pub mod counters;
 pub mod datatype;
 pub mod error;
@@ -26,7 +25,6 @@ pub mod schema;
 pub mod value;
 pub mod wire;
 
-pub use column::{ColumnReader, ColumnVec, ColumnarBatch, SelectionBitmap};
 pub use datatype::DataType;
 pub use error::{FudjError, Result};
 pub use ext::ExtValue;

@@ -10,58 +10,27 @@
 //! `CHAOS_SEEDS=<seed> cargo test --test chaos_differential`.
 
 use fudj_repro::core::{
-    standalone::run_standalone, EngineJoin, FudjEngineJoin, GuardConfig, GuardedJoin,
-    JoinAlgorithm, ProxyJoin, UdfPolicy, UdfStats,
+    EngineJoin, FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm, ProxyJoin, UdfPolicy,
+    UdfStats,
 };
 use fudj_repro::exec::{Cluster, FaultConfig, FaultStats, FudjJoinNode, PhysicalPlan};
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_repro::joins::poisoned;
 use fudj_repro::joins::{IntervalFudj, SpatialDedup, SpatialFudj, TextSimilarityFudj};
-use fudj_repro::storage::DatasetBuilder;
 use fudj_repro::temporal::Interval;
-use fudj_repro::types::{ext, DataType, ExtValue, Field, Row, Schema, Value};
+use fudj_repro::types::{ExtValue, Value};
 use std::sync::Arc;
+
+mod common;
+use common::{dataset, id_pairs, oracle, Gen};
 
 const WORKERS: usize = 3;
 
-/// The seed matrix: `CHAOS_SEEDS=1,2,3` overrides (the CI chaos job pins
-/// a small fixed matrix; the default local run covers 20 seeds).
+/// The seed matrix (the CI chaos job pins a small fixed matrix through
+/// `CHAOS_SEEDS`; the default local run covers 20 seeds).
 fn seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEEDS") {
-        Ok(s) => {
-            let parsed: Vec<u64> = s
-                .split(',')
-                .map(|t| t.trim().parse().expect("CHAOS_SEEDS must be u64s"))
-                .collect();
-            assert!(!parsed.is_empty(), "CHAOS_SEEDS set but empty");
-            parsed
-        }
-        Err(_) => (0..20).map(|i| 9_001 + 977 * i).collect(),
-    }
-}
-
-/// Tiny deterministic generator for workload data (xorshift64*) — the
-/// *data* must be identical across runs just like the fault schedule.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-
-    fn i64_in(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + (self.next() % (hi - lo) as u64) as i64
-    }
+    common::seeds((0..20).map(|i| 9_001 + 977 * i))
 }
 
 fn polygons(n: usize) -> Vec<Value> {
@@ -102,24 +71,6 @@ fn texts(n: usize, salt: u64) -> Vec<Value> {
             Value::str(ws.join(" "))
         })
         .collect()
-}
-
-/// Wrap keys in an (id, key) dataset split over `parts` partitions.
-fn dataset(name: &str, keys: &[Value], parts: usize) -> Arc<fudj_repro::storage::Dataset> {
-    let dt = keys
-        .first()
-        .map(Value::data_type)
-        .unwrap_or(DataType::Int64);
-    let schema = Schema::shared(vec![Field::new("id", DataType::Int64), Field::new("k", dt)]);
-    let d = DatasetBuilder::new(name, schema)
-        .partitions(parts)
-        .build()
-        .unwrap();
-    for (i, k) in keys.iter().enumerate() {
-        d.insert(Row::new(vec![Value::Int64(i as i64), k.clone()]))
-            .unwrap();
-    }
-    Arc::new(d)
 }
 
 /// One join workload: an engine join, its standalone algorithm, data,
@@ -192,39 +143,7 @@ fn plan(w: &Workload) -> PhysicalPlan {
 /// pairs and the fault counters of the run.
 fn run_on(cluster: &Cluster, w: &Workload) -> (Vec<(i64, i64)>, FaultStats) {
     let (batch, metrics) = cluster.execute(&plan(w)).unwrap();
-    let mut pairs: Vec<(i64, i64)> = batch
-        .rows()
-        .iter()
-        .map(|r| (r.get(0).as_i64().unwrap(), r.get(2).as_i64().unwrap()))
-        .collect();
-    pairs.sort_unstable();
-    (pairs, metrics.snapshot().fault)
-}
-
-/// Fault-free oracle: the paper's standalone single-machine runner.
-fn oracle(w: &Workload) -> Vec<(i64, i64)> {
-    let el: Vec<ExtValue> = w
-        .left
-        .iter()
-        .map(|v| ext::to_external(v).unwrap())
-        .collect();
-    let er: Vec<ExtValue> = w
-        .right
-        .iter()
-        .map(|v| ext::to_external(v).unwrap())
-        .collect();
-    let ep: Vec<ExtValue> = w
-        .params
-        .iter()
-        .map(|v| ext::to_external(v).unwrap())
-        .collect();
-    let mut pairs: Vec<(i64, i64)> = run_standalone(w.alg.as_ref(), &el, &er, &ep)
-        .unwrap()
-        .into_iter()
-        .map(|(i, j)| (i as i64, j as i64))
-        .collect();
-    pairs.sort_unstable();
-    pairs
+    (id_pairs(&batch), metrics.snapshot().fault)
 }
 
 /// The tentpole guarantee: for every library and every seed, the chaotic
@@ -235,7 +154,7 @@ fn chaotic_runs_match_fault_free_oracle_across_seeds() {
     let seeds = seeds();
     let mut total = FaultStats::default();
     for w in workloads() {
-        let expected = oracle(&w);
+        let expected = oracle(w.alg.as_ref(), &w.left, &w.right, &w.params);
         assert!(!expected.is_empty(), "{}: degenerate workload", w.name);
         for &seed in &seeds {
             let cluster = Cluster::with_faults(WORKERS, FaultConfig::chaos(seed));
@@ -285,17 +204,12 @@ fn chaos_with_worker_deaths_still_matches_oracle() {
     let mut deaths = 0;
     let mut restored = 0;
     for w in workloads() {
-        let expected = oracle(&w);
+        let expected = oracle(w.alg.as_ref(), &w.left, &w.right, &w.params);
         for &seed in &seeds {
             let cluster = Cluster::with_faults(WORKERS, FaultConfig::chaos_with_deaths(seed));
             cluster.set_checkpoint_policy(CheckpointPolicy::All);
             let (batch, metrics) = cluster.execute(&plan(&w)).unwrap();
-            let mut pairs: Vec<(i64, i64)> = batch
-                .rows()
-                .iter()
-                .map(|r| (r.get(0).as_i64().unwrap(), r.get(2).as_i64().unwrap()))
-                .collect();
-            pairs.sort_unstable();
+            let pairs = id_pairs(&batch);
             assert_eq!(
                 pairs, expected,
                 "{} diverged from the oracle under death seed {seed}",
@@ -380,13 +294,7 @@ fn quarantined_evil_library_survives_chaos_without_double_counting() {
     };
     let run = |cluster: &Cluster| -> (Vec<(i64, i64)>, UdfStats) {
         let (batch, metrics) = cluster.execute(&guarded_plan()).unwrap();
-        let mut pairs: Vec<(i64, i64)> = batch
-            .rows()
-            .iter()
-            .map(|r| (r.get(0).as_i64().unwrap(), r.get(2).as_i64().unwrap()))
-            .collect();
-        pairs.sort_unstable();
-        (pairs, metrics.snapshot().udf)
+        (id_pairs(&batch), metrics.snapshot().udf)
     };
 
     // Oracle: the equality join minus every pair touching a poisoned key.

@@ -230,14 +230,14 @@ fn pool_survives_guarded_failures_and_keeps_answering() {
     assert_eq!(count_of(&s, JOIN_SQL), oracle(false));
 }
 
-// -- columnar mode: guard semantics must survive the batch UDF boundary -----
+// -- guard semantics do not depend on `exec_mode` ---------------------------
 
-/// Under `exec_mode = columnar` the executor crosses the assign boundary
-/// once per partition stride (`assign_slice`), not once per row. A guarded
-/// evil join panicking mid-stride must still attribute the violation to the
-/// `assign` phase with per-call isolation — FailFast errors identically,
-/// Quarantine drops exactly the poisoned keys, and the counters match the
-/// row-mode run bit for bit.
+/// ASSIGN hands the executor a whole partition of keys (`assign_slice`),
+/// whose default still calls the UDF once per key. A guarded evil join
+/// panicking partway through a partition must attribute the violation to
+/// the `assign` phase with per-call isolation — FailFast errors
+/// identically, Quarantine drops exactly the poisoned keys, and the
+/// counters are the same under either `exec_mode`.
 #[test]
 fn columnar_mode_attributes_mid_stride_panics_to_assign() {
     for mode in ["row", "columnar"] {
@@ -276,8 +276,8 @@ fn columnar_quarantine_matches_row_mode_exactly() {
     assert!(fp_r.udf.assign_violations > 0, "{:?}", fp_r.udf);
 }
 
-/// Pool hygiene under columnar mode: a mid-stride panic must not poison
-/// the worker pool — the same session keeps answering, in both modes.
+/// Pool hygiene: a panic partway through a partition must not poison the
+/// worker pool — the same session keeps answering, in both modes.
 #[test]
 fn pool_stays_healthy_after_columnar_mid_stride_panics() {
     let s = session(3);

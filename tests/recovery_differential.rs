@@ -22,10 +22,13 @@ use fudj_repro::core::{EngineJoin, FaultConfig, FudjEngineJoin, JoinAlgorithm, P
 use fudj_repro::exec::{Cluster, FudjJoinNode, PhysicalPlan, RecoveryStats, WorkerState};
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::{IntervalFudj, SpatialDedup, SpatialFudj};
-use fudj_repro::storage::{CheckpointPolicy, DatasetBuilder};
+use fudj_repro::storage::CheckpointPolicy;
 use fudj_repro::temporal::Interval;
-use fudj_repro::types::{DataType, Field, Row, Schema, Value};
+use fudj_repro::types::Value;
 use std::sync::Arc;
+
+mod common;
+use common::{dataset, id_pairs, Gen};
 
 const WORKERS: usize = 3;
 
@@ -40,52 +43,7 @@ fn deaths_only(seed: u64) -> FaultConfig {
 
 /// The seed matrix (`CHAOS_SEEDS=1,2,3` overrides, as in the chaos suite).
 fn seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEEDS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("CHAOS_SEEDS must be u64s"))
-            .collect(),
-        Err(_) => (0..10).map(|i| 4_242 + 131 * i).collect(),
-    }
-}
-
-/// Deterministic workload data (xorshift64*), as in the chaos suite.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-
-    fn i64_in(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + (self.next() % (hi - lo) as u64) as i64
-    }
-}
-
-fn dataset(name: &str, keys: &[Value]) -> Arc<fudj_repro::storage::Dataset> {
-    let dt = keys
-        .first()
-        .map(Value::data_type)
-        .unwrap_or(DataType::Int64);
-    let schema = Schema::shared(vec![Field::new("id", DataType::Int64), Field::new("k", dt)]);
-    let d = DatasetBuilder::new(name, schema)
-        .partitions(WORKERS)
-        .build()
-        .unwrap();
-    for (i, k) in keys.iter().enumerate() {
-        d.insert(Row::new(vec![Value::Int64(i as i64), k.clone()]))
-            .unwrap();
-    }
-    Arc::new(d)
+    common::seeds((0..10).map(|i| 4_242 + 131 * i))
 }
 
 struct Workload {
@@ -142,10 +100,10 @@ fn workloads() -> Vec<Workload> {
 fn plan(w: &Workload) -> PhysicalPlan {
     PhysicalPlan::FudjJoin(FudjJoinNode::new(
         PhysicalPlan::Scan {
-            dataset: dataset("l", &w.left),
+            dataset: dataset("l", &w.left, WORKERS),
         },
         PhysicalPlan::Scan {
-            dataset: dataset("r", &w.right),
+            dataset: dataset("r", &w.right, WORKERS),
         },
         w.engine.clone(),
         1,
@@ -157,13 +115,7 @@ fn plan(w: &Workload) -> PhysicalPlan {
 /// Sorted (left id, right id) pairs plus the full snapshot of one run.
 fn run_on(cluster: &Cluster, w: &Workload) -> (Vec<(i64, i64)>, fudj_repro::exec::MetricsSnapshot) {
     let (batch, metrics) = cluster.execute(&plan(w)).unwrap();
-    let mut pairs: Vec<(i64, i64)> = batch
-        .rows()
-        .iter()
-        .map(|r| (r.get(0).as_i64().unwrap(), r.get(2).as_i64().unwrap()))
-        .collect();
-    pairs.sort_unstable();
-    (pairs, metrics.snapshot())
+    (id_pairs(&batch), metrics.snapshot())
 }
 
 /// THE acceptance test: with checkpointing on, surviving a worker death

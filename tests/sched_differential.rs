@@ -20,46 +20,19 @@ use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_repro::joins::{IntervalFudj, SpatialDedup, SpatialFudj, TextSimilarityFudj};
 use fudj_repro::sched::{JobState, QuerySpec, Scheduler, SchedulerConfig};
-use fudj_repro::storage::DatasetBuilder;
 use fudj_repro::temporal::Interval;
-use fudj_repro::types::{DataType, Field, Row, Schema, Value};
+use fudj_repro::types::{Row, Value};
 use std::sync::Arc;
+
+mod common;
+use common::{dataset, Gen};
 
 const WORKERS: usize = 3;
 
 /// Seed matrix for the chaos differential (CI pins five seeds via
 /// `CHAOS_SEEDS`; the default matches that matrix).
 fn seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEEDS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("CHAOS_SEEDS must be u64s"))
-            .collect(),
-        Err(_) => vec![101, 202, 303, 404, 505],
-    }
-}
-
-/// Deterministic data generator (xorshift64*), same idiom as the chaos
-/// differential: data must be identical across runs.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-
-    fn i64_in(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + (self.next() % (hi - lo) as u64) as i64
-    }
+    common::seeds([101, 202, 303, 404, 505])
 }
 
 fn polygons(n: usize) -> Vec<Value> {
@@ -107,23 +80,6 @@ fn longs(n: usize, modulo: i64, salt: u64) -> Vec<Value> {
     (0..n).map(|_| Value::Int64(g.i64_in(0, modulo))).collect()
 }
 
-fn dataset(name: &str, keys: &[Value]) -> Arc<fudj_repro::storage::Dataset> {
-    let dt = keys
-        .first()
-        .map(Value::data_type)
-        .unwrap_or(DataType::Int64);
-    let schema = Schema::shared(vec![Field::new("id", DataType::Int64), Field::new("k", dt)]);
-    let d = DatasetBuilder::new(name, schema)
-        .partitions(WORKERS)
-        .build()
-        .unwrap();
-    for (i, k) in keys.iter().enumerate() {
-        d.insert(Row::new(vec![Value::Int64(i as i64), k.clone()]))
-            .unwrap();
-    }
-    Arc::new(d)
-}
-
 /// One workload: a label and a factory producing a *fresh* plan per run.
 /// Fresh because the guard wrapper is stateful (violation-site dedup) —
 /// serial and scheduled runs must not share a guard handle.
@@ -140,10 +96,10 @@ fn join_plan(
 ) -> PhysicalPlan {
     PhysicalPlan::FudjJoin(FudjJoinNode::new(
         PhysicalPlan::Scan {
-            dataset: dataset("l", left),
+            dataset: dataset("l", left, WORKERS),
         },
         PhysicalPlan::Scan {
-            dataset: dataset("r", right),
+            dataset: dataset("r", right, WORKERS),
         },
         engine,
         1,

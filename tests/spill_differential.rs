@@ -15,56 +15,29 @@ use fudj_repro::exec::{Cluster, FaultConfig, FudjJoinNode, MetricsSnapshot, Phys
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::evil::EqualityFudj;
 use fudj_repro::joins::{IntervalFudj, SpatialFudj, TextSimilarityFudj};
-use fudj_repro::storage::DatasetBuilder;
 use fudj_repro::temporal::Interval;
-use fudj_repro::types::{DataType, Field, Row, Schema, Value};
+use fudj_repro::types::Value;
 use std::sync::Arc;
+
+mod common;
+use common::{dataset, id_pairs, Gen};
 
 const WORKERS: usize = 3;
 /// Small enough that every default-match workload below must spill on
 /// every worker, large enough that the resident set still matters.
 const BUDGET: usize = 20;
 
-/// The seed matrix: `CHAOS_SEEDS=1,2,3` overrides (the CI spill job pins
-/// a 5-seed matrix; the default local run covers 10 seeds).
+/// The seed matrix (the CI spill job pins a 5-seed matrix through
+/// `CHAOS_SEEDS`; the default local run covers 10 seeds).
 fn seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEEDS") {
-        Ok(s) => {
-            let parsed: Vec<u64> = s
-                .split(',')
-                .map(|t| t.trim().parse().expect("CHAOS_SEEDS must be u64s"))
-                .collect();
-            assert!(!parsed.is_empty(), "CHAOS_SEEDS set but empty");
-            parsed
-        }
-        Err(_) => (0..10).map(|i| 4_241 + 131 * i).collect(),
-    }
+    common::seeds((0..10).map(|i| 4_241 + 131 * i))
 }
 
-/// Deterministic xorshift64* generator — the workload data must be
-/// identical across runs just like the fault schedule.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-
-    /// Zipf-flavored draw over `[0, universe)`: log-uniform, so small
-    /// values dominate heavily (the hot keys of the skew suite).
-    fn zipf(&mut self, universe: u64) -> u64 {
-        let u = self.f64_in(0.0, 1.0);
-        ((universe as f64).powf(u) as u64).min(universe - 1)
-    }
+/// Zipf-flavored draw over `[0, universe)`: log-uniform, so small values
+/// dominate heavily (the hot keys of the skew suite).
+fn zipf(g: &mut Gen, universe: u64) -> u64 {
+    let u = g.f64_in(0.0, 1.0);
+    ((universe as f64).powf(u) as u64).min(universe - 1)
 }
 
 /// Skewed polygons: most rectangles crowd the hot cell near the origin.
@@ -103,7 +76,7 @@ fn skewed_intervals(n: usize, salt: u64) -> Vec<Value> {
     let mut g = Gen(0xCAFE + salt);
     (0..n)
         .map(|_| {
-            let s = g.zipf(40_000) as i64;
+            let s = zipf(&mut g, 40_000) as i64;
             Value::Interval(Interval::new(s, s + 200 + (g.next() % 2_000) as i64))
         })
         .collect()
@@ -119,7 +92,7 @@ fn skewed_texts(n: usize, salt: u64) -> Vec<Value> {
     (0..n)
         .map(|_| {
             let k = 1 + (g.next() % 5) as usize;
-            let ws: Vec<&str> = (0..k).map(|_| WORDS[g.zipf(8) as usize]).collect();
+            let ws: Vec<&str> = (0..k).map(|_| WORDS[zipf(&mut g, 8) as usize]).collect();
             Value::str(ws.join(" "))
         })
         .collect()
@@ -128,24 +101,9 @@ fn skewed_texts(n: usize, salt: u64) -> Vec<Value> {
 /// Skewed equality keys over a universe of 48, log-uniform.
 fn skewed_longs(n: usize, salt: u64) -> Vec<Value> {
     let mut g = Gen(0xF00 + salt);
-    (0..n).map(|_| Value::Int64(g.zipf(48) as i64)).collect()
-}
-
-fn dataset(name: &str, keys: &[Value]) -> Arc<fudj_repro::storage::Dataset> {
-    let dt = keys
-        .first()
-        .map(Value::data_type)
-        .unwrap_or(DataType::Int64);
-    let schema = Schema::shared(vec![Field::new("id", DataType::Int64), Field::new("k", dt)]);
-    let d = DatasetBuilder::new(name, schema)
-        .partitions(WORKERS)
-        .build()
-        .unwrap();
-    for (i, k) in keys.iter().enumerate() {
-        d.insert(Row::new(vec![Value::Int64(i as i64), k.clone()]))
-            .unwrap();
-    }
-    Arc::new(d)
+    (0..n)
+        .map(|_| Value::Int64(zipf(&mut g, 48) as i64))
+        .collect()
 }
 
 /// One skewed workload per join class of the paper's library suite.
@@ -204,10 +162,10 @@ fn workloads() -> Vec<Workload> {
 fn plan(w: &Workload, budget: Option<usize>) -> PhysicalPlan {
     let mut node = FudjJoinNode::new(
         PhysicalPlan::Scan {
-            dataset: dataset("l", &w.left),
+            dataset: dataset("l", &w.left, WORKERS),
         },
         PhysicalPlan::Scan {
-            dataset: dataset("r", &w.right),
+            dataset: dataset("r", &w.right, WORKERS),
         },
         w.engine.clone(),
         1,
@@ -224,13 +182,7 @@ fn run_on(
     budget: Option<usize>,
 ) -> (Vec<(i64, i64)>, MetricsSnapshot) {
     let (batch, metrics) = cluster.execute(&plan(w, budget)).unwrap();
-    let mut pairs: Vec<(i64, i64)> = batch
-        .rows()
-        .iter()
-        .map(|r| (r.get(0).as_i64().unwrap(), r.get(2).as_i64().unwrap()))
-        .collect();
-    pairs.sort_unstable();
-    (pairs, metrics.snapshot())
+    (id_pairs(&batch), metrics.snapshot())
 }
 
 /// The logical-counter projection the spill path must preserve exactly:
