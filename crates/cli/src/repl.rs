@@ -262,7 +262,9 @@ impl Repl {
                         format!(
                             "chaos on with worker deaths (seed {seed}): stage boundaries \
                              may permanently kill a worker; SET checkpoint_stages = all \
-                             enables partial recovery, \\workers shows membership\n"
+                             checkpoints every boundary (in memory, or on the WAL's disk \
+                             under checkpoint_durable) for partial recovery, \\workers \
+                             shows membership\n"
                         )
                     }
                     _ => "usage: \\chaos deaths <seed>\n".to_owned(),
@@ -597,6 +599,9 @@ const HELP_COMMANDS: &str = r#"FUDJ shell
                                       deaths at stage boundaries; pair with
                                       SET checkpoint_stages = all for
                                       partial (lineage-scoped) recovery
+                                      from checkpoint frames (in memory,
+                                      or on the WAL's disk under
+                                      checkpoint_durable)
     \workers      per-worker membership (active/dead/quarantined/
                   decommissioned) and failure counts
     \workers drop <id>                decommission a worker (partitions

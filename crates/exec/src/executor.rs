@@ -8,7 +8,7 @@ use crate::mode::ExecMode;
 use crate::plan::{Aggregate, PhysicalPlan, SortKey};
 use crate::pool::WorkerPool;
 use crate::recovery::{self, ClusterRecovery, Membership, WorkerInfo};
-use fudj_storage::{CheckpointPolicy, CheckpointStore};
+use fudj_storage::CheckpointStore;
 use fudj_types::{Batch, DataType, FudjError, Result, Row, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -124,16 +124,16 @@ impl Cluster {
         self.recovery.membership()
     }
 
-    /// Choose which stage outputs get checkpointed. `Off` (the default)
-    /// writes nothing; `All` snapshots every checkpointable boundary;
-    /// `Stages` restricts to the named stage base names.
-    pub fn set_checkpoint_policy(&self, policy: CheckpointPolicy) {
-        self.recovery.set_policy(policy);
+    /// Checkpoint every stage boundary of every query (`true`), or only
+    /// those of journaled queries, which need their frames to resume
+    /// (`false`, the default).
+    pub fn set_checkpoint_all(&self, all: bool) {
+        self.recovery.set_checkpoint_all(all);
     }
 
-    /// The current checkpoint policy.
-    pub fn checkpoint_policy(&self) -> CheckpointPolicy {
-        self.recovery.policy()
+    /// Whether every query checkpoints its stage boundaries.
+    pub fn checkpoint_all(&self) -> bool {
+        self.recovery.checkpoint_all()
     }
 
     /// Bound the checkpoint store (`None` = unlimited). Shrinking evicts
@@ -188,7 +188,7 @@ impl Cluster {
         }
         if let Some(rec) = self
             .recovery
-            .attach_tagged(self.faults.as_ref(), opts.tag.as_ref())
+            .attach(self.faults.as_ref(), opts.tag.as_ref())
         {
             metrics.attach_recovery(rec);
         }

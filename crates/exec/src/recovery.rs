@@ -7,10 +7,11 @@
 //!
 //! * **Stage checkpointing.** At each exchange-producing stage boundary
 //!   of the flexible-join pipeline (post-assign shuffle buckets, match
-//!   output, the aggregate shuffle), [`stage_boundary`] optionally
-//!   snapshots every partition into the cluster's shared
-//!   [`CheckpointStore`] (serialized through the wire protocol, keyed by
-//!   query/stage/partition, bounded by a byte budget with FIFO eviction).
+//!   output, the aggregate shuffle), [`stage_boundary`] snapshots every
+//!   partition into the cluster's shared [`CheckpointStore`] (serialized
+//!   through the wire protocol, keyed by query/stage/partition, bounded
+//!   by a byte budget with FIFO eviction) when `checkpoint_stages = all`
+//!   or the query is journaled — a resume needs its frames.
 //! * **Lineage-scoped partial recovery.** A deterministic
 //!   `WorkerDeath` roll (one per boundary, only when
 //!   `worker_death_prob > 0`, so death-free fault schedules stay
@@ -37,10 +38,10 @@
 
 use crate::executor::PartitionedData;
 use crate::metrics::QueryMetrics;
-use fudj_storage::{CheckpointPolicy, CheckpointStore, PutOutcome};
-use fudj_types::{FudjError, Result};
+use fudj_storage::{CheckpointStore, PutOutcome};
+use fudj_types::{FudjError, Result, Row};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fudj_types::counters! {
@@ -50,7 +51,8 @@ fudj_types::counters! {
     pub struct RecoveryStats("recovery."), cells RecoveryCells {
         /// Stage partitions snapshotted into the checkpoint store.
         checkpoints_written: sum,
-        /// Serialized bytes those snapshots occupy.
+        /// Wire-encoded bytes of the snapshotted rows (frame headers and
+        /// checksums excluded, so comparable to the shuffle byte meters).
         checkpoint_bytes_written: sum,
         /// Checkpoints decoded to restore lost partitions.
         checkpoints_read: sum,
@@ -127,9 +129,8 @@ pub trait QueryJournal: Send + Sync {
 pub struct QueryTag {
     /// Stable statement fingerprint — the durable checkpoint namespace.
     pub fingerprint: u64,
-    /// Journal sink for `StageCommitted` records (`None` = checkpoint
-    /// durably but journal nothing).
-    pub journal: Option<Arc<dyn QueryJournal>>,
+    /// Journal sink for `StageCommitted` records.
+    pub journal: Arc<dyn QueryJournal>,
     /// Resume point, when this execution re-runs a crashed query.
     pub resume: Option<ResumeSpec>,
 }
@@ -138,9 +139,8 @@ impl std::fmt::Debug for QueryTag {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryTag")
             .field("fingerprint", &self.fingerprint)
-            .field("journal", &self.journal.is_some())
             .field("resume", &self.resume)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -419,12 +419,12 @@ impl Membership {
     }
 }
 
-/// Cluster-wide recovery state: the shared checkpoint store, the
-/// checkpoint policy knobs, and the worker membership. Clones of a
+/// Cluster-wide recovery state: the shared checkpoint store, whether
+/// every query checkpoints, and the worker membership. Clones of a
 /// [`crate::Cluster`] share one of these.
 pub struct ClusterRecovery {
     store: Arc<CheckpointStore>,
-    policy: Mutex<CheckpointPolicy>,
+    checkpoint_all: AtomicBool,
     membership: Arc<Membership>,
     query_seq: AtomicU64,
 }
@@ -432,7 +432,7 @@ pub struct ClusterRecovery {
 impl std::fmt::Debug for ClusterRecovery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterRecovery")
-            .field("policy", &*self.policy.lock())
+            .field("checkpoint_all", &self.checkpoint_all())
             .field("store", &self.store)
             .finish()
     }
@@ -444,7 +444,7 @@ impl ClusterRecovery {
     pub fn new(workers: usize) -> Self {
         ClusterRecovery {
             store: Arc::new(CheckpointStore::new()),
-            policy: Mutex::new(CheckpointPolicy::Off),
+            checkpoint_all: AtomicBool::new(false),
             membership: Arc::new(Membership::new(workers)),
             query_seq: AtomicU64::new(0),
         }
@@ -460,35 +460,26 @@ impl ClusterRecovery {
         &self.membership
     }
 
-    /// Replace the checkpoint policy.
-    pub fn set_policy(&self, policy: CheckpointPolicy) {
-        *self.policy.lock() = policy;
+    /// Checkpoint every stage boundary of every query (`true`), or only
+    /// those of journaled queries (`false`, the default).
+    pub fn set_checkpoint_all(&self, all: bool) {
+        self.checkpoint_all.store(all, Ordering::Relaxed);
     }
 
-    /// The current checkpoint policy.
-    pub fn policy(&self) -> CheckpointPolicy {
-        self.policy.lock().clone()
+    /// Whether every query checkpoints its stage boundaries.
+    pub fn checkpoint_all(&self) -> bool {
+        self.checkpoint_all.load(Ordering::Relaxed)
     }
 
     /// Attach a per-query recovery context when there is anything for it
-    /// to do: checkpointing enabled, deaths armed, quarantine armed, or
-    /// any slot not active (routing must consult membership). Otherwise
-    /// returns `None` and execution is bit-identical to a cluster without
-    /// a recovery layer.
+    /// to do: a journaled query (`tag`), checkpointing of every query,
+    /// deaths armed, quarantine armed, or any slot not active (routing
+    /// must consult membership). Otherwise returns `None` and execution is
+    /// bit-identical to a cluster without a recovery layer. A tag's
+    /// statement fingerprint replaces the per-cluster sequence number as
+    /// the checkpoint namespace — stable across a process restart, which
+    /// is what lets a resumed execution find the crashed run's frames.
     pub fn attach(
-        self: &Arc<Self>,
-        faults: Option<&fudj_core::FaultConfig>,
-    ) -> Option<Arc<RecoveryContext>> {
-        self.attach_tagged(faults, None)
-    }
-
-    /// [`ClusterRecovery::attach`] for a journaled query: a tag always
-    /// attaches (the journal and resume machinery need a context even when
-    /// no fault plan is armed), and the tag's statement fingerprint
-    /// replaces the per-cluster sequence number as the checkpoint
-    /// namespace — stable across a process restart, which is what lets a
-    /// resumed execution find the crashed run's durable frames.
-    pub fn attach_tagged(
         self: &Arc<Self>,
         faults: Option<&fudj_core::FaultConfig>,
         tag: Option<&QueryTag>,
@@ -496,7 +487,7 @@ impl ClusterRecovery {
         let deaths_armed = faults.map(|f| f.worker_death_prob > 0.0).unwrap_or(false);
         let needed = tag.is_some()
             || deaths_armed
-            || self.policy.lock().enabled()
+            || self.checkpoint_all()
             || self.membership.quarantine_threshold() > 0
             || self.membership.active_count() < self.membership.size();
         if !needed {
@@ -510,7 +501,7 @@ impl ClusterRecovery {
             shared: Arc::clone(self),
             query,
             deaths_armed,
-            journal: tag.and_then(|t| t.journal.clone()),
+            journal: tag.map(|t| t.journal.clone()),
             resume: Mutex::new(tag.and_then(|t| t.resume.clone())),
             consumed_seed: Mutex::new(None),
             cells: RecoveryCells::default(),
@@ -564,9 +555,18 @@ impl RecoveryContext {
         &self.shared.store
     }
 
-    /// Whether the policy snapshots `stage`.
-    pub fn policy_covers(&self, stage: &str) -> bool {
-        self.shared.policy.lock().covers(stage)
+    /// Whether this query's stage boundaries write checkpoints: every
+    /// query's under `checkpoint_stages = all`, and always a journaled
+    /// one's, whose resume reads them.
+    pub fn checkpoints(&self) -> bool {
+        self.journal.is_some() || self.shared.checkpoint_all()
+    }
+
+    /// The checkpointed rows of partition `p` of dataset `name` at
+    /// `stage`; `None` when no intact frame covers it (never written,
+    /// evicted, or quarantined as corrupt) — the loss is then uncovered.
+    fn restore(&self, stage: &str, name: &str, p: usize) -> Option<Vec<Row>> {
+        self.store().get(self.query, &format!("{stage}/{name}"), p)
     }
 
     /// Route partition `p` onto the active worker set.
@@ -608,7 +608,7 @@ impl RecoveryContext {
 
     /// Attempt to resume execution at `stage`: when the pending resume
     /// point names this stage, restore every partition of every named
-    /// dataset from the durable checkpoint tier. Returns the restored
+    /// dataset from the checkpoint store. Returns the restored
     /// datasets (in `datasets` order, `nparts` partitions each) on
     /// success. A non-matching stage leaves the resume point pending for
     /// the site that owns it. A matching stage with any missing or
@@ -633,19 +633,14 @@ impl RecoveryContext {
         for name in datasets {
             let mut parts: PartitionedData = Vec::with_capacity(nparts);
             for p in 0..nparts {
-                match self.store().get(self.query, &format!("{stage}/{name}"), p) {
-                    Some(Ok(rows)) => {
-                        rows_restored += rows.len() as u64;
-                        parts.push(rows);
-                    }
-                    // A miss or a quarantined/undecodable frame: the
-                    // committed boundary is not fully covered on disk
-                    // (budget eviction or torn frames), so replay fully.
-                    Some(Err(_)) | None => {
-                        self.cells.resume_full_replays.add(1);
-                        return None;
-                    }
-                }
+                // An uncovered partition (budget eviction or torn frames)
+                // means the committed boundary is lost: replay fully.
+                let Some(rows) = self.restore(stage, name, p) else {
+                    self.cells.resume_full_replays.add(1);
+                    return None;
+                };
+                rows_restored += rows.len() as u64;
+                parts.push(rows);
             }
             restored.push(parts);
         }
@@ -671,8 +666,8 @@ impl RecoveryContext {
 }
 
 /// One exchange-producing stage boundary: checkpoint the stage's
-/// partitioned outputs (policy permitting), then roll for a permanent
-/// worker death and recover from it.
+/// partitioned outputs (when [`RecoveryContext::checkpoints`]), then roll
+/// for a permanent worker death and recover from it.
 ///
 /// `datasets` is the stage's output — one or more named partitioned
 /// row sets (the join's partition stage produces two, `left` and
@@ -696,10 +691,10 @@ pub fn stage_boundary(
     };
 
     // 1. Snapshot this stage's partitions, dataset by dataset. A put can
-    // now fail (the durable tier write-through hits injected crash
-    // sites); the error propagates so a crashed boundary is never
-    // journaled as committed.
-    if rec.policy_covers(stage) {
+    // fail (a frame write on the WAL's disk hits an injected crash site);
+    // the error propagates so a crashed boundary is never journaled as
+    // committed.
+    if rec.checkpoints() {
         for (name, parts) in datasets.iter() {
             for (p, rows) in parts.iter().enumerate() {
                 let outcome = rec
@@ -758,9 +753,9 @@ pub fn stage_boundary(
                 continue;
             }
             parts[p] = Vec::new();
-            match rec.store().get(rec.query(), &format!("{stage}/{name}"), p) {
+            match rec.restore(stage, name, p) {
                 Some(rows) => {
-                    parts[p] = rows?;
+                    parts[p] = rows;
                     rec.cells.checkpoints_read.add(1);
                     rec.cells.partitions_restored.add(1);
                 }
@@ -909,18 +904,18 @@ mod tests {
     #[test]
     fn attach_is_none_when_nothing_is_armed() {
         let shared = Arc::new(ClusterRecovery::new(3));
-        assert!(shared.attach(None).is_none());
+        assert!(shared.attach(None, None).is_none());
         assert!(
             shared
-                .attach(Some(&fudj_core::FaultConfig::chaos(1)))
+                .attach(Some(&fudj_core::FaultConfig::chaos(1)), None)
                 .is_none(),
             "chaos without deaths needs no recovery layer"
         );
         assert!(shared
-            .attach(Some(&fudj_core::FaultConfig::chaos_with_deaths(1)))
+            .attach(Some(&fudj_core::FaultConfig::chaos_with_deaths(1)), None)
             .is_some());
-        shared.set_policy(CheckpointPolicy::All);
-        assert!(shared.attach(None).is_some());
+        shared.set_checkpoint_all(true);
+        assert!(shared.attach(None, None).is_some());
     }
 
     #[test]
@@ -928,7 +923,7 @@ mod tests {
         let shared = Arc::new(ClusterRecovery::new(3));
         shared.membership().decommission(2).unwrap();
         assert!(
-            shared.attach(None).is_some(),
+            shared.attach(None, None).is_some(),
             "routing must consult membership after a decommission"
         );
     }

@@ -237,6 +237,22 @@ struct Job {
     error: Option<String>,
 }
 
+impl Job {
+    /// The public view of this job, whose id is `id`.
+    fn info(&self, id: u64) -> JobInfo {
+        JobInfo {
+            id,
+            label: self.label.clone(),
+            state: self.state,
+            priority: self.priority,
+            batches: self.batches,
+            sim_clock_ms: self.ctrl.sim_clock_ms(),
+            deadline_ms: self.ctrl.deadline_ms(),
+            error: self.error.clone(),
+        }
+    }
+}
+
 struct SchedState {
     config: SchedulerConfig,
     next_id: u64,
@@ -575,24 +591,18 @@ impl Scheduler {
     /// All jobs this scheduler has seen, in submission order.
     pub fn jobs(&self) -> Vec<JobInfo> {
         let st = self.inner.lock();
-        st.jobs
-            .iter()
-            .map(|(&id, job)| JobInfo {
-                id,
-                label: job.label.clone(),
-                state: job.state,
-                priority: job.priority,
-                batches: job.batches,
-                sim_clock_ms: job.ctrl.sim_clock_ms(),
-                deadline_ms: job.ctrl.deadline_ms(),
-                error: job.error.clone(),
-            })
-            .collect()
+        st.jobs.iter().map(|(&id, job)| job.info(id)).collect()
     }
 
     /// One job's public view.
     pub fn job(&self, id: u64) -> Option<JobInfo> {
-        self.jobs().into_iter().find(|j| j.id == id)
+        self.inner.lock().jobs.get(&id).map(|job| job.info(id))
+    }
+
+    /// How many jobs are queued or running now.
+    pub fn in_flight(&self) -> usize {
+        let st = self.inner.lock();
+        st.queue.len() + st.running.len()
     }
 
     /// The order in which dispatch slots were granted (job ids), for
@@ -803,6 +813,7 @@ mod tests {
         assert!(matches!(err, FudjError::Admission(_)), "{err}");
         assert!(err.to_string().contains("queue is full"), "{err}");
         assert_eq!(sched.job(queued.id()).unwrap().state, JobState::Queued);
+        assert_eq!(sched.in_flight(), 2, "one running, one queued");
 
         release.store(true, Ordering::Release);
         blocker.wait().unwrap();
@@ -816,6 +827,7 @@ mod tests {
                 .count(),
             2
         );
+        assert_eq!(sched.in_flight(), 0);
     }
 
     #[test]

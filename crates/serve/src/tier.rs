@@ -29,7 +29,6 @@
 use crate::cache::LruCache;
 use crate::histogram::LatencyHistogram;
 use fudj_exec::{MetricsSnapshot, PhysicalPlan, ServingStats};
-use fudj_sched::JobState;
 use fudj_sql::ast::{SelectStatement, Statement};
 use fudj_sql::{parse, QueryOutput, Session};
 use fudj_types::{Batch, FudjError, Result, Value};
@@ -285,13 +284,7 @@ impl ServingTier {
         let label = format!("tenant {tenant}: {}", key.text);
         let handle = match self.session.submit_planned(plan, sql, label, priority) {
             Ok(handle) => {
-                let queued = self
-                    .session
-                    .scheduler()
-                    .jobs()
-                    .iter()
-                    .filter(|j| matches!(j.state, JobState::Queued | JobState::Running))
-                    .count() as u64;
+                let queued = self.session.scheduler().in_flight() as u64;
                 let mut state = self.lock();
                 state.admissions += 1;
                 state.queue_depth_high_water = state.queue_depth_high_water.max(queued);

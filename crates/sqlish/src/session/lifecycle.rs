@@ -11,8 +11,8 @@ use crate::parser::parse;
 use fudj_exec::MetricsSnapshot;
 use fudj_sched::JobOutput;
 use fudj_storage::{
-    fold_journal, CheckpointPolicy, DiskFs, DurableStore, FaultFs, PendingQuery,
-    StorageFaultConfig, Vfs, CHECKPOINT_DIR,
+    fold_journal, DiskFs, DurableStore, FaultFs, PendingQuery, StorageFaultConfig, Vfs,
+    CHECKPOINT_DIR,
 };
 use fudj_types::{Batch, FudjError, Result};
 use std::sync::Arc;
@@ -128,52 +128,45 @@ impl Session {
 
         // Crash-restart resumption: fold the recovered query journal into
         // pending queries and re-execute each from its last durably
-        // committed stage boundary. The durable checkpoint tier attaches
-        // first (resume reads its frames); when only the resume needed it
-        // — `checkpoint_durable` is off this session — it detaches again
-        // and the checkpoint policy reverts.
+        // committed stage boundary. The resumes read the frames the
+        // previous process left on the WAL's disk, so the checkpoint store
+        // moves there first; when only the resumes needed it
+        // (`checkpoint_durable` is off) it moves back to memory after.
         let pending = fold_journal(&recovered.journal);
-        let prior_policy = self.cluster.checkpoint_policy();
         if vars.checkpoint_durable || !pending.is_empty() {
-            self.attach_checkpoint_tier(&store)?;
+            self.place_checkpoints(true)?;
         }
         if !pending.is_empty() {
             let results: Vec<ResumedQuery> = pending.into_iter().map(|q| self.resume(q)).collect();
             lock(&self.resumed).extend(results);
             if !vars.checkpoint_durable {
-                self.cluster.checkpoints().detach_durable();
-                self.cluster.set_checkpoint_policy(prior_policy);
+                self.place_checkpoints(false)?;
             }
         }
         Ok(())
     }
 
-    /// Route the cluster's checkpoint store through the durable store's
-    /// filesystem (same fault plan covers WAL and checkpoints), enabling
-    /// checkpointing when it was off — a durable tier with no boundaries
-    /// to persist would be inert.
-    fn attach_checkpoint_tier(&self, store: &DurableStore) -> Result<()> {
-        let dir = store.dir().join(CHECKPOINT_DIR);
-        self.cluster
-            .checkpoints()
-            .attach_durable(store.vfs(), dir)?;
-        if matches!(self.cluster.checkpoint_policy(), CheckpointPolicy::Off) {
-            self.cluster.set_checkpoint_policy(CheckpointPolicy::All);
+    /// Keep the cluster's checkpoint store on the open WAL's filesystem,
+    /// under `checkpoints/`, when `on_wal` (one fault plan then covers the
+    /// WAL and the frames); otherwise, or with no WAL open, on a fresh
+    /// in-memory filesystem.
+    fn place_checkpoints(&self, on_wal: bool) -> Result<()> {
+        let checkpoints = self.cluster.checkpoints();
+        match self.durable().filter(|_| on_wal) {
+            Some(store) => checkpoints.relocate(store.vfs(), store.dir().join(CHECKPOINT_DIR)),
+            None => {
+                checkpoints.relocate_to_memory();
+                Ok(())
+            }
         }
-        Ok(())
     }
 
-    /// `SET checkpoint_durable`: arms immediately when a WAL is already
-    /// open; otherwise the next `SET wal_dir` attaches the tier (the knob
-    /// is remembered, like `durability`).
+    /// `SET checkpoint_durable`: journal queries and keep checkpoints on
+    /// the WAL's disk from now on when a WAL is open; otherwise the next
+    /// `SET wal_dir` does (the knob is remembered, like `durability`).
     pub(super) fn set_checkpoint_durable(&self, on: bool) -> Result<()> {
         self.vars_mut().checkpoint_durable = on;
-        if !on {
-            self.cluster.checkpoints().detach_durable();
-        } else if let Some(store) = self.durable() {
-            self.attach_checkpoint_tier(&store)?;
-        }
-        Ok(())
+        self.place_checkpoints(on)
     }
 
     /// Re-execute one unfinished journaled query during WAL reopen.
@@ -218,9 +211,11 @@ impl Session {
     }
 
     /// Detach the durable store (`SET wal_dir = off`). Already-logged
-    /// state stays on disk; subsequent mutations are in-memory only.
+    /// state stays on disk; subsequent mutations and checkpoints are
+    /// in-memory only.
     pub fn close_wal(&self) {
         if lock(&self.durable).take().is_some() {
+            self.cluster.checkpoints().relocate_to_memory();
             self.catalog.set_sink(None);
             self.registry.set_sink(None);
             for name in self.catalog.names() {
@@ -273,6 +268,19 @@ mod tests {
             .insert(Row::new(vec![Value::Int64(1), Value::str("seed")]))
             .unwrap();
         dataset
+    }
+
+    /// Whether the session's checkpoint store keeps its frames under
+    /// `dir`'s `checkpoints/` on the real disk: write a probe frame, look,
+    /// and drop it again.
+    fn checkpoints_under(s: &Session, dir: &std::path::Path) -> bool {
+        let store = s.cluster().checkpoints().clone();
+        store.put(u64::MAX, "probe", 0, &[]).unwrap();
+        let on_disk = std::fs::read_dir(dir.join(CHECKPOINT_DIR))
+            .map(|mut entries| entries.next().is_some())
+            .unwrap_or(false);
+        store.remove_query(u64::MAX);
+        on_disk
     }
 
     #[test]
@@ -357,6 +365,7 @@ mod tests {
 
     #[test]
     fn checkpoint_durable_journals_and_seals_queries() {
+        let sql = "SELECT k.tag, COUNT(*) AS c FROM kv k GROUP BY k.tag";
         let dir = wal_test_dir("journal-seal");
         let _ = std::fs::remove_dir_all(&dir);
         {
@@ -368,31 +377,41 @@ mod tests {
             s.execute("SET checkpoint_durable = on").unwrap();
             s.execute(&format!("SET wal_dir = '{}'", dir.display()))
                 .unwrap();
-            assert!(s.cluster().checkpoints().durable_enabled());
+            assert!(checkpoints_under(&s, &dir));
             let store = s.durable().unwrap();
             let before = store.stats().journal_records_appended;
-            let batch = s
-                .query("SELECT k.tag, COUNT(*) AS c FROM kv k GROUP BY k.tag")
-                .unwrap();
-            assert_eq!(batch.len(), 1);
+            let out = s.execute(sql).unwrap();
+            assert_eq!(out.batch().len(), 1);
             let stats = store.stats();
             assert!(
                 stats.journal_records_appended >= before + 3,
                 "submit + at least one stage commit + finish, got {}",
                 stats.journal_records_appended - before
             );
-            let ckpt = s.cluster().checkpoints().stats();
-            assert!(ckpt.durable_frames_written > 0, "{ckpt:?}");
+            assert!(out.metrics().recovery.checkpoints_written > 0);
             assert_eq!(
-                s.cluster().checkpoints().durable_frames(),
+                s.cluster().checkpoints().frames(),
                 Vec::<String>::new(),
-                "finished queries drop their durable frames eagerly"
+                "finished queries drop their frames eagerly"
             );
 
             let err = s.execute("SET checkpoint_durable = maybe").unwrap_err();
             assert!(err.to_string().contains("expects on or off"), "{err}");
-            s.execute("SET checkpoint_durable = off").unwrap();
-            assert!(!s.cluster().checkpoints().durable_enabled());
+            // Toggling the journal over the open WAL moves the checkpoints
+            // and leaves `checkpoint_stages` alone: once it is off, a plain
+            // SELECT writes none.
+            for toggle in ["off", "on", "off"] {
+                s.execute(&format!("SET checkpoint_durable = {toggle}"))
+                    .unwrap();
+                assert_eq!(checkpoints_under(&s, &dir), toggle == "on");
+                assert_eq!(s.setting("checkpoint_stages").as_deref(), Some("off"));
+            }
+            let plain = s.execute(sql).unwrap();
+            assert_eq!(plain.metrics().recovery.checkpoints_written, 0);
+            let err = s
+                .execute("SET checkpoint_stages = 'join:combine,agg:shuffle'")
+                .unwrap_err();
+            assert!(err.to_string().contains("expects all or off"), "{err}");
         }
         // Reopen: every journaled query finished, so nothing resumes.
         let s2 = Session::new(2);
@@ -444,8 +463,8 @@ mod tests {
         let (batch, _snapshot) = r.result.unwrap();
         assert_eq!(batch.rows()[0].get(0).as_i64().unwrap(), 1);
         assert!(
-            !s2.cluster().checkpoints().durable_enabled(),
-            "resume-only attach detaches after replay when the knob is off"
+            !checkpoints_under(&s2, &dir),
+            "resume-only relocation moves back to memory when the knob is off"
         );
         // …and seals it: the second reopen finds a finished journal.
         let s3 = Session::new(2);

@@ -114,7 +114,7 @@ impl Session {
         };
         let tag = journaled.map(|(store, fingerprint, resume)| QueryTag {
             fingerprint,
-            journal: Some(JournalHook::new(store.clone())),
+            journal: JournalHook::new(store.clone()),
             resume,
         });
         let seal = tag.as_ref().map(|tag| tag.fingerprint);

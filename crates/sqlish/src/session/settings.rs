@@ -10,7 +10,6 @@ use super::{QueryOutput, Session};
 use fudj_core::{GuardConfig, UdfPolicy};
 use fudj_exec::ExecMode;
 use fudj_planner::PlanOptions;
-use fudj_storage::CheckpointPolicy;
 use fudj_types::{FudjError, Result};
 use Scope::*;
 
@@ -82,9 +81,10 @@ impl Arg<'_> {
         }
     }
 
-    fn switch(&self) -> Result<bool> {
-        match (self.is("on"), self.is("off")) {
-            (false, false) => Err(self.expects("on or off")),
+    /// `yes` (true) or `off` (false).
+    fn either(&self, yes: &str) -> Result<bool> {
+        match (self.is(yes), self.is("off")) {
+            (false, false) => Err(self.expects(&format!("{yes} or off"))),
             (on, _) => Ok(on),
         }
     }
@@ -344,27 +344,13 @@ pub const KNOBS: &[Knob] = &[
         doc: "checkpoint store budget, FIFO eviction past it",
         set: Some(|s, a| a.optional(false).map(|v| s.cluster.set_checkpoint_budget(v))),
         get: Some(|s| or_off(s.cluster.checkpoints().budget())), ..KNOB },
-    Knob { name: "checkpoint_stages", syntax: "all|off|'stage,stage,...'", default: "off", scope: Cluster,
-        doc: "stage boundaries to checkpoint",
-        set: Some(|s, a| {
-            let stages = a.value.split(',').map(|s| s.trim().to_owned()).filter(|s| !s.is_empty());
-            s.cluster.set_checkpoint_policy(if a.is_cleared(false) {
-                CheckpointPolicy::Off
-            } else if a.is("all") {
-                CheckpointPolicy::All
-            } else {
-                CheckpointPolicy::Stages(stages.collect())
-            });
-            Ok(())
-        }),
-        get: Some(|s| match s.cluster.checkpoint_policy() {
-            CheckpointPolicy::Off => "off".to_owned(),
-            CheckpointPolicy::All => "all".to_owned(),
-            CheckpointPolicy::Stages(stages) => stages.join(","),
-        }), ..KNOB },
+    Knob { name: "checkpoint_stages", syntax: "all|off", default: "off", scope: Cluster,
+        doc: "checkpoint every query's stage boundaries (journaled queries always do)",
+        set: Some(|s, a| a.either("all").map(|all| s.cluster.set_checkpoint_all(all))),
+        get: Some(|s| if s.cluster.checkpoint_all() { "all" } else { "off" }.to_owned()), ..KNOB },
     Knob { name: "checkpoint_durable", syntax: "on|off", default: "off", scope: Store,
         doc: "journal queries + durable stage checkpoints; a reopened wal_dir resumes them",
-        set: Some(|s, a| s.set_checkpoint_durable(a.switch()?)),
+        set: Some(|s, a| s.set_checkpoint_durable(a.either("on")?)),
         get: Some(|s| on_off(s.vars().checkpoint_durable)), ..KNOB },
     Knob { name: "worker_quarantine_threshold", syntax: "N|off", default: "off", scope: Cluster,
         doc: "injected-failure count that quarantines a worker",
@@ -401,7 +387,7 @@ pub const KNOBS: &[Knob] = &[
         get: Some(|s| s.serving_config().result_cache_entries.to_string()), ..KNOB },
     Knob { name: "result_cache", syntax: "on|off", default: "on", scope: Serving,
         doc: "bypass result-cache lookup and insert without clearing it",
-        set: Some(|s, a| a.switch().map(|on| s.vars_mut().serving.result_cache_enabled = on)),
+        set: Some(|s, a| a.either("on").map(|on| s.vars_mut().serving.result_cache_enabled = on)),
         get: Some(|s| on_off(s.serving_config().result_cache_enabled)), ..KNOB },
 ];
 
@@ -648,7 +634,7 @@ mod tests {
                 expects("turbo", "row or columnar"),
             ),
             "sync|N|off" => ("16".into(), Some("sync"), expects("fast", "a number")),
-            "all|off|'stage,stage,...'" => ("'join:combine,agg:shuffle'".into(), Some("off"), None),
+            "all|off" => ("all".into(), Some("off"), expects("combine", "all or off")),
             "'<path>'|off" => (format!("'{}'", dir.display()), Some("off"), None),
             other => panic!("no sample for value syntax {other}: add one"),
         }

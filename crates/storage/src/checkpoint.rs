@@ -11,72 +11,40 @@
 //! exchanges use, so checkpoint bytes are directly comparable to the
 //! shuffle byte counters.
 //!
+//! Every checkpoint is one checksummed `FUDJCKP1` frame file on one
+//! [`Vfs`]: a fresh store lives on an in-memory [`FaultFs`] with no faults
+//! armed, and [`CheckpointStore::relocate`] moves it onto another
+//! filesystem — the WAL's, for checkpoints that must outlive the process.
+//! A frame that fails any check reads as a miss, never as wrong rows.
+//!
 //! The store is shared by every query on a cluster (clones of a
 //! `Cluster` share one store) and bounded by a byte budget: inserting past
 //! the budget evicts the oldest checkpoints first, FIFO over insertion
 //! order. An evicted checkpoint is not an error — recovery simply falls
 //! back to full-stage replay for losses it no longer covers.
 
-use crate::faultfs::Vfs;
+use crate::faultfs::{FaultFs, StorageFaultConfig, Vfs};
 use crate::wal::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fudj_types::{wire, Result, Row};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// First eight bytes of every durable checkpoint frame file.
+/// First eight bytes of every checkpoint frame file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FUDJCKP1";
 
-/// Sub-directory of the WAL dir holding durable checkpoint frames.
+/// Directory of the checkpoint frames: under the WAL dir once relocated
+/// there, and the in-memory filesystem's root directory before.
 pub const CHECKPOINT_DIR: &str = "checkpoints";
-
-/// Which stage outputs the engine checkpoints.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum CheckpointPolicy {
-    /// No checkpoints are written (the default).
-    #[default]
-    Off,
-    /// Every checkpointable stage boundary is snapshotted.
-    All,
-    /// Only stages whose base name (the part before any `/` dataset
-    /// suffix, e.g. `join:partition`) appears in the list.
-    Stages(Vec<String>),
-}
-
-impl CheckpointPolicy {
-    /// Whether `stage` (possibly suffixed, e.g. `join:partition/left`)
-    /// should be checkpointed under this policy.
-    pub fn covers(&self, stage: &str) -> bool {
-        let base = stage.split('/').next().unwrap_or(stage);
-        match self {
-            CheckpointPolicy::Off => false,
-            CheckpointPolicy::All => true,
-            CheckpointPolicy::Stages(names) => names.iter().any(|n| n == base),
-        }
-    }
-
-    /// Whether any stage can be checkpointed at all.
-    pub fn enabled(&self) -> bool {
-        !matches!(self, CheckpointPolicy::Off)
-    }
-}
-
-/// Identity of one checkpointed partition.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct Key {
-    query: u64,
-    stage: String,
-    partition: usize,
-}
 
 /// Outcome of one [`CheckpointStore::put`]: how many serialized bytes the
 /// checkpoint occupies and how many older checkpoints were evicted to
 /// make room for it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PutOutcome {
-    /// Serialized size of the stored partition.
+    /// Wire-encoded size of the stored rows (framing excluded).
     pub bytes: u64,
     /// Checkpoints evicted (FIFO) to fit the byte budget.
     pub evicted: u64,
@@ -87,29 +55,15 @@ pub struct PutOutcome {
 pub struct CheckpointStoreStats {
     /// Partitions written.
     pub written: u64,
-    /// Serialized bytes written.
+    /// Wire-encoded bytes written.
     pub bytes_written: u64,
     /// Partitions read back.
     pub read: u64,
     /// Partitions evicted under byte-budget pressure.
     pub evicted: u64,
-    /// Durable checkpoint frames written through the Vfs.
-    pub durable_frames_written: u64,
-    /// Durable checkpoint frame bytes written (framing included).
-    pub durable_frame_bytes_written: u64,
-    /// Durable frames read back from disk (resume restores).
-    pub durable_frames_read: u64,
-    /// Durable frames rejected as corrupt (bad magic, framing, checksum,
-    /// identity, or row payload) — never mis-decoded, counted and skipped.
-    pub durable_frames_quarantined: u64,
-}
-
-/// Where durable checkpoint frames land: the same Vfs as the WAL, so the
-/// fault injector's torn writes / bit flips / dropped fsyncs / crash
-/// sites apply to checkpoints exactly like every other durable byte.
-struct DurableTier {
-    vfs: Arc<dyn Vfs>,
-    dir: PathBuf,
+    /// Frames rejected as corrupt (bad magic, framing, checksum, identity,
+    /// or row payload) — never mis-decoded, counted and read as misses.
+    pub quarantined: u64,
 }
 
 /// `ckpt-{query:016x}-{stage}-{partition}.fckpt`, stage sanitized to
@@ -128,15 +82,17 @@ fn query_prefix(query: u64) -> String {
     format!("ckpt-{query:016x}-")
 }
 
-/// Encode one durable frame: magic, then `len | body | crc32(body)` with
-/// body = query ++ stage ++ partition ++ row count ++ wire rows.
-fn encode_frame(query: u64, stage: &str, partition: usize, rows: &[Row]) -> Vec<u8> {
+/// Encode one frame: magic, then `len | body | crc32(body)` with body =
+/// query ++ stage ++ partition ++ row count ++ wire rows. Also returns
+/// the wire rows' size.
+fn encode_frame(query: u64, stage: &str, partition: usize, rows: &[Row]) -> (Vec<u8>, u64) {
     let mut body = BytesMut::with_capacity(32 + rows.len() * 32);
     body.put_u64_le(query);
     body.put_u32_le(stage.len() as u32);
     body.put_slice(stage.as_bytes());
     body.put_u32_le(partition as u32);
     body.put_u32_le(rows.len() as u32);
+    let header = body.len();
     for row in rows {
         wire::encode_row(row, &mut body);
     }
@@ -145,43 +101,28 @@ fn encode_frame(query: u64, stage: &str, partition: usize, rows: &[Row]) -> Vec<
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&body);
     out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out
+    (out, (body.len() - header) as u64)
 }
 
-/// Decode one durable frame, verifying framing, checksum, and identity.
-/// Any mismatch is `None` — corrupt frames are never mis-decoded.
-fn decode_frame(bytes: &[u8], query: u64, stage: &str, partition: usize) -> Option<Vec<Row>> {
-    let rest = bytes.strip_prefix(CHECKPOINT_MAGIC.as_slice())?;
-    if rest.len() < 4 {
+/// Decode one frame, verifying framing, checksum, and identity. Any
+/// mismatch is `None` — corrupt frames are never mis-decoded.
+fn decode_frame(raw: Vec<u8>, query: u64, stage: &str, partition: usize) -> Option<Vec<Row>> {
+    let rest = raw.strip_prefix(CHECKPOINT_MAGIC.as_slice())?;
+    let (len, rest) = rest.split_first_chunk::<4>()?;
+    let len = u32::from_le_bytes(*len) as usize;
+    if rest.len() != len + 4 || crc32(&rest[..len]).to_le_bytes() != rest[len..] {
         return None;
     }
-    let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-    if rest.len() != 4 + len + 4 {
-        return None;
-    }
-    let body = &rest[4..4 + len];
-    let stored = u32::from_le_bytes([
-        rest[4 + len],
-        rest[4 + len + 1],
-        rest[4 + len + 2],
-        rest[4 + len + 3],
-    ]);
-    if crc32(body) != stored {
-        return None;
-    }
-    let mut buf = Bytes::from(body.to_vec());
+    let start = CHECKPOINT_MAGIC.len() + 4;
+    let mut buf = Bytes::from(raw).slice(start..start + len);
     if buf.remaining() < 8 + 4 || buf.get_u64_le() != query {
         return None;
     }
     let stage_len = buf.get_u32_le() as usize;
-    if buf.remaining() < stage_len {
+    if buf.remaining() < stage_len || &buf.chunk()[..stage_len] != stage.as_bytes() {
         return None;
     }
-    let stage_bytes = buf.chunk()[..stage_len].to_vec();
     buf.advance(stage_len);
-    if stage_bytes != stage.as_bytes() {
-        return None;
-    }
     if buf.remaining() < 8 || buf.get_u32_le() as usize != partition {
         return None;
     }
@@ -196,45 +137,99 @@ fn decode_frame(bytes: &[u8], query: u64, stage: &str, partition: usize) -> Opti
     Some(rows)
 }
 
-#[derive(Default)]
 struct Inner {
-    entries: HashMap<Key, Vec<u8>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<Key>,
+    vfs: Arc<dyn Vfs>,
+    dir: PathBuf,
+    /// Frames written at this location and not yet evicted or removed,
+    /// oldest first (the FIFO eviction order), with their wire sizes.
+    frames: VecDeque<(String, u64)>,
     total_bytes: u64,
     budget_bytes: Option<u64>,
     stats: CheckpointStoreStats,
 }
 
-/// Byte-budgeted, shared store of serialized stage-partition outputs,
-/// with an optional durable tier that mirrors every put to checksummed
-/// frame files on the WAL's filesystem.
-#[derive(Default)]
+/// A fresh in-memory filesystem with no faults armed, and the store's
+/// directory on it.
+fn in_memory() -> (Arc<dyn Vfs>, PathBuf) {
+    (
+        FaultFs::new(StorageFaultConfig::quiet(0)),
+        PathBuf::from(CHECKPOINT_DIR),
+    )
+}
+
+impl Inner {
+    /// Switch to a new location; frames at the old one stay behind.
+    fn move_to(&mut self, (vfs, dir): (Arc<dyn Vfs>, PathBuf)) {
+        self.vfs = vfs;
+        self.dir = dir;
+        self.frames.clear();
+        self.total_bytes = 0;
+    }
+
+    /// Evict FIFO until the store fits its budget; returns how many
+    /// checkpoints were dropped. Removal is best-effort: a frame a failing
+    /// disk keeps is still a correct checkpoint.
+    fn evict_to_budget(&mut self) -> u64 {
+        let Some(budget) = self.budget_bytes else {
+            return 0;
+        };
+        let mut evicted = 0;
+        while self.total_bytes > budget {
+            let Some((name, size)) = self.frames.pop_front() else {
+                break;
+            };
+            let _ = self.vfs.remove(&self.dir.join(name));
+            self.total_bytes -= size;
+            self.stats.evicted += 1;
+            evicted += 1;
+        }
+        evicted
+    }
+}
+
+/// Byte-budgeted, shared store of stage-partition outputs, one frame file
+/// each on the store's [`Vfs`].
 pub struct CheckpointStore {
     inner: Mutex<Inner>,
-    durable: Mutex<Option<DurableTier>>,
 }
 
 impl std::fmt::Debug for CheckpointStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("CheckpointStore")
-            .field("entries", &inner.entries.len())
+            .field("dir", &inner.dir)
+            .field("frames", &inner.frames.len())
             .field("total_bytes", &inner.total_bytes)
             .field("budget_bytes", &inner.budget_bytes)
             .finish()
     }
 }
 
+impl Default for CheckpointStore {
+    fn default() -> Self {
+        CheckpointStore::new()
+    }
+}
+
 impl CheckpointStore {
-    /// An empty store with no byte budget (unlimited).
+    /// An empty in-memory store with no byte budget (unlimited).
     pub fn new() -> Self {
-        CheckpointStore::default()
+        let (vfs, dir) = in_memory();
+        CheckpointStore {
+            inner: Mutex::new(Inner {
+                vfs,
+                dir,
+                frames: VecDeque::new(),
+                total_bytes: 0,
+                budget_bytes: None,
+                stats: CheckpointStoreStats::default(),
+            }),
+        }
     }
 
-    /// An empty store that evicts past `budget_bytes` serialized bytes.
+    /// An empty in-memory store that evicts past `budget_bytes` bytes.
     pub fn with_budget(budget_bytes: u64) -> Self {
-        let store = CheckpointStore::default();
+        let store = CheckpointStore::new();
         store.inner.lock().budget_bytes = Some(budget_bytes);
         store
     }
@@ -244,7 +239,7 @@ impl CheckpointStore {
     pub fn set_budget(&self, budget_bytes: Option<u64>) {
         let mut inner = self.inner.lock();
         inner.budget_bytes = budget_bytes;
-        evict_to_budget(&mut inner);
+        inner.evict_to_budget();
     }
 
     /// The current byte budget, if any.
@@ -252,33 +247,28 @@ impl CheckpointStore {
         self.inner.lock().budget_bytes
     }
 
-    /// Attach the durable tier: every subsequent put is mirrored to a
-    /// checksummed frame file under `dir` on `vfs` (the WAL's filesystem,
-    /// so its fault plan applies to checkpoints too).
-    pub fn attach_durable(&self, vfs: Arc<dyn Vfs>, dir: impl Into<PathBuf>) -> Result<()> {
+    /// Keep checkpoints under `dir` on `vfs` from now on — the WAL's
+    /// filesystem, so its fault plan and crash sites apply to them too.
+    /// Frames already there (a crashed process's) are read and removed
+    /// like this store's own; frames at the old location stay behind.
+    pub fn relocate(&self, vfs: Arc<dyn Vfs>, dir: impl Into<PathBuf>) -> Result<()> {
         let dir = dir.into();
         vfs.create_dir_all(&dir)?;
-        *self.durable.lock() = Some(DurableTier { vfs, dir });
+        self.inner.lock().move_to((vfs, dir));
         Ok(())
     }
 
-    /// Detach the durable tier (frames already on disk stay there).
-    pub fn detach_durable(&self) {
-        *self.durable.lock() = None;
+    /// Move the store back onto a fresh in-memory filesystem.
+    pub fn relocate_to_memory(&self) {
+        self.inner.lock().move_to(in_memory());
     }
 
-    /// Whether the durable tier is attached.
-    pub fn durable_enabled(&self) -> bool {
-        self.durable.lock().is_some()
-    }
-
-    /// Serialize and store one partition of one stage's output,
-    /// overwriting any previous checkpoint with the same key. Returns the
-    /// serialized size and how many older checkpoints were evicted. With
-    /// the durable tier attached the frame is also written and fsynced to
-    /// disk (passing the `checkpoint:write` / `checkpoint:sync` crash
-    /// sites), and disk failures — including injected crashes — surface
-    /// as the error.
+    /// Serialize and store one partition of one stage's output as a frame,
+    /// overwriting any previous checkpoint with the same key. The frame is
+    /// written and fsynced through the `checkpoint:write` /
+    /// `checkpoint:sync` crash sites; disk failures — including injected
+    /// crashes — surface as the error. Returns the rows' wire size and how
+    /// many older checkpoints were evicted.
     pub fn put(
         &self,
         query: u64,
@@ -286,178 +276,106 @@ impl CheckpointStore {
         partition: usize,
         rows: &[Row],
     ) -> Result<PutOutcome> {
-        let mut buf = BytesMut::with_capacity(16 + rows.len() * 32);
-        for row in rows {
-            wire::encode_row(row, &mut buf);
-        }
-        let bytes = buf.len() as u64;
-        let key = Key {
-            query,
-            stage: stage.to_owned(),
-            partition,
-        };
-        let outcome = {
-            let mut inner = self.inner.lock();
-            match inner.entries.insert(key, buf.to_vec()) {
-                // Overwrite: the key keeps its place in the eviction order
-                // and the byte total swaps the old size for the new one.
-                Some(old) => inner.total_bytes = inner.total_bytes - old.len() as u64 + bytes,
-                None => {
-                    inner.order.push_back(Key {
-                        query,
-                        stage: stage.to_owned(),
-                        partition,
-                    });
-                    inner.total_bytes += bytes;
-                }
+        let (frame, bytes) = encode_frame(query, stage, partition, rows);
+        let name = frame_name(query, stage, partition);
+        let mut inner = self.inner.lock();
+        let path = inner.dir.join(&name);
+        inner.vfs.write_file(&path, &frame)?;
+        inner.vfs.crash_site("checkpoint:write")?;
+        inner.vfs.sync(&path)?;
+        inner.vfs.crash_site("checkpoint:sync")?;
+        let inner = &mut *inner;
+        match inner.frames.iter_mut().find(|(n, _)| *n == name) {
+            // Overwrite: the frame keeps its place in the eviction order
+            // and the byte total swaps the old size for the new one.
+            Some((_, size)) => {
+                inner.total_bytes = inner.total_bytes - *size + bytes;
+                *size = bytes;
             }
-            inner.stats.written += 1;
-            inner.stats.bytes_written += bytes;
-            let evicted = evict_to_budget(&mut inner);
-            PutOutcome { bytes, evicted }
-        };
-        let tier = self.durable.lock();
-        if let Some(tier) = tier.as_ref() {
-            let frame = encode_frame(query, stage, partition, rows);
-            let path = tier.dir.join(frame_name(query, stage, partition));
-            tier.vfs.write_file(&path, &frame)?;
-            tier.vfs.crash_site("checkpoint:write")?;
-            tier.vfs.sync(&path)?;
-            tier.vfs.crash_site("checkpoint:sync")?;
-            let mut inner = self.inner.lock();
-            inner.stats.durable_frames_written += 1;
-            inner.stats.durable_frame_bytes_written += frame.len() as u64;
+            None => {
+                inner.frames.push_back((name, bytes));
+                inner.total_bytes += bytes;
+            }
         }
-        Ok(outcome)
+        inner.stats.written += 1;
+        inner.stats.bytes_written += bytes;
+        let evicted = inner.evict_to_budget();
+        Ok(PutOutcome { bytes, evicted })
     }
 
     /// Decode and return one checkpointed partition, or `None` when no
-    /// checkpoint covers `(query, stage, partition)` (never written,
-    /// evicted, or — on the durable fallback path — corrupt on disk).
-    pub fn get(&self, query: u64, stage: &str, partition: usize) -> Option<Result<Vec<Row>>> {
-        let key = Key {
-            query,
-            stage: stage.to_owned(),
-            partition,
-        };
-        let bytes = {
-            let mut inner = self.inner.lock();
-            match inner.entries.get(&key) {
-                Some(bytes) => {
-                    let bytes = bytes.clone();
-                    inner.stats.read += 1;
-                    Some(bytes)
-                }
-                None => None,
-            }
-        };
-        if let Some(bytes) = bytes {
-            let mut rows = Vec::new();
-            let mut cursor = Bytes::from(bytes);
-            while cursor.has_remaining() {
-                match wire::decode_row(&mut cursor) {
-                    Ok(row) => rows.push(row),
-                    Err(e) => return Some(Err(e)),
-                }
-            }
-            return Some(Ok(rows));
+    /// frame covers `(query, stage, partition)`: never written, evicted,
+    /// or corrupt (quarantined).
+    pub fn get(&self, query: u64, stage: &str, partition: usize) -> Option<Vec<Row>> {
+        let mut inner = self.inner.lock();
+        let raw = inner
+            .vfs
+            .read(&inner.dir.join(frame_name(query, stage, partition)))
+            .ok()?;
+        let rows = decode_frame(raw, query, stage, partition);
+        match rows {
+            Some(_) => inner.stats.read += 1,
+            None => inner.stats.quarantined += 1,
         }
-        // Memory miss: fall back to the durable tier. A frame that fails
-        // any check (magic, framing, checksum, identity, row payload) is
-        // quarantined — uncovered, never mis-decoded.
-        let tier = self.durable.lock();
-        let tier = tier.as_ref()?;
-        let path = tier.dir.join(frame_name(query, stage, partition));
-        let raw = tier.vfs.read(&path).ok()?;
-        match decode_frame(&raw, query, stage, partition) {
-            Some(rows) => {
-                let mut inner = self.inner.lock();
-                inner.stats.read += 1;
-                inner.stats.durable_frames_read += 1;
-                Some(Ok(rows))
-            }
-            None => {
-                self.inner.lock().stats.durable_frames_quarantined += 1;
-                None
-            }
-        }
+        rows
     }
 
-    /// Whether a checkpoint covers `(query, stage, partition)` — in
-    /// memory, or (durable tier attached) as a frame file on disk.
+    /// Whether a frame file exists for `(query, stage, partition)`.
     pub fn covers(&self, query: u64, stage: &str, partition: usize) -> bool {
-        let key = Key {
-            query,
-            stage: stage.to_owned(),
-            partition,
-        };
-        if self.inner.lock().entries.contains_key(&key) {
-            return true;
-        }
-        let tier = self.durable.lock();
-        match tier.as_ref() {
-            Some(tier) => tier
-                .vfs
-                .exists(&tier.dir.join(frame_name(query, stage, partition))),
-            None => false,
-        }
+        let inner = self.inner.lock();
+        inner
+            .vfs
+            .exists(&inner.dir.join(frame_name(query, stage, partition)))
     }
 
     /// Drop every checkpoint belonging to `query` (called when the query
-    /// finishes — its lineage can no longer need them). Durable frames
-    /// are removed best-effort: a disk that is failing (or has simulated-
-    /// crashed) must not turn query completion into an error, and frames
-    /// that survive an actual crash are exactly what resume reads.
+    /// finishes — its lineage can no longer need them), including frames
+    /// another process left at this location. Removal is best-effort: a
+    /// disk that is failing (or has simulated-crashed) must not turn query
+    /// completion into an error, and frames that survive an actual crash
+    /// are exactly what resume reads.
     pub fn remove_query(&self, query: u64) {
-        {
-            let mut inner = self.inner.lock();
-            let removed: Vec<Key> = inner
-                .order
-                .iter()
-                .filter(|k| k.query == query)
-                .cloned()
-                .collect();
-            for key in removed {
-                if let Some(bytes) = inner.entries.remove(&key) {
-                    inner.total_bytes -= bytes.len() as u64;
-                }
+        let prefix = query_prefix(query);
+        let mut inner = self.inner.lock();
+        let Inner {
+            vfs,
+            dir,
+            frames,
+            total_bytes,
+            ..
+        } = &mut *inner;
+        frames.retain(|(name, size)| {
+            let keep = !name.starts_with(&prefix);
+            if !keep {
+                *total_bytes -= size;
             }
-            inner.order.retain(|k| k.query != query);
-        }
-        let tier = self.durable.lock();
-        if let Some(tier) = tier.as_ref() {
-            let prefix = query_prefix(query);
-            if let Ok(names) = tier.vfs.list(&tier.dir) {
-                for name in names {
-                    if name.starts_with(&prefix) {
-                        let _ = tier.vfs.remove(&tier.dir.join(name));
-                    }
-                }
+            keep
+        });
+        for name in vfs.list(dir).unwrap_or_default() {
+            if name.starts_with(&prefix) {
+                let _ = vfs.remove(&dir.join(name));
             }
         }
     }
 
-    /// Names of durable frame files currently on disk (the crash-resume
-    /// litter scan), empty when no durable tier is attached.
-    pub fn durable_frames(&self) -> Vec<String> {
-        let tier = self.durable.lock();
-        match tier.as_ref() {
-            Some(tier) => tier.vfs.list(&tier.dir).unwrap_or_default(),
-            None => Vec::new(),
-        }
+    /// Names of the frame files at the store's location.
+    pub fn frames(&self) -> Vec<String> {
+        let inner = self.inner.lock();
+        inner.vfs.list(&inner.dir).unwrap_or_default()
     }
 
-    /// Number of live checkpoints.
+    /// Number of checkpoints this store wrote at its location and has not
+    /// evicted or removed.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().frames.len()
     }
 
-    /// Whether the store holds no checkpoints.
+    /// Whether [`CheckpointStore::len`] is zero.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Serialized bytes currently held.
+    /// Wire bytes of those checkpoints.
     pub fn total_bytes(&self) -> u64 {
         self.inner.lock().total_bytes
     }
@@ -466,26 +384,6 @@ impl CheckpointStore {
     pub fn stats(&self) -> CheckpointStoreStats {
         self.inner.lock().stats
     }
-}
-
-/// Evict FIFO until the store fits its budget; returns how many
-/// checkpoints were dropped.
-fn evict_to_budget(inner: &mut Inner) -> u64 {
-    let Some(budget) = inner.budget_bytes else {
-        return 0;
-    };
-    let mut evicted = 0;
-    while inner.total_bytes > budget {
-        let Some(key) = inner.order.pop_front() else {
-            break;
-        };
-        if let Some(bytes) = inner.entries.remove(&key) {
-            inner.total_bytes -= bytes.len() as u64;
-            inner.stats.evicted += 1;
-            evicted += 1;
-        }
-    }
-    evicted
 }
 
 #[cfg(test)]
@@ -508,7 +406,7 @@ mod tests {
         let outcome = store.put(1, "join:partition", 0, &original).unwrap();
         assert!(outcome.bytes > 0);
         assert_eq!(outcome.evicted, 0);
-        let back = store.get(1, "join:partition", 0).unwrap().unwrap();
+        let back = store.get(1, "join:partition", 0).unwrap();
         assert_eq!(back, original);
         assert!(store.covers(1, "join:partition", 0));
         assert!(!store.covers(1, "join:partition", 1));
@@ -522,6 +420,7 @@ mod tests {
         let store = CheckpointStore::new();
         assert!(store.get(9, "join:combine", 3).is_none());
         assert_eq!(store.stats().read, 0);
+        assert_eq!(store.stats().quarantined, 0, "a miss is not corruption");
     }
 
     #[test]
@@ -532,7 +431,7 @@ mod tests {
         store.put(1, "s", 0, &rows(2)).unwrap();
         assert!(store.total_bytes() < total_after_first);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(1, "s", 0).unwrap().unwrap(), rows(2));
+        assert_eq!(store.get(1, "s", 0).unwrap(), rows(2));
     }
 
     #[test]
@@ -549,6 +448,7 @@ mod tests {
         assert!(store.covers(1, "s", 2));
         assert_eq!(store.stats().evicted, 1);
         assert!(store.total_bytes() <= one * 2);
+        assert_eq!(store.frames().len(), 2, "eviction removes the frame");
     }
 
     #[test]
@@ -576,18 +476,7 @@ mod tests {
         store.remove_query(2);
         assert!(store.is_empty());
         assert_eq!(store.total_bytes(), 0);
-    }
-
-    #[test]
-    fn policy_matches_base_stage_names() {
-        assert!(!CheckpointPolicy::Off.covers("join:partition"));
-        assert!(!CheckpointPolicy::Off.enabled());
-        assert!(CheckpointPolicy::All.covers("join:partition/left"));
-        let some = CheckpointPolicy::Stages(vec!["join:partition".into()]);
-        assert!(some.covers("join:partition"));
-        assert!(some.covers("join:partition/right"), "suffix stripped");
-        assert!(!some.covers("join:combine"));
-        assert!(some.enabled());
+        assert!(store.frames().is_empty());
     }
 
     #[test]
@@ -595,7 +484,7 @@ mod tests {
         let store = CheckpointStore::new();
         let outcome = store.put(1, "s", 0, &[]).unwrap();
         assert_eq!(outcome.bytes, 0);
-        assert_eq!(store.get(1, "s", 0).unwrap().unwrap(), Vec::<Row>::new());
+        assert_eq!(store.get(1, "s", 0).unwrap(), Vec::<Row>::new());
     }
 
     #[test]
@@ -623,62 +512,48 @@ mod tests {
     }
 
     #[test]
-    fn durable_tier_round_trips_and_survives_memory_loss() {
-        use crate::faultfs::{FaultFs, StorageFaultConfig};
+    fn relocated_store_writes_frames_on_the_new_filesystem() {
         let fs = FaultFs::new(StorageFaultConfig::quiet(11));
         let store = CheckpointStore::new();
-        store
-            .attach_durable(fs.clone(), "/wal/checkpoints")
-            .unwrap();
-        let original = rows(6);
-        store.put(7, "join:combine/joined", 2, &original).unwrap();
-        let stats = store.stats();
-        assert_eq!(stats.durable_frames_written, 1);
-        assert!(stats.durable_frame_bytes_written > 0);
-
-        // A fresh store over the same filesystem (the post-crash process)
-        // has no memory tier but reads the frame back from disk.
-        let fresh = CheckpointStore::new();
-        fresh.attach_durable(fs, "/wal/checkpoints").unwrap();
-        assert!(fresh.covers(7, "join:combine/joined", 2));
-        let back = fresh.get(7, "join:combine/joined", 2).unwrap().unwrap();
-        assert_eq!(back, original);
-        assert_eq!(fresh.stats().durable_frames_read, 1);
-
-        // Identity is verified: the same file never answers for another
-        // key, and remove_query deletes the frames.
-        assert!(!fresh.covers(7, "join:combine/joined", 0));
-        assert!(fresh.get(8, "join:combine/joined", 2).is_none());
-        fresh.remove_query(7);
-        assert!(!fresh.covers(7, "join:combine/joined", 2));
-        assert!(fresh.durable_frames().is_empty());
+        store.put(7, "join:combine/joined", 0, &rows(2)).unwrap();
+        store.relocate(fs.clone(), "/wal/checkpoints").unwrap();
+        assert!(store.is_empty(), "the old location's frames stay behind");
+        assert!(store.get(7, "join:combine/joined", 0).is_none());
+        store.put(7, "join:combine/joined", 2, &rows(6)).unwrap();
+        let name = "ckpt-0000000000000007-join_combine_joined-2.fckpt";
+        assert_eq!(fs.list("/wal/checkpoints".as_ref()).unwrap(), [name]);
+        store.relocate_to_memory();
+        assert!(store.frames().is_empty());
+        assert!(fs.exists(&PathBuf::from("/wal/checkpoints").join(name)));
     }
 
     #[test]
     fn corrupt_durable_frames_are_quarantined_not_decoded() {
-        use crate::faultfs::{FaultFs, StorageFaultConfig};
         let fs = FaultFs::new(StorageFaultConfig::quiet(12));
         let store = CheckpointStore::new();
-        store
-            .attach_durable(fs.clone(), "/wal/checkpoints")
-            .unwrap();
+        store.relocate(fs.clone(), "/wal/checkpoints").unwrap();
         store.put(3, "agg:shuffle/partials", 1, &rows(5)).unwrap();
-        let name = store.durable_frames().pop().unwrap();
+        let name = store.frames().pop().unwrap();
         let path = std::path::Path::new("/wal/checkpoints").join(&name);
         let mut bytes = fs.read(&path).unwrap();
         // Flip one payload bit: the checksum must catch it.
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         fs.write_file(&path, &bytes).unwrap();
-        let fresh = CheckpointStore::new();
-        fresh
-            .attach_durable(fs.clone(), "/wal/checkpoints")
-            .unwrap();
-        assert!(fresh.get(3, "agg:shuffle/partials", 1).is_none());
-        assert_eq!(fresh.stats().durable_frames_quarantined, 1);
+        assert!(store.get(3, "agg:shuffle/partials", 1).is_none());
+        assert_eq!(store.stats().quarantined, 1);
         // Truncation is detected the same way.
         fs.truncate(&path, 9).unwrap();
-        assert!(fresh.get(3, "agg:shuffle/partials", 1).is_none());
-        assert_eq!(fresh.stats().durable_frames_quarantined, 2);
+        assert!(store.get(3, "agg:shuffle/partials", 1).is_none());
+        assert_eq!(store.stats().quarantined, 2);
+        // Identity is verified: a frame never answers for another key.
+        store.put(3, "agg:shuffle/partials", 1, &rows(5)).unwrap();
+        fs.rename(
+            &path,
+            &path.with_file_name(frame_name(4, "agg:shuffle/partials", 1)),
+        )
+        .unwrap();
+        assert!(store.get(4, "agg:shuffle/partials", 1).is_none());
+        assert_eq!(store.stats().quarantined, 3);
     }
 }

@@ -17,9 +17,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use catalog::{Catalog, CatalogSink};
-pub use checkpoint::{
-    CheckpointPolicy, CheckpointStore, CheckpointStoreStats, PutOutcome, CHECKPOINT_DIR,
-};
+pub use checkpoint::{CheckpointStore, CheckpointStoreStats, PutOutcome, CHECKPOINT_DIR};
 pub use csv::{read_csv, write_csv};
 pub use dataset::{AppendSink, Dataset, DatasetBuilder};
 pub use durable::{

@@ -198,8 +198,6 @@ fn chaotic_runs_match_fault_free_oracle_across_seeds() {
 /// of this test would prove nothing).
 #[test]
 fn chaos_with_worker_deaths_still_matches_oracle() {
-    use fudj_repro::storage::CheckpointPolicy;
-
     let seeds = seeds();
     let mut deaths = 0;
     let mut restored = 0;
@@ -207,7 +205,7 @@ fn chaos_with_worker_deaths_still_matches_oracle() {
         let expected = oracle(w.alg.as_ref(), &w.left, &w.right, &w.params);
         for &seed in &seeds {
             let cluster = Cluster::with_faults(WORKERS, FaultConfig::chaos_with_deaths(seed));
-            cluster.set_checkpoint_policy(CheckpointPolicy::All);
+            cluster.set_checkpoint_all(true);
             let (batch, metrics) = cluster.execute(&plan(&w)).unwrap();
             let pairs = id_pairs(&batch);
             assert_eq!(

@@ -22,7 +22,6 @@ use fudj_repro::core::{EngineJoin, FaultConfig, FudjEngineJoin, JoinAlgorithm, P
 use fudj_repro::exec::{Cluster, FudjJoinNode, PhysicalPlan, RecoveryStats, WorkerState};
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::{IntervalFudj, SpatialDedup, SpatialFudj};
-use fudj_repro::storage::CheckpointPolicy;
 use fudj_repro::temporal::Interval;
 use fudj_repro::types::Value;
 use std::sync::Arc;
@@ -131,7 +130,7 @@ fn death_with_checkpoints_is_partial_recovery_and_counter_identical() {
         let mut total_deaths = 0;
         for seed in seeds() {
             let cluster = Cluster::with_faults(WORKERS, deaths_only(seed));
-            cluster.set_checkpoint_policy(CheckpointPolicy::All);
+            cluster.set_checkpoint_all(true);
             let (pairs, snap) = run_on(&cluster, &w);
             assert_eq!(
                 pairs, base_pairs,
@@ -229,7 +228,7 @@ fn starved_checkpoint_budget_degrades_to_replay_not_wrong_answers() {
     let mut deaths = 0;
     for seed in seeds() {
         let cluster = Cluster::with_faults(WORKERS, deaths_only(seed));
-        cluster.set_checkpoint_policy(CheckpointPolicy::All);
+        cluster.set_checkpoint_all(true);
         cluster.set_checkpoint_budget(Some(16)); // smaller than any partition
         let (pairs, snap) = run_on(&cluster, w);
         assert_eq!(pairs, base_pairs, "seed {seed}: starved run diverged");
@@ -252,7 +251,7 @@ fn death_schedule_is_reproducible() {
     let w = &workloads()[1];
     let run = |seed: u64| {
         let cluster = Cluster::with_faults(WORKERS, deaths_only(seed));
-        cluster.set_checkpoint_policy(CheckpointPolicy::All);
+        cluster.set_checkpoint_all(true);
         run_on(&cluster, w)
     };
     for seed in seeds().into_iter().take(4) {
