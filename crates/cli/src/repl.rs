@@ -390,7 +390,7 @@ impl Repl {
             "jobs" => {
                 let jobs = self.session.scheduler().jobs();
                 if jobs.is_empty() {
-                    return "no jobs; \\submit <select> schedules one\n".to_owned();
+                    return "no jobs; every SELECT runs as one\n".to_owned();
                 }
                 let mut out = String::new();
                 for j in jobs {
@@ -611,12 +611,15 @@ const HELP_COMMANDS: &str = r#"FUDJ shell
                   honors CREATE JOIN ... WITH options), off, or a
                   session-wide policy override (failfast, quarantine,
                   fallback); \metrics shows per-query violation counters
-    \submit <select ...>              schedule a SELECT concurrently; honors
-                                      SET priority / deadline_ms /
+    \submit <select ...>              schedule a SELECT without waiting for
+                                      it; like every SELECT it honors SET
+                                      priority / deadline_ms /
                                       memory_budget_rows
-    \jobs                             list scheduled jobs and their states
+    \jobs                             list every query (each SELECT is a
+                                      scheduler job) and its state; the
+                                      last 1024 finished ones are kept
     \await <id>                       wait for a submitted job's rows
-    \cancel <id>                      cancel a queued or running job
+    \cancel <id>                      cancel a queued or running query
     \serve <seed>                     run a seeded multi-tenant workload
                                       through the serving tier (plan +
                                       result caches) and report hit rates

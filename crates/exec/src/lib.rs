@@ -76,7 +76,7 @@ pub use plan::{
     AggFunc, Aggregate, CmpOp, ColumnCompare, CombineStrategy, FudjJoinNode, JoinPredicate,
     PhysicalPlan, RowMapper, RowPredicate, SortKey,
 };
-pub use pool::WorkerPool;
+pub use pool::{panic_message, WorkerPool};
 pub use recovery::{
     ClusterRecovery, CounterSeed, Membership, QueryJournal, QueryTag, RecoveryContext,
     RecoveryStats, ResumeSpec, WorkerInfo, WorkerState,

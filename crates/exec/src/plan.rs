@@ -171,6 +171,7 @@ impl SortKey {
 }
 
 /// The FUDJ distributed join node — the physical rendering of Fig. 8.
+#[derive(Clone)]
 pub struct FudjJoinNode {
     pub left: Box<PhysicalPlan>,
     pub right: Box<PhysicalPlan>,
@@ -231,7 +232,9 @@ impl FudjJoinNode {
     }
 }
 
-/// A physical operator tree.
+/// A physical operator tree. Cloning is shallow where it can be: datasets,
+/// compiled closures and join strategies are shared `Arc`s.
+#[derive(Clone)]
 pub enum PhysicalPlan {
     /// Scan a stored dataset.
     Scan { dataset: Arc<Dataset> },

@@ -13,6 +13,10 @@
 //!   blocks for the result, `cancel` stops the query at its next task
 //!   boundary.
 //!
+//! `fudj-sql` runs every SELECT a session executes as one of these jobs,
+//! so the job body is the only place a query reaches
+//! [`fudj_exec::Cluster::execute_with`].
+//!
 //! The load-bearing invariant (checked by the differential tests in the
 //! umbrella crate): for any batch of queries, concurrent scheduled
 //! execution is **result- and per-query-metrics-identical** to running

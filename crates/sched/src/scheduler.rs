@@ -16,13 +16,22 @@
 //! `memory_budget_rows` must stay under an aggregate quota. Queries past
 //! either limit wait in a bounded FIFO queue; past the queue, submission
 //! fails with [`FudjError::Admission`].
+//!
+//! A finished job stays listed until [`FINISHED_JOBS_KEPT`] newer jobs
+//! have finished after it; queued and running jobs are always listed.
 
 use fudj_exec::{
-    Cluster, DispatchGate, ExecMode, ExecOptions, MetricsSnapshot, PhysicalPlan, QueryControl,
+    panic_message, Cluster, DispatchGate, ExecMode, ExecOptions, MetricsSnapshot, PhysicalPlan,
+    QueryControl,
 };
 use fudj_types::{Batch, FudjError, Result};
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+
+/// How many finished jobs [`Scheduler::jobs`] and [`Scheduler::job`] still
+/// report; past it the one that finished first is forgotten.
+pub const FINISHED_JOBS_KEPT: usize = 1024;
 
 /// Scheduler knobs, adjustable at runtime via
 /// [`Scheduler::reconfigure`] (the REPL's `SET` statements land there).
@@ -257,6 +266,9 @@ struct SchedState {
     config: SchedulerConfig,
     next_id: u64,
     jobs: BTreeMap<u64, Job>,
+    /// Finished job ids in the order they finished, at most
+    /// [`FINISHED_JOBS_KEPT`] of them.
+    finished: VecDeque<u64>,
     /// FIFO admission queue (job ids).
     queue: VecDeque<u64>,
     /// Admitted, unfinished job ids, in admission order.
@@ -312,6 +324,22 @@ impl SchedState {
             }
             let budget = self.jobs.get(&id).map(|j| j.budget_rows).unwrap_or(0);
             self.admitted_budget_rows = self.admitted_budget_rows.saturating_sub(budget);
+        }
+    }
+
+    /// Put job `id` in its terminal `state`, and forget the job that
+    /// finished first once more than [`FINISHED_JOBS_KEPT`] have.
+    fn retire(&mut self, id: u64, state: JobState, error: Option<String>) {
+        if let Some(job) = self.jobs.get_mut(&id) {
+            job.state = state;
+            job.waiting = false;
+            job.error = error;
+        }
+        self.finished.push_back(id);
+        if self.finished.len() > FINISHED_JOBS_KEPT {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
         }
     }
 
@@ -372,10 +400,10 @@ fn cancel_job(inner: &Arc<SchedInner>, id: u64) -> bool {
     };
     match job.state {
         JobState::Queued => {
-            job.state = JobState::Cancelled;
-            job.error = Some(format!("cancelled before start: {}", job.label));
             job.ctrl.cancel();
+            let error = format!("cancelled before start: {}", job.label);
             st.queue.retain(|&q| q != id);
+            st.retire(id, JobState::Cancelled, Some(error));
         }
         JobState::Running => {
             // The coordinator observes the token at its next task
@@ -468,6 +496,7 @@ impl Scheduler {
                     config,
                     next_id: 1,
                     jobs: BTreeMap::new(),
+                    finished: VecDeque::new(),
                     queue: VecDeque::new(),
                     running: Vec::new(),
                     rr_cursor: 0,
@@ -588,13 +617,15 @@ impl Scheduler {
         }
     }
 
-    /// All jobs this scheduler has seen, in submission order.
+    /// Every queued or running job and the last [`FINISHED_JOBS_KEPT`]
+    /// finished ones, in submission order.
     pub fn jobs(&self) -> Vec<JobInfo> {
         let st = self.inner.lock();
         st.jobs.iter().map(|(&id, job)| job.info(id)).collect()
     }
 
-    /// One job's public view.
+    /// One job's public view; `None` once it is forgotten (see
+    /// [`Scheduler::jobs`]).
     pub fn job(&self, id: u64) -> Option<JobInfo> {
         self.inner.lock().jobs.get(&id).map(|job| job.info(id))
     }
@@ -614,7 +645,9 @@ impl Scheduler {
 
 /// Body of one job's coordinator thread: wait for admission, execute the
 /// plan under the control plane, classify the outcome, release admission
-/// resources, deliver the result.
+/// resources, deliver the result. A panic on this thread (user code the
+/// pool's per-task isolation does not cover, like an unguarded `divide`)
+/// fails the job like an error would, so its slot is still released.
 fn run_job(
     inner: Arc<SchedInner>,
     cluster: Cluster,
@@ -652,8 +685,14 @@ fn run_job(
         gate: Some(gate),
         tag: spec.tag,
     };
-    let result = cluster
-        .execute_with(&spec.plan, opts)
+    let result = catch_unwind(AssertUnwindSafe(|| cluster.execute_with(&spec.plan, opts)))
+        .unwrap_or_else(|payload| {
+            Err(FudjError::Execution(format!(
+                "query {:?} panicked: {}",
+                spec.label,
+                panic_message(&*payload)
+            )))
+        })
         .map(|(batch, metrics)| (batch, metrics.snapshot()));
 
     let final_state = match &result {
@@ -662,13 +701,10 @@ fn run_job(
         Err(FudjError::Deadline(_)) => JobState::DeadlineExceeded,
         Err(_) => JobState::Failed,
     };
+    let error = result.as_ref().err().map(|e| e.to_string());
     let mut st = inner.lock();
-    if let Some(job) = st.jobs.get_mut(&id) {
-        job.state = final_state;
-        job.waiting = false;
-        job.error = result.as_ref().err().map(|e| e.to_string());
-    }
     st.release(id);
+    st.retire(id, final_state, error);
     st.admit_from_queue();
     drop(st);
     inner.cv.notify_all();
@@ -1035,6 +1071,44 @@ mod tests {
         assert!(
             !sched.grant_log().is_empty(),
             "dispatch went through the gate"
+        );
+    }
+
+    #[test]
+    fn finished_jobs_past_the_bound_are_forgotten_oldest_first() {
+        let sched = Scheduler::new(Cluster::new(1));
+        // A job that never finishes is never forgotten, however old.
+        sched.inner.lock().jobs.insert(
+            0,
+            Job {
+                label: "parked".into(),
+                priority: 1,
+                state: JobState::Running,
+                ctrl: Arc::new(QueryControl::new("parked", None)),
+                credits: 1,
+                waiting: false,
+                budget_rows: 0,
+                batches: 0,
+                error: None,
+            },
+        );
+        let plan = Arc::new(PhysicalPlan::Scan {
+            dataset: dataset(1, 1),
+        });
+        let total = FINISHED_JOBS_KEPT as u64 + 10;
+        for _ in 0..total {
+            let handle = sched.submit(QuerySpec::new(plan.clone(), "tiny")).unwrap();
+            handle.wait().unwrap();
+        }
+        assert_eq!(sched.jobs().len(), FINISHED_JOBS_KEPT + 1);
+        assert_eq!(sched.job(0).unwrap().state, JobState::Running);
+        assert!(
+            (1..=10).all(|id| sched.job(id).is_none()),
+            "oldest forgotten"
+        );
+        assert!(
+            (11..=total).all(|id| sched.job(id).is_some()),
+            "newest kept"
         );
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! * `settings` — the one table of knobs behind `SET` and `CREATE JOIN
 //!   … WITH`;
-//! * `run` — the one function that turns a planned SELECT into rows,
-//!   blocking or through the scheduler;
+//! * `run` — the one function that turns a planned SELECT into a
+//!   scheduler job, which a blocking statement then waits for;
 //! * `lifecycle` — opening, closing and snapshotting the durable store,
 //!   and resuming the queries a crash left unfinished.
 
@@ -67,7 +67,7 @@ impl QueryOutput {
 }
 
 /// A database session: catalog + join registry + cluster + planner options
-/// + the concurrent query scheduler behind `\submit`.
+/// + the concurrent query scheduler every SELECT runs through.
 pub struct Session {
     catalog: Catalog,
     registry: JoinRegistry,
@@ -179,14 +179,14 @@ impl Session {
         self.cluster.faults()
     }
 
-    /// The cluster this session executes on (a clone shares the same
+    /// The cluster this session's jobs execute on (a clone shares the same
     /// worker pool and membership — it is the same simulated cluster, so
     /// `\workers` lists, drops and adds workers through it).
     pub fn cluster(&self) -> Cluster {
         self.cluster.clone()
     }
 
-    /// The concurrent query scheduler (`\submit` / `\jobs` / `\cancel`).
+    /// The scheduler every SELECT runs on as a job (`\jobs` / `\cancel`).
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
     }
@@ -263,7 +263,7 @@ impl Session {
             Statement::Execute { name, params } => {
                 self.run_statement(&self.bind_execute(&name, &params)?, sql)
             }
-            Statement::Explain { select, analyze } => self.explain(&select, analyze),
+            Statement::Explain { select, analyze } => self.explain(&select, analyze, sql),
         }
     }
 

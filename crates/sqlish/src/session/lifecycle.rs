@@ -3,7 +3,7 @@
 //! left unfinished, `\persist` snapshots it, `SET wal_dir = off` detaches
 //! it.
 
-use super::run::{resume_point, Entry};
+use super::run::{label, resume_point, Entry};
 use super::{lock, Session};
 use crate::ast::Statement;
 use crate::durability::{self, WalHook};
@@ -206,8 +206,10 @@ impl Session {
             }
         };
         let options = self.options_from_journal(&query.options);
-        let physical = self.plan_under(&sel, &options)?;
-        self.run_here(&physical, &options, Entry::Resumed(query))
+        let plan = Arc::new(self.plan_under(&sel, &options)?);
+        let name = label(&query.sql);
+        self.run(plan, &options, Entry::Resumed(query), &name, None)?
+            .wait()
     }
 
     /// Detach the durable store (`SET wal_dir = off`). Already-logged

@@ -1,10 +1,8 @@
 //! The run path: every SELECT this session executes — typed at the
 //! prompt, `EXECUTE`d, `\submit`ted, served by the tier, resumed after a
-//! crash, or measured by `EXPLAIN ANALYZE` — is bracketed by
-//! [`Session::begin`], and reaches the cluster one of two ways:
-//! [`Session::run_here`] on the caller's thread (the serial oracle of
-//! `sched_differential`) or [`Session::run_scheduled`] through admission
-//! and fair-share dispatch (the serving tier).
+//! crash, or measured by `EXPLAIN ANALYZE` — is one scheduler job: its
+//! journal entry is opened and sealed by [`Session::begin`], and
+//! [`Session::run`] submits it; a blocking statement waits for the handle.
 
 use super::{QueryOutput, Session};
 use crate::ast::{SelectStatement, Statement};
@@ -12,9 +10,7 @@ use crate::binder::bind_select;
 use crate::durability::JournalHook;
 use crate::fingerprint;
 use crate::parser::parse;
-use fudj_exec::{
-    CounterSeed, ExecMode, ExecOptions, MetricsSnapshot, PhysicalPlan, QueryTag, ResumeSpec,
-};
+use fudj_exec::{CounterSeed, ExecMode, MetricsSnapshot, PhysicalPlan, QueryTag, ResumeSpec};
 use fudj_planner::PlanOptions;
 use fudj_sched::{JobHandle, JobOutput, QuerySpec};
 use fudj_storage::wal::WalRecord;
@@ -82,6 +78,18 @@ fn journal_finish(store: &DurableStore, fingerprint: u64) -> Result<()> {
     store.append_journal(&WalRecord::QueryFinished { fingerprint }, "journal:finish")
 }
 
+/// How `\jobs` lists statement text `sql`: whitespace collapsed, cut at
+/// 48 characters.
+pub(super) fn label(sql: &str) -> String {
+    let label: String = sql.split_whitespace().collect::<Vec<_>>().join(" ");
+    if label.chars().count() > 48 {
+        let head: String = label.chars().take(47).collect();
+        format!("{head}…")
+    } else {
+        label
+    }
+}
+
 impl Session {
     /// Bracket one execution of a planned SELECT: open its journal entry
     /// now, and return the [`QueryTag`] the execution must carry (it pins
@@ -133,39 +141,22 @@ impl Session {
         Ok((tag, finish))
     }
 
-    /// Run `plan` on the caller's thread, past admission control; blocks
-    /// until the rows are in.
-    pub(super) fn run_here(
-        &self,
-        plan: &PhysicalPlan,
-        options: &PlanOptions,
-        entry: Entry<'_>,
-    ) -> Result<JobOutput> {
-        let (tag, finish) = self.begin(options, entry)?;
-        let opts = ExecOptions {
-            mode: options.exec_mode,
-            tag,
-            ..ExecOptions::default()
-        };
-        let (batch, metrics) = self.cluster.execute_with(plan, opts)?;
-        finish((batch, metrics.snapshot()))
-    }
-
-    /// Run `plan`, the plan of statement text `sql`, through the
-    /// scheduler — admitted, fair-share dispatched, cancellable; returns
-    /// once the job is queued.
-    fn run_scheduled(
+    /// Run `plan` as a scheduler job listed as `label`, under `SET
+    /// deadline_ms` and at `priority` (`None`: `SET priority`); returns
+    /// once it is queued, and the handle's `wait()` delivers the rows
+    /// through [`Session::begin`]'s seal.
+    pub(super) fn run(
         &self,
         plan: Arc<PhysicalPlan>,
         options: &PlanOptions,
-        sql: &str,
-        label: String,
-        priority: u32,
-        deadline_ms: Option<u64>,
+        entry: Entry<'_>,
+        label: &str,
+        priority: Option<u32>,
     ) -> Result<JobHandle> {
-        let (tag, finish) = self.begin(options, Entry::Statement(sql))?;
-        let mut spec = QuerySpec::new(plan, label).with_priority(priority);
-        spec.deadline_ms = deadline_ms;
+        let (tag, finish) = self.begin(options, entry)?;
+        let vars = self.vars();
+        let mut spec = QuerySpec::new(plan, label).with_priority(priority.unwrap_or(vars.priority));
+        spec.deadline_ms = vars.deadline_ms;
         spec.memory_budget_rows = options.memory_budget_rows.map(|rows| rows as u64);
         spec.exec_mode = options.exec_mode;
         spec.tag = tag;
@@ -187,17 +178,23 @@ impl Session {
         self.plan_under(sel, &self.effective_options())
     }
 
-    /// Plan and run the SELECT behind statement text `sql` (the SELECT
-    /// itself, or the `EXECUTE` it was bound from) on the caller's thread.
-    pub(super) fn run_statement(&self, sel: &SelectStatement, sql: &str) -> Result<QueryOutput> {
+    /// Plan the SELECT behind statement text `sql` (the SELECT itself, or
+    /// the `EXECUTE` it was bound from) and run it as a job.
+    fn job(&self, sel: &SelectStatement, sql: &str) -> Result<JobHandle> {
         let options = self.effective_options();
-        let physical = self.plan_under(sel, &options)?;
-        let (batch, snapshot) = self.run_here(&physical, &options, Entry::Statement(sql))?;
+        let plan = Arc::new(self.plan_under(sel, &options)?);
+        self.run(plan, &options, Entry::Statement(sql), &label(sql), None)
+    }
+
+    /// Run the SELECT behind statement text `sql` and block until its
+    /// rows are in.
+    pub(super) fn run_statement(&self, sel: &SelectStatement, sql: &str) -> Result<QueryOutput> {
+        let (batch, snapshot) = self.job(sel, sql)?.wait()?;
         Ok(QueryOutput::Rows(batch, Box::new(snapshot)))
     }
 
-    /// Execute an already-planned query on the caller's thread,
-    /// unjournaled, with durability counters stamped in.
+    /// Run an already-planned query as an unjournaled job and block until
+    /// its rows are in, with durability counters stamped in.
     pub fn execute_physical(
         &self,
         physical: &PhysicalPlan,
@@ -207,38 +204,24 @@ impl Session {
             exec_mode,
             ..PlanOptions::default()
         };
-        self.run_here(physical, &options, Entry::Unjournaled)
+        let plan = Arc::new(physical.clone());
+        self.run(plan, &options, Entry::Unjournaled, "physical plan", None)?
+            .wait()
     }
 
-    /// Submit a SELECT for asynchronous scheduled execution. The query is
-    /// planned now (under the current `SET` variables) and competes with
-    /// other in-flight queries under the scheduler's admission and
-    /// fair-share policies, at this session's `SET priority` and
-    /// `deadline_ms`.
+    /// Submit a SELECT without waiting for it: the query is planned now
+    /// (under the current `SET` variables) and the job's handle returned.
     pub fn submit(&self, sql: &str) -> Result<JobHandle> {
-        let sel = match parse(sql)? {
-            Statement::Select(sel) => sel,
-            other => {
-                return Err(FudjError::Execution(format!(
-                    "only SELECT statements can be submitted, got {other:?}"
-                )))
-            }
-        };
-        let options = self.effective_options();
-        let plan = Arc::new(self.plan_under(&sel, &options)?);
-        let label: String = sql.split_whitespace().collect::<Vec<_>>().join(" ");
-        let label = if label.chars().count() > 48 {
-            let head: String = label.chars().take(47).collect();
-            format!("{head}…")
-        } else {
-            label
-        };
-        let vars = self.vars();
-        self.run_scheduled(plan, &options, sql, label, vars.priority, vars.deadline_ms)
+        match parse(sql)? {
+            Statement::Select(sel) => self.job(&sel, sql),
+            other => Err(FudjError::Execution(format!(
+                "only SELECT statements can be submitted, got {other:?}"
+            ))),
+        }
     }
 
     /// Submit an already-planned SELECT (the serving tier's cached plan
-    /// for statement text `sql`) for scheduled execution at `priority`.
+    /// for statement text `sql`) at `priority`, listed as `label`.
     pub fn submit_planned(
         &self,
         plan: Arc<PhysicalPlan>,
@@ -246,18 +229,26 @@ impl Session {
         label: String,
         priority: u32,
     ) -> Result<JobHandle> {
-        self.run_scheduled(plan, &self.effective_options(), sql, label, priority, None)
+        let opts = self.effective_options();
+        self.run(plan, &opts, Entry::Statement(sql), &label, Some(priority))
     }
 
     /// `EXPLAIN [ANALYZE]`: the plan text, and under `ANALYZE` what one
-    /// (unjournaled) execution of it measured.
-    pub(super) fn explain(&self, select: &SelectStatement, analyze: bool) -> Result<QueryOutput> {
+    /// (unjournaled) execution of it, statement text `sql`, measured.
+    pub(super) fn explain(
+        &self,
+        select: &SelectStatement,
+        analyze: bool,
+        sql: &str,
+    ) -> Result<QueryOutput> {
         let options = self.effective_options();
         let physical = self.plan_under(select, &options)?;
         let mut text = physical.explain();
         if analyze {
             let start = std::time::Instant::now();
-            let (batch, m) = self.run_here(&physical, &options, Entry::Unjournaled)?;
+            let plan = Arc::new(physical);
+            let job = self.run(plan, &options, Entry::Unjournaled, &label(sql), None)?;
+            let (batch, m) = job.wait()?;
             let elapsed = start.elapsed();
             let _ = writeln!(text, "---");
             let _ = writeln!(text, "rows: {}; total: {elapsed:?}", batch.len());

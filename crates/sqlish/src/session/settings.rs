@@ -18,7 +18,7 @@ use Scope::*;
 pub enum Scope {
     /// The scheduler's `SchedulerConfig`, effective immediately.
     Scheduler,
-    /// This session's variables, read when `submit` builds a job.
+    /// This session's variables, read when a SELECT becomes a job.
     Session,
     /// A session variable laid over `PlanOptions` when a statement is
     /// planned, and journaled with the query so a resume re-plans under it.
@@ -299,11 +299,11 @@ pub const KNOBS: &[Knob] = &[
         get: Some(|s| s.scheduler.config().stage_slots.to_string()), ..KNOB },
 
     Knob { name: "priority", default: "0", scope: Session,
-        doc: "fair-share weight of this session's \\submit jobs (0 = scheduler default)",
+        doc: "fair-share weight of every SELECT this session runs (0 = scheduler default)",
         set: Some(|s, a| a.number("a number").map(|n| s.vars_mut().priority = n as u32)),
         get: Some(|s| s.vars().priority.to_string()), ..KNOB },
     Knob { name: "deadline_ms", syntax: "N|off", default: "off", scope: Session,
-        doc: "simulated-clock deadline of \\submit jobs",
+        doc: "simulated-clock deadline of every SELECT this session runs",
         set: Some(|s, a| a.optional(false).map(|v| s.vars_mut().deadline_ms = v)),
         get: Some(|s| or_off(s.vars().deadline_ms)), ..KNOB },
 

@@ -551,26 +551,31 @@ mod tests {
 
     #[test]
     fn dropped_fsyncs_do_not_advance_durability() {
-        let cfg = StorageFaultConfig {
-            seed: 99,
-            bit_flip_prob: 0.0,
-            drop_fsync_prob: 1.0,
-            crash_point: Some(("boom".into(), 1)),
+        // Append, fsync (or not), crash: the bytes that survive, and how
+        // many fsyncs the disk dropped.
+        let crash_after = |drop_fsync_prob: f64, sync: bool| {
+            let fs = FaultFs::new(StorageFaultConfig {
+                seed: 99,
+                bit_flip_prob: 0.0,
+                drop_fsync_prob,
+                crash_point: Some(("boom".into(), 1)),
+            });
+            fs.append(&p("wal"), b"claimed-durable").unwrap();
+            if sync {
+                fs.sync(&p("wal")).unwrap();
+            }
+            let _ = fs.crash_site("boom");
+            fs.reopen_after_crash();
+            (fs.read(&p("wal")).unwrap(), fs.counters().fsyncs_dropped)
         };
-        let fs = FaultFs::new(cfg);
-        fs.append(&p("wal"), b"claimed-durable").unwrap();
-        fs.sync(&p("wal")).unwrap();
-        assert_eq!(fs.counters().fsyncs_dropped, 1);
-        let _ = fs.crash_site("boom");
-        fs.reopen_after_crash();
-        let bytes = fs.read(&p("wal")).unwrap();
-        assert!(
-            bytes.len() < b"claimed-durable".len() || bytes.is_empty() || !bytes.is_empty(),
-            "nothing was guaranteed"
-        );
-        // Deterministically, the synced prefix is 0 so only a seeded torn
-        // prefix may survive.
-        assert!(bytes.len() <= b"claimed-durable".len());
+        let (lied, dropped) = crash_after(1.0, true);
+        assert_eq!(dropped, 1);
+        let (never_synced, _) = crash_after(1.0, false);
+        assert_eq!(lied, never_synced, "the dropped fsync advanced nothing");
+        let (honest, dropped) = crash_after(0.0, true);
+        assert_eq!(dropped, 0);
+        assert_eq!(honest, b"claimed-durable", "a kept fsync keeps every byte");
+        assert!(lied.len() < honest.len(), "seed 99 tears the unsynced tail");
     }
 
     #[test]

@@ -333,3 +333,44 @@ fn killed_queries_leave_the_pool_and_counters_clean() {
         );
     }
 }
+
+/// A panic on a job's coordinator thread — here an unguarded `divide`,
+/// which runs outside every pool task's isolation — fails that job and
+/// hands its admission slot on: with one slot, the next query still runs.
+#[test]
+fn coordinator_panic_fails_the_job_and_releases_its_slot() {
+    let scheduler = Scheduler::with_config(
+        Cluster::new(WORKERS),
+        SchedulerConfig {
+            max_inflight: 1,
+            ..SchedulerConfig::default()
+        },
+    );
+    let divide_panics = Arc::new(FudjEngineJoin::new(Arc::new(EvilJoin::new(
+        Arc::new(EqualityFudj),
+        EvilMode::PanicIn(EvilPhase::Divide),
+    ))));
+    let panicking = join_plan(divide_panics, &longs(40, 10, 0), &longs(40, 10, 1), vec![]);
+    let handle = scheduler
+        .submit(QuerySpec::new(Arc::new(panicking), "panics in divide"))
+        .unwrap();
+    let id = handle.id();
+    let err = handle.wait().unwrap_err();
+    assert!(err.to_string().contains("panicked"), "{err}");
+    assert_eq!(scheduler.in_flight(), 0, "the slot was released");
+    let info = scheduler.job(id).unwrap();
+    assert_eq!(info.state, JobState::Failed);
+    assert!(info.error.unwrap().contains("panicked"));
+
+    let workloads = workloads();
+    let tame = &workloads[0];
+    let (batch, _) = scheduler
+        .submit(QuerySpec::new(Arc::new((tame.make_plan)()), tame.name))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(
+        batch.rows(),
+        &run_serial(&Cluster::new(WORKERS), tame).0[..]
+    );
+}
