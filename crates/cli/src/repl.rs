@@ -115,6 +115,12 @@ impl Repl {
                     out.push_str(&render_durability_stats(&metrics));
                     out.push_str(&render_udf_stats(&metrics));
                     out.push_str(&render_serving_stats(&metrics));
+                    let plans = self.session.plan_cache_counters();
+                    let _ = writeln!(
+                        out,
+                        "Plan cache: {} hit / {} miss / {} evicted this session",
+                        plans.hits, plans.misses, plans.evictions,
+                    );
                 }
                 out
             }
@@ -621,9 +627,9 @@ const HELP_COMMANDS: &str = r#"FUDJ shell
     \await <id>                       wait for a submitted job's rows
     \cancel <id>                      cancel a queued or running query
     \serve <seed>                     run a seeded multi-tenant workload
-                                      through the serving tier (plan +
-                                      result caches) and report hit rates
-                                      and latency percentiles
+                                      through a fresh serving tier and
+                                      report its plan- and result-cache
+                                      hits and its admissions
     \persist                          write an atomic snapshot and compact
                                       the WAL behind it
     \chaos disk <seed>                the next SET wal_dir injects seeded
@@ -741,14 +747,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_demo_reports_caches_and_latency() {
+    fn serve_demo_reports_caches_and_admissions() {
         let mut r = Repl::new(2);
         assert!(r.run_meta("serve", &[]).contains("usage"));
         assert!(r.run_meta("serve", &["x".into()]).contains("usage"));
         let out = r.run_meta("serve", &["5".into()]);
         assert!(out.contains("served 64 statements"), "{out}");
-        assert!(out.contains("latency (sim ms): p50"), "{out}");
         assert!(out.contains("results"), "{out}");
+        assert!(out.contains("admissions"), "{out}");
     }
 
     #[test]
@@ -815,6 +821,11 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("phase join:") && out.contains("skew"), "{out}");
+        let again = r.run_statement(
+            "SELECT COUNT(*) AS c FROM Parks p, Wildfires w \
+             WHERE st_contains(p.boundary, w.location);",
+        );
+        assert!(again.contains("Plan cache: 1 hit / 1 miss"), "{again}");
     }
 
     #[test]

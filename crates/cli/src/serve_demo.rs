@@ -1,6 +1,7 @@
 //! The `\serve <seed>` REPL demo: a seeded multi-tenant workload pushed
 //! through a [`fudj_serve::ServingTier`] over its own sample session,
-//! reporting cache effectiveness and latency percentiles.
+//! reporting what the caches and admission did. Every line is a
+//! deterministic count, so one seed always prints the same report.
 //!
 //! The demo is self-contained (it builds a fresh engine rather than
 //! borrowing the REPL's session) so `\serve` never perturbs the tables or
@@ -38,7 +39,6 @@ pub fn run(seed: u64) -> Result<String> {
     }
 
     let stats = tier.stats();
-    let global = tier.global_latency();
     let mut out = String::new();
     out.push_str(&format!(
         "served {} statements from {} tenants (seed {}, {} failed)\n",
@@ -62,27 +62,6 @@ pub fn run(seed: u64) -> Result<String> {
         "admissions: {} ok / {} rejected; queue depth high-water {}\n",
         stats.admissions, stats.rejections, stats.queue_depth_high_water,
     ));
-    out.push_str(&format!(
-        "latency (sim ms): p50 {} / p95 {} / p99 {} / max {} over {} served\n",
-        global.p50(),
-        global.p95(),
-        global.p99(),
-        global.max(),
-        global.count(),
-    ));
-    let mut tenants = tier.tenant_ids();
-    tenants.sort_unstable();
-    for t in tenants {
-        if let Some(h) = tier.tenant_latency(t) {
-            out.push_str(&format!(
-                "  tenant {t}: p50 {} / p99 {} / max {} ({} ops)\n",
-                h.p50(),
-                h.p99(),
-                h.max(),
-                h.count(),
-            ));
-        }
-    }
     Ok(out)
 }
 
@@ -102,8 +81,7 @@ mod tests {
         // cached shape — invalidation or eviction — and this quiet demo
         // ingests nothing, so plans may legitimately show 0 hits.)
         assert!(!a.contains("results: 0 hit"), "result cache never hit: {a}");
-        assert!(a.contains("latency (sim ms): p50"));
-        assert!(a.contains("tenant 0:"));
+        assert!(a.contains("admissions: "), "{a}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::columnar;
 use crate::exchange;
 use crate::metrics::QueryMetrics;
 use crate::mode::ExecMode;
-use crate::plan::{Aggregate, PhysicalPlan, SortKey};
+use crate::plan::{AggFunc, Aggregate, PhysicalPlan, SortKey};
 use crate::pool::WorkerPool;
 use crate::recovery::{self, ClusterRecovery, Membership, WorkerInfo};
 use fudj_storage::CheckpointStore;
@@ -431,6 +431,8 @@ impl Cluster {
     /// Step 2 of the hash aggregate: merge shuffled partial rows per
     /// group and finalize. Split out so a crash-restart resume can enter
     /// here directly with partials restored from durable checkpoints.
+    /// Without `GROUP BY`, an empty input still aggregates to one row, as
+    /// in SQL: `COUNT` 0, every other aggregate NULL.
     fn merge_partials(
         &self,
         shuffled: PartitionedData,
@@ -440,7 +442,7 @@ impl Cluster {
         metrics: &QueryMetrics,
     ) -> Result<PartitionedData> {
         let width = group_by.len();
-        self.parallel_map(metrics, shuffled, |rows| {
+        let mut merged = self.parallel_map(metrics, shuffled, |rows| {
             let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
             for row in &rows {
                 let key = row.values()[..width].to_vec();
@@ -462,7 +464,17 @@ impl Cluster {
                 out.push(Row::new(values));
             }
             Ok(out)
-        })
+        })?;
+        if width == 0 && merged.iter().all(Vec::is_empty) {
+            let empty = aggregates.iter().map(|a| match a.func {
+                AggFunc::Count => Value::Int64(0),
+                _ => Value::Null,
+            });
+            if let Some(first) = merged.first_mut() {
+                first.push(Row::new(empty.collect()));
+            }
+        }
+        Ok(merged)
     }
 }
 

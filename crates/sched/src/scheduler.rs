@@ -694,6 +694,9 @@ fn run_job(
             )))
         })
         .map(|(batch, metrics)| (batch, metrics.snapshot()));
+    // The plan's join leases end with the job, before its caller can see
+    // the result (and, say, `DROP JOIN` what it ran).
+    drop(spec.plan);
 
     let final_state = match &result {
         Ok(_) => JobState::Done,

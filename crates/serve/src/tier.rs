@@ -1,21 +1,22 @@
 //! The serving tier: many logical tenants multiplexed over one engine.
 //!
 //! [`ServingTier`] sits between untrusted statement streams and a shared
-//! [`Session`], adding the §VII-B amortization the paper argues for: the
-//! translation work (parse → bind → plan) runs once per distinct query
-//! shape, and repeated reads are answered from a result cache that is
-//! *provably* never stale — every cached entry carries the epoch vector
-//! of the tables (and DDL state) it was computed from, and ingest bumps
-//! those epochs, so a lookup whose epochs moved recomputes instead of
-//! serving the old answer.
+//! [`Session`], adding what a deployment of recurring statement shapes
+//! needs on top of the session's plan cache (which already runs parse →
+//! bind → optimize once per shape, §VII-B): per-tenant priorities,
+//! admission accounting, and a result cache that is *provably* never
+//! stale — every cached entry carries the epoch vector of the tables
+//! (and DDL state) it was computed from, and ingest bumps those epochs,
+//! so a lookup whose epochs moved recomputes instead of serving the old
+//! answer.
 //!
-//! ## Cache keys
+//! ## Cache key
 //!
-//! Both caches key on `(canonical shape text, literal parameter values)`
-//! — see [`fudj_sql::fingerprint`]. The full canonical text (not just its
-//! 64-bit hash) is the key, so hash collisions cannot alias two shapes.
-//! Result entries additionally store the epoch vector; equality of the
-//! stored and current vectors is the freshness proof.
+//! The result cache keys on the session plan cache's
+//! [`StatementKey`]: `(canonical shape text, literal parameter values)`,
+//! see [`fudj_sql::fingerprint`]. Entries additionally store the epoch
+//! vector; equality of the stored and current vectors is the freshness
+//! proof.
 //!
 //! ## Concurrency
 //!
@@ -26,21 +27,11 @@
 //! the next lookup conservatively recomputes — over-invalidation is
 //! possible, stale reads are not.
 
-use crate::cache::LruCache;
-use crate::histogram::LatencyHistogram;
-use fudj_exec::{MetricsSnapshot, PhysicalPlan, ServingStats};
+use fudj_exec::{MetricsSnapshot, ServingStats};
 use fudj_sql::ast::{SelectStatement, Statement};
-use fudj_sql::{parse, QueryOutput, Session};
-use fudj_types::{Batch, FudjError, Result, Value};
-use std::collections::HashMap;
+use fudj_sql::{parse, LruCache, QueryOutput, Session, StatementKey};
+use fudj_types::{Batch, FudjError, Result};
 use std::sync::{Arc, Mutex};
-
-/// Cache key: canonical shape text plus the literal parameter values.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
-    text: String,
-    params: Vec<Value>,
-}
 
 /// The versions a cached result was computed from. Equality with the
 /// current vector proves freshness.
@@ -63,38 +54,11 @@ struct CachedResult {
 
 #[derive(Default)]
 struct TierState {
-    plans: LruCache<CacheKey, Arc<PhysicalPlan>>,
-    results: LruCache<CacheKey, CachedResult>,
+    results: LruCache<StatementKey, CachedResult>,
     invalidations: u64,
     admissions: u64,
     rejections: u64,
     queue_depth_high_water: u64,
-    global: LatencyHistogram,
-    tenants: HashMap<u32, LatencyHistogram>,
-}
-
-impl TierState {
-    fn stats(&self) -> ServingStats {
-        let p = self.plans.counters();
-        let r = self.results.counters();
-        ServingStats {
-            admissions: self.admissions,
-            rejections: self.rejections,
-            plan_cache_hits: p.hits,
-            plan_cache_misses: p.misses,
-            plan_cache_evictions: p.evictions,
-            result_cache_hits: r.hits,
-            result_cache_misses: r.misses,
-            result_cache_invalidations: self.invalidations,
-            result_cache_evictions: r.evictions,
-            queue_depth_high_water: self.queue_depth_high_water,
-        }
-    }
-
-    fn record_latency(&mut self, tenant: u32, ms: u64) {
-        self.global.record(ms);
-        self.tenants.entry(tenant).or_default().record(ms);
-    }
 }
 
 /// A multi-tenant serving front over one [`Session`].
@@ -105,10 +69,10 @@ pub struct ServingTier {
 
 impl ServingTier {
     pub fn new(session: Arc<Session>) -> Self {
-        let config = session.serving_config();
         let mut state = TierState::default();
-        state.plans.set_capacity(config.plan_cache_entries);
-        state.results.set_capacity(config.result_cache_entries);
+        state
+            .results
+            .set_capacity(session.serving_config().result_cache_entries);
         ServingTier {
             session,
             state: Mutex::new(state),
@@ -120,26 +84,24 @@ impl ServingTier {
         &self.session
     }
 
-    /// Current serving counters.
+    /// Current serving counters: the tier's own, and the session's plan
+    /// cache's.
     pub fn stats(&self) -> ServingStats {
-        self.lock().stats()
-    }
-
-    /// The all-tenants latency histogram.
-    pub fn global_latency(&self) -> LatencyHistogram {
-        self.lock().global.clone()
-    }
-
-    /// One tenant's latency histogram, if it has issued statements.
-    pub fn tenant_latency(&self, tenant: u32) -> Option<LatencyHistogram> {
-        self.lock().tenants.get(&tenant).cloned()
-    }
-
-    /// Tenants with recorded latencies.
-    pub fn tenant_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.lock().tenants.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        let state = self.lock();
+        let p = self.session.plan_cache_counters();
+        let r = state.results.counters();
+        ServingStats {
+            admissions: state.admissions,
+            rejections: state.rejections,
+            plan_cache_hits: p.hits,
+            plan_cache_misses: p.misses,
+            plan_cache_evictions: p.evictions,
+            result_cache_hits: r.hits,
+            result_cache_misses: r.misses,
+            result_cache_invalidations: state.invalidations,
+            result_cache_evictions: r.evictions,
+            queue_depth_high_water: state.queue_depth_high_water,
+        }
     }
 
     /// Serve one statement for `tenant` at scheduler priority 1.
@@ -148,7 +110,7 @@ impl ServingTier {
     }
 
     /// Serve one statement for `tenant` with an explicit fair-share
-    /// priority. SELECT and EXECUTE go through the caches and the
+    /// priority. SELECT and EXECUTE go through the result cache and the
     /// scheduler; PREPARE registers a template; everything else (SET,
     /// DDL, EXPLAIN) passes through to the session.
     pub fn serve_with_priority(
@@ -199,7 +161,7 @@ impl ServingTier {
     /// or EXECUTE) that were in flight when the previous process died,
     /// re-executed exactly once by the reopening `SET wal_dir`. A serving
     /// deployment calls this after restart to deliver the recovered
-    /// results; the tier's caches start cold, so nothing stale survives.
+    /// results; the result cache starts cold, so nothing stale survives.
     pub fn take_resumed(&self) -> Vec<fudj_sql::ResumedQuery> {
         self.session.take_resumed()
     }
@@ -213,76 +175,37 @@ impl ServingTier {
     ) -> Result<QueryOutput> {
         let config = self.session.serving_config();
         let shape = fudj_sql::shape_of(sel);
-        let key = CacheKey {
-            text: shape.text,
-            params: shape.params,
-        };
         let epochs = self.current_epochs(&shape.tables);
+        let key = shape.key();
         let results_on = config.result_cache_enabled && config.result_cache_entries > 0;
 
-        {
+        if results_on {
             let mut state = self.lock();
-            // Live `SET plan_cache_entries` / `result_cache_entries`.
-            state.plans.set_capacity(config.plan_cache_entries);
-            if results_on {
-                state.results.set_capacity(config.result_cache_entries);
-            }
-
-            if results_on {
-                if let Some(now) = &epochs {
-                    let fresh = match state.results.peek(&key) {
-                        Some(hit) if &hit.epochs == now => true,
-                        Some(_) => {
-                            // Present but computed from older epochs:
-                            // ingest or DDL happened in between. Count the
-                            // invalidation, drop the entry, recompute.
-                            state.invalidations += 1;
-                            state.results.remove(&key);
-                            false
-                        }
-                        None => false,
-                    };
-                    if fresh {
-                        // Count the hit (and touch recency) now that we
-                        // know the entry is servable.
-                        let hit = state.results.get(&key).expect("peeked fresh entry");
-                        let batch = hit.batch.clone();
-                        let mut snapshot = hit.snapshot.clone();
-                        state.record_latency(tenant, 0);
-                        snapshot.serving = state.stats();
-                        return Ok(QueryOutput::Rows(batch, Box::new(snapshot)));
-                    }
-                    // Not servable: count the miss on the cache itself.
-                    let _ = state.results.get(&key);
+            // Live `SET result_cache_entries`.
+            state.results.set_capacity(config.result_cache_entries);
+            if let Some(now) = &epochs {
+                // An entry computed from older epochs (ingest or DDL in
+                // between) is dropped and counted as an invalidation; the
+                // lookup then counts the miss.
+                if state.results.drop_stale(&key, |hit| &hit.epochs == now) {
+                    state.invalidations += 1;
+                }
+                if let Some(hit) = state.results.get(&key) {
+                    let batch = hit.batch.clone();
+                    let snapshot = hit.snapshot.clone();
+                    drop(state);
+                    return Ok(self.stamped(batch, snapshot));
                 }
             }
         }
 
-        // Plan-cache lookup; on a miss, plan outside the lock.
-        let plans_on = config.plan_cache_entries > 0;
-        let cached_plan = if plans_on {
-            self.lock().plans.get(&key).cloned()
-        } else {
-            None
-        };
-        let plan = match cached_plan {
-            Some(plan) => plan,
-            None => {
-                let plan = Arc::new(self.session.plan_select(sel)?);
-                if plans_on {
-                    self.lock().plans.insert(key.clone(), plan.clone());
-                }
-                plan
-            }
-        };
-
-        // Execute through the scheduler under the tenant's priority. The
-        // session journals the statement (verbatim text) when
-        // `checkpoint_durable` is armed: a crash mid-execution leaves it
-        // in-flight in the WAL, and the next restart re-executes it
-        // exactly once.
+        // Plan through the session's cache and execute through the
+        // scheduler under the tenant's priority. The session journals the
+        // statement (verbatim text) when `checkpoint_durable` is armed: a
+        // crash mid-execution leaves it in-flight in the WAL, and the next
+        // restart re-executes it exactly once.
         let label = format!("tenant {tenant}: {}", key.text);
-        let handle = match self.session.submit_planned(plan, sql, label, priority) {
+        let handle = match self.session.submit_select(sel, sql, &label, Some(priority)) {
             Ok(handle) => {
                 let queued = self.session.scheduler().in_flight() as u64;
                 let mut state = self.lock();
@@ -297,24 +220,25 @@ impl ServingTier {
                 return Err(err);
             }
         };
-        let (batch, mut snapshot) = handle.wait()?;
+        let (batch, snapshot) = handle.wait()?;
 
-        let mut state = self.lock();
-        state.record_latency(tenant, snapshot.sim_clock_ms);
         if results_on {
             if let Some(epochs) = epochs {
-                state.results.insert(
-                    key,
-                    CachedResult {
-                        batch: batch.clone(),
-                        snapshot: snapshot.clone(),
-                        epochs,
-                    },
-                );
+                let cached = CachedResult {
+                    batch: batch.clone(),
+                    snapshot: snapshot.clone(),
+                    epochs,
+                };
+                self.lock().results.insert(key, cached);
             }
         }
-        snapshot.serving = state.stats();
-        Ok(QueryOutput::Rows(batch, Box::new(snapshot)))
+        Ok(self.stamped(batch, snapshot))
+    }
+
+    /// A response, with the serving counters as they are now.
+    fn stamped(&self, batch: Batch, mut snapshot: MetricsSnapshot) -> QueryOutput {
+        snapshot.serving = self.stats();
+        QueryOutput::Rows(batch, Box::new(snapshot))
     }
 }
 
@@ -322,7 +246,7 @@ impl ServingTier {
 mod tests {
     use super::*;
     use crate::sample::sample_session;
-    use fudj_types::Row;
+    use fudj_types::{Row, Value};
 
     fn tier() -> ServingTier {
         ServingTier::new(Arc::new(sample_session(40, 2).unwrap()))
@@ -345,9 +269,6 @@ mod tests {
         assert_eq!(stats.result_cache_misses, 1);
         assert_eq!(stats.plan_cache_misses, 1);
         assert_eq!(stats.admissions, 1, "the hit never reached the engine");
-        // The hit is free on the simulated clock.
-        assert_eq!(t.tenant_latency(2).unwrap().max(), 0);
-        assert!(t.tenant_latency(1).unwrap().max() > 0);
         // Fingerprints match modulo the tier-scoped serving counters.
         let mut a = first.metrics().fingerprint();
         let mut b = again.metrics().fingerprint();

@@ -1,11 +1,12 @@
-//! Statement fingerprinting: normalized query shapes for the serving tier.
+//! Statement fingerprinting: normalized query shapes for the caches.
 //!
 //! Two SELECTs that differ only in literal values (or whitespace, or
 //! comment noise) share one *shape*: a canonical rendering of the AST with
-//! every literal replaced by an ordinal placeholder. The serving tier keys
-//! its plan cache on `(shape, parameter values)` and its result cache on
-//! `(shape, parameter values, table epochs)` — so "the same query again"
-//! is recognized structurally, not textually.
+//! every literal replaced by an ordinal placeholder. The session keys its
+//! plan cache on `(shape, parameter values)` — a [`StatementKey`] — and
+//! the serving tier its result cache on the same key plus the table
+//! epochs, so "the same query again" is recognized structurally, not
+//! textually.
 
 use crate::ast::{AstBinOp, AstExpr, SelectStatement};
 use fudj_types::{FudjError, Result, Value};
@@ -15,7 +16,8 @@ use fudj_types::{FudjError, Result, Value};
 /// out (in traversal order), and the referenced dataset names.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StatementShape {
-    /// FNV-1a hash of [`Self::text`] — the plan/result cache key stem.
+    /// FNV-1a hash of [`Self::text`], for display: cache keys carry the
+    /// text itself ([`StatementKey`]).
     pub shape: u64,
     /// Canonical rendering with literals replaced by `?1`, `?2`, ….
     pub text: String,
@@ -25,6 +27,26 @@ pub struct StatementShape {
     /// a self-join reads the table once per reference, but the epoch set
     /// dedups naturally through the catalog).
     pub tables: Vec<String>,
+}
+
+/// What the plan and result caches key a statement by: its canonical
+/// shape text and literal values, which together are the statement. The
+/// full text, not its hash, so a hash collision cannot alias two
+/// statements.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct StatementKey {
+    pub text: String,
+    pub params: Vec<Value>,
+}
+
+impl StatementShape {
+    /// The cache key of the statement this is the shape of.
+    pub fn key(self) -> StatementKey {
+        StatementKey {
+            text: self.text,
+            params: self.params,
+        }
+    }
 }
 
 /// Compute the normalized shape of a SELECT. Literals become ordered

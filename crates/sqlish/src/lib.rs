@@ -10,8 +10,9 @@
 //! * `EXPLAIN SELECT ...` — renders the optimized physical plan, which is
 //!   how the tests (and a curious user) confirm a FUDJ operator was chosen;
 //! * `PREPARE name AS SELECT ... $1 ...` / `EXECUTE name(values...)` —
-//!   parse once, run many times; the serving tier keys its plan and result
-//!   caches on the [`fingerprint`] of the normalized statement.
+//!   parse once, run many times; the session's plan cache and the serving
+//!   tier's result cache key on the [`fingerprint`] of the normalized
+//!   statement.
 //!
 //! [`Session`] wires the catalog, the join registry, the planner, and a
 //! cluster together: `session.execute(sql)` goes from text to a result
@@ -19,14 +20,16 @@
 
 pub mod ast;
 pub mod binder;
+pub mod cache;
 mod durability;
 pub mod fingerprint;
 pub mod lexer;
 pub mod parser;
 pub mod session;
 
+pub use cache::{CacheCounters, LruCache};
 pub use fingerprint::{
-    param_count, shape_of, statement_fingerprint, substitute_params, StatementShape,
+    param_count, shape_of, statement_fingerprint, substitute_params, StatementKey, StatementShape,
 };
 pub use parser::parse;
 pub use session::{Knob, QueryOutput, ResumedQuery, Scope, ServingConfig, Session, KNOBS};

@@ -5,8 +5,9 @@
 //!
 //! * `settings` — the one table of knobs behind `SET` and `CREATE JOIN
 //!   … WITH`;
-//! * `run` — the one function that turns a planned SELECT into a
-//!   scheduler job, which a blocking statement then waits for;
+//! * `run` — the plan cache every SELECT is planned through, and the one
+//!   function that turns the plan into a scheduler job, which a blocking
+//!   statement then waits for;
 //! * `lifecycle` — opening, closing and snapshotting the durable store,
 //!   and resuming the queries a crash left unfinished.
 
@@ -18,6 +19,7 @@ pub use lifecycle::ResumedQuery;
 pub use settings::{Knob, Scope, ServingConfig, KNOBS, MAX_CACHE_ENTRIES};
 
 use crate::ast::{AstExpr, SelectStatement, Statement};
+use crate::cache::{CacheCounters, LruCache};
 use crate::fingerprint;
 use crate::parser::parse;
 use fudj_core::{GuardMode, JoinLibrary, JoinRegistry};
@@ -90,6 +92,9 @@ pub struct Session {
     fault_disk: Mutex<Option<(String, Arc<FaultFs>)>>,
     /// Named templates from `PREPARE`, consumed by `EXECUTE`.
     prepared: Mutex<HashMap<String, SelectStatement>>,
+    /// Every SELECT's optimized logical plan, by statement shape; sized
+    /// by `SET plan_cache_entries`.
+    plans: Mutex<run::PlanCache>,
     /// Results of journal-driven resumes from the last `SET wal_dir`,
     /// drained by [`Session::take_resumed`].
     resumed: Mutex<Vec<ResumedQuery>>,
@@ -116,6 +121,7 @@ impl Session {
             disk_faults: Mutex::default(),
             fault_disk: Mutex::default(),
             prepared: Mutex::default(),
+            plans: Mutex::new(LruCache::new(settings::PLAN_CACHE_ENTRIES)),
             resumed: Mutex::default(),
         }
     }
@@ -142,9 +148,11 @@ impl Session {
     }
 
     /// Replace the planner options (on-top forcing, parameter injection,
-    /// overrides).
+    /// overrides). Empties the plan cache: `force_on_top` and
+    /// `extra_join_params` shape the optimized plans it holds.
     pub fn set_options(&mut self, options: PlanOptions) {
         self.options = options;
+        lock(&self.plans).clear();
     }
 
     /// How subsequent queries guard user-defined joins: per-join config
@@ -189,6 +197,11 @@ impl Session {
     /// The scheduler every SELECT runs on as a job (`\jobs` / `\cancel`).
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
+    }
+
+    /// Hits, misses and evictions of the plan cache so far.
+    pub fn plan_cache_counters(&self) -> CacheCounters {
+        lock(&self.plans).counters()
     }
 
     fn vars(&self) -> SessionVars {

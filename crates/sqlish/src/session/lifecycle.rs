@@ -182,8 +182,8 @@ impl Session {
         }
     }
 
-    /// Plan the journaled SQL under its journaled options and run it with
-    /// the journal's resume point.
+    /// Plan the journaled SQL through the plan cache, lowered under its
+    /// journaled options, and run it with the journal's resume point.
     fn resume_execute(&self, query: &PendingQuery) -> Result<JobOutput> {
         let sel = match parse(&query.sql)? {
             Statement::Select(sel) => sel,

@@ -1,23 +1,40 @@
 //! The run path: every SELECT this session executes — typed at the
 //! prompt, `EXECUTE`d, `\submit`ted, served by the tier, resumed after a
-//! crash, or measured by `EXPLAIN ANALYZE` — is one scheduler job: its
-//! journal entry is opened and sealed by [`Session::begin`], and
+//! crash, or measured by `EXPLAIN ANALYZE` — is planned through the one
+//! plan cache and run as one scheduler job. The cache holds optimized
+//! *logical* plans, so bind and optimize run once per statement shape
+//! while lowering runs on every execution, under the `SET` values then in
+//! force and with join leases and guard state of that run's own. The
+//! job's journal entry is opened and sealed by [`Session::begin`], and
 //! [`Session::run`] submits it; a blocking statement waits for the handle.
 
-use super::{QueryOutput, Session};
+use super::{lock, QueryOutput, Session};
 use crate::ast::{SelectStatement, Statement};
 use crate::binder::bind_select;
+use crate::cache::LruCache;
 use crate::durability::JournalHook;
-use crate::fingerprint;
+use crate::fingerprint::{self, StatementKey};
 use crate::parser::parse;
 use fudj_exec::{CounterSeed, ExecMode, MetricsSnapshot, PhysicalPlan, QueryTag, ResumeSpec};
-use fudj_planner::PlanOptions;
+use fudj_planner::{LogicalPlan, PlanOptions};
 use fudj_sched::{JobHandle, JobOutput, QuerySpec};
 use fudj_storage::wal::WalRecord;
 use fudj_storage::{DurableStore, PendingQuery};
 use fudj_types::{Batch, FudjError, Result};
 use std::fmt::Write as _;
 use std::sync::Arc;
+
+/// The session's plan cache. The `SET` knobs are not in the key,
+/// because only lowering and execution read them.
+pub(super) type PlanCache = LruCache<StatementKey, CachedPlan>;
+
+/// A bound and optimized SELECT, with the catalog and registry DDL
+/// epochs it was planned under: an entry whose epochs moved may name a
+/// dropped dataset or miss a new join, so it counts as a miss.
+pub(super) struct CachedPlan {
+    logical: Arc<LogicalPlan>,
+    ddl_epochs: (u64, u64),
+}
 
 /// What a run records in the query journal.
 pub(super) enum Entry<'a> {
@@ -163,33 +180,58 @@ impl Session {
         Ok(self.scheduler.submit(spec)?.and_then(finish))
     }
 
+    /// `sel`'s physical plan under `options`: its optimized logical plan
+    /// from the plan cache (bound and optimized on a miss), lowered now.
     pub(super) fn plan_under(
         &self,
         sel: &SelectStatement,
         options: &PlanOptions,
     ) -> Result<PhysicalPlan> {
-        let logical = bind_select(sel, &self.catalog)?;
-        fudj_planner::plan(logical, &self.registry, options)
+        let logical = self.optimized(sel, options)?;
+        fudj_planner::lower(&logical, &self.registry, options)
     }
 
-    /// Bind and optimize a SELECT under the current `SET` variables —
-    /// the parse→bind→plan work the serving tier's plan cache amortizes.
-    pub fn plan_select(&self, sel: &SelectStatement) -> Result<PhysicalPlan> {
-        self.plan_under(sel, &self.effective_options())
+    fn optimized(&self, sel: &SelectStatement, options: &PlanOptions) -> Result<Arc<LogicalPlan>> {
+        let key = fingerprint::shape_of(sel).key();
+        // Read before binding: DDL racing the planning can only make the
+        // entry look older than it is.
+        let ddl_epochs = (self.catalog.ddl_epoch(), self.registry.ddl_epoch());
+        {
+            let mut plans = lock(&self.plans);
+            plans.drop_stale(&key, |plan| plan.ddl_epochs == ddl_epochs);
+            if let Some(plan) = plans.get(&key) {
+                return Ok(plan.logical.clone());
+            }
+        }
+        let bound = bind_select(sel, &self.catalog)?;
+        let logical = Arc::new(fudj_planner::optimize(bound, &self.registry, options)?);
+        let cached = CachedPlan {
+            logical: logical.clone(),
+            ddl_epochs,
+        };
+        lock(&self.plans).insert(key, cached);
+        Ok(logical)
     }
 
     /// Plan the SELECT behind statement text `sql` (the SELECT itself, or
-    /// the `EXECUTE` it was bound from) and run it as a job.
-    fn job(&self, sel: &SelectStatement, sql: &str) -> Result<JobHandle> {
+    /// the `EXECUTE` it was bound from) through the plan cache and run it
+    /// as a job listed as `label`, at `priority` (`None`: `SET priority`).
+    pub fn submit_select(
+        &self,
+        sel: &SelectStatement,
+        sql: &str,
+        label: &str,
+        priority: Option<u32>,
+    ) -> Result<JobHandle> {
         let options = self.effective_options();
         let plan = Arc::new(self.plan_under(sel, &options)?);
-        self.run(plan, &options, Entry::Statement(sql), &label(sql), None)
+        self.run(plan, &options, Entry::Statement(sql), label, priority)
     }
 
     /// Run the SELECT behind statement text `sql` and block until its
     /// rows are in.
     pub(super) fn run_statement(&self, sel: &SelectStatement, sql: &str) -> Result<QueryOutput> {
-        let (batch, snapshot) = self.job(sel, sql)?.wait()?;
+        let (batch, snapshot) = self.submit_select(sel, sql, &label(sql), None)?.wait()?;
         Ok(QueryOutput::Rows(batch, Box::new(snapshot)))
     }
 
@@ -213,24 +255,11 @@ impl Session {
     /// (under the current `SET` variables) and the job's handle returned.
     pub fn submit(&self, sql: &str) -> Result<JobHandle> {
         match parse(sql)? {
-            Statement::Select(sel) => self.job(&sel, sql),
+            Statement::Select(sel) => self.submit_select(&sel, sql, &label(sql), None),
             other => Err(FudjError::Execution(format!(
                 "only SELECT statements can be submitted, got {other:?}"
             ))),
         }
-    }
-
-    /// Submit an already-planned SELECT (the serving tier's cached plan
-    /// for statement text `sql`) at `priority`, listed as `label`.
-    pub fn submit_planned(
-        &self,
-        plan: Arc<PhysicalPlan>,
-        sql: &str,
-        label: String,
-        priority: u32,
-    ) -> Result<JobHandle> {
-        let opts = self.effective_options();
-        self.run(plan, &opts, Entry::Statement(sql), &label, Some(priority))
     }
 
     /// `EXPLAIN [ANALYZE]`: the plan text, and under `ANALYZE` what one

@@ -6,7 +6,7 @@
 //! table are all read off the rows, so adding or deleting a knob is
 //! adding or deleting a row.
 
-use super::{QueryOutput, Session};
+use super::{lock, QueryOutput, Session};
 use fudj_core::{GuardConfig, UdfPolicy};
 use fudj_exec::ExecMode;
 use fudj_planner::PlanOptions;
@@ -18,7 +18,8 @@ use Scope::*;
 pub enum Scope {
     /// The scheduler's `SchedulerConfig`, effective immediately.
     Scheduler,
-    /// This session's variables, read when a SELECT becomes a job.
+    /// This session's variables and its plan cache, read when a SELECT
+    /// becomes a job.
     Session,
     /// A session variable laid over `PlanOptions` when a statement is
     /// planned, and journaled with the query so a resume re-plans under it.
@@ -89,8 +90,8 @@ impl Arg<'_> {
         }
     }
 
-    /// A serving-cache capacity: 0 disables the cache, `none` restores
-    /// the default.
+    /// A cache capacity: 0 disables the cache, `none` restores the
+    /// default.
     fn capacity(&self) -> Result<Option<usize>> {
         match self.optional(true)? {
             Some(n) if n as usize > MAX_CACHE_ENTRIES => Err(self.error(format!(
@@ -102,17 +103,18 @@ impl Arg<'_> {
     }
 }
 
-/// Largest accepted cache capacity: caches are per-tier in-memory maps,
-/// so an absurd `SET` is a knob typo, not a provisioning request.
+/// Largest accepted cache capacity: caches are in-memory maps, so an
+/// absurd `SET` is a knob typo, not a provisioning request.
 pub const MAX_CACHE_ENTRIES: usize = 1 << 20;
 
-/// Serving-tier cache configuration: where the [`Scope::Serving`] knobs
-/// live. Read by `fudj-serve` before each statement, so a live `SET`
-/// takes effect immediately.
+/// The plan cache's capacity on a fresh session.
+pub(super) const PLAN_CACHE_ENTRIES: usize = 256;
+
+/// The serving tier's result-cache configuration: where the
+/// [`Scope::Serving`] knobs live. Read by `fudj-serve` before each
+/// statement, so a live `SET` takes effect immediately.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServingConfig {
-    /// Plan-cache LRU capacity (entries).
-    pub plan_cache_entries: usize,
     /// Result-cache LRU capacity (entries).
     pub result_cache_entries: usize,
     /// Whether result caching is enabled at all.
@@ -122,7 +124,6 @@ pub struct ServingConfig {
 impl Default for ServingConfig {
     fn default() -> Self {
         ServingConfig {
-            plan_cache_entries: 256,
             result_cache_entries: 1024,
             result_cache_enabled: true,
         }
@@ -375,11 +376,10 @@ pub const KNOBS: &[Knob] = &[
             Some(n) => or_off(Some(n).filter(|&n| n > 0)),
         }), ..KNOB },
 
-    Knob { name: "plan_cache_entries", syntax: "N|none", default: "256", scope: Serving,
-        doc: "serving plan-cache LRU bound (0 disables, none = default)",
-        set: Some(|s, a| a.capacity().map(|n| s.vars_mut().serving.plan_cache_entries =
-            n.unwrap_or(ServingConfig::default().plan_cache_entries))),
-        get: Some(|s| s.serving_config().plan_cache_entries.to_string()), ..KNOB },
+    Knob { name: "plan_cache_entries", syntax: "N|none", default: "256", scope: Session,
+        doc: "session plan-cache LRU bound (0 disables, none = default)",
+        set: Some(|s, a| a.capacity().map(|n| lock(&s.plans).set_capacity(n.unwrap_or(PLAN_CACHE_ENTRIES)))),
+        get: Some(|s| lock(&s.plans).capacity().to_string()), ..KNOB },
     Knob { name: "result_cache_entries", syntax: "N|none", default: "1024", scope: Serving,
         doc: "serving result-cache LRU bound (0 disables, none = default)",
         set: Some(|s, a| a.capacity().map(|n| s.vars_mut().serving.result_cache_entries =
@@ -434,8 +434,8 @@ impl Session {
         Some(get(self))
     }
 
-    /// The serving-tier cache configuration under the current `SET`
-    /// variables.
+    /// The serving tier's result-cache configuration under the current
+    /// `SET` variables.
     pub fn serving_config(&self) -> ServingConfig {
         self.vars().serving
     }
@@ -549,16 +549,15 @@ mod tests {
         s.execute("SET result_cache_entries = 0").unwrap();
         s.execute("SET result_cache = off").unwrap();
         let cfg = s.serving_config();
-        assert_eq!(cfg.plan_cache_entries, 8);
+        assert_eq!(lock(&s.plans).capacity(), 8);
         assert_eq!(cfg.result_cache_entries, 0, "0 disables, not defaults");
         assert!(!cfg.result_cache_enabled);
         s.execute("SET result_cache = on").unwrap();
         s.execute("SET plan_cache_entries = none").unwrap();
-        let cfg = s.serving_config();
-        assert!(cfg.result_cache_enabled);
+        assert!(s.serving_config().result_cache_enabled);
         assert_eq!(
-            cfg.plan_cache_entries,
-            ServingConfig::default().plan_cache_entries,
+            lock(&s.plans).capacity(),
+            PLAN_CACHE_ENTRIES,
             "none restores the engine default"
         );
 

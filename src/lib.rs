@@ -12,9 +12,11 @@
 //! * [`planner`] — the optimizer with the FUDJ rewrite rule;
 //! * [`sched`] — the concurrent query scheduler (admission control,
 //!   fair-share dispatch, cancellation, deadlines);
-//! * [`serve`] — the multi-tenant serving tier (plan/result caches with
-//!   epoch-based ingest invalidation, latency histograms);
-//! * [`sql`] — the SQL front end (`CREATE JOIN`, SELECT subset, EXPLAIN);
+//! * [`serve`] — the multi-tenant serving tier (tenant priorities,
+//!   admission accounting, a result cache with epoch-based ingest
+//!   invalidation);
+//! * [`sql`] — the SQL front end (`CREATE JOIN`, SELECT subset, EXPLAIN)
+//!   and the session with its plan cache;
 //! * [`datagen`] — seeded synthetic datasets standing in for Table I;
 //! * [`types`], [`geo`], [`textutil`], [`temporal`], [`storage`] —
 //!   substrates.

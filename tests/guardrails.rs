@@ -10,9 +10,11 @@
 use fudj_repro::exec::GuardMode;
 use fudj_repro::joins::evil::{evil_library, EVIL_LIBRARY_NAME};
 use fudj_repro::joins::{poisoned, standard_library};
+use fudj_repro::serve::ServingTier;
 use fudj_repro::sql::Session;
 use fudj_repro::storage::DatasetBuilder;
 use fudj_repro::types::{DataType, ExtValue, Field, FudjError, Row, Schema, Value};
+use std::sync::Arc;
 
 /// Key values for the two sides: a deterministic mix of poisoned and clean
 /// longs with enough duplication to make the equality join non-trivial.
@@ -162,6 +164,30 @@ fn fallback_equality_recovers_the_full_result() {
             out.metrics().udf
         );
     }
+}
+
+/// Guard state is per query: a statement the serving tier runs again
+/// from the plan cache starts with a fresh guard, so it falls back once
+/// per run, not once more per earlier run.
+#[test]
+fn a_served_fallback_join_falls_back_once_per_run() {
+    let tier = ServingTier::new(Arc::new(session(3)));
+    create_evil_join(
+        tier.session(),
+        "evil.PanicAssign",
+        "WITH (policy = fallback)",
+    );
+    tier.session().execute("SET result_cache = off").unwrap();
+    for run in 1..=2 {
+        let out = tier.serve(1, JOIN_SQL).unwrap();
+        assert_eq!(
+            out.batch().rows()[0].get(0).as_i64().unwrap(),
+            oracle(false)
+        );
+        let udf = &out.metrics().udf;
+        assert_eq!(udf.fallback_activations, 1, "run {run}: {udf:?}");
+    }
+    assert_eq!(tier.stats().plan_cache_hits, 1);
 }
 
 #[test]
