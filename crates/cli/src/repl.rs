@@ -6,7 +6,7 @@ use crate::render::{
 };
 use fudj_datagen::GeneratorConfig;
 use fudj_exec::{FaultConfig, GuardConfig, GuardMode, UdfPolicy};
-use fudj_joins::standard_library;
+use fudj_joins::{evil_library, standard_library};
 use fudj_sched::JobHandle;
 use fudj_sql::{QueryOutput, Session};
 use std::collections::HashMap;
@@ -34,10 +34,13 @@ pub struct Repl {
 }
 
 impl Repl {
-    /// Fresh REPL over a cluster of `workers`, standard library installed.
+    /// Fresh REPL over a cluster of `workers`, with the standard library and
+    /// the adversarial `evillib` fixtures (for trying `\guard` policies)
+    /// installed.
     pub fn new(workers: usize) -> Self {
         let session = Session::new(workers);
         session.install_library(standard_library());
+        session.install_library(evil_library());
         Repl {
             session,
             buffer: String::new(),

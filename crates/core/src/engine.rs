@@ -18,7 +18,9 @@
 //! translate each key once per block, and the §VII-F "advanced" spatial
 //! operator overrides it with a plane sweep.
 
-use crate::model::{avoidance_accepts, verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{
+    avoidance_accepts, matching_pairs, verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side,
+};
 use crate::state::{PPlanState, SummaryState};
 use fudj_types::{ext, Result, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,6 +228,18 @@ pub trait EngineJoin: Send + Sync {
         true
     }
 
+    /// Every `(b1, b2)` of `left` × `right` that [`EngineJoin::matches`],
+    /// appended to `out` row-major: theta COMBINE's bucket matching, one
+    /// call per worker partition. The default is the `matches` loop.
+    fn matching_buckets(
+        &self,
+        left: &[BucketId],
+        right: &[BucketId],
+        out: &mut Vec<(BucketId, BucketId)>,
+    ) {
+        matching_pairs(left, right, |b1, b2| self.matches(b1, b2), out);
+    }
+
     /// Record-pair verification.
     fn verify(
         &self,
@@ -399,6 +413,15 @@ impl EngineJoin for FudjEngineJoin {
 
     fn uses_default_match(&self) -> bool {
         self.alg.uses_default_match()
+    }
+
+    fn matching_buckets(
+        &self,
+        left: &[BucketId],
+        right: &[BucketId],
+        out: &mut Vec<(BucketId, BucketId)>,
+    ) {
+        self.alg.matching_buckets(left, right, out);
     }
 
     fn verify(

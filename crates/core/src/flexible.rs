@@ -1,6 +1,6 @@
 //! The user-facing typed programming model and its proxy adapter.
 
-use crate::model::{verify_prepared, BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{matching_pairs, verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
 use crate::state::{PPlanState, StateObject, SummaryState};
 use fudj_types::{ExtValue, FudjError, Result};
 use std::fmt;
@@ -250,6 +250,15 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
         self.join.uses_default_match()
     }
 
+    fn matching_buckets(
+        &self,
+        left: &[BucketId],
+        right: &[BucketId],
+        out: &mut Vec<(BucketId, BucketId)>,
+    ) {
+        matching_pairs(left, right, |b1, b2| self.join.matches(b1, b2), out);
+    }
+
     fn verify(
         &self,
         _b1: BucketId,
@@ -267,24 +276,23 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
         self.join.prepare(key, plan)
     }
 
-    fn verify_block(
+    fn verify_forms(
         &self,
         _b1: BucketId,
-        left: &[ExtValue],
+        left: &[&ExtValue],
         _b2: BucketId,
-        right: &[ExtValue],
+        right: &[&ExtValue],
         pplan: &PPlanState,
-        emit: &mut dyn FnMut(usize, usize),
+        out: &mut Vec<(usize, usize)>,
     ) -> Result<()> {
-        // One plan downcast per block; the user's `prepare` and `verify` are
-        // called on the typed plan directly.
+        // One plan downcast per block; the user's `verify` is called on the
+        // typed plan directly.
         let plan = self.pplan(pplan, "verify")?;
-        verify_prepared(
-            left,
-            right,
-            |_, key| self.join.prepare(key, plan),
-            |k1, k2| self.join.verify(k1, k2, plan),
-            emit,
+        verify_pairs(
+            left.len(),
+            right.len(),
+            |i, j| self.join.verify(left[i], right[j], plan),
+            |i, j| out.push((i, j)),
         )
     }
 

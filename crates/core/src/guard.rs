@@ -25,6 +25,21 @@
 //!   thinner sample), and summaries must merge associatively (probed on a
 //!   sampled triple).
 //!
+//! COMBINE's two hot loops are guarded a block at a time, not a call at a
+//! time. [`JoinAlgorithm::verify_block`] hands the inner algorithm a whole
+//! matched bucket pair ([`JoinAlgorithm::verify_forms`]) under one
+//! `catch_unwind`, one parked-violation check and one simulated-clock budget
+//! check, then runs the sampled probes over the block's answers;
+//! [`JoinAlgorithm::matching_buckets`] hands it a partition's whole theta
+//! bucket-matching pass under one `catch_unwind`. A block that unwinds,
+//! errs, goes over budget in sum, fails a probe, holds a quarantined key or
+//! meets a parked violation is discarded and replayed call by call through
+//! the per-call code, which attributes, counts and resolves each violation
+//! exactly as the single-call entry points do. The budget stays per call: a
+//! block within it in sum cannot hold a call over it. A replayed block runs
+//! its callbacks twice, which is sound only because the contract makes them
+//! pure.
+//!
 //! Violations route through a configurable [`UdfPolicy`]: fail fast with a
 //! phase-tagged diagnostic, quarantine the offending key/row and continue,
 //! or — for default-equality match predicates — degrade to the engine's
@@ -36,7 +51,7 @@
 //! bit-identical results and metrics to an unguarded one, which the test
 //! suite pins.
 
-use crate::model::{verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{matching_pairs, verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
 use crate::state::{PPlanState, SummaryState};
 use fudj_types::{ExtValue, FudjError, Result};
 use std::cell::Cell;
@@ -335,6 +350,30 @@ impl<'a> Hashed<'a> {
             Form::Raw | Form::Dropped => self.key,
         }
     }
+
+    fn prepared(&self) -> bool {
+        matches!(self.form, Form::Prepared(_))
+    }
+
+    fn dropped(&self) -> bool {
+        matches!(self.form, Form::Dropped)
+    }
+}
+
+/// What `verify` reads for each key of one side of a block.
+fn values<'a>(keys: &'a [Hashed<'_>]) -> Vec<&'a ExtValue> {
+    keys.iter().map(Hashed::value).collect()
+}
+
+/// Whether two keys have the same external shape — the symmetry probe's
+/// precondition: a swapped call between a polygon and a point is no test.
+fn same_shape(k1: &Hashed<'_>, k2: &Hashed<'_>) -> bool {
+    std::mem::discriminant(k1.key) == std::mem::discriminant(k2.key)
+}
+
+/// The site of one candidate pair: both raw keys' hashes and the bucket ids.
+fn pair_site(b1: BucketId, k1: &Hashed<'_>, b2: BucketId, k2: &Hashed<'_>) -> u64 {
+    fold(fold(fold(k1.hash, k2.hash), b1), b2)
 }
 
 /// Render a key for a violation site, truncated so a pathological key cannot
@@ -472,8 +511,13 @@ impl GuardHandle {
         self.cells.has_pending.store(true, Ordering::Release);
     }
 
+    /// Whether a deferred violation is parked: a load, not a lock.
+    fn parked(&self) -> bool {
+        self.cells.has_pending.load(Ordering::Acquire)
+    }
+
     fn pending(&self) -> Option<FudjError> {
-        if !self.cells.has_pending.load(Ordering::Acquire) {
+        if !self.parked() {
             return None;
         }
         self.cells
@@ -855,6 +899,26 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         self.inner.uses_default_match()
     }
 
+    fn matching_buckets(
+        &self,
+        left: &[BucketId],
+        right: &[BucketId],
+        out: &mut Vec<(BucketId, BucketId)>,
+    ) {
+        // The inner algorithm's whole loop under one `catch_unwind`. On an
+        // unwind its partial output is discarded and the loop replayed call
+        // by call through the guarded `matches`, which finds the site and
+        // defers or quarantines it as it always has.
+        let start = out.len();
+        let whole = catch_unwind(AssertUnwindSafe(|| {
+            self.inner.matching_buckets(left, right, out)
+        }));
+        if whole.is_err() {
+            out.truncate(start);
+            matching_pairs(left, right, |b1, b2| self.matches(b1, b2), out);
+        }
+    }
+
     fn verify(
         &self,
         b1: BucketId,
@@ -875,21 +939,25 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         pplan: &PPlanState,
         emit: &mut dyn FnMut(usize, usize),
     ) -> Result<()> {
-        // Only the per-key work is per block: the key hashes and one guarded
-        // `prepare` each. Every pair still goes through `verify_pair` — its
-        // own `catch_unwind`, budget check, site and probe decisions — so
-        // the inner algorithm is never handed the block.
+        // The per-key work is per block: the key hashes and one guarded
+        // `prepare` each. The pairs go to the inner algorithm as one block;
+        // only a block that misbehaves is replayed pair by pair through
+        // `verify_pair`, which finds, counts and resolves each violation
+        // exactly as the single-pair `verify` does.
         if left.is_empty() || right.is_empty() {
             return Ok(());
         }
         let left = self.prepare_side(Side::Left, left, pplan)?;
         let right = self.prepare_side(Side::Right, right, pplan)?;
-        verify_pairs(
-            left.len(),
-            right.len(),
-            |i, j| self.verify_pair(b1, &left[i], b2, &right[j], pplan),
-            emit,
-        )
+        match self.optimistic_block(b1, &left, b2, &right, pplan) {
+            Some(accepted) => {
+                for (i, j) in accepted {
+                    emit(i, j);
+                }
+                Ok(())
+            }
+            None => self.replay_block(b1, &left, b2, &right, pplan, emit),
+        }
     }
 
     fn dedup_mode(&self) -> DedupMode {
@@ -961,6 +1029,79 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
             .collect()
     }
 
+    /// The happy path of [`JoinAlgorithm::verify_block`]: the whole block
+    /// through the inner algorithm's `verify_forms` under one
+    /// `catch_unwind`, one parked-violation check and one simulated-clock
+    /// budget check, then [`Self::probe_pair`] on every pair a probe can
+    /// apply to. `None` — replay the block pair by pair — on a parked
+    /// violation, a dropped key, an unwind, a library `Err`, a block over
+    /// `call_budget_ms` or a probe that disagrees: every case in which some
+    /// pair of the per-pair path could fail or violate. The budget stays per
+    /// call, since a block within it cannot hold a call over it.
+    fn optimistic_block(
+        &self,
+        b1: BucketId,
+        left: &[Hashed<'_>],
+        b2: BucketId,
+        right: &[Hashed<'_>],
+        pplan: &PPlanState,
+    ) -> Option<Vec<(usize, usize)>> {
+        if self.handle.parked() || left.iter().chain(right).any(Hashed::dropped) {
+            return None;
+        }
+        let (left_forms, right_forms) = (values(left), values(right));
+        let mut accepted = Vec::new();
+        let t0 = udf_clock();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.inner
+                .verify_forms(b1, &left_forms, b2, &right_forms, pplan, &mut accepted)
+        }));
+        let elapsed = udf_clock().saturating_sub(t0);
+        if !matches!(outcome, Ok(Ok(()))) || elapsed > self.handle.limits().call_budget_ms {
+            return None;
+        }
+
+        // The probes sample rejected pairs as well as accepted ones, as the
+        // per-pair path does. Site hashes are computed only where a probe
+        // can apply: a block under neither avoidance nor `prepare` (the
+        // interval join's) skips the loop.
+        let symmetry = self.symmetry_probed();
+        let prepared = left.iter().chain(right).any(Hashed::prepared);
+        if self.handle.limits().check_sample == 0 || !(symmetry || prepared) {
+            return Some(accepted);
+        }
+        let mut answers = accepted.iter().copied().peekable();
+        for (i, k1) in left.iter().enumerate() {
+            for (j, k2) in right.iter().enumerate() {
+                let answer = answers.next_if_eq(&(i, j)).is_some();
+                let probed = (symmetry && same_shape(k1, k2)) || k1.prepared() || k2.prepared();
+                if probed && self.probe_pair(b1, k1, b2, k2, pplan, answer).is_some() {
+                    return None;
+                }
+            }
+        }
+        Some(accepted)
+    }
+
+    /// A block pair by pair, each pair through [`Self::verify_pair`]: the
+    /// path of a block [`Self::optimistic_block`] gave up on.
+    fn replay_block(
+        &self,
+        b1: BucketId,
+        left: &[Hashed<'_>],
+        b2: BucketId,
+        right: &[Hashed<'_>],
+        pplan: &PPlanState,
+        emit: &mut dyn FnMut(usize, usize),
+    ) -> Result<()> {
+        verify_pairs(
+            left.len(),
+            right.len(),
+            |i, j| self.verify_pair(b1, &left[i], b2, &right[j], pplan),
+            emit,
+        )
+    }
+
     /// One guarded `verify` call on keys whose hashes and forms are already
     /// known.
     fn verify_pair(
@@ -971,14 +1112,12 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         k2: &Hashed<'_>,
         pplan: &PPlanState,
     ) -> Result<bool> {
-        if matches!(k1.form, Form::Dropped) || matches!(k2.form, Form::Dropped) {
+        if k1.dropped() || k2.dropped() {
             return Ok(false);
         }
-        let site_hash = fold(fold(fold(k1.hash, k2.hash), b1), b2);
-        let prepared = matches!(k1.form, Form::Prepared(_)) || matches!(k2.form, Form::Prepared(_));
+        let site_hash = pair_site(b1, k1, b2, k2);
         let (v1, v2) = (k1.value(), k2.value());
-        let (k1, k2) = (k1.key, k2.key);
-        let site = || format!("pair ({}, {})", short(k1), short(k2));
+        let site = || format!("pair ({}, {})", short(k1.key), short(k2.key));
         let accepted = self.guarded(
             Phase::Verify,
             site_hash,
@@ -986,54 +1125,71 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
             || Some(false), // quarantine: drop the pair
             || self.inner.verify(b1, v1, b2, v2, pplan),
         )?;
+        match self.probe_pair(b1, k1, b2, k2, pplan, accepted) {
+            None => Ok(accepted),
+            Some(detail) => self.handle.violation(
+                Phase::Verify,
+                Kind::Contract,
+                site_hash,
+                &site(),
+                detail,
+                Some(false),
+            ),
+        }
+    }
 
+    /// Whether the join is one the symmetry probe checks: symmetric, under
+    /// the default dedup mode.
+    fn symmetry_probed(&self) -> bool {
+        self.inner.symmetric() && self.inner.dedup_mode() == DedupMode::Avoidance
+    }
+
+    /// The sampled contract probes on one verified pair, `accepted` being
+    /// `verify`'s answer on it: the detail of the first probe that
+    /// disagrees, or `None`. The block path and the per-pair path both ask
+    /// this, so their sampling decisions cannot drift apart.
+    fn probe_pair(
+        &self,
+        b1: BucketId,
+        k1: &Hashed<'_>,
+        b2: BucketId,
+        k2: &Hashed<'_>,
+        pplan: &PPlanState,
+        accepted: bool,
+    ) -> Option<String> {
+        let site_hash = pair_site(b1, k1, b2, k2);
         // Contract: symmetry under the default dedup mode. Only meaningful
         // when the join is symmetric and the two keys have the same external
-        // shape (mixed-shape joins like polygon × point are exempt).
-        if self.sampled(SALT_SYMMETRY, site_hash)
-            && self.inner.symmetric()
-            && self.inner.dedup_mode() == DedupMode::Avoidance
-            && std::mem::discriminant(k1) == std::mem::discriminant(k2)
-        {
+        // shape (mixed-shape joins like polygon × point are exempt). The
+        // swapped call reads the same forms the pair's own call read.
+        if self.sampled(SALT_SYMMETRY, site_hash) && self.symmetry_probed() && same_shape(k1, k2) {
             let swapped = catch_unwind(AssertUnwindSafe(|| {
-                self.inner.verify(b2, v2, b1, v1, pplan)
+                self.inner.verify(b2, k2.value(), b1, k1.value(), pplan)
             }));
             if !matches!(swapped, Ok(Ok(v)) if v == accepted) {
-                return self.handle.violation(
-                    Phase::Verify,
-                    Kind::Contract,
-                    site_hash,
-                    &site(),
-                    format!(
-                        "verify is not symmetric: verify(k1, k2) = {accepted}, \
-                         swapped call did not agree"
-                    ),
-                    Some(false),
-                );
+                return Some(format!(
+                    "verify is not symmetric: verify(k1, k2) = {accepted}, \
+                     swapped call did not agree"
+                ));
             }
         }
 
         // Contract: `prepare` must not change `verify`'s answer. Replayed on
         // the raw keys, for pairs in which a prepared form took part.
-        if prepared && self.sampled_every(PREPARE_PROBE_STRIDE, SALT_PREPARE, site_hash) {
+        if (k1.prepared() || k2.prepared())
+            && self.sampled_every(PREPARE_PROBE_STRIDE, SALT_PREPARE, site_hash)
+        {
             let raw = catch_unwind(AssertUnwindSafe(|| {
-                self.inner.verify(b1, k1, b2, k2, pplan)
+                self.inner.verify(b1, k1.key, b2, k2.key, pplan)
             }));
             if !matches!(raw, Ok(Ok(v)) if v == accepted) {
-                return self.handle.violation(
-                    Phase::Verify,
-                    Kind::Contract,
-                    site_hash,
-                    &site(),
-                    format!(
-                        "prepare changed verify's answer: {accepted} on the prepared \
-                         forms, the raw keys did not agree"
-                    ),
-                    Some(false),
-                );
+                return Some(format!(
+                    "prepare changed verify's answer: {accepted} on the prepared \
+                     forms, the raw keys did not agree"
+                ));
             }
         }
-        Ok(accepted)
+        None
     }
 
     /// Probe merge associativity once per side, as soon as three summaries
@@ -1115,12 +1271,21 @@ mod tests {
         HangPrepare,
         /// `prepare` halves the key, so 2 and 3 verify equal when prepared.
         LossyPrepare,
+        /// `verify` panics / fails / hangs when the left key is the poison
+        /// key.
+        PanicVerify,
+        ErrVerify,
+        HangVerify,
+        /// Every `verify` call burns 3 s of simulated time: within the 10 s
+        /// budget per call, over it for a block of four pairs or more.
+        SlowVerify,
     }
 
     struct Wild {
         bad: Bad,
         buckets: u64,
         calls: AtomicU64,
+        verifies: AtomicU64,
     }
 
     impl Wild {
@@ -1129,6 +1294,7 @@ mod tests {
                 bad,
                 buckets: 4,
                 calls: AtomicU64::new(0),
+                verifies: AtomicU64::new(0),
             }
         }
     }
@@ -1262,8 +1428,18 @@ mod tests {
                 raw => raw.as_long(),
             };
             let (a, b) = (long(k1)?, long(k2)?);
-            if self.bad == Bad::AsymVerify {
-                return Ok(a <= b);
+            self.verifies.fetch_add(1, Ordering::Relaxed);
+            match self.bad {
+                Bad::AsymVerify => return Ok(a <= b),
+                Bad::PanicVerify if a == POISON => panic!("verify kaboom"),
+                Bad::ErrVerify if a == POISON => {
+                    return Err(FudjError::JoinLibrary(
+                        "verify refused the poison key".into(),
+                    ))
+                }
+                Bad::HangVerify if a == POISON => consume_udf_time(60_000),
+                Bad::SlowVerify => consume_udf_time(3_000),
+                _ => {}
             }
             Ok(a == b)
         }
@@ -1477,6 +1653,18 @@ mod tests {
         assert!(detail.contains("not symmetric"), "{detail}");
     }
 
+    /// How a test drives one matched bucket pair through the guard.
+    #[derive(Clone, Copy, Debug)]
+    enum Path {
+        /// `verify_block`: the optimistic block, replayed on any anomaly.
+        Block,
+        /// The block's forced replay: the same hashes and guarded `prepare`,
+        /// then `verify_pair` on every pair.
+        Replay,
+        /// The single-pair `verify` on raw keys, pair by pair.
+        Single,
+    }
+
     /// One matched bucket pair through a fresh guard over `Wild`: the pairs
     /// emitted, the first error, and the counters afterwards.
     fn guarded_block(
@@ -1485,39 +1673,66 @@ mod tests {
         (b1, b2): (BucketId, BucketId),
         left: &[ExtValue],
         right: &[ExtValue],
-        block: bool,
+        path: Path,
     ) -> (Vec<(usize, usize)>, Result<()>, UdfStats) {
         let guarded = GuardedJoin::new(Wild::new(bad), config);
         let plan = PPlanState::new(4u64);
         let mut pairs = Vec::new();
-        let result = if block {
-            guarded.verify_block(b1, left, b2, right, &plan, &mut |i, j| pairs.push((i, j)))
-        } else {
-            (|| {
+        let mut emit = |i, j| pairs.push((i, j));
+        let result = match path {
+            Path::Block => guarded.verify_block(b1, left, b2, right, &plan, &mut emit),
+            Path::Replay if left.is_empty() || right.is_empty() => Ok(()),
+            Path::Replay => (|| {
+                let left = guarded.prepare_side(Side::Left, left, &plan)?;
+                let right = guarded.prepare_side(Side::Right, right, &plan)?;
+                guarded.replay_block(b1, &left, b2, &right, &plan, &mut emit)
+            })(),
+            Path::Single => (|| {
                 for (i, k1) in left.iter().enumerate() {
                     for (j, k2) in right.iter().enumerate() {
                         if guarded.verify(b1, k1, b2, k2, &plan)? {
-                            pairs.push((i, j));
+                            emit(i, j);
                         }
                     }
                 }
                 Ok(())
-            })()
+            })(),
         };
         (pairs, result, guarded.stats())
     }
 
+    /// A block key: a few values that repeat, so pairs verify, and the
+    /// poison key at one draw in seven.
+    fn block_key() -> impl Strategy<Value = i64> {
+        prop::sample::select(vec![0, 1, 2, 3, 5, 7, POISON])
+    }
+
     proptest! {
-        /// The guard's block entry point is the per-pair loop with the key
-        /// hashes and `prepare` hoisted: same pairs, same first violation
-        /// (phase, site, detail), same counters — for a clean and an
-        /// asymmetric `verify` and one that reads prepared forms, under both
-        /// row-scoped policies and every probe rate.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The optimistic block is the forced per-pair replay, whatever goes
+        /// wrong at whichever pair of the block: same pairs (each once,
+        /// row-major), same first violation (phase, site, detail), same
+        /// counters — for a clean `verify`, one that panics, fails or hangs
+        /// on the poison key, an asymmetric one, a correct and a lossy
+        /// `prepare`, under both row-scoped policies and every probe rate.
+        /// Where `prepare` keeps its contract, both also equal the
+        /// single-pair `verify` loop on raw keys.
         #[test]
         fn verify_block_agrees_with_per_pair_verify(
-            left in prop::collection::vec(0i64..12, 0..7),
-            right in prop::collection::vec(0i64..12, 0..7),
-            bad in prop::sample::select(vec![Bad::None, Bad::AsymVerify, Bad::Prepare]),
+            left in prop::collection::vec(block_key(), 0..7),
+            right in prop::collection::vec(block_key(), 0..7),
+            bad in prop::sample::select(vec![
+                Bad::None,
+                Bad::AsymVerify,
+                Bad::Prepare,
+                Bad::PanicVerify,
+                Bad::ErrVerify,
+                Bad::HangVerify,
+                Bad::SlowVerify,
+                Bad::LossyPrepare,
+                Bad::PanicPrepare,
+            ]),
             policy in prop::sample::select(vec![UdfPolicy::FailFast, UdfPolicy::Quarantine]),
             check_sample in prop::sample::select(vec![0u64, 1, 3, 16]),
             buckets in (0u64..4, 0u64..4),
@@ -1525,11 +1740,93 @@ mod tests {
             let mut config = GuardConfig::with_policy(policy);
             config.limits.check_sample = check_sample;
             let (left, right) = (longs(&left), longs(&right));
-            prop_assert_eq!(
-                guarded_block(bad, config.clone(), buckets, &left, &right, true),
-                guarded_block(bad, config, buckets, &left, &right, false)
-            );
+            let run = |path| guarded_block(bad, config.clone(), buckets, &left, &right, path);
+            let block = run(Path::Block);
+            prop_assert!(block.0.windows(2).all(|w| w[0] < w[1]), "{:?}", block.0);
+            prop_assert_eq!(&block, &run(Path::Replay));
+            if !matches!(bad, Bad::LossyPrepare | Bad::PanicPrepare) {
+                prop_assert_eq!(&block, &run(Path::Single));
+            }
         }
+    }
+
+    #[test]
+    fn a_block_over_budget_in_sum_only_is_replayed_and_clean() {
+        // Four calls of 3 s each: every call within the 10 s budget, the
+        // block's 12 s over it. The block is replayed, each call is checked
+        // on its own, and nothing is a violation.
+        let run = |left: &[i64], right: &[i64]| {
+            let guarded = GuardedJoin::new(Wild::new(Bad::SlowVerify), GuardConfig::default());
+            let plan = PPlanState::new(4u64);
+            let mut pairs = Vec::new();
+            guarded
+                .verify_block(1, &longs(left), 1, &longs(right), &plan, &mut |i, j| {
+                    pairs.push((i, j))
+                })
+                .unwrap();
+            let verifies = guarded.inner.verifies.load(Ordering::Relaxed);
+            (pairs, verifies, guarded.stats())
+        };
+        let (pairs, verifies, stats) = run(&[1, 5], &[5, 1]);
+        assert_eq!(pairs, vec![(0, 1), (1, 0)]);
+        assert_eq!(verifies, 4 + 4, "the block, then its replay");
+        assert_eq!(stats, UdfStats::default());
+
+        // Three calls, 9 s: the block stands.
+        let (pairs, verifies, stats) = run(&[1, 5, 9], &[5]);
+        assert_eq!(pairs, vec![(1, 0)]);
+        assert_eq!(verifies, 3);
+        assert_eq!(stats, UdfStats::default());
+    }
+
+    #[test]
+    fn matching_buckets_agrees_with_the_per_call_matches_loop() {
+        // Bucket 1 panics in `matches`: the block's unwind is replayed call
+        // by call, so the matched pairs, the deferred error and the counters
+        // are the per-call loop's.
+        for policy in [UdfPolicy::FailFast, UdfPolicy::Quarantine] {
+            let run = |whole: bool| {
+                let guarded = GuardedJoin::new(
+                    Wild::new(Bad::PanicMatches),
+                    GuardConfig::with_policy(policy),
+                );
+                let (left, right) = ([0, 1, 2, 3], [3, 1, 0]);
+                let mut matched = Vec::new();
+                if whole {
+                    guarded.matching_buckets(&left, &right, &mut matched);
+                } else {
+                    for b1 in left {
+                        for b2 in right {
+                            if guarded.matches(b1, b2) {
+                                matched.push((b1, b2));
+                            }
+                        }
+                    }
+                }
+                (matched, guarded.handle().check(), guarded.stats())
+            };
+            let (matched, deferred, stats) = run(true);
+            assert_eq!((matched.clone(), deferred.clone(), stats), run(false));
+            assert_eq!(matched, vec![(0, 0), (3, 3)], "{policy}");
+            assert_eq!(stats.match_violations, 3, "(1, 3), (1, 1), (1, 0)");
+            match (policy, deferred) {
+                (UdfPolicy::FailFast, Err(FudjError::UdfViolation { phase, site, .. })) => {
+                    assert_eq!(
+                        (phase.as_str(), site.as_str()),
+                        ("match", "bucket pair (1, 3)")
+                    );
+                }
+                (UdfPolicy::Quarantine, Ok(())) => assert_eq!(stats.quarantined_rows, 3),
+                other => panic!("{policy}: {other:?}"),
+            }
+        }
+
+        // A well-behaved `matches` goes through the inner loop untouched.
+        let guarded = GuardedJoin::new(Wild::new(Bad::None), GuardConfig::default());
+        let mut matched = Vec::new();
+        guarded.matching_buckets(&[0, 1, 2], &[2, 1], &mut matched);
+        assert_eq!(matched, vec![(1, 1), (2, 2)]);
+        assert_eq!(guarded.stats(), UdfStats::default());
     }
 
     #[test]
@@ -1544,7 +1841,7 @@ mod tests {
             (0, 0),
             &longs(&[1, 2]),
             &longs(&[2]),
-            true,
+            Path::Block,
         );
         assert_eq!(result, Ok(()));
         assert_eq!(pairs, vec![(1, 0)]);
@@ -1565,7 +1862,7 @@ mod tests {
                 (0, 0),
                 &longs(&[1, POISON, 5]),
                 &longs(&[POISON, 5, 1]),
-                true,
+                Path::Block,
             );
             assert_eq!(pairs, vec![], "prepare runs before the first pair");
             match result {
@@ -1624,7 +1921,7 @@ mod tests {
                     (b, b),
                     &longs(&[2]),
                     &longs(&[3]),
-                    true,
+                    Path::Block,
                 );
                 match result {
                     Ok(()) => false,

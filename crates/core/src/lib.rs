@@ -47,6 +47,6 @@ pub use guard::{
     UdfStats,
 };
 pub use library::{JoinLibrary, JoinLibraryBuilder};
-pub use model::{avoidance_accepts, BucketId, DedupMode, JoinAlgorithm, Side};
+pub use model::{avoidance_accepts, first_matching_pair, BucketId, DedupMode, JoinAlgorithm, Side};
 pub use registry::{JoinDefinition, JoinLease, JoinRegistry, RegistryEvent, RegistrySink};
 pub use state::{PPlanState, StateObject, SummaryState};

@@ -132,6 +132,20 @@ pub trait JoinAlgorithm: Send + Sync {
         true
     }
 
+    /// Every `(b1, b2)` of `left` × `right` that [`Self::matches`], appended
+    /// to `out` row-major: theta COMBINE's bucket matching, one call per
+    /// worker partition. The default is the `matches` loop;
+    /// [`crate::ProxyJoin`] overrides it with a loop over the library's own
+    /// `matches`.
+    fn matching_buckets(
+        &self,
+        left: &[BucketId],
+        right: &[BucketId],
+        out: &mut Vec<(BucketId, BucketId)>,
+    ) {
+        matching_pairs(left, right, |b1, b2| self.matches(b1, b2), out);
+    }
+
     /// Whether a record pair from matched buckets belongs in the result.
     fn verify(
         &self,
@@ -162,10 +176,10 @@ pub trait JoinAlgorithm: Send + Sync {
     /// The engine adapter crosses the Fig. 7 boundary through this method —
     /// each key is translated once per block, not once per candidate pair —
     /// and every per-key step happens here once per block too:
-    /// [`Self::prepare`] on each of the m + n keys, then `verify` on the
-    /// m·n pairs of prepared forms. Wrappers override it to hoist their own
-    /// per-key work as well (the proxy's plan downcast, the guard's key
-    /// hashes).
+    /// [`Self::prepare`] on each of the m + n keys (none when a side is
+    /// empty, since no pair exists), then [`Self::verify_forms`] on the
+    /// prepared forms. The guard overrides it to hoist its own per-key work
+    /// (the key hashes) and to hand the inner algorithm the whole block.
     fn verify_block(
         &self,
         b1: BucketId,
@@ -175,12 +189,51 @@ pub trait JoinAlgorithm: Send + Sync {
         pplan: &PPlanState,
         emit: &mut dyn FnMut(usize, usize),
     ) -> Result<()> {
-        verify_prepared(
-            left,
-            right,
-            |side, key| self.prepare(side, key, pplan),
-            |k1, k2| self.verify(b1, k1, b2, k2, pplan),
-            emit,
+        if left.is_empty() || right.is_empty() {
+            return Ok(());
+        }
+        let prepare = |side, keys: &[ExtValue]| -> Result<Vec<Option<ExtValue>>> {
+            keys.iter()
+                .map(|key| self.prepare(side, key, pplan))
+                .collect()
+        };
+        let (left_forms, right_forms) = (prepare(Side::Left, left)?, prepare(Side::Right, right)?);
+        let mut accepted = Vec::new();
+        let result = self.verify_forms(
+            b1,
+            &forms_or_keys(left, &left_forms),
+            b2,
+            &forms_or_keys(right, &right_forms),
+            pplan,
+            &mut accepted,
+        );
+        for (i, j) in accepted {
+            emit(i, j);
+        }
+        result
+    }
+
+    /// [`Self::verify`] on every pair of a block's keys or their prepared
+    /// forms: `(i, j)` is appended to `out`, row-major, for each
+    /// `(left[i], right[j])` that belongs in the result. On an error `out`
+    /// holds the pairs accepted before it. The default is the `verify` loop;
+    /// [`crate::ProxyJoin`] overrides it with one plan downcast and a loop
+    /// over the library's own `verify`, so the block pays no per-pair
+    /// `dyn` hop.
+    fn verify_forms(
+        &self,
+        b1: BucketId,
+        left: &[&ExtValue],
+        b2: BucketId,
+        right: &[&ExtValue],
+        pplan: &PPlanState,
+        out: &mut Vec<(usize, usize)>,
+    ) -> Result<()> {
+        verify_pairs(
+            left.len(),
+            right.len(),
+            |i, j| self.verify(b1, left[i], b2, right[j], pplan),
+            |i, j| out.push((i, j)),
         )
     }
 
@@ -223,14 +276,16 @@ pub trait JoinAlgorithm: Send + Sync {
     }
 }
 
-/// The candidate loop every [`JoinAlgorithm::verify_block`] shares:
-/// `emit(i, j)` for each of the m × n pairs `verify(i, j)` accepts,
-/// row-major, stopping at the first error.
+/// The candidate loop every block of pairs shares — the default and the
+/// proxy's [`JoinAlgorithm::verify_forms`], the guard's per-pair replay,
+/// [`crate::EngineJoin::local_join_pairs`]'s default: `emit(i, j)` for each
+/// of the m × n pairs `verify(i, j)` accepts, row-major, stopping at the
+/// first error.
 pub(crate) fn verify_pairs(
     m: usize,
     n: usize,
     mut verify: impl FnMut(usize, usize) -> Result<bool>,
-    emit: &mut dyn FnMut(usize, usize),
+    mut emit: impl FnMut(usize, usize),
 ) -> Result<()> {
     for i in 0..m {
         for j in 0..n {
@@ -242,59 +297,30 @@ pub(crate) fn verify_pairs(
     Ok(())
 }
 
-/// One side of a block after `prepare`: the prepared form where the library
-/// returned one, the key itself — borrowed, not cloned — where it returned
-/// `None`. `forms` is filled only up to the last key that has a form, so a
-/// library that prepares nothing allocates nothing.
-struct PreparedSide<'a> {
-    keys: &'a [ExtValue],
-    forms: Vec<Option<ExtValue>>,
-}
-
-impl<'a> PreparedSide<'a> {
-    fn new(
-        keys: &'a [ExtValue],
-        mut prepare: impl FnMut(&ExtValue) -> Result<Option<ExtValue>>,
-    ) -> Result<Self> {
-        let mut forms = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(form) = prepare(key)? {
-                forms.resize_with(i, || None);
-                forms.push(Some(form));
+/// The bucket-matching loop every [`JoinAlgorithm::matching_buckets`]
+/// shares: each `(b1, b2)` of `left` × `right` that `matches`, row-major.
+pub(crate) fn matching_pairs(
+    left: &[BucketId],
+    right: &[BucketId],
+    matches: impl Fn(BucketId, BucketId) -> bool,
+    out: &mut Vec<(BucketId, BucketId)>,
+) {
+    for &b1 in left {
+        for &b2 in right {
+            if matches(b1, b2) {
+                out.push((b1, b2));
             }
         }
-        Ok(PreparedSide { keys, forms })
-    }
-
-    fn get(&self, i: usize) -> &ExtValue {
-        match self.forms.get(i) {
-            Some(Some(form)) => form,
-            _ => &self.keys[i],
-        }
     }
 }
 
-/// The block path of an unguarded algorithm: `prepare` once per key (m + n
-/// calls; none when a side is empty, since no pair exists), then `verify` on
-/// every pair of prepared forms.
-pub(crate) fn verify_prepared(
-    left: &[ExtValue],
-    right: &[ExtValue],
-    mut prepare: impl FnMut(Side, &ExtValue) -> Result<Option<ExtValue>>,
-    mut verify: impl FnMut(&ExtValue, &ExtValue) -> Result<bool>,
-    emit: &mut dyn FnMut(usize, usize),
-) -> Result<()> {
-    if left.is_empty() || right.is_empty() {
-        return Ok(());
-    }
-    let left = PreparedSide::new(left, |key| prepare(Side::Left, key))?;
-    let right = PreparedSide::new(right, |key| prepare(Side::Right, key))?;
-    verify_pairs(
-        left.keys.len(),
-        right.keys.len(),
-        |i, j| verify(left.get(i), right.get(j)),
-        emit,
-    )
+/// What `verify` reads for each key of a block: its prepared form where
+/// `prepare` made one, the key itself where it returned `None`.
+fn forms_or_keys<'a>(keys: &'a [ExtValue], forms: &'a [Option<ExtValue>]) -> Vec<&'a ExtValue> {
+    keys.iter()
+        .zip(forms)
+        .map(|(key, form)| form.as_ref().unwrap_or(key))
+        .collect()
 }
 
 /// Forward the whole [`JoinAlgorithm`] surface through a smart pointer or
@@ -351,6 +377,14 @@ macro_rules! forward_join_algorithm {
             fn uses_default_match(&self) -> bool {
                 (**self).uses_default_match()
             }
+            fn matching_buckets(
+                &self,
+                left: &[BucketId],
+                right: &[BucketId],
+                out: &mut Vec<(BucketId, BucketId)>,
+            ) {
+                (**self).matching_buckets(left, right, out)
+            }
             fn verify(
                 &self,
                 b1: BucketId,
@@ -379,6 +413,17 @@ macro_rules! forward_join_algorithm {
                 emit: &mut dyn FnMut(usize, usize),
             ) -> Result<()> {
                 (**self).verify_block(b1, left, b2, right, pplan, emit)
+            }
+            fn verify_forms(
+                &self,
+                b1: BucketId,
+                left: &[&ExtValue],
+                b2: BucketId,
+                right: &[&ExtValue],
+                pplan: &PPlanState,
+                out: &mut Vec<(usize, usize)>,
+            ) -> Result<()> {
+                (**self).verify_forms(b1, left, b2, right, pplan, out)
             }
             fn dedup_mode(&self) -> DedupMode {
                 (**self).dedup_mode()
@@ -427,15 +472,40 @@ pub fn avoidance_accepts(
     left.dedup();
     right.sort_unstable();
     right.dedup();
-    for &x in &left {
-        for &y in &right {
-            if alg.matches(x, y) {
-                return Ok((x, y) == (b1, b2));
+    // A pair with no matching bucket pair at all should never have met:
+    // `None` drops it.
+    let first = first_matching_pair(&left, &right, alg.uses_default_match(), |x, y| {
+        alg.matches(x, y)
+    });
+    Ok(first == Some((b1, b2)))
+}
+
+/// The first matching bucket pair of two sorted, deduplicated bucket lists
+/// in the canonical order duplicate avoidance accepts from: row-major
+/// through `matches`. Under the default equality match that is the smallest
+/// common id, found by a merge walk without calling `matches` at all —
+/// sound by the same [`JoinAlgorithm::uses_default_match`] promise that
+/// hash partitioning relies on.
+pub fn first_matching_pair(
+    left: &[BucketId],
+    right: &[BucketId],
+    default_match: bool,
+    matches: impl Fn(BucketId, BucketId) -> bool,
+) -> Option<(BucketId, BucketId)> {
+    if default_match {
+        let (mut i, mut j) = (0, 0);
+        while i < left.len() && j < right.len() {
+            match left[i].cmp(&right[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => return Some((left[i], right[j])),
             }
         }
+        return None;
     }
-    // No matching bucket pair at all: the pair should never have met; drop.
-    Ok(false)
+    left.iter()
+        .flat_map(|&x| right.iter().map(move |&y| (x, y)))
+        .find(|&(x, y)| matches(x, y))
 }
 
 #[cfg(test)]

@@ -42,7 +42,9 @@ use crate::executor::{Cluster, PartitionedData};
 use crate::metrics::QueryMetrics;
 use crate::plan::FudjJoinNode;
 use crate::recovery;
-use fudj_core::{BucketId, DedupMode, EngineJoin, PPlanState, Side, SummaryState, UdfPolicy};
+use fudj_core::{
+    first_matching_pair, BucketId, DedupMode, EngineJoin, PPlanState, Side, SummaryState, UdfPolicy,
+};
 use fudj_types::{FudjError, Result, Row, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -471,14 +473,17 @@ pub(crate) fn join_worker_partition(
             .map(|&b| (b, b))
             .collect()
     } else {
+        // Theta: one `matching_buckets` call over the sorted bucket ids, so
+        // a guarded library's loop runs under one `catch_unwind`, and the
+        // first of several misbehaving bucket pairs is the same every run.
+        let sorted_ids = |groups: &HashMap<BucketId, Vec<usize>>| {
+            let mut ids: Vec<BucketId> = groups.keys().copied().collect();
+            ids.sort_unstable();
+            ids
+        };
         let mut v = Vec::new();
-        for &b1 in lgroups.keys() {
-            for &b2 in rgroups.keys() {
-                if ctx.join.matches(b1, b2) {
-                    v.push((b1, b2));
-                }
-            }
-        }
+        ctx.join
+            .matching_buckets(&sorted_ids(&lgroups), &sorted_ids(&rgroups), &mut v);
         v
     };
     matched.sort_unstable();
@@ -582,19 +587,13 @@ fn join_bucket_pair(
             DedupMode::None | DedupMode::Elimination => true,
             DedupMode::Custom => ctx.join.dedup(b1, &lkeys[i], b2, &rkeys[j], ctx.pplan)?,
             DedupMode::Avoidance => {
-                // Accept only from the first matching bucket pair — the
-                // same canonical order as `fudj_core::avoidance_accepts`.
+                // Accept only from the first matching bucket pair, found as
+                // `fudj_core::avoidance_accepts` finds it: a merge walk
+                // under default match, `matches` in row-major order else.
                 let lb = cached_assign(ctx, Side::Left, &lkeys[i], &mut lassign[i])?;
                 let rb = cached_assign(ctx, Side::Right, &rkeys[j], &mut rassign[j])?;
-                let mut first = None;
-                'outer: for &x in lb {
-                    for &y in rb {
-                        if ctx.join.matches(x, y) {
-                            first = Some((x, y));
-                            break 'outer;
-                        }
-                    }
-                }
+                let first =
+                    first_matching_pair(lb, rb, ctx.default_match, |x, y| ctx.join.matches(x, y));
                 first == Some((b1, b2))
             }
         };

@@ -17,6 +17,6 @@ pub mod sweep;
 
 pub use grid::UniformGrid;
 pub use point::Point;
-pub use polygon::Polygon;
+pub use polygon::{flat_ring_contains_point, Polygon};
 pub use rect::Rect;
 pub use sweep::plane_sweep_join;

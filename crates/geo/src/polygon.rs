@@ -87,26 +87,7 @@ impl Polygon {
     ///
     /// This is the `ST_Contains(boundary, point)` predicate of Query 1.
     pub fn contains_point(&self, p: &Point) -> bool {
-        if !self.mbr.contains_point(p) {
-            return false;
-        }
-        // Boundary check first: ray casting is unreliable exactly on edges.
-        for (a, b) in self.edges() {
-            if p.distance_to_segment(a, b) == 0.0 {
-                return true;
-            }
-        }
-        let mut inside = false;
-        for (a, b) in self.edges() {
-            // Half-open rule on y avoids double-counting vertices.
-            if (a.y > p.y) != (b.y > p.y) {
-                let x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
-                if p.x < x_cross {
-                    inside = !inside;
-                }
-            }
-        }
-        inside
+        ring_contains_point(&self.mbr, self.ring.len(), |i| self.ring[i], p)
     }
 
     /// Whether two polygons intersect (share any point): true when any edges
@@ -139,6 +120,49 @@ impl Polygon {
     }
 }
 
+/// [`Polygon::contains_point`] on a ring given as flat `[x0, y0, x1, y1,
+/// ...]` coordinates — at least three vertices, the closing edge implicit —
+/// read in place: no `Polygon` is built, nothing is allocated.
+pub fn flat_ring_contains_point(coords: &[f64], p: &Point) -> bool {
+    let vertex = |i: usize| Point::new(coords[2 * i], coords[2 * i + 1]);
+    let n = coords.len() / 2;
+    let mut mbr = Rect::empty();
+    for i in 0..n {
+        mbr.expand_point(&vertex(i));
+    }
+    ring_contains_point(&mbr, n, vertex, p)
+}
+
+/// The one point-in-ring kernel: ray casting over the open ring
+/// `vertex(0), …, vertex(n - 1)` whose bounding rectangle is `mbr`, boundary
+/// points inside.
+#[inline]
+fn ring_contains_point(mbr: &Rect, n: usize, vertex: impl Fn(usize) -> Point, p: &Point) -> bool {
+    if !mbr.contains_point(p) {
+        return false;
+    }
+    let edge = |i: usize| (vertex(i), vertex((i + 1) % n));
+    // Boundary check first: ray casting is unreliable exactly on edges.
+    if (0..n).any(|i| {
+        let (a, b) = edge(i);
+        p.distance_to_segment(&a, &b) == 0.0
+    }) {
+        return true;
+    }
+    let mut inside = false;
+    for i in 0..n {
+        let (a, b) = edge(i);
+        // Half-open rule on y avoids double-counting vertices.
+        if (a.y > p.y) != (b.y > p.y) {
+            let x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
+            if p.x < x_cross {
+                inside = !inside;
+            }
+        }
+    }
+    inside
+}
+
 impl fmt::Debug for Polygon {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -166,6 +190,7 @@ impl fmt::Display for Polygon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn unit_square() -> Polygon {
         Polygon::from_rect(&Rect::new(0.0, 0.0, 1.0, 1.0))
@@ -282,5 +307,43 @@ mod tests {
     fn display_wkt_like() {
         let t = triangle();
         assert_eq!(t.to_string(), "POLYGON((0 0, 4 0, 0 4))");
+    }
+
+    /// Coordinates on a half-unit grid, so rings have horizontal, vertical
+    /// and collinear edges and probes land exactly on them.
+    fn grid_coord() -> impl Strategy<Value = f64> {
+        (-8i32..8).prop_map(|v| f64::from(v) * 0.5)
+    }
+
+    proptest! {
+        /// The flat-slice entry point is `contains_point` read in place: one
+        /// answer on random rings, for random points, every vertex, and a
+        /// point on every edge.
+        #[test]
+        fn flat_ring_kernel_agrees_with_contains_point(
+            ring in prop::collection::vec((grid_coord(), grid_coord()), 3..9),
+            probes in prop::collection::vec((grid_coord(), grid_coord()), 0..24),
+            t in prop::sample::select(vec![0.0, 0.25, 0.5, 1.0 / 3.0, 0.9]),
+        ) {
+            let ring: Vec<Point> = ring.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+            let polygon = Polygon::new(ring.clone());
+            let coords: Vec<f64> = ring.iter().flat_map(|p| [p.x, p.y]).collect();
+            let on_edges = polygon
+                .edges()
+                .map(|(a, b)| Point::new(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)));
+            let points: Vec<Point> = probes
+                .into_iter()
+                .map(|(x, y)| Point::new(x, y))
+                .chain(ring.iter().copied())
+                .chain(on_edges)
+                .collect();
+            for p in &points {
+                prop_assert_eq!(
+                    flat_ring_contains_point(&coords, p),
+                    polygon.contains_point(p),
+                    "{:?} in {:?}", p, ring
+                );
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! — see `fudj_types::ext`.
 
 use fudj_core::{BucketId, DedupMode, FlexibleJoin};
-use fudj_geo::{Point, Polygon, Rect, UniformGrid};
+use fudj_geo::{flat_ring_contains_point, Point, Polygon, Rect, UniformGrid};
 use fudj_types::{ExtValue, FudjError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -57,35 +57,41 @@ impl SpatialFudj {
     }
 }
 
-/// A key decoded from its external coordinate-array form.
-pub(crate) enum Geom {
+/// A key read from its external coordinate-array form: a point, or a
+/// polygon ring borrowed as its flat coordinates.
+pub(crate) enum Geom<'a> {
     Point(Point),
-    Polygon(Polygon),
+    Ring(&'a [f64]),
 }
 
-pub(crate) fn decode_geom(key: &ExtValue) -> Result<Geom> {
+pub(crate) fn decode_geom(key: &ExtValue) -> Result<Geom<'_>> {
     let coords = key.as_double_array()?;
     match coords.len() {
         2 => Ok(Geom::Point(Point::new(coords[0], coords[1]))),
-        n if n >= 6 && n % 2 == 0 => Ok(Geom::Polygon(Polygon::new(
-            coords
-                .chunks_exact(2)
-                .map(|c| Point::new(c[0], c[1]))
-                .collect(),
-        ))),
+        n if n >= 6 && n % 2 == 0 => Ok(Geom::Ring(coords)),
         n => Err(FudjError::JoinLibrary(format!(
             "spatial key must be [x, y] or a polygon ring, got {n} coordinates"
         ))),
     }
 }
 
-pub(crate) fn geoms_intersect(a: &Geom, b: &Geom) -> bool {
+/// Whether two keys' geometries share a point. Point × polygon — every
+/// pair of Query 5 — reads the ring in place and allocates nothing; only
+/// polygon × polygon builds the two polygons.
+pub(crate) fn geoms_intersect(a: &Geom<'_>, b: &Geom<'_>) -> bool {
+    let polygon = |ring: &[f64]| {
+        Polygon::new(
+            ring.chunks_exact(2)
+                .map(|c| Point::new(c[0], c[1]))
+                .collect(),
+        )
+    };
     match (a, b) {
         (Geom::Point(p), Geom::Point(q)) => p == q,
-        (Geom::Point(p), Geom::Polygon(poly)) | (Geom::Polygon(poly), Geom::Point(p)) => {
-            poly.contains_point(p)
+        (Geom::Point(p), Geom::Ring(ring)) | (Geom::Ring(ring), Geom::Point(p)) => {
+            flat_ring_contains_point(ring, p)
         }
-        (Geom::Polygon(p), Geom::Polygon(q)) => p.intersects(q),
+        (Geom::Ring(r), Geom::Ring(s)) => polygon(r).intersects(&polygon(s)),
     }
 }
 

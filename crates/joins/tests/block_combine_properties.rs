@@ -1,7 +1,8 @@
 //! Property tests: one matched bucket pair through
 //! `FudjEngineJoin::local_join_pairs` (adapter → guard → proxy, one
-//! `verify_block` call) agrees with the nested loop over the single-pair
-//! `EngineJoin::verify` it replaced — on the pairs emitted, on the first
+//! `verify_block` call, which hands the proxy the whole block and replays it
+//! pair by pair only when it misbehaves) agrees with the nested loop over
+//! the single-pair `EngineJoin::verify` it replaced — on the pairs emitted, on the first
 //! error (a `UdfViolation`'s phase, site and detail included) and on every
 //! `UdfStats` counter — for the three library joins and for the adversarial
 //! `verify` fixtures, under `FailFast` and `Quarantine`. The per-pair path
@@ -281,9 +282,12 @@ proptest! {
     }
 
     /// A `verify` that panics, or burns simulated time, on poisoned left
-    /// keys: the block path must fail on the same pair with the same site
-    /// (FailFast) or drop the same pairs and count the same sites
-    /// (Quarantine).
+    /// keys wherever they fall in the block: the block path — one
+    /// optimistic call, replayed pair by pair once it misbehaves — must fail
+    /// on the same pair with the same site (FailFast) or drop the same pairs
+    /// and count the same sites (Quarantine), at every probe rate. A 4 s
+    /// hang is within the per-call budget, so only a block of three or more
+    /// poisoned pairs goes over it in sum, is replayed, and is clean.
     #[test]
     fn evil_verify_block_agrees_with_per_pair(
         left in prop::collection::vec(0i64..40, 1..9),
@@ -295,12 +299,15 @@ proptest! {
             EvilMode::HangIn(EvilPhase::Verify, 4_000),
         ]),
         policy in prop::sample::select(vec![UdfPolicy::FailFast, UdfPolicy::Quarantine]),
+        check_sample in prop::sample::select(vec![0u64, 1, 3, 16]),
         buckets in arb_buckets(),
     ) {
         let longs = |side: &[i64]| -> Vec<Value> { side.iter().map(|&v| Value::Int64(v)).collect() };
+        let mut config = GuardConfig::with_policy(policy);
+        config.limits.check_sample = check_sample;
         let (_, result, stats) = assert_paths_agree(
             &|| Arc::new(EvilJoin::new(Arc::new(EqualityFudj), mode)),
-            Some(GuardConfig::with_policy(policy)),
+            Some(config),
             &[],
             buckets,
             &longs(&left),
