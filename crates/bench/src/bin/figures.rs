@@ -529,7 +529,7 @@ fn extensions() {
         &rows,
     );
 
-    // (c) sort-merge vs hash-group COMBINE, and the cost of spilling.
+    // (c) in-memory hash-group COMBINE vs the cost of spilling.
     let mut rows = Vec::new();
     for n in [4_000usize, 8_000, 16_000] {
         let sql = Workload::Spatial.sql(0.9);
@@ -547,32 +547,21 @@ fn extensions() {
             (secs, batch.len(), m.spilled_rows)
         };
         let (hash_s, hash_rows, _) = run_with(fudj_planner::PlanOptions::default());
-        let (merge_s, merge_rows, _) = run_with(fudj_planner::PlanOptions {
-            combine: fudj_exec::CombineStrategy::SortMerge,
-            ..Default::default()
-        });
         let (spill_s, spill_rows, spilled) = run_with(fudj_planner::PlanOptions {
             memory_budget_rows: Some(n / 8),
             ..Default::default()
         });
-        assert_eq!(hash_rows, merge_rows);
         assert_eq!(hash_rows, spill_rows);
         assert!(spilled > 0);
         rows.push(vec![
             n.to_string(),
             fmt_secs(hash_s),
-            fmt_secs(merge_s),
             format!("{} ({spilled} rows spilled)", fmt_secs(spill_s)),
         ]);
     }
     print_table(
-        "Ext. C — COMBINE strategies: hash group vs sort-merge vs budget-forced spill (spatial)",
-        &[
-            "#records",
-            "hash group",
-            "sort-merge",
-            "spill (budget = n/8)",
-        ],
+        "Ext. C — COMBINE: hash group vs budget-forced spill (spatial)",
+        &["#records", "hash group", "spill (budget = n/8)"],
         &rows,
     );
 }

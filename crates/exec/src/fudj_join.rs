@@ -16,15 +16,14 @@
 //!    *Theta* joins (interval, band) cannot hash-partition: the left side is
 //!    rebalanced and the right side broadcast, the strategy AsterixDB falls
 //!    back to and the cause of the interval join's scaling ceiling (§VII-C).
-//! 4. **COMBINE** — each worker groups its rows by bucket (hash map, or a
-//!    bucket-sorted merge under [`crate::CombineStrategy::SortMerge`]),
+//! 4. **COMBINE** — each worker groups its rows by bucket in a hash map,
 //!    matches bucket pairs (map lookup for default match, NLJ over bucket
 //!    ids for theta), and runs the strategy's local join (`verify` inside)
 //!    plus duplicate avoidance. Duplicate *elimination* instead costs one
 //!    more shuffle of the joined output followed by a distinct pass — the
 //!    delta Fig. 12a measures. Workers whose inputs exceed
-//!    [`FudjJoinNode::memory_budget_rows`] grace-partition to temporary
-//!    files first (§III-B spilling).
+//!    [`FudjJoinNode::memory_budget_rows`] spill to temporary files first
+//!    (§III-B spilling, [`crate::spill`]).
 //!
 //! Every phase runs on the cluster's fault-aware substrate: when a seeded
 //! [`fudj_core::FaultConfig`] is armed, the worker pool retries injected
@@ -50,10 +49,6 @@ use std::collections::{HashMap, HashSet};
 
 /// Rows with their tag column stripped, plus a bucket → row-index map.
 type GroupedRows = (Vec<Row>, HashMap<BucketId, Vec<usize>>);
-
-/// Rows with their tag column stripped, plus `(bucket, row index)` pairs
-/// sorted by bucket (the merge order for [`sort_merge_partition`]).
-type SortedRows = (Vec<Row>, Vec<(BucketId, usize)>);
 
 /// Execute one FUDJ join node.
 ///
@@ -270,7 +265,6 @@ fn execute_flexible(
             pplan: &pplan,
             default_match,
             dedup_mode,
-            combine: node.combine,
             metrics,
             spill_dir: &cluster.spill,
         };
@@ -280,22 +274,7 @@ fn execute_flexible(
             if let Some(g) = join.guard() {
                 g.begin_partition();
             }
-            // §III-B spilling: a worker whose tagged inputs exceed the
-            // memory budget spills. Default-match joins grace-partition
-            // through the memory-adaptive hybrid-hash COMBINE; theta
-            // joins (matches span bucket-hash partitions, so hash
-            // partitioning is unsound) stream both sides to disk and
-            // join block-nested within the budget.
-            match node.memory_budget_rows {
-                Some(budget) if lrows.len() + rrows.len() > budget => {
-                    if default_match {
-                        crate::spill::hybrid_hash_join(&ctx, lrows, rrows, budget, &node.spill)
-                    } else {
-                        crate::spill::theta_bnl_join(&ctx, lrows, rrows, budget, &node.spill)
-                    }
-                }
-                _ => join_worker_partition(&ctx, lrows, rrows),
-            }
+            crate::spill::combine(&ctx, lrows, rrows, node.memory_budget_rows)
         })
     };
     let combine_src = deaths_armed.then(|| (left_tagged.clone(), right_tagged.clone()));
@@ -448,20 +427,17 @@ pub(crate) struct CombineContext<'a> {
     pub(crate) pplan: &'a PPlanState,
     pub(crate) default_match: bool,
     pub(crate) dedup_mode: DedupMode,
-    pub(crate) combine: crate::plan::CombineStrategy,
     pub(crate) metrics: &'a QueryMetrics,
     pub(crate) spill_dir: &'a crate::spill::SpillDir,
 }
 
-/// COMBINE on one worker: match local bucket pairs, run local joins, dedup.
+/// COMBINE on one worker, in memory: match local bucket pairs, run local
+/// joins, dedup.
 pub(crate) fn join_worker_partition(
     ctx: &CombineContext<'_>,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
 ) -> Result<Vec<Row>> {
-    if ctx.combine == crate::plan::CombineStrategy::SortMerge && ctx.default_match {
-        return sort_merge_partition(ctx, lrows, rrows);
-    }
     let (lrows, lgroups) = group_by_bucket(lrows)?;
     let (rrows, rgroups) = group_by_bucket(rrows)?;
 
@@ -493,50 +469,6 @@ pub(crate) fn join_worker_partition(
         let lidx = &lgroups[&b1];
         let ridx = &rgroups[&b2];
         join_bucket_pair(ctx, b1, &lrows, lidx, b2, &rrows, ridx, &mut out)?;
-    }
-    Ok(out)
-}
-
-/// Sort-merge COMBINE (default-match only): sort both sides by bucket id and
-/// merge equal runs — no hash table, sequential access (§VIII future work).
-fn sort_merge_partition(
-    ctx: &CombineContext<'_>,
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
-) -> Result<Vec<Row>> {
-    let strip = |rows: Vec<Row>| -> Result<SortedRows> {
-        let mut stripped = Vec::with_capacity(rows.len());
-        let mut tagged = Vec::with_capacity(rows.len());
-        for row in rows {
-            let b = bucket_of(&row)?;
-            tagged.push((b, stripped.len()));
-            stripped.push(row.prefix(row.len() - 1));
-        }
-        tagged.sort_unstable();
-        Ok((stripped, tagged))
-    };
-    let (lrows, lsorted) = strip(lrows)?;
-    let (rrows, rsorted) = strip(rrows)?;
-
-    let mut out = Vec::new();
-    let mut l = 0usize;
-    let mut r = 0usize;
-    while l < lsorted.len() && r < rsorted.len() {
-        let lb = lsorted[l].0;
-        let rb = rsorted[r].0;
-        match lb.cmp(&rb) {
-            std::cmp::Ordering::Less => l += 1,
-            std::cmp::Ordering::Greater => r += 1,
-            std::cmp::Ordering::Equal => {
-                let le = lsorted[l..].iter().take_while(|(b, _)| *b == lb).count() + l;
-                let re = rsorted[r..].iter().take_while(|(b, _)| *b == rb).count() + r;
-                let lidx: Vec<usize> = lsorted[l..le].iter().map(|(_, i)| *i).collect();
-                let ridx: Vec<usize> = rsorted[r..re].iter().map(|(_, j)| *j).collect();
-                join_bucket_pair(ctx, lb, &lrows, &lidx, rb, &rrows, &ridx, &mut out)?;
-                l = le;
-                r = re;
-            }
-        }
     }
     Ok(out)
 }
@@ -962,38 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_merge_combine_equals_hash_combine() {
-        let (parks, fires) = spatial_values(77, 35, 70);
-        let cluster = Cluster::new(3);
-        let mk = |combine: crate::plan::CombineStrategy| {
-            let mut node = FudjJoinNode::new(
-                PhysicalPlan::Scan {
-                    dataset: geo_dataset(&format!("p_{combine:?}"), parks.clone(), 3),
-                },
-                PhysicalPlan::Scan {
-                    dataset: geo_dataset(&format!("f_{combine:?}"), fires.clone(), 3),
-                },
-                Arc::new(FudjEngineJoin::new(Arc::new(ProxyJoin::new(
-                    SpatialFudj::new(),
-                )))),
-                1,
-                1,
-                vec![Value::Int64(10)],
-            );
-            node.combine = combine;
-            PhysicalPlan::FudjJoin(node)
-        };
-        let (hash, _) = cluster
-            .execute(&mk(crate::plan::CombineStrategy::HashGroup))
-            .unwrap();
-        let (merge, _) = cluster
-            .execute(&mk(crate::plan::CombineStrategy::SortMerge))
-            .unwrap();
-        assert_eq!(id_pairs(&hash), id_pairs(&merge));
-        assert!(!hash.is_empty());
-    }
-
-    #[test]
     fn spilling_join_equals_in_memory_join() {
         let (parks, fires) = spatial_values(55, 40, 80);
         let cluster = Cluster::new(2);
@@ -1075,7 +975,7 @@ mod tests {
         // still produce exactly the in-memory result).
         let (parks, fires) = spatial_values(91, 80, 240);
         let cluster = Cluster::new(1);
-        let mk = |budget: Option<usize>, fanout: usize| {
+        let mk = |budget: Option<usize>| {
             let mut node = FudjJoinNode::new(
                 PhysicalPlan::Scan {
                     dataset: geo_dataset(&format!("rp_{budget:?}"), parks.clone(), 1),
@@ -1091,20 +991,20 @@ mod tests {
                 vec![Value::Int64(8)],
             );
             node.memory_budget_rows = budget;
-            node.spill.fanout = fanout;
             PhysicalPlan::FudjJoin(node)
         };
-        let (in_memory, _) = cluster.execute(&mk(None, 16)).unwrap();
-        // Fan-out 2 with budget 6: the first pass cannot come close to
-        // budget-sized sub-partitions, so correctness depends on recursion.
-        let (spilled, metrics) = cluster.execute(&mk(Some(6), 2)).unwrap();
+        let (in_memory, _) = cluster.execute(&mk(None)).unwrap();
+        // Budget 6 against 16 slots per pass: the first pass cannot come
+        // close to budget-sized sub-partitions, so correctness depends on
+        // recursion.
+        let (spilled, metrics) = cluster.execute(&mk(Some(6))).unwrap();
         assert_eq!(id_pairs(&in_memory), id_pairs(&spilled));
         assert!(!in_memory.is_empty());
         let s = metrics.snapshot();
         assert!(s.spilled_rows > 0);
         assert!(
             s.spill_recursion_depth >= 1,
-            "tiny budget + fanout 2 must recurse: {s:?}"
+            "a tiny budget must recurse: {s:?}"
         );
         assert!(s.spill_passes >= 3, "recursion implies extra passes: {s:?}");
         assert!(

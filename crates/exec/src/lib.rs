@@ -73,12 +73,11 @@ pub use metrics::{
 };
 pub use mode::ExecMode;
 pub use plan::{
-    AggFunc, Aggregate, CmpOp, ColumnCompare, CombineStrategy, FudjJoinNode, JoinPredicate,
-    PhysicalPlan, RowMapper, RowPredicate, SortKey,
+    AggFunc, Aggregate, CmpOp, ColumnCompare, FudjJoinNode, JoinPredicate, PhysicalPlan, RowMapper,
+    RowPredicate, SortKey,
 };
 pub use pool::{panic_message, WorkerPool};
 pub use recovery::{
     ClusterRecovery, CounterSeed, Membership, QueryJournal, QueryTag, RecoveryContext,
     RecoveryStats, ResumeSpec, WorkerInfo, WorkerState,
 };
-pub use spill::SpillConfig;

@@ -132,19 +132,6 @@ impl Aggregate {
     }
 }
 
-/// How a worker matches its local buckets during COMBINE (§III-B's local
-/// optimization space; `SortMerge` is the paper's §VIII "sort-merge-based
-/// joins" future work).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CombineStrategy {
-    /// Group rows by bucket in a hash map (the default).
-    #[default]
-    HashGroup,
-    /// Sort rows by bucket id and merge matching runs — no hash table,
-    /// lower memory footprint, sequential access.
-    SortMerge,
-}
-
 /// One sort key.
 #[derive(Clone, Copy, Debug)]
 pub struct SortKey {
@@ -187,16 +174,13 @@ pub struct FudjJoinNode {
     /// Set by the optimizer when both inputs are identical and the join is
     /// symmetric: evaluate and summarize the input once (§VI-C).
     pub self_join: bool,
-    /// Local bucket-matching strategy.
-    pub combine: CombineStrategy,
-    /// When set, a worker whose tagged rows exceed this budget runs the
-    /// memory-adaptive hybrid-hash COMBINE: as many sub-partitions as fit
-    /// stay resident, the rest stream to spill files — §III-B's "memory
-    /// budget-aware operators that can spill to the disk". Applies to
-    /// default-match joins.
+    /// When set, a worker whose tagged rows exceed this budget spills —
+    /// §III-B's "memory budget-aware operators that can spill to the
+    /// disk". A default-match join runs the memory-adaptive hybrid-hash
+    /// COMBINE (as many sub-partitions as fit stay resident, the rest
+    /// stream to spill files); a theta join streams both sides to disk and
+    /// joins them block-nested within the budget.
     pub memory_budget_rows: Option<usize>,
-    /// Hybrid-hash tuning (fan-out, recursion cap, write batch).
-    pub spill: crate::spill::SpillConfig,
     schema: SchemaRef,
 }
 
@@ -219,9 +203,7 @@ impl FudjJoinNode {
             right_key,
             params,
             self_join: false,
-            combine: CombineStrategy::default(),
             memory_budget_rows: None,
-            spill: crate::spill::SpillConfig::default(),
             schema,
         }
     }

@@ -10,20 +10,20 @@
 //! Trade-offs for a Robust Dynamic Hybrid Hash Join*, see PAPERS.md):
 //!
 //! * **Adaptive resident set.** Rows are hashed by bucket id into
-//!   [`SpillConfig::fanout`] sub-partitions which all start memory-
-//!   resident. Whenever the working set (slot memory plus unflushed write
+//!   `FANOUT` (16) sub-partitions which all start memory-resident.
+//!   Whenever the working set (slot memory plus unflushed write
 //!   buffers) exceeds the budget, the *largest* resident sub-partition is
 //!   evicted to a spill file — so on a Zipf-skewed input the hot
 //!   sub-partitions go to disk and the long tail stays in memory, and a
 //!   budget just below the input size spills almost nothing.
 //! * **Bounded write buffers.** Spilled rows stream through a per-file
-//!   buffer flushed every [`SpillConfig::write_batch_rows`] rows. Nothing
-//!   ever buffers a whole side: the working set is bounded by
-//!   `budget + 1` rows at every step, by construction.
+//!   buffer flushed every `WRITE_BATCH_ROWS` (128) rows. Nothing ever
+//!   buffers a whole side: the working set is bounded by `budget + 1`
+//!   rows at every step, by construction.
 //! * **Recursive repartitioning.** A spilled sub-partition that still
 //!   exceeds the budget is re-read and repartitioned with a depth-salted
 //!   hash (so the same keys split differently at each level), up to
-//!   [`SpillConfig::recursion_limit`] levels.
+//!   `RECURSION_LIMIT` (4) levels.
 //! * **Block-nested-loop fallback.** At the depth cap — or when a
 //!   sub-partition holds a single hot bucket that no rehashing can ever
 //!   split — the pair is joined block-against-block in budget-sized
@@ -42,7 +42,12 @@
 //! per-sub-partition joins is exactly the in-memory join. Theta joins
 //! (matches span partitions) spill through `theta_bnl_join` instead:
 //! both sides stream to disk whole and join block against block, which
-//! is sound for any match predicate.
+//! is sound for any match predicate. `combine` is the one entry: it
+//! makes the budget check and picks the path.
+//!
+//! The fan-out, depth cap and write batch are fixed: the operator adapts
+//! to the input and the budget through eviction, recursion and the BNL
+//! fallback, not through tuning.
 
 use crate::exchange;
 use crate::fudj_join::{bucket_of, join_worker_partition, CombineContext};
@@ -56,29 +61,15 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Tuning knobs of the hybrid-hash spill path. Defaults are deliberately
-/// modest; `SET spill_fanout` / `SET spill_recursion_limit` override them
-/// per session or per query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpillConfig {
-    /// Sub-partitions per partitioning pass (minimum 2).
-    pub fanout: usize,
-    /// Maximum recursive repartitioning depth before the block-nested-loop
-    /// fallback takes over (0 = never recurse).
-    pub recursion_limit: usize,
-    /// Rows accumulated in a spill-file write buffer before it is flushed.
-    pub write_batch_rows: usize,
-}
+/// Sub-partitions per partitioning pass.
+const FANOUT: usize = 16;
 
-impl Default for SpillConfig {
-    fn default() -> Self {
-        SpillConfig {
-            fanout: 16,
-            recursion_limit: 4,
-            write_batch_rows: 128,
-        }
-    }
-}
+/// Recursive repartitioning depth before the block-nested-loop fallback
+/// takes over.
+const RECURSION_LIMIT: usize = 4;
+
+/// Rows accumulated in a spill-file write buffer before it is flushed.
+const WRITE_BATCH_ROWS: usize = 128;
 
 /// Owns one spill file's path and unlinks it on drop — the cleanup guard
 /// that makes every error path leak-free.
@@ -145,7 +136,7 @@ fn io_err(what: &str, e: std::io::Error) -> FudjError {
 }
 
 /// One side's bounded spill writer: rows are length-prefix encoded into a
-/// small buffer and flushed every [`SpillConfig::write_batch_rows`] rows
+/// small buffer and flushed every [`WRITE_BATCH_ROWS`] rows
 /// (or whenever the caller needs the working set reduced).
 struct SideWriter {
     guard: SpillFile,
@@ -336,15 +327,37 @@ impl Slot {
     }
 }
 
-/// Entry point: hybrid-hash join one over-budget worker partition.
-/// Records the task's spill counters into the metrics on success; on any
-/// error the RAII guards have already unlinked every spill file.
-pub(crate) fn hybrid_hash_join(
+/// COMBINE on one worker under an optional row budget (§III-B spilling).
+/// Within the budget the partition joins in memory. Over it, a
+/// default-match join grace-partitions through [`hybrid_hash_join`]; a
+/// theta join (matches span bucket-hash partitions, so hash partitioning
+/// is unsound) streams both sides to disk through [`theta_bnl_join`].
+pub(crate) fn combine(
+    ctx: &CombineContext<'_>,
+    lrows: Vec<Row>,
+    rrows: Vec<Row>,
+    budget: Option<usize>,
+) -> Result<Vec<Row>> {
+    match budget {
+        Some(budget) if lrows.len() + rrows.len() > budget => {
+            if ctx.default_match {
+                hybrid_hash_join(ctx, lrows, rrows, budget)
+            } else {
+                theta_bnl_join(ctx, lrows, rrows, budget)
+            }
+        }
+        _ => join_worker_partition(ctx, lrows, rrows),
+    }
+}
+
+/// Hybrid-hash join one over-budget worker partition. Records the task's
+/// spill counters into the metrics on success; on any error the RAII
+/// guards have already unlinked every spill file.
+fn hybrid_hash_join(
     ctx: &CombineContext<'_>,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
     budget: usize,
-    cfg: &SpillConfig,
 ) -> Result<Vec<Row>> {
     let mut stats = EngineStats::default();
     let mut out = Vec::new();
@@ -354,7 +367,6 @@ pub(crate) fn hybrid_hash_join(
         rrows.into_iter().map(Ok as fn(Row) -> Result<Row>),
         budget,
         0,
-        cfg,
         &mut stats,
         &mut out,
     )?;
@@ -362,26 +374,24 @@ pub(crate) fn hybrid_hash_join(
     Ok(out)
 }
 
-/// Entry point for over-budget *theta* joins: matches span bucket-hash
+/// Over-budget *theta* joins: matches span bucket-hash
 /// sub-partitions, so hash grace-partitioning is unsound for them —
 /// instead both sides stream to disk whole and join block against block
 /// within the budget. Each (left row, right row) pair is considered in
 /// exactly one block pair, so the union over blocks is exactly the
 /// in-memory theta join and the logical counters are preserved (see
 /// [`block_nested_join`]).
-pub(crate) fn theta_bnl_join(
+fn theta_bnl_join(
     ctx: &CombineContext<'_>,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
     budget: usize,
-    cfg: &SpillConfig,
 ) -> Result<Vec<Row>> {
-    let batch = cfg.write_batch_rows.max(1);
     let spill_side = |rows: Vec<Row>, side: usize| -> Result<ClosedSide> {
         let mut w = SideWriter::create(ctx.spill_dir, 0, 0, side)?;
         for row in rows {
             w.push(&row);
-            if w.buffered_rows >= batch {
+            if w.buffered_rows >= WRITE_BATCH_ROWS {
                 w.flush()?;
             }
         }
@@ -416,7 +426,6 @@ fn pass<I>(
     right: I,
     budget: usize,
     depth: usize,
-    cfg: &SpillConfig,
     stats: &mut EngineStats,
     out: &mut Vec<Row>,
 ) -> Result<()>
@@ -425,8 +434,7 @@ where
 {
     stats.spill_passes += 1;
     stats.spill_recursion_depth = stats.spill_recursion_depth.max(depth as u64);
-    let fanout = cfg.fanout.max(2);
-    let mut slots: Vec<Slot> = (0..fanout).map(|_| Slot::new()).collect();
+    let mut slots: Vec<Slot> = (0..FANOUT).map(|_| Slot::new()).collect();
     // Working-set accounting: `resident` rows live in slot memory,
     // `buffered` rows sit in unflushed write buffers. Their sum is what
     // the budget bounds.
@@ -437,7 +445,7 @@ where
         for row in rows {
             let row = row?;
             let b = bucket_of(&row)?;
-            let p = (part_hash(b, depth) as usize) % fanout;
+            let p = (part_hash(b, depth) as usize) % FANOUT;
             {
                 let slot = &mut slots[p];
                 match slot.bucket {
@@ -457,7 +465,7 @@ where
                 .spill_peak_resident_rows
                 .max((resident + buffered) as u64);
             // A spilled slot's buffer flushes once it holds a full batch.
-            if slots[p].writers.is_some() && slots[p].buffered_rows() >= cfg.write_batch_rows {
+            if slots[p].writers.is_some() && slots[p].buffered_rows() >= WRITE_BATCH_ROWS {
                 let ws = slots[p].writers.as_mut().expect("spilled slot has writers");
                 buffered -= ws[0].buffered_rows + ws[1].buffered_rows;
                 ws[0].flush()?;
@@ -468,13 +476,13 @@ where
             // to disk, the tail stays resident), then flush the fullest
             // write buffer.
             while resident + buffered > budget {
-                let victim = (0..fanout)
+                let victim = (0..FANOUT)
                     .filter(|&i| slots[i].writers.is_none() && slots[i].mem_rows() > 0)
                     .max_by_key(|&i| slots[i].mem_rows());
                 if let Some(v) = victim {
-                    resident -= evict(&mut slots[v], ctx.spill_dir, depth, v, cfg)?;
+                    resident -= evict(&mut slots[v], ctx.spill_dir, depth, v)?;
                 } else {
-                    let fullest = (0..fanout).max_by_key(|&i| slots[i].buffered_rows());
+                    let fullest = (0..FANOUT).max_by_key(|&i| slots[i].buffered_rows());
                     match fullest {
                         Some(f) if slots[f].buffered_rows() > 0 => {
                             let ws = slots[f]
@@ -525,7 +533,7 @@ where
             let r = SpillReader::open(rc.path())?.read_block(usize::MAX)?;
             stats.spill_peak_resident_rows = stats.spill_peak_resident_rows.max(total as u64);
             out.extend(join_worker_partition(ctx, l, r)?);
-        } else if depth >= cfg.recursion_limit || !slot.multi_bucket {
+        } else if depth >= RECURSION_LIMIT || !slot.multi_bucket {
             stats.spill_bnl_fallbacks += 1;
             block_nested_join(ctx, &lc, &rc, budget, stats, out)?;
         } else {
@@ -535,7 +543,6 @@ where
                 SpillReader::open(rc.path())?,
                 budget,
                 depth + 1,
-                cfg,
                 stats,
                 out,
             )?;
@@ -547,23 +554,16 @@ where
 
 /// Evict a resident slot to disk: create its writers and stream its rows
 /// out in write-batch-sized flushes. Returns the number of rows freed.
-fn evict(
-    slot: &mut Slot,
-    dir: &SpillDir,
-    depth: usize,
-    part: usize,
-    cfg: &SpillConfig,
-) -> Result<usize> {
+fn evict(slot: &mut Slot, dir: &SpillDir, depth: usize, part: usize) -> Result<usize> {
     let mut writers = [
         SideWriter::create(dir, depth, part, 0)?,
         SideWriter::create(dir, depth, part, 1)?,
     ];
     let freed = slot.mem_rows();
-    let batch = cfg.write_batch_rows.max(1);
     for (side, w) in writers.iter_mut().enumerate() {
         for row in slot.mem[side].drain(..) {
             w.push(&row);
-            if w.buffered_rows >= batch {
+            if w.buffered_rows >= WRITE_BATCH_ROWS {
                 w.flush()?;
             }
         }
@@ -573,9 +573,10 @@ fn evict(
     Ok(freed)
 }
 
-/// Block-nested-loop fallback: join two over-budget spill files block
-/// against block, each block at most half the budget. Correct for any
-/// default-match join because matched bucket pairs and their group-size
+/// Block-nested-loop join of two over-budget spill files, block against
+/// block, each block at most half the budget. Correct for any join,
+/// default-match or theta: every (left row, right row) pair meets in
+/// exactly one block pair, so matched bucket pairs and their group-size
 /// products are preserved exactly across the block grid (see module docs).
 fn block_nested_join(
     ctx: &CombineContext<'_>,
@@ -685,5 +686,71 @@ mod tests {
             })
             .count();
         assert!(moved > 0, "depth salt must remap at least some buckets");
+    }
+
+    #[test]
+    fn colliding_buckets_reach_the_recursion_cap_then_join_block_nested() {
+        // Two buckets whose depth-salted slots agree at every depth up to
+        // the cap: no pass can separate them, so the sub-partition holding
+        // both recurses to the cap and only then falls back to BNL.
+        let slots = |b: BucketId| -> Vec<usize> {
+            (0..=RECURSION_LIMIT)
+                .map(|d| (part_hash(b, d) as usize) % FANOUT)
+                .collect()
+        };
+        let mut seen = std::collections::HashMap::new();
+        let (b1, b2) = (0..1_000_000 as BucketId)
+            .find_map(|b| seen.insert(slots(b), b).map(|first| (first, b)))
+            .expect("a colliding pair within the search range");
+
+        // Keys 0..5 repeat on both sides; each row is tagged with one of
+        // the two colliding buckets.
+        let tagged = |n: i64| -> Vec<Row> {
+            (0..n)
+                .map(|i| {
+                    let b = if i % 2 == 0 { b1 } else { b2 };
+                    Row::new(vec![
+                        Value::Int64(i),
+                        Value::Int64(i % 5),
+                        Value::Int64(b as i64),
+                    ])
+                })
+                .collect()
+        };
+        // Key equality, no dedup: rows meet only on equal keys, whatever
+        // bucket tags they carry.
+        let join =
+            fudj_core::FudjEngineJoin::new(std::sync::Arc::new(fudj_joins::evil::EqualityFudj));
+        let pplan = {
+            use fudj_core::{EngineJoin, Side};
+            let s = join.new_summary(Side::Left);
+            join.divide(&s, &s, &[]).unwrap()
+        };
+        let metrics = crate::metrics::QueryMetrics::new();
+        let spill_dir = SpillDir::default();
+        let ctx = CombineContext {
+            join: &join,
+            left_key: 1,
+            right_key: 1,
+            pplan: &pplan,
+            default_match: true,
+            dedup_mode: fudj_core::DedupMode::None,
+            metrics: &metrics,
+            spill_dir: &spill_dir,
+        };
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort();
+            rows
+        };
+        let in_memory = sorted(join_worker_partition(&ctx, tagged(40), tagged(30)).unwrap());
+        assert!(!in_memory.is_empty());
+        assert_eq!(metrics.snapshot().spilled_rows, 0);
+
+        let spilled = sorted(combine(&ctx, tagged(40), tagged(30), Some(8)).unwrap());
+        assert_eq!(spilled, in_memory);
+        let s = metrics.snapshot();
+        assert_eq!(s.spill_recursion_depth, RECURSION_LIMIT as u64, "{s:?}");
+        assert!(s.spill_bnl_fallbacks > 0, "{s:?}");
+        assert!(s.spill_peak_resident_rows <= 8 + 1, "{s:?}");
     }
 }

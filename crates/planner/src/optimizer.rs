@@ -23,19 +23,8 @@ pub struct PlanOptions {
     /// experiments swap in the hand-built and advanced operators while
     /// keeping the query text identical).
     pub join_overrides: HashMap<String, Arc<dyn EngineJoin>>,
-    /// Local bucket-matching strategy for FUDJ joins (hash grouping by
-    /// default; sort-merge is the §VIII extension).
-    pub combine: fudj_exec::CombineStrategy,
     /// Per-worker row budget; FUDJ joins exceeding it spill to disk.
     pub memory_budget_rows: Option<usize>,
-    /// Hybrid-hash spill fan-out override (`SET spill_fanout`); the
-    /// engine default applies when unset.
-    pub spill_fanout: Option<usize>,
-    /// Hybrid-hash recursive-repartition depth cap override
-    /// (`SET spill_recursion_limit`); the engine default applies when
-    /// unset. Past the cap, over-budget sub-partitions fall back to a
-    /// block-nested-loop pass.
-    pub spill_recursion_limit: Option<usize>,
     /// UDF guardrail selection: each join definition's own config (the
     /// default), a session-wide override, or off (unguarded reference runs).
     /// Applies to registry-resolved joins only — [`Self::join_overrides`]
@@ -57,10 +46,7 @@ impl fmt::Debug for PlanOptions {
                 "join_overrides",
                 &self.join_overrides.keys().collect::<Vec<_>>(),
             )
-            .field("combine", &self.combine)
             .field("memory_budget_rows", &self.memory_budget_rows)
-            .field("spill_fanout", &self.spill_fanout)
-            .field("spill_recursion_limit", &self.spill_recursion_limit)
             .field("guard", &self.guard)
             .field("exec_mode", &self.exec_mode)
             .finish()

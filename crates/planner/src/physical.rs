@@ -347,17 +347,10 @@ fn lower_fudj_join(
 
     let mut node = FudjJoinNode::new(lplan, rplan, strategy, lkey_idx, rkey_idx, params.to_vec());
     node.self_join = self_join;
-    node.combine = options.combine;
     // Session/query options win; the join definition's own declared
     // budget (`CREATE JOIN ... WITH (memory_budget_rows = N)`) is the
     // fallback.
     node.memory_budget_rows = options.memory_budget_rows.or(def_budget);
-    if let Some(fanout) = options.spill_fanout {
-        node.spill.fanout = fanout;
-    }
-    if let Some(limit) = options.spill_recursion_limit {
-        node.spill.recursion_limit = limit;
-    }
     let joined = PhysicalPlan::FudjJoin(node);
 
     // Strip the two key columns so upper operators see the logical schema.

@@ -403,43 +403,31 @@ mod tests {
     }
 
     #[test]
-    fn set_spill_knobs_tune_hybrid_hash_and_preserve_results() {
+    fn single_bucket_input_spills_block_nested_and_preserves_results() {
         let s = session();
         s.execute(
             r#"CREATE JOIN st_contains(a: polygon, b: point)
                RETURNS boolean AS "spatial.SpatialJoin" AT flexiblejoins;"#,
         )
         .unwrap();
+        // A 1 × 1 grid puts every key in one bucket. No rehash can split a
+        // single bucket, so an over-budget worker must take the
+        // block-nested-loop fallback.
         let sql = "SELECT COUNT(*) FROM Parks p, Wildfires w \
-                   WHERE st_contains(p.boundary, w.location)";
+                   WHERE st_contains(p.boundary, w.location, 1)";
+
+        let in_memory = s.execute(sql).unwrap();
+        assert_eq!(in_memory.metrics().spilled_rows, 0);
+        let count = in_memory.batch().rows()[0].get(0).clone();
 
         s.execute("SET memory_budget_rows = 4").unwrap();
-        let default_knobs = s.execute(sql).unwrap();
-        let count = default_knobs.batch().rows()[0].get(0).clone();
-        assert!(default_knobs.metrics().spilled_rows > 0);
-
-        // A narrow fan-out with recursion allowed still answers correctly.
-        s.execute("SET spill_fanout = 2").unwrap();
-        let narrow = s.execute(sql).unwrap();
-        assert_eq!(narrow.batch().rows()[0].get(0), &count);
-        assert!(narrow.metrics().spill_passes >= 1);
-
-        // recursion_limit = 0 forbids repartitioning: over-budget
-        // sub-partitions must take the block-nested-loop fallback.
-        s.execute("SET spill_recursion_limit = 0").unwrap();
         let bnl = s.execute(sql).unwrap();
         assert_eq!(bnl.batch().rows()[0].get(0), &count);
         assert_eq!(bnl.metrics().spill_recursion_depth, 0);
         assert!(
             bnl.metrics().spill_bnl_fallbacks > 0,
-            "depth cap 0 with a 4-row budget must hit the BNL fallback"
+            "one bucket over a 4-row budget must hit the BNL fallback"
         );
-
-        // `off` restores the engine defaults.
-        s.execute("SET spill_fanout = off").unwrap();
-        s.execute("SET spill_recursion_limit = off").unwrap();
-        let restored = s.execute(sql).unwrap();
-        assert_eq!(restored.batch().rows()[0].get(0), &count);
     }
 
     #[test]

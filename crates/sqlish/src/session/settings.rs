@@ -138,8 +138,6 @@ pub(super) struct SessionVars {
     pub priority: u32,
     pub deadline_ms: Option<u64>,
     memory_budget_rows: Option<usize>,
-    spill_fanout: Option<usize>,
-    spill_recursion_limit: Option<usize>,
     exec_mode: Option<ExecMode>,
     /// WAL fsync cadence: 1 = every record, N = every N records, 0 =
     /// never. Remembered here so it also applies to a store opened
@@ -314,18 +312,6 @@ pub const KNOBS: &[Knob] = &[
         get: Some(|s| or_off(s.vars().memory_budget_rows)),
         with: Some(|j, a| a.number("a row count").map(|n| j.memory_budget_rows = (n > 0).then_some(n as usize))),
         plan: plan_field!(memory_budget_rows, |t: &str| t.parse().ok()) },
-    Knob { name: "spill_fanout", syntax: "N|off", default: "off", scope: Plan,
-        doc: "sub-partitions per spill partitioning pass (off = engine default, 16)",
-        set: Some(|s, a| a.optional(false).map(|v| s.vars_mut().spill_fanout = v.map(|n| n as usize))),
-        get: Some(|s| or_off(s.vars().spill_fanout)),
-        plan: plan_field!(spill_fanout, |t: &str| t.parse().ok()), ..KNOB },
-    // 0 is a meaningful cap (never recurse, straight to the
-    // block-nested-loop fallback), so only none/off clear it.
-    Knob { name: "spill_recursion_limit", syntax: "N|off", default: "off", scope: Plan,
-        doc: "repartitioning depth before block-nested-loop (0 = always; off = engine default, 4)",
-        set: Some(|s, a| a.optional(true).map(|v| s.vars_mut().spill_recursion_limit = v.map(|n| n as usize))),
-        get: Some(|s| or_off(s.vars().spill_recursion_limit)),
-        plan: plan_field!(spill_recursion_limit, |t: &str| t.parse().ok()), ..KNOB },
     Knob { name: "exec_mode", syntax: "row|columnar|off", default: "off", scope: Plan,
         doc: "evaluation strategy (off = engine default, columnar)",
         set: Some(|s, a| {
@@ -584,8 +570,6 @@ mod tests {
             Vec::new(),
             "nothing set, nothing journaled"
         );
-        s.execute("SET spill_recursion_limit = 0").unwrap();
-        s.execute("SET spill_fanout = 4").unwrap();
         s.execute("SET memory_budget_rows = 64").unwrap();
         s.execute("SET exec_mode = row").unwrap();
         let pairs = Session::journal_options(&s.effective_options());
@@ -593,20 +577,29 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        assert_eq!(
-            text,
-            [
-                ("exec_mode", "row"),
-                ("memory_budget_rows", "64"),
-                ("spill_fanout", "4"),
-                ("spill_recursion_limit", "0"),
-            ]
-        );
+        assert_eq!(text, [("exec_mode", "row"), ("memory_budget_rows", "64")]);
         let restored = session().options_from_journal(&pairs);
         assert_eq!(restored.exec_mode, Some(ExecMode::Row));
         assert_eq!(restored.memory_budget_rows, Some(64));
-        assert_eq!(restored.spill_fanout, Some(4));
-        assert_eq!(restored.spill_recursion_limit, Some(0));
+
+        // A record journaled before the spill fan-out and recursion cap
+        // became constants still carries their pairs: they restore to
+        // nothing, and the knobs around them still apply.
+        let old: Vec<(String, String)> = [
+            ("memory_budget_rows", "64"),
+            ("spill_fanout", "4"),
+            ("spill_recursion_limit", "0"),
+        ]
+        .iter()
+        .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+        .collect();
+        let restored = session().options_from_journal(&old);
+        assert_eq!(restored.memory_budget_rows, Some(64));
+        assert_eq!(
+            Session::journal_options(&restored),
+            [("memory_budget_rows".to_owned(), "64".to_owned())],
+            "only the knob that still exists comes back"
+        );
     }
 
     /// By value syntax: a valid value, the clearing spelling (when there
@@ -617,10 +610,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fudj-knob-{}", std::process::id()));
         match knob.syntax {
             "N" => ("3".into(), None, expects("fast", "a number")),
-            // 0 is a value for this one, not a clearing spelling.
-            "N|off" if knob.name == "spill_recursion_limit" => {
-                ("0".into(), Some("off"), expects("fast", "a number"))
-            }
             "N|off" => ("500".into(), Some("0"), expects("fast", "a number")),
             "N|none" => ("0".into(), Some("none"), Some(("99999999", too_many))),
             "on|off" if knob.default == "on" => {
@@ -642,7 +631,7 @@ mod tests {
     #[test]
     fn every_set_key_applies_reads_back_clears_and_rejects_malformed_values() {
         let set_keys: Vec<&Knob> = KNOBS.iter().filter(|k| k.is_set_key()).collect();
-        assert_eq!(set_keys.len(), 19);
+        assert_eq!(set_keys.len(), 17);
         for knob in set_keys {
             let name = knob.name;
             let s = Session::new(2);
@@ -673,10 +662,9 @@ mod tests {
             err.to_string(),
             "execution error: unknown SET variable \"warp_drive\" (expected \
              max_inflight_queries, admission_queue_limit, memory_quota_rows, stage_slots, \
-             priority, deadline_ms, memory_budget_rows, spill_fanout, spill_recursion_limit, \
-             exec_mode, checkpoint_budget_bytes, checkpoint_stages, checkpoint_durable, \
-             worker_quarantine_threshold, wal_dir, durability, plan_cache_entries, \
-             result_cache_entries, or result_cache)"
+             priority, deadline_ms, memory_budget_rows, exec_mode, checkpoint_budget_bytes, \
+             checkpoint_stages, checkpoint_durable, worker_quarantine_threshold, wal_dir, \
+             durability, plan_cache_entries, result_cache_entries, or result_cache)"
         );
         assert_eq!(Session::new(1).setting("policy"), None, "not a SET key");
     }

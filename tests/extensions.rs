@@ -1,10 +1,9 @@
 //! Integration tests for the implemented §VIII future-work features:
-//! auto-tuned bucket counts, sort-merge bucket matching, the forward-scan
-//! advanced interval operator, and memory-budget spilling — all driven
-//! through the SQL/session layer to prove they compose with the optimizer.
+//! auto-tuned bucket counts, the forward-scan advanced interval operator,
+//! and memory-budget spilling — all driven through the SQL/session layer
+//! to prove they compose with the optimizer.
 
 use fudj_repro::datagen::{nyctaxi, parks, wildfires, GeneratorConfig};
-use fudj_repro::exec::CombineStrategy;
 use fudj_repro::joins::builtin::AdvancedIntervalJoin;
 use fudj_repro::joins::standard_library;
 use fudj_repro::planner::PlanOptions;
@@ -80,24 +79,6 @@ fn auto_tuned_interval_join_matches_fixed_granules() {
 }
 
 #[test]
-fn sort_merge_combine_through_session() {
-    let mut s = session(3);
-    s.execute(
-        r#"CREATE JOIN st_contains(a: polygon, b: point)
-           RETURNS boolean AS "spatial.SpatialJoin" AT flexiblejoins"#,
-    )
-    .unwrap();
-    let hash = s.query(SPATIAL_SQL).unwrap();
-
-    s.set_options(PlanOptions {
-        combine: CombineStrategy::SortMerge,
-        ..Default::default()
-    });
-    let merge = s.query(SPATIAL_SQL).unwrap();
-    assert_eq!(sorted(&hash), sorted(&merge));
-}
-
-#[test]
 fn spilling_through_session_same_answers() {
     let mut s = session(2);
     s.execute(
@@ -147,7 +128,7 @@ fn advanced_interval_operator_matches_fudj() {
 
 #[test]
 fn all_extensions_compose() {
-    // Auto-tuning + sort-merge + spilling together, still the right answer.
+    // Auto-tuning + spilling together, still the right answer.
     let mut s = session(2);
     s.execute(
         r#"CREATE JOIN st_contains(a: polygon, b: point)
@@ -157,7 +138,6 @@ fn all_extensions_compose() {
     let plain = s.query(SPATIAL_SQL).unwrap();
 
     s.set_options(PlanOptions {
-        combine: CombineStrategy::SortMerge,
         memory_budget_rows: Some(64),
         ..Default::default()
     });

@@ -113,8 +113,9 @@ struct Workload {
     left: Vec<Value>,
     right: Vec<Value>,
     params: Vec<Value>,
-    /// Theta joins rebalance+broadcast and cannot spill; the budget must
-    /// be ignored rather than breaking (or "spilling") them.
+    /// Theta joins rebalance+broadcast, so hash repartitioning is unsound
+    /// for them: over budget they spill both sides whole and join
+    /// block-nested.
     theta: bool,
 }
 
