@@ -19,9 +19,12 @@
 //! 4. **COMBINE** — each worker groups its rows by bucket in a hash map,
 //!    matches bucket pairs (map lookup for default match, NLJ over bucket
 //!    ids for theta), and runs the strategy's local join (`verify` inside)
-//!    plus duplicate avoidance. Duplicate *elimination* instead costs one
-//!    more shuffle of the joined output followed by a distinct pass — the
-//!    delta Fig. 12a measures. Workers whose inputs exceed
+//!    plus duplicate avoidance. Each joined row is built once, holding only
+//!    the columns in [`FudjJoinNode::output`]: the planner folds the
+//!    projections above the join into that list. Duplicate *elimination*
+//!    instead costs one more shuffle of the full-width joined output
+//!    followed by a distinct pass — the delta Fig. 12a measures — and
+//!    projects each row the distinct pass keeps. Workers whose inputs exceed
 //!    [`FudjJoinNode::memory_budget_rows`] spill to temporary files first
 //!    (§III-B spilling, [`crate::spill`]).
 //!
@@ -47,8 +50,21 @@ use fudj_core::{
 use fudj_types::{FudjError, Result, Row, Value};
 use std::collections::{HashMap, HashSet};
 
-/// Rows with their tag column stripped, plus a bucket → row-index map.
+/// Tagged rows, plus a bucket → row-index map.
 type GroupedRows = (Vec<Row>, HashMap<BucketId, Vec<usize>>);
+
+/// One joined row holding `columns` of `left ++ right`, built in a single
+/// allocation. Columns from `left_width` on read the right row, so a
+/// bucket tag trailing the left row is never emitted.
+fn emit_row(lrow: &Row, rrow: &Row, columns: &[usize], left_width: usize) -> Row {
+    columns
+        .iter()
+        .map(|&c| match c.checked_sub(left_width) {
+            None => lrow.get(c).clone(),
+            Some(r) => rrow.get(r).clone(),
+        })
+        .collect()
+}
 
 /// Execute one FUDJ join node.
 ///
@@ -98,6 +114,7 @@ fn equality_fallback(
         };
         let lkey = node.left_key;
         let rkey = node.right_key;
+        let left_width = node.left.schema().len();
         let l = exchange::shuffle_by(left_parts, cluster.pool(), metrics, |row| {
             (exchange::route_hash(row.get(lkey)) as usize) % workers
         })?;
@@ -114,7 +131,7 @@ fn equality_fallback(
             for rrow in rrows {
                 if let Some(ls) = table.get(rrow.get(rkey)) {
                     for lrow in ls {
-                        out.push(lrow.concat(&rrow));
+                        out.push(emit_row(lrow, &rrow, &node.output, left_width));
                     }
                 }
             }
@@ -143,7 +160,7 @@ fn execute_flexible(
         .and_then(|r| r.try_resume("join:combine", &["joined"], workers))
     {
         let joined = datasets.pop().unwrap_or_default();
-        return finish_join(cluster, join, joined, metrics);
+        return finish_join(cluster, node, joined, metrics);
     }
 
     // Evaluate inputs (self-join: once).
@@ -255,7 +272,15 @@ fn execute_flexible(
     )?;
 
     // ---- COMBINE -----------------------------------------------------------
+    // Elimination's distinct pass needs whole rows: COMBINE emits every
+    // column and `finish_join` projects after the distinct pass.
     let dedup_mode = join.dedup_mode();
+    let left_width = node.left.schema().len();
+    let output: Vec<usize> = if dedup_mode == DedupMode::Elimination {
+        (0..left_width + node.right.schema().len()).collect()
+    } else {
+        node.output.clone()
+    };
     let run_combine = |lt: PartitionedData, rt: PartitionedData| -> Result<PartitionedData> {
         let zipped: Vec<(Vec<Row>, Vec<Row>)> = lt.into_iter().zip(rt).collect();
         let ctx = CombineContext {
@@ -265,6 +290,8 @@ fn execute_flexible(
             pplan: &pplan,
             default_match,
             dedup_mode,
+            output: &output,
+            left_width,
             metrics,
             spill_dir: &cluster.spill,
         };
@@ -291,19 +318,21 @@ fn execute_flexible(
         },
     )?;
 
-    finish_join(cluster, join, joined, metrics)
+    finish_join(cluster, node, joined, metrics)
 }
 
 /// The post-COMBINE tail of the flexible-join flow: the optional duplicate
-/// *elimination* stage (one more shuffle + distinct) and the deferred
-/// guard-violation check. Split out so a crash-restart resume can enter
-/// here directly with the joined output restored from durable checkpoints.
+/// *elimination* stage (one more shuffle + distinct over full-width rows,
+/// then the node's projection) and the deferred guard-violation check.
+/// Split out so a crash-restart resume can enter here directly with the
+/// joined output restored from durable checkpoints.
 fn finish_join(
     cluster: &Cluster,
-    join: &dyn EngineJoin,
+    node: &FudjJoinNode,
     joined: PartitionedData,
     metrics: &QueryMetrics,
 ) -> Result<PartitionedData> {
+    let join = node.join.as_ref();
     let result = if join.dedup_mode() == DedupMode::Elimination {
         metrics.phase("dedup", || -> Result<PartitionedData> {
             let shuffled = exchange::shuffle_by_row(joined, cluster.pool(), metrics)?;
@@ -313,7 +342,7 @@ fn finish_join(
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
                     if seen.insert(row.clone()) {
-                        out.push(row);
+                        out.push(row.project(&node.output));
                     }
                 }
                 metrics.record_dedup_rejections((before - out.len()) as u64);
@@ -407,16 +436,14 @@ pub(crate) fn bucket_of(row: &Row) -> Result<BucketId> {
     }
 }
 
-/// Group tagged rows by bucket; strip the tag.
+/// Group tagged rows by bucket. The rows keep their tag: [`emit_row`]
+/// never reads it.
 fn group_by_bucket(rows: Vec<Row>) -> Result<GroupedRows> {
-    let mut stripped = Vec::with_capacity(rows.len());
     let mut groups: HashMap<BucketId, Vec<usize>> = HashMap::new();
-    for row in rows {
-        let b = bucket_of(&row)?;
-        groups.entry(b).or_default().push(stripped.len());
-        stripped.push(row.prefix(row.len() - 1));
+    for (i, row) in rows.iter().enumerate() {
+        groups.entry(bucket_of(row)?).or_default().push(i);
     }
-    Ok((stripped, groups))
+    Ok((rows, groups))
 }
 
 /// Everything one worker's COMBINE needs, bundled to keep signatures sane.
@@ -427,6 +454,10 @@ pub(crate) struct CombineContext<'a> {
     pub(crate) pplan: &'a PPlanState,
     pub(crate) default_match: bool,
     pub(crate) dedup_mode: DedupMode,
+    /// The columns of `left ++ right` (untagged) each joined row holds.
+    pub(crate) output: &'a [usize],
+    /// Untagged width of the left input.
+    pub(crate) left_width: usize,
     pub(crate) metrics: &'a QueryMetrics,
     pub(crate) spill_dir: &'a crate::spill::SpillDir,
 }
@@ -530,7 +561,12 @@ fn join_bucket_pair(
             }
         };
         if keep {
-            out.push(lrows[lidx[i]].concat(&rrows[ridx[j]]));
+            out.push(emit_row(
+                &lrows[lidx[i]],
+                &rrows[ridx[j]],
+                ctx.output,
+                ctx.left_width,
+            ));
         } else {
             rejections += 1;
         }

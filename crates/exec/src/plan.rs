@@ -181,6 +181,10 @@ pub struct FudjJoinNode {
     /// stream to spill files); a theta join streams both sides to disk and
     /// joins them block-nested within the budget.
     pub memory_budget_rows: Option<usize>,
+    /// The columns of `left ++ right` the node emits, in order: COMBINE
+    /// builds each output row once, from these columns only. All of them
+    /// after [`FudjJoinNode::new`]; [`FudjJoinNode::project`] narrows it.
+    pub output: Vec<usize>,
     schema: SchemaRef,
 }
 
@@ -195,6 +199,7 @@ impl FudjJoinNode {
         params: Vec<Value>,
     ) -> Self {
         let schema = Arc::new(left.schema().join(&right.schema()));
+        let output = (0..schema.len()).collect();
         FudjJoinNode {
             left: Box::new(left),
             right: Box::new(right),
@@ -204,8 +209,17 @@ impl FudjJoinNode {
             params,
             self_join: false,
             memory_budget_rows: None,
+            output,
             schema,
         }
+    }
+
+    /// Fold a column projection into the node: it then emits `columns` of
+    /// its current output, under `schema` (which names them, so aliases
+    /// survive the fold).
+    pub fn project(&mut self, columns: &[usize], schema: SchemaRef) {
+        self.output = columns.iter().map(|&c| self.output[c]).collect();
+        self.schema = schema;
     }
 
     /// Output schema.
@@ -346,9 +360,15 @@ impl PhysicalPlan {
                 } else {
                     "theta-nlj"
                 };
+                let emit: Vec<&str> = node
+                    .schema
+                    .fields()
+                    .iter()
+                    .map(|f| f.name.as_str())
+                    .collect();
                 let _ = writeln!(
                     out,
-                    "{pad}FudjJoin [{} | match: {match_kind} | dedup: {:?}{}]",
+                    "{pad}FudjJoin [{} | match: {match_kind} | dedup: {:?}{} | emit: [{}]]",
                     node.join.name(),
                     node.join.dedup_mode(),
                     if node.self_join {
@@ -356,6 +376,7 @@ impl PhysicalPlan {
                     } else {
                         ""
                     },
+                    emit.join(", "),
                 );
                 node.left.explain_into(depth + 1, out);
                 node.right.explain_into(depth + 1, out);

@@ -735,6 +735,8 @@ mod tests {
             pplan: &pplan,
             default_match: true,
             dedup_mode: fudj_core::DedupMode::None,
+            output: &[0, 1, 2, 3],
+            left_width: 2,
             metrics: &metrics,
             spill_dir: &spill_dir,
         };

@@ -167,11 +167,17 @@ fn rewrite_join(
     let mut right_filters = Vec::new();
     let mut cross = Vec::new();
     for conjunct in condition.split_conjuncts() {
+        // The binder joins every FROM entry on a literal TRUE. Kept, it
+        // would become a residual filter evaluated on every joined row, and
+        // that filter would stop column projections folding into the join.
+        if matches!(conjunct, Expr::Literal(Value::Bool(true))) {
+            continue;
+        }
         let cols = conjunct.referenced_columns();
         match side_of(&cols, &lschema, &rschema) {
             (true, false) => left_filters.push(conjunct),
             (false, true) => right_filters.push(conjunct),
-            // Constant conjuncts stay above the join too (rare, harmless).
+            // Other constant conjuncts stay above the join.
             _ => cross.push(conjunct),
         }
     }
@@ -539,6 +545,100 @@ mod tests {
                 assert!(matches!(*right, LogicalPlan::Filter { .. }));
             }
             other => panic!("expected FudjJoin, got {other:?}"),
+        }
+    }
+
+    /// `FROM p, w WHERE …` as the binder builds it: the scans joined on a
+    /// literal TRUE, the WHERE clause as a filter on top.
+    fn comma_join(parks: Arc<Dataset>, fires: Arc<Dataset>, predicate: Expr) -> LogicalPlan {
+        LogicalPlan::scan(parks, "p")
+            .join(LogicalPlan::scan(fires, "w"), Expr::lit(true))
+            .filter(predicate)
+    }
+
+    fn st_contains() -> Expr {
+        Expr::call(
+            "st_contains",
+            vec![Expr::col("p.boundary"), Expr::col("w.location")],
+        )
+    }
+
+    fn fires_after(ms: i64) -> Expr {
+        Expr::binary(
+            crate::expr::BinOp::GtEq,
+            Expr::col("w.fire_start"),
+            Expr::lit(Value::DateTime(ms)),
+        )
+    }
+
+    fn ids_differ() -> Expr {
+        Expr::binary(
+            crate::expr::BinOp::NotEq,
+            Expr::col("p.id"),
+            Expr::col("w.id"),
+        )
+    }
+
+    #[test]
+    fn comma_join_true_conjunct_leaves_no_residual() {
+        let plan = comma_join(parks(), fires(), st_contains().and(fires_after(42)));
+        match optimize(plan, &registry(), &PlanOptions::default()).unwrap() {
+            LogicalPlan::FudjJoin {
+                left,
+                right,
+                residual,
+                ..
+            } => {
+                assert_eq!(residual, None);
+                assert!(matches!(*left, LogicalPlan::Scan { .. }));
+                assert!(matches!(*right, LogicalPlan::Filter { .. }));
+            }
+            other => panic!("expected FudjJoin, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn comma_join_cross_side_conjunct_stays_the_residual() {
+        let plan = comma_join(
+            parks(),
+            fires(),
+            st_contains().and(fires_after(42)).and(ids_differ()),
+        );
+        match optimize(plan, &registry(), &PlanOptions::default()).unwrap() {
+            LogicalPlan::FudjJoin { residual, .. } => {
+                assert_eq!(residual, Some(ids_differ()));
+            }
+            other => panic!("expected FudjJoin, got {other:?}"),
+        }
+    }
+
+    /// Dropping the TRUE conjunct changes no answer: with and without a
+    /// real residual, the lowered FUDJ plan returns the on-top plan's rows.
+    #[test]
+    fn comma_join_plans_return_the_on_top_rows() {
+        use fudj_datagen::GeneratorConfig;
+        let parks = Arc::new(fudj_datagen::parks(GeneratorConfig::new(80, 5, 2)).unwrap());
+        let fires = Arc::new(fudj_datagen::wildfires(GeneratorConfig::new(200, 6, 2)).unwrap());
+        let jan22 = fudj_datagen::datasets::JAN_2022_MS;
+        let cluster = fudj_exec::Cluster::new(2);
+        let run = |predicate: Expr, on_top: bool| {
+            let options = PlanOptions {
+                force_on_top: on_top,
+                ..Default::default()
+            };
+            let logical = comma_join(parks.clone(), fires.clone(), predicate);
+            let physical = crate::plan(logical, &registry(), &options).unwrap();
+            let mut rows = cluster.execute(&physical).unwrap().0.rows().to_vec();
+            rows.sort();
+            rows
+        };
+        for predicate in [
+            st_contains().and(fires_after(jan22)),
+            st_contains().and(fires_after(jan22)).and(ids_differ()),
+        ] {
+            let fudj = run(predicate.clone(), false);
+            assert!(!fudj.is_empty(), "{predicate}");
+            assert_eq!(fudj, run(predicate.clone(), true), "{predicate}");
         }
     }
 

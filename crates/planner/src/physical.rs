@@ -40,11 +40,7 @@ pub fn lower(
                 .collect::<Result<_>>()?;
             let child = lower(input, registry, options)?;
             if let Some(columns) = compile_columns(&bound) {
-                PhysicalPlan::VecProject {
-                    input: Box::new(child),
-                    columns,
-                    schema: out_schema,
-                }
+                project_onto(child, columns, out_schema)
             } else {
                 PhysicalPlan::Project {
                     input: Box::new(child),
@@ -122,16 +118,20 @@ pub fn lower(
                 });
             }
             let pre_schema: SchemaRef = Arc::new(Schema::new(pre_fields));
-            let pre = PhysicalPlan::Project {
-                input: Box::new(lower(input, registry, options)?),
-                mapper: Arc::new(move |row: &Row| {
-                    let mut values = Vec::with_capacity(pre_bound.len());
-                    for b in &pre_bound {
-                        values.push(b.eval(row)?);
-                    }
-                    Ok(Row::new(values))
-                }),
-                schema: pre_schema,
+            let child = lower(input, registry, options)?;
+            let pre = match compile_columns(&pre_bound) {
+                Some(columns) => project_onto(child, columns, pre_schema),
+                None => PhysicalPlan::Project {
+                    input: Box::new(child),
+                    mapper: Arc::new(move |row: &Row| {
+                        let mut values = Vec::with_capacity(pre_bound.len());
+                        for b in &pre_bound {
+                            values.push(b.eval(row)?);
+                        }
+                        Ok(Row::new(values))
+                    }),
+                    schema: pre_schema,
+                },
             };
             PhysicalPlan::HashAggregate {
                 input: Box::new(pre),
@@ -264,6 +264,33 @@ fn compile_columns(bound: &[BoundExpr]) -> Option<Vec<usize>> {
         .collect()
 }
 
+/// Project `child` onto `columns` of its output, named by `schema`. Over a
+/// FUDJ join the projection folds into the columns the join emits, over a
+/// column projection the two index lists compose, and anything else gets
+/// a [`PhysicalPlan::VecProject`].
+fn project_onto(child: PhysicalPlan, columns: Vec<usize>, schema: SchemaRef) -> PhysicalPlan {
+    match child {
+        PhysicalPlan::FudjJoin(mut node) => {
+            node.project(&columns, schema);
+            PhysicalPlan::FudjJoin(node)
+        }
+        PhysicalPlan::VecProject {
+            input,
+            columns: inner,
+            ..
+        } => PhysicalPlan::VecProject {
+            input,
+            columns: columns.iter().map(|&c| inner[c]).collect(),
+            schema,
+        },
+        child => PhysicalPlan::VecProject {
+            input: Box::new(child),
+            columns,
+            schema,
+        },
+    }
+}
+
 /// Append a computed key column to a child plan.
 fn with_key_column(
     child: PhysicalPlan,
@@ -351,26 +378,23 @@ fn lower_fudj_join(
     // budget (`CREATE JOIN ... WITH (memory_budget_rows = N)`) is the
     // fallback.
     node.memory_budget_rows = options.memory_budget_rows.or(def_budget);
-    let joined = PhysicalPlan::FudjJoin(node);
 
-    // Strip the two key columns so upper operators see the logical schema.
+    // The join never emits its two key columns, so upper operators see the
+    // logical schema.
     let l_len = lschema.len();
     let r_len = rschema.len();
     let logical_schema: SchemaRef = Arc::new(lschema.join(&rschema));
     let keep: Vec<usize> = (0..l_len).chain(l_len + 1..l_len + 1 + r_len).collect();
-    let stripped = PhysicalPlan::VecProject {
-        input: Box::new(joined),
-        columns: keep,
-        schema: logical_schema.clone(),
-    };
+    node.project(&keep, logical_schema.clone());
+    let joined = PhysicalPlan::FudjJoin(node);
 
     // Residual non-FUDJ conjuncts become a post-join filter.
     Ok(match residual {
         Some(expr) => {
             let bound = expr.bind(&logical_schema)?;
-            lower_filter(stripped, bound)
+            lower_filter(joined, bound)
         }
-        None => stripped,
+        None => joined,
     })
 }
 

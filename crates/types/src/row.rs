@@ -71,13 +71,6 @@ impl Row {
         }
     }
 
-    /// This row truncated to its first `n` columns, in a single allocation.
-    pub fn prefix(&self, n: usize) -> Row {
-        Row {
-            values: self.values[..n].iter().cloned().collect(),
-        }
-    }
-
     /// Concatenate two rows (join output).
     pub fn concat(&self, other: &Row) -> Row {
         Row {
