@@ -97,9 +97,10 @@ impl RunConfig {
     }
 }
 
-/// Execute one configuration and return its measurement. Dataset
+/// Execute one configuration and return its measurement, or the error the
+/// query failed with (a swept parameter can trip a guard cap). Dataset
 /// generation/loading happens before the clock starts.
-pub fn measure(cfg: &RunConfig) -> Measurement {
+pub fn measure(cfg: &RunConfig) -> fudj_types::Result<Measurement> {
     let mut session = cfg
         .workload
         .session(cfg.total_records, cfg.workers, cfg.dedup_class);
@@ -129,16 +130,16 @@ pub fn measure(cfg: &RunConfig) -> Measurement {
 
     let sql = cfg.workload.sql(cfg.threshold);
     let start = Instant::now();
-    let out = session.execute(&sql).expect("experiment query must run");
+    let out = session.execute(&sql)?;
     let seconds = start.elapsed().as_secs_f64();
     let fudj_sql::QueryOutput::Rows(batch, metrics) = out else {
         unreachable!()
     };
-    Measurement {
+    Ok(Measurement {
         seconds,
         rows: batch.len(),
         metrics: *metrics,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -152,23 +153,48 @@ mod tests {
             buckets: Some(16),
             ..RunConfig::new(Workload::Spatial, Strategy::Fudj, 400)
         };
-        let fudj = measure(&base);
+        let fudj = measure(&base).unwrap();
         let builtin = measure(&RunConfig {
             strategy: Strategy::Builtin,
             ..base.clone()
-        });
+        })
+        .unwrap();
         let ontop = measure(&RunConfig {
             strategy: Strategy::OnTop,
             ..base.clone()
-        });
+        })
+        .unwrap();
         let adv = measure(&RunConfig {
             strategy: Strategy::Advanced,
             ..base.clone()
-        });
+        })
+        .unwrap();
         assert_eq!(fudj.rows, builtin.rows);
         assert_eq!(fudj.rows, ontop.rows);
         assert_eq!(fudj.rows, adv.rows);
         assert!(fudj.rows > 0);
+    }
+
+    /// `figures ext`'s spatial sweep at a 512×512 grid replicates a park
+    /// past the guard's per-key cap: `measure` returns the block ASSIGN's
+    /// violation, and the sweep reports the setting as over the cap.
+    #[test]
+    fn a_grid_past_the_replication_cap_is_an_assign_violation() {
+        let cfg = RunConfig {
+            workers: 4,
+            buckets: Some(512),
+            ..RunConfig::new(Workload::Spatial, Strategy::Fudj, 6_000)
+        };
+        match measure(&cfg) {
+            Err(fudj_types::FudjError::UdfViolation { phase, detail, .. }) => {
+                assert_eq!(phase, "assign");
+                assert_eq!(detail, "key replicated to 4484 buckets (cap 4096)");
+            }
+            other => panic!(
+                "expected an assign violation, got {:?}",
+                other.map(|m| m.rows)
+            ),
+        }
     }
 
     #[test]
@@ -178,7 +204,7 @@ mod tests {
             buckets: Some(16),
             ..RunConfig::new(Workload::Spatial, Strategy::Fudj, 300)
         };
-        let m = measure(&cfg);
+        let m = measure(&cfg).unwrap();
         assert_eq!(
             m.metrics.per_worker.len(),
             2,
@@ -202,15 +228,17 @@ mod tests {
                 },
                 ..RunConfig::new(w, Strategy::Fudj, n)
             };
-            let fudj = measure(&base);
+            let fudj = measure(&base).unwrap();
             let builtin = measure(&RunConfig {
                 strategy: Strategy::Builtin,
                 ..base.clone()
-            });
+            })
+            .unwrap();
             let ontop = measure(&RunConfig {
                 strategy: Strategy::OnTop,
                 ..base.clone()
-            });
+            })
+            .unwrap();
             assert_eq!(fudj.rows, builtin.rows, "{w:?}");
             assert_eq!(fudj.rows, ontop.rows, "{w:?}");
         }

@@ -23,6 +23,7 @@ use crate::model::{
 };
 use crate::state::{PPlanState, SummaryState};
 use fudj_types::{ext, Result, Value};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -166,6 +167,18 @@ pub trait EngineJoin: Send + Sync {
     /// Fold one key into a local summary.
     fn local_aggregate(&self, side: Side, key: &Value, summary: &mut SummaryState) -> Result<()>;
 
+    /// [`EngineJoin::local_aggregate`] on every key of a slice, in order:
+    /// the executor's SUMMARIZE calls this once per partition.
+    fn summarize_slice(
+        &self,
+        side: Side,
+        keys: &[&Value],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
+        keys.iter()
+            .try_for_each(|key| self.local_aggregate(side, key, summary))
+    }
+
     /// Merge two partial summaries.
     fn global_aggregate(
         &self,
@@ -197,9 +210,7 @@ pub trait EngineJoin: Send + Sync {
     /// Bucket ids for a whole key slice: `each(i, buckets)` is called once
     /// per key, in order, with that key's sorted, deduplicated bucket
     /// list. The executor's ASSIGN/UNNEST calls this once per partition.
-    /// The default loops [`EngineJoin::assign`] — one UDF crossing per
-    /// key — so a guarded join keeps its per-call panic/violation
-    /// attribution.
+    /// The default loops [`EngineJoin::assign`].
     fn assign_slice(
         &self,
         side: Side,
@@ -296,11 +307,16 @@ pub trait EngineJoin: Send + Sync {
     }
 }
 
+/// Keys per SUMMARIZE or ASSIGN block call: translated keys held at once
+/// never exceed this, however large the partition.
+const BLOCK_KEYS: usize = 1024;
+
 /// Adapter: a registered FUDJ algorithm as an [`EngineJoin`].
 ///
-/// Carries the [`Value`] → [`fudj_types::ExtValue`] translation — per call in
-/// SUMMARIZE and PARTITION, per block in COMBINE — and counts every key
-/// that crosses the boundary.
+/// Carries the [`Value`] → [`fudj_types::ExtValue`] translation — one block
+/// call per 1 024 keys (`BLOCK_KEYS`) in SUMMARIZE and PARTITION, one per
+/// matched bucket pair in COMBINE — and counts every key that crosses the
+/// boundary.
 pub struct FudjEngineJoin {
     alg: Arc<dyn JoinAlgorithm>,
     translations: AtomicU64,
@@ -348,11 +364,13 @@ impl FudjEngineJoin {
         ext::to_external(v)
     }
 
-    /// Translate one side of a block, counted as one crossing per key.
-    fn xlate_all(&self, keys: &[Value]) -> Result<Vec<fudj_types::ExtValue>> {
+    /// Translate a block's keys, counted as one crossing per key.
+    fn xlate_all<V: Borrow<Value>>(&self, keys: &[V]) -> Result<Vec<fudj_types::ExtValue>> {
         self.translations
             .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        keys.iter().map(ext::to_external).collect()
+        keys.iter()
+            .map(|key| ext::to_external(key.borrow()))
+            .collect()
     }
 }
 
@@ -368,6 +386,19 @@ impl EngineJoin for FudjEngineJoin {
     fn local_aggregate(&self, side: Side, key: &Value, summary: &mut SummaryState) -> Result<()> {
         let ek = self.xlate(key)?;
         self.alg.local_aggregate(side, &ek, summary)
+    }
+
+    fn summarize_slice(
+        &self,
+        side: Side,
+        keys: &[&Value],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
+        for chunk in keys.chunks(BLOCK_KEYS) {
+            let chunk = self.xlate_all(chunk)?;
+            self.alg.summarize_block(side, &chunk, summary)?;
+        }
+        Ok(())
     }
 
     fn global_aggregate(
@@ -405,6 +436,35 @@ impl EngineJoin for FudjEngineJoin {
     ) -> Result<()> {
         let ek = self.xlate(key)?;
         self.alg.assign(side, &ek, pplan, out)
+    }
+
+    fn assign_slice(
+        &self,
+        side: Side,
+        keys: &[&Value],
+        pplan: &PPlanState,
+        each: &mut dyn FnMut(usize, &[BucketId]),
+    ) -> Result<()> {
+        let (mut out, mut offsets, mut buckets) = (Vec::new(), Vec::new(), Vec::new());
+        for (c, chunk) in keys.chunks(BLOCK_KEYS).enumerate() {
+            out.clear();
+            offsets.clear();
+            let chunk = self.xlate_all(chunk)?;
+            let assigned = self
+                .alg
+                .assign_block(side, &chunk, pplan, &mut out, &mut offsets);
+            let mut start = 0;
+            for (i, &end) in offsets.iter().enumerate() {
+                buckets.clear();
+                buckets.extend_from_slice(&out[start..end]);
+                buckets.sort_unstable();
+                buckets.dedup();
+                each(c * BLOCK_KEYS + i, &buckets);
+                start = end;
+            }
+            assigned?;
+        }
+        Ok(())
     }
 
     fn matches(&self, b1: BucketId, b2: BucketId) -> bool {

@@ -187,6 +187,15 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
         key: &ExtValue,
         summary: &mut SummaryState,
     ) -> Result<()> {
+        self.summarize_block(side, std::slice::from_ref(key), summary)
+    }
+
+    fn summarize_block(
+        &self,
+        side: Side,
+        keys: &[ExtValue],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
         // In-place update: local aggregation runs once per record, so the
         // summary must not be cloned here (a per-record hash-map clone would
         // dominate the text join's summarize phase).
@@ -196,10 +205,10 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
                 "{name}: local_aggregate received a summary of the wrong concrete type"
             ))
         })?;
-        match side {
+        keys.iter().try_for_each(|key| match side {
             Side::Left => self.join.summarize(key, typed),
             Side::Right => self.join.summarize_right(key, typed),
-        }
+        })
     }
 
     fn global_aggregate(
@@ -240,6 +249,25 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
             Side::Left => self.join.assign(key, plan, out),
             Side::Right => self.join.assign_right(key, plan, out),
         }
+    }
+
+    fn assign_block(
+        &self,
+        side: Side,
+        keys: &[ExtValue],
+        pplan: &PPlanState,
+        out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
+    ) -> Result<()> {
+        let plan = self.pplan(pplan, "assign")?;
+        for key in keys {
+            match side {
+                Side::Left => self.join.assign(key, plan, out)?,
+                Side::Right => self.join.assign_right(key, plan, out)?,
+            }
+            offsets.push(out.len());
+        }
+        Ok(())
     }
 
     fn matches(&self, b1: BucketId, b2: BucketId) -> bool {

@@ -1,55 +1,25 @@
-//! The UDF guardrail layer (PR 3).
+//! The UDF guardrail layer. FUDJ runs *untrusted* library code behind the
+//! paper's proxy functions (§IV, Fig. 7); [`GuardedJoin`] wraps any
+//! [`JoinAlgorithm`] and is what the executor and the standalone runner
+//! invoke. Every callback is **panic-isolated** (the payload kept in a
+//! [`FudjError::UdfViolation`]), **metered** ([`UdfLimits`]: a per-call
+//! budget on the *simulated* clock, advanced by [`consume_udf_time`], and
+//! caps on PPlan size, buckets per key and assign fan-out per partition) and
+//! **contract-checked** (bucket ids inside the declared range; on a seeded
+//! sample, a deterministic `assign`, a symmetric `verify` under default
+//! dedup, a `prepare` that keeps `verify`'s answer, associative merges).
 //!
-//! FUDJ executes *untrusted user code*: the paper's proxy built-in functions
-//! (§IV, Fig. 7) mediate between engine internals and the library's
-//! SUMMARIZE / DIVIDE / PARTITION / COMBINE callbacks, but nothing in the
-//! paper stops a buggy library from panicking mid-phase, spinning forever in
-//! `assign`, emitting bucket ids outside its own partitioning plan, or
-//! replicating every key to every bucket. [`GuardedJoin`] is the containment
-//! layer: it wraps any [`JoinAlgorithm`] (covering both [`crate::ProxyJoin`]
-//! and raw implementations) and is what the executor and the standalone
-//! reference runner actually invoke. Every user callback is
-//!
-//! * **panic-isolated** — `catch_unwind` with the payload preserved in a
-//!   structured [`FudjError::UdfViolation`];
-//! * **metered** — per-call budgets from [`UdfLimits`]: a wall-clock timeout
-//!   on the *simulated* clock (libraries report their cost via
-//!   [`consume_udf_time`], so "hangs" are deterministic and test-friendly),
-//!   a cap on the serialized PPlan size, a buckets-per-key replication cap,
-//!   and a total assign fan-out cap per partition;
-//! * **contract-checked** — bucket ids must fall inside the range the
-//!   library declares for its plan ([`JoinAlgorithm::declared_buckets`]),
-//!   `assign` must be deterministic (spot re-invoked on a seeded sample of
-//!   keys), `verify` must be symmetric under the default dedup mode and
-//!   answer on a `prepare`d form as it does on the raw key (replayed on a
-//!   thinner sample), and summaries must merge associatively (probed on a
-//!   sampled triple).
-//!
-//! COMBINE's two hot loops are guarded a block at a time, not a call at a
-//! time. [`JoinAlgorithm::verify_block`] hands the inner algorithm a whole
-//! matched bucket pair ([`JoinAlgorithm::verify_forms`]) under one
-//! `catch_unwind`, one parked-violation check and one simulated-clock budget
-//! check, then runs the sampled probes over the block's answers;
-//! [`JoinAlgorithm::matching_buckets`] hands it a partition's whole theta
-//! bucket-matching pass under one `catch_unwind`. A block that unwinds,
-//! errs, goes over budget in sum, fails a probe, holds a quarantined key or
-//! meets a parked violation is discarded and replayed call by call through
-//! the per-call code, which attributes, counts and resolves each violation
-//! exactly as the single-call entry points do. The budget stays per call: a
-//! block within it in sum cannot hold a call over it. A replayed block runs
-//! its callbacks twice, which is sound only because the contract makes them
-//! pure.
-//!
-//! Violations route through a configurable [`UdfPolicy`]: fail fast with a
-//! phase-tagged diagnostic, quarantine the offending key/row and continue,
-//! or — for default-equality match predicates — degrade to the engine's
-//! plain hash-equality path. Structural callbacks (`new_summary`,
-//! `merge_summaries`, `divide`) always fail fast: there is no single row to
-//! quarantine when the plan itself is broken.
-//!
-//! Guards are zero-cost on well-behaved libraries: a guarded run returns
-//! bit-identical results and metrics to an unguarded one, which the test
-//! suite pins.
+//! Every phase runs through one block runner: a parked-violation check, one
+//! `catch_unwind` around the inner algorithm's whole block, a budget check
+//! on the block's simulated time, then the sampled probes. A block that
+//! unwinds, errs, goes over budget, fails a probe, holds a dropped key or
+//! meets a parked violation is replayed call by call; a single call is the
+//! runner with a block of one, its miss counted at its site. A block within
+//! the budget in sum holds no call over it, and callbacks are pure by
+//! contract, so a replay is sound. Violations resolve per [`UdfPolicy`];
+//! structural callbacks (`new_summary`, `merge_summaries`, `divide`) always
+//! fail fast. A well-behaved library's guarded run is bit-identical to its
+//! unguarded one.
 
 use crate::model::{matching_pairs, verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
 use crate::state::{PPlanState, SummaryState};
@@ -60,9 +30,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-// ---------------------------------------------------------------------------
-// Simulated UDF clock and per-partition fan-out accounting
-// ---------------------------------------------------------------------------
+mod config;
+pub use config::{GuardConfig, GuardMode, UdfLimits, UdfPolicy};
 
 thread_local! {
     /// Simulated milliseconds consumed by user callbacks on this thread.
@@ -72,10 +41,8 @@ thread_local! {
     static ASSIGN_FANOUT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Report simulated time spent inside a user callback. Libraries (and the
-/// adversarial fixtures) call this instead of sleeping, so timeout behavior
-/// is deterministic: the guard compares the simulated-clock delta of each
-/// callback against [`UdfLimits::call_budget_ms`].
+/// Report simulated time spent inside a user callback, instead of sleeping:
+/// the guard meters callbacks on this clock, so hangs are deterministic.
 pub fn consume_udf_time(ms: u64) {
     UDF_CLOCK_MS.with(|c| c.set(c.get().saturating_add(ms)));
 }
@@ -84,117 +51,9 @@ fn udf_clock() -> u64 {
     UDF_CLOCK_MS.with(Cell::get)
 }
 
-// ---------------------------------------------------------------------------
-// Configuration
-// ---------------------------------------------------------------------------
-
-/// Per-call budgets for guarded user callbacks.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UdfLimits {
-    /// Simulated-clock budget for one callback invocation, in ms. A callback
-    /// that [`consume_udf_time`]s more than this in a single call is a
-    /// budget violation ("hang").
-    pub call_budget_ms: u64,
-    /// Maximum serialized size of the PPlan `divide` returns, in bytes.
-    pub max_pplan_bytes: usize,
-    /// Maximum bucket ids one `assign` call may emit for one key (the
-    /// replication factor cap).
-    pub max_buckets_per_key: usize,
-    /// Maximum total bucket ids `assign` may emit across one partition.
-    pub max_assign_fanout: u64,
-    /// Contract checks sample 1-in-N keys/pairs (seeded, deterministic);
-    /// 0 disables the determinism / symmetry / associativity probes.
-    pub check_sample: u64,
-}
-
-impl Default for UdfLimits {
-    fn default() -> Self {
-        UdfLimits {
-            call_budget_ms: 10_000,
-            max_pplan_bytes: 16 << 20,
-            max_buckets_per_key: 4_096,
-            max_assign_fanout: 1 << 24,
-            check_sample: 16,
-        }
-    }
-}
-
-/// What the engine does when a guarded callback violates its contract.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum UdfPolicy {
-    /// Abort the query with a phase-tagged [`FudjError::UdfViolation`].
-    #[default]
-    FailFast,
-    /// Drop the offending key/row/pair, count it, and continue. Structural
-    /// callbacks (`merge_summaries`, `divide`) still fail fast.
-    Quarantine,
-    /// For joins whose match predicate is default equality, degrade the
-    /// whole join to the engine's plain hash-equality path on the raw keys.
-    FallbackEquality,
-}
-
-impl UdfPolicy {
-    /// Parse a user-facing policy name (`failfast`, `quarantine`,
-    /// `fallback`), tolerant of `-`/`_` separators.
-    pub fn parse(s: &str) -> Option<UdfPolicy> {
-        match s.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-            "failfast" => Some(UdfPolicy::FailFast),
-            "quarantine" => Some(UdfPolicy::Quarantine),
-            "fallback" | "fallbackequality" => Some(UdfPolicy::FallbackEquality),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for UdfPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UdfPolicy::FailFast => write!(f, "failfast"),
-            UdfPolicy::Quarantine => write!(f, "quarantine"),
-            UdfPolicy::FallbackEquality => write!(f, "fallback"),
-        }
-    }
-}
-
-/// Limits + policy: everything one join definition's guard needs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GuardConfig {
-    pub limits: UdfLimits,
-    pub policy: UdfPolicy,
-}
-
-impl GuardConfig {
-    /// Default limits under the given policy.
-    pub fn with_policy(policy: UdfPolicy) -> Self {
-        GuardConfig {
-            limits: UdfLimits::default(),
-            policy,
-        }
-    }
-}
-
-/// Session-level guard selection, consulted by the planner when lowering a
-/// FUDJ node (the `\guard` REPL command sets this).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum GuardMode {
-    /// Use each join definition's own [`GuardConfig`] (the default).
-    #[default]
-    PerJoin,
-    /// Override every definition with this config.
-    Override(GuardConfig),
-    /// Do not wrap at all (reference/unguarded runs).
-    Off,
-}
-
-// ---------------------------------------------------------------------------
-// Statistics
-// ---------------------------------------------------------------------------
-
 fudj_types::counters! {
-    /// Guardrail counters for one query. Counts are per distinct violation
-    /// *site* (phase + offending key/pair), so fault-recovery re-executions of a
-    /// partition cannot double-count the same misbehaving row. One query may
-    /// run several guarded joins; their stats `merge` field-wise.
+    /// Guardrail counters for one query, per distinct violation *site*
+    /// (phase + offending key/pair); several guarded joins `merge` theirs.
     pub struct UdfStats("udf."), cells UdfCounterCells {
         summarize_violations: sum,
         merge_violations: sum,
@@ -207,8 +66,7 @@ fudj_types::counters! {
         caught_panics: sum,
         /// Violations that were budget overruns (time / size / replication).
         budget_overruns: sum,
-        /// Violations that were contract-check failures (range, determinism,
-        /// symmetry, associativity).
+        /// Violations that were contract-check failures.
         contract_breaches: sum,
         /// Keys/rows/pairs dropped under [`UdfPolicy::Quarantine`].
         quarantined_rows: sum,
@@ -220,17 +78,15 @@ fudj_types::counters! {
 impl UdfStats {
     /// Total violations across all phases.
     pub fn total_violations(&self) -> u64 {
-        self.summarize_violations
-            + self.merge_violations
-            + self.divide_violations
-            + self.assign_violations
-            + self.match_violations
-            + self.verify_violations
-            + self.dedup_violations
+        let fields = self.fields();
+        let by_phase = fields
+            .iter()
+            .filter(|(name, _)| name.ends_with("_violations"));
+        by_phase.map(|(_, count)| count).sum()
     }
 }
 
-/// Which callback a violation happened in.
+/// Which callback a violation happened in (lowercased, its phase name).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Summarize,
@@ -242,47 +98,30 @@ enum Phase {
     Dedup,
 }
 
-impl Phase {
-    fn as_str(self) -> &'static str {
-        match self {
-            Phase::Summarize => "summarize",
-            Phase::Merge => "merge",
-            Phase::Divide => "divide",
-            Phase::Assign => "assign",
-            Phase::Match => "match",
-            Phase::Verify => "verify",
-            Phase::Dedup => "dedup",
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    Panic,
-    Budget,
-    Contract,
+/// Why a call or a block left the runner's happy path: an error returned
+/// as it is (a parked violation, a library `Err`), or a violation — a caught
+/// panic, a budget overrun, a contract breach — with its detail.
+enum Miss {
+    Error(FudjError),
+    Panic(String),
+    Budget(String),
+    Contract(String),
 }
 
 #[derive(Default)]
 struct UdfCells {
     counts: UdfCounterCells,
-    /// Distinct violation sites already counted — makes counters idempotent
-    /// across fault-recovery re-executions of the same partition.
+    /// Violation sites already counted: fault-recovery re-executions of a
+    /// partition do not count a site twice.
     seen: Mutex<HashSet<u64>>,
-    /// Deferred violation from a callback that cannot return `Result`
-    /// (`matches`); surfaced by the next fallible call or by `check()`.
+    /// The parked violation of a callback with no `Result` (`matches`).
     pending: Mutex<Option<FudjError>>,
-    /// Set once `pending` holds a violation, so the check in front of every
-    /// guarded call is a load, not a lock.
+    /// Set once `pending` is: the check before every block is a load.
     has_pending: AtomicBool,
     /// Sampled summaries for the associativity probe, per side.
     assoc_samples: Mutex<[Vec<SummaryState>; 2]>,
     assoc_checked: [AtomicU64; 2],
 }
-
-// ---------------------------------------------------------------------------
-// Deterministic hashing (seeded sampling + site identity)
-// ---------------------------------------------------------------------------
 
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -295,9 +134,8 @@ fn fold(h: u64, w: u64) -> u64 {
     splitmix(h ^ w)
 }
 
-/// Cheap structural hash of an external value (no allocation; `f64`s hash
-/// by bit pattern). Used both for seeded sampling decisions and to identify
-/// violation sites, so it must be deterministic across runs and retries.
+/// Structural hash of an external value, for seeded sampling and violation
+/// sites: deterministic across runs and retries, allocation-free.
 fn ext_hash(v: &ExtValue) -> u64 {
     match v {
         ExtValue::Null => splitmix(1),
@@ -313,25 +151,15 @@ fn ext_hash(v: &ExtValue) -> u64 {
     }
 }
 
-/// What `verify` is handed for one key of a block.
-enum Form {
-    /// The key itself: `prepare` returned `None`, or was never called
-    /// (single-pair `verify`).
-    Raw,
-    /// The library's prepared form.
-    Prepared(ExtValue),
-    /// `prepare` violated on this key under [`UdfPolicy::Quarantine`]: every
-    /// pair the key takes part in is dropped from the block.
-    Dropped,
-}
-
-/// A key with its [`ext_hash`] and its [`Form`]: a block hashes and prepares
-/// each key once and every pair it takes part in reuses both. The hash, and
-/// with it every violation site and probe decision, is always the raw key's.
+/// A COMBINE key, hashed and prepared once per block for every pair it is
+/// in; sites and probe decisions use the raw key's hash.
 struct Hashed<'a> {
     key: &'a ExtValue,
     hash: u64,
-    form: Form,
+    /// The library's prepared form; `None` reads the key itself.
+    form: Option<ExtValue>,
+    /// `prepare` violated under quarantine: the key's pairs are dropped.
+    dropped: bool,
 }
 
 impl<'a> Hashed<'a> {
@@ -339,34 +167,18 @@ impl<'a> Hashed<'a> {
         Hashed {
             key,
             hash: ext_hash(key),
-            form: Form::Raw,
+            form: None,
+            dropped: false,
         }
     }
 
     /// The value `verify` reads.
     fn value(&self) -> &ExtValue {
-        match &self.form {
-            Form::Prepared(form) => form,
-            Form::Raw | Form::Dropped => self.key,
-        }
-    }
-
-    fn prepared(&self) -> bool {
-        matches!(self.form, Form::Prepared(_))
-    }
-
-    fn dropped(&self) -> bool {
-        matches!(self.form, Form::Dropped)
+        self.form.as_ref().unwrap_or(self.key)
     }
 }
 
-/// What `verify` reads for each key of one side of a block.
-fn values<'a>(keys: &'a [Hashed<'_>]) -> Vec<&'a ExtValue> {
-    keys.iter().map(Hashed::value).collect()
-}
-
-/// Whether two keys have the same external shape — the symmetry probe's
-/// precondition: a swapped call between a polygon and a point is no test.
+/// Whether two keys have one external shape, as the symmetry probe needs.
 fn same_shape(k1: &Hashed<'_>, k2: &Hashed<'_>) -> bool {
     std::mem::discriminant(k1.key) == std::mem::discriminant(k2.key)
 }
@@ -376,8 +188,17 @@ fn pair_site(b1: BucketId, k1: &Hashed<'_>, b2: BucketId, k2: &Hashed<'_>) -> u6
     fold(fold(fold(k1.hash, k2.hash), b1), b2)
 }
 
-/// Render a key for a violation site, truncated so a pathological key cannot
-/// blow up the diagnostic.
+/// The site hash of one key's `assign`.
+fn assign_site(side: Side, key: &ExtValue) -> u64 {
+    fold(ext_hash(key), side as u64 + 10)
+}
+
+/// The site of one key's callback: `<side> key <key>`, the key truncated so
+/// a pathological one cannot blow up the diagnostic.
+fn key_site(side: Side, key: &ExtValue) -> String {
+    format!("{side} key {}", short(key))
+}
+
 fn short(v: &ExtValue) -> String {
     let s = v.to_string();
     if s.chars().count() > 48 {
@@ -387,13 +208,25 @@ fn short(v: &ExtValue) -> String {
     }
 }
 
-// ---------------------------------------------------------------------------
-// GuardHandle — the engine-facing side of a guard
-// ---------------------------------------------------------------------------
+/// Extract a human-readable message from a panic payload.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
 
-/// Shared handle to one [`GuardedJoin`]'s configuration and counters.
-/// Engines obtain it through [`JoinAlgorithm::guard`] to surface stats,
-/// flush deferred violations, and drive fallback.
+/// The probe-replay helper: a probe's own inner call, isolated and not
+/// metered; `None` if it unwinds or errs.
+fn probe<T>(f: impl FnOnce() -> Result<T>) -> Option<T> {
+    catch_unwind(AssertUnwindSafe(f)).ok()?.ok()
+}
+
+/// Shared handle to one [`GuardedJoin`]'s configuration and counters, which
+/// engines reach through [`JoinAlgorithm::guard`].
 #[derive(Clone)]
 pub struct GuardHandle {
     config: GuardConfig,
@@ -401,13 +234,6 @@ pub struct GuardHandle {
 }
 
 impl GuardHandle {
-    fn new(config: GuardConfig) -> Self {
-        GuardHandle {
-            config,
-            cells: Arc::new(UdfCells::default()),
-        }
-    }
-
     /// The configured policy.
     pub fn policy(&self) -> UdfPolicy {
         self.config.policy
@@ -423,18 +249,14 @@ impl GuardHandle {
         self.cells.counts.load()
     }
 
-    /// Surface a violation deferred by a callback that cannot return
-    /// `Result` (`matches`). Engines call this at the end of each guarded
-    /// join so no violation is silently swallowed.
+    /// The violation parked by a callback with no `Result` (`matches`):
+    /// engines check at the end of each guarded join.
     pub fn check(&self) -> Result<()> {
-        match &*self.cells.pending.lock().expect("guard pending lock") {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
+        let pending = self.cells.pending.lock().expect("guard pending lock");
+        pending.clone().map_or(Ok(()), Err)
     }
 
-    /// Reset the per-thread assign fan-out counter. Engines call this at
-    /// each partition boundary (each partition runs on one worker thread).
+    /// Reset this thread's assign fan-out: engines call it per partition.
     pub fn begin_partition(&self) {
         ASSIGN_FANOUT.with(|c| c.set(0));
     }
@@ -444,110 +266,25 @@ impl GuardHandle {
         self.cells.counts.fallback_activations.add(1);
     }
 
-    /// Count a violation once per distinct site and resolve it per policy:
-    /// `Err(UdfViolation)` to abort, or `Ok(quarantined value)` when the
-    /// policy quarantines and the callback is row-scoped.
-    #[allow(clippy::too_many_arguments)]
-    fn violation<R>(
-        &self,
-        phase: Phase,
-        kind: Kind,
-        site_hash: u64,
-        site: &str,
-        detail: String,
-        quarantine: Option<R>,
-    ) -> Result<R> {
-        let full_site = fold(fold(site_hash, phase as u64 + 100), kind as u64 + 200);
-        let is_new = self
-            .cells
-            .seen
-            .lock()
-            .expect("guard seen lock")
-            .insert(full_site);
-        let counts = &self.cells.counts;
-        if is_new {
-            let by_phase = match phase {
-                Phase::Summarize => &counts.summarize_violations,
-                Phase::Merge => &counts.merge_violations,
-                Phase::Divide => &counts.divide_violations,
-                Phase::Assign => &counts.assign_violations,
-                Phase::Match => &counts.match_violations,
-                Phase::Verify => &counts.verify_violations,
-                Phase::Dedup => &counts.dedup_violations,
-            };
-            by_phase.add(1);
-            let by_kind = match kind {
-                Kind::Panic => &counts.caught_panics,
-                Kind::Budget => &counts.budget_overruns,
-                Kind::Contract => &counts.contract_breaches,
-            };
-            by_kind.add(1);
-        }
-        let err = FudjError::UdfViolation {
-            phase: phase.as_str().to_owned(),
-            site: site.to_owned(),
-            detail,
-        };
-        match (self.config.policy, quarantine) {
-            (UdfPolicy::Quarantine, Some(neutral)) => {
-                if is_new {
-                    counts.quarantined_rows.add(1);
-                }
-                Ok(neutral)
-            }
-            _ => Err(err),
-        }
-    }
-
-    /// Store a deferred violation (first one wins) for a callback that has
-    /// no `Result` channel.
+    /// Park a callback's violation (the first one wins).
     fn defer(&self, err: FudjError) {
         let mut slot = self.cells.pending.lock().expect("guard pending lock");
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        // Release, paired with the Acquire load in `pending`: a reader that
-        // sees the flag then finds the slot filled.
+        slot.get_or_insert(err);
+        // Release, paired with `pending`'s Acquire: the flag implies the slot.
         self.cells.has_pending.store(true, Ordering::Release);
     }
 
-    /// Whether a deferred violation is parked: a load, not a lock.
-    fn parked(&self) -> bool {
-        self.cells.has_pending.load(Ordering::Acquire)
-    }
-
+    /// The parked violation, if any: a load, and a lock only once one is.
     fn pending(&self) -> Option<FudjError> {
-        if !self.parked() {
-            return None;
-        }
-        self.cells
-            .pending
-            .lock()
-            .expect("guard pending lock")
-            .clone()
+        let cells = &self.cells;
+        let parked = cells.has_pending.load(Ordering::Acquire);
+        parked.then(|| cells.pending.lock().expect("guard pending lock").clone())?
     }
 }
 
-/// Extract a human-readable message from a panic payload.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GuardedJoin
-// ---------------------------------------------------------------------------
-
-/// The guardrail wrapper. Implements [`JoinAlgorithm`] by forwarding to the
-/// wrapped algorithm with every callback panic-isolated, metered, and
-/// contract-checked (see the module docs). Generic over the ownership of the
-/// inner algorithm: `GuardedJoin<Arc<dyn JoinAlgorithm>>` on the planned
-/// path, `GuardedJoin<&dyn JoinAlgorithm>` in the standalone runner.
+/// The guardrail wrapper (see the module docs): `GuardedJoin<Arc<dyn
+/// JoinAlgorithm>>` on the planned path, `GuardedJoin<&dyn JoinAlgorithm>`
+/// in the standalone runner.
 pub struct GuardedJoin<J: JoinAlgorithm> {
     inner: J,
     handle: GuardHandle,
@@ -556,10 +293,9 @@ pub struct GuardedJoin<J: JoinAlgorithm> {
 impl<J: JoinAlgorithm> GuardedJoin<J> {
     /// Wrap `inner` under `config`.
     pub fn new(inner: J, config: GuardConfig) -> Self {
-        GuardedJoin {
-            inner,
-            handle: GuardHandle::new(config),
-        }
+        let cells = Arc::default();
+        let handle = GuardHandle { config, cells };
+        GuardedJoin { inner, handle }
     }
 
     /// The engine-facing handle (stats, pending check, fallback note).
@@ -572,8 +308,41 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         self.handle.stats()
     }
 
-    /// Run one fallible callback under the guard: surface any deferred
-    /// violation first, then catch panics and meter simulated time.
+    /// `f` metered, under the guard's `catch_unwind`: an unwind, a budget
+    /// overrun (which outranks a library `Err`) or a library `Err` is a miss.
+    fn isolate<T>(&self, f: impl FnOnce() -> Result<T>) -> std::result::Result<T, Miss> {
+        let t0 = udf_clock();
+        let outcome = catch_unwind(AssertUnwindSafe(f));
+        let elapsed = udf_clock().saturating_sub(t0);
+        let budget = self.handle.limits().call_budget_ms;
+        match outcome {
+            Err(payload) => Err(Miss::Panic(format!(
+                "callback panicked: {}",
+                panic_text(payload)
+            ))),
+            Ok(_) if elapsed > budget => Err(Miss::Budget(format!(
+                "call consumed {elapsed} ms of simulated time (budget {budget} ms)"
+            ))),
+            Ok(result) => result.map_err(Miss::Error),
+        }
+    }
+
+    /// The block runner: a parked violation is a miss; else `run_all` under
+    /// [`Self::isolate`], then `probes` on its answer, a disagreement being a
+    /// contract miss. A block's caller replays a miss call by call.
+    fn run_block<T>(
+        &self,
+        run_all: impl FnOnce() -> Result<T>,
+        probes: impl FnOnce(&T) -> Option<String>,
+    ) -> std::result::Result<T, Miss> {
+        if let Some(err) = self.handle.pending() {
+            return Err(Miss::Error(err));
+        }
+        let value = self.isolate(run_all)?;
+        probes(&value).map_or(Ok(value), |detail| Err(Miss::Contract(detail)))
+    }
+
+    /// One callback under the guard: the runner with a block of one.
     fn guarded<R>(
         &self,
         phase: Phase,
@@ -582,52 +351,60 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         quarantine: impl FnOnce() -> Option<R>,
         f: impl FnOnce() -> Result<R>,
     ) -> Result<R> {
-        if let Some(err) = self.handle.pending() {
-            return Err(err);
-        }
-        let t0 = udf_clock();
-        let outcome = catch_unwind(AssertUnwindSafe(f));
-        let elapsed = udf_clock().saturating_sub(t0);
-        match outcome {
-            Err(payload) => self.handle.violation(
-                phase,
-                Kind::Panic,
-                site_hash,
-                &site(),
-                format!("callback panicked: {}", panic_text(payload)),
-                quarantine(),
-            ),
-            Ok(result) => {
-                let budget = self.handle.limits().call_budget_ms;
-                if elapsed > budget {
-                    return self.handle.violation(
-                        phase,
-                        Kind::Budget,
-                        site_hash,
-                        &site(),
-                        format!(
-                            "call consumed {elapsed} ms of simulated time (budget {budget} ms)"
-                        ),
-                        quarantine(),
-                    );
-                }
-                // Library-level `Result` errors are legitimate and pass
-                // through unchanged — only panics and blown budgets are
-                // violations.
-                result
+        self.run_block(f, |_| None)
+            .or_else(|miss| self.resolve(miss, phase, site_hash, site, quarantine))
+    }
+
+    /// A single call's miss: an error is returned as it is; a violation is
+    /// counted once per distinct site and resolved per policy — `Err` to
+    /// abort, or the row-scoped `quarantine` value under quarantine.
+    fn resolve<R>(
+        &self,
+        miss: Miss,
+        phase: Phase,
+        site_hash: u64,
+        site: impl Fn() -> String,
+        quarantine: impl FnOnce() -> Option<R>,
+    ) -> Result<R> {
+        let counts = &self.handle.cells.counts;
+        let (kind, detail, by_kind) = match miss {
+            Miss::Error(err) => return Err(err),
+            Miss::Panic(detail) => (0, detail, &counts.caught_panics),
+            Miss::Budget(detail) => (1, detail, &counts.budget_overruns),
+            Miss::Contract(detail) => (2, detail, &counts.contract_breaches),
+        };
+        let full_site = fold(fold(site_hash, phase as u64 + 100), kind + 200);
+        let mut seen = self.handle.cells.seen.lock().expect("guard seen lock");
+        let is_new = seen.insert(full_site);
+        if is_new {
+            match phase {
+                Phase::Summarize => &counts.summarize_violations,
+                Phase::Merge => &counts.merge_violations,
+                Phase::Divide => &counts.divide_violations,
+                Phase::Assign => &counts.assign_violations,
+                Phase::Match => &counts.match_violations,
+                Phase::Verify => &counts.verify_violations,
+                Phase::Dedup => &counts.dedup_violations,
             }
+            .add(1);
+            by_kind.add(1);
+        }
+        match (self.handle.policy(), quarantine()) {
+            (UdfPolicy::Quarantine, Some(neutral)) => {
+                counts.quarantined_rows.add(is_new as u64);
+                Ok(neutral)
+            }
+            _ => Err(FudjError::UdfViolation {
+                phase: format!("{phase:?}").to_lowercase(),
+                site: site(),
+                detail,
+            }),
         }
     }
 
-    /// Whether the seeded 1-in-N sampler selects this site for a contract
-    /// probe.
-    fn sampled(&self, salt: u64, site_hash: u64) -> bool {
-        self.sampled_every(1, salt, site_hash)
-    }
-
-    /// [`Self::sampled`] thinned to 1 in `stride`·N, for probes whose replay
-    /// costs more than the call they check.
-    fn sampled_every(&self, stride: u64, salt: u64, site_hash: u64) -> bool {
+    /// Whether the seeded 1-in-`stride`·N sampler picks this site for a
+    /// contract probe (a stride above 1 thins costly probes).
+    fn sampled(&self, stride: u64, salt: u64, site_hash: u64) -> bool {
         let n = self.handle.limits().check_sample.saturating_mul(stride);
         n > 0 && fold(site_hash, salt).is_multiple_of(n)
     }
@@ -637,11 +414,9 @@ const SALT_DETERMINISM: u64 = 0xD373;
 const SALT_SYMMETRY: u64 = 0x5E77;
 const SALT_PREPARE: u64 = 0x9A3E;
 
-/// The prepare probe replays `verify` on the raw keys — the very cost
-/// `prepare` exists to avoid (~8 µs on the text join against ~1 µs on token
-/// sets) — so it samples 1 in 8·`check_sample` prepared pairs: 1 in 128 at
-/// the default, ~780 replays on `fudjbench`'s `text_join` (~2 % of its
-/// `query_s`; the symmetry probe's 1 in 16 would be ~18 %).
+/// The prepare probe replays `verify` on raw keys, the cost `prepare` saves
+/// (~8 µs against ~1 µs on the text join), so it samples 1 in 8·N: ~780
+/// replays, ~2 % of `fudjbench`'s `text_join` (1 in N would be ~18 %).
 const PREPARE_PROBE_STRIDE: u64 = 8;
 
 impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
@@ -650,28 +425,18 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
     }
 
     fn new_summary(&self, side: Side) -> SummaryState {
-        // No `Result` channel and no row to quarantine: defer the violation
-        // (always fail-fast) and hand back a placeholder the next fallible
-        // call will never get to use.
-        match catch_unwind(AssertUnwindSafe(|| self.inner.new_summary(side))) {
-            Ok(s) => s,
-            Err(payload) => {
-                let site = format!("new_summary {side}");
-                let err = self
-                    .handle
-                    .violation::<SummaryState>(
-                        Phase::Summarize,
-                        Kind::Panic,
-                        fold(ext_hash(&ExtValue::Null), side as u64),
-                        &site,
-                        format!("callback panicked: {}", panic_text(payload)),
-                        None,
-                    )
-                    .expect_err("new_summary violations never quarantine");
-                self.handle.defer(err);
+        // No `Result` and no row: park it, hand back an unused placeholder.
+        self.isolate(|| Ok(self.inner.new_summary(side)))
+            .unwrap_or_else(|miss| {
+                let site_hash = fold(ext_hash(&ExtValue::Null), side as u64);
+                let site = || format!("new_summary {side}");
+                if let Err(err) =
+                    self.resolve::<()>(miss, Phase::Summarize, site_hash, site, || None)
+                {
+                    self.handle.defer(err);
+                }
                 SummaryState::new(0i64)
-            }
-        }
+            })
     }
 
     fn local_aggregate(
@@ -680,14 +445,32 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         key: &ExtValue,
         summary: &mut SummaryState,
     ) -> Result<()> {
-        let site_hash = fold(ext_hash(key), side as u64);
         self.guarded(
             Phase::Summarize,
-            site_hash,
-            || format!("{side} key {}", short(key)),
+            fold(ext_hash(key), side as u64),
+            || key_site(side, key),
             || Some(()), // quarantine: skip this key's contribution
             || self.inner.local_aggregate(side, key, summary),
         )
+    }
+
+    fn summarize_block(
+        &self,
+        side: Side,
+        keys: &[ExtValue],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
+        // Folded into a copy, so a replayed block folds each key once.
+        if keys.len() > 1 {
+            let mut block = summary.clone();
+            let run_all = || self.inner.summarize_block(side, keys, &mut block);
+            if self.run_block(run_all, |_| None).is_ok() {
+                *summary = block;
+                return Ok(());
+            }
+        }
+        keys.iter()
+            .try_for_each(|key| self.local_aggregate(side, key, summary))
     }
 
     fn global_aggregate(
@@ -699,24 +482,18 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         // Sample inputs for the associativity probe before they are moved.
         let probing = self.handle.limits().check_sample > 0;
         if probing {
-            let mut samples = self
-                .handle
-                .cells
-                .assoc_samples
-                .lock()
-                .expect("guard assoc lock");
-            let bucket = &mut samples[side as usize];
-            if bucket.len() < 3 {
-                bucket.push(a.clone());
-                if bucket.len() < 3 {
-                    bucket.push(b.clone());
+            let cells = &self.handle.cells;
+            let mut samples = cells.assoc_samples.lock().expect("guard assoc lock");
+            let sampled = &mut samples[side as usize];
+            for s in [&a, &b] {
+                if sampled.len() < 3 {
+                    sampled.push(s.clone());
                 }
             }
         }
-        let site_hash = fold(splitmix(0x6E6), side as u64);
         let merged = self.guarded(
             Phase::Merge,
-            site_hash,
+            fold(splitmix(0x6E6), side as u64),
             || format!("merge_summaries {side}"),
             || None, // structural: never quarantined
             || self.inner.global_aggregate(side, a, b),
@@ -745,17 +522,10 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
             || None, // structural: never quarantined
             || self.inner.divide(left, right, params),
         )?;
-        let size = pplan.serialized_len();
-        let cap = self.handle.limits().max_pplan_bytes;
+        let (size, cap) = (pplan.serialized_len(), self.handle.limits().max_pplan_bytes);
         if size > cap {
-            return self.handle.violation(
-                Phase::Divide,
-                Kind::Budget,
-                site_hash,
-                "divide",
-                format!("PPlan serializes to {size} bytes (cap {cap})"),
-                None,
-            );
+            let miss = Miss::Budget(format!("PPlan serializes to {size} bytes (cap {cap})"));
+            return self.resolve(miss, Phase::Divide, site_hash, || "divide".into(), || None);
         }
         Ok(pplan)
     }
@@ -767,132 +537,89 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
     ) -> Result<()> {
-        let site_hash = fold(ext_hash(key), side as u64 + 10);
-        let site = || format!("{side} key {}", short(key));
-        let start = out.len();
+        let (start, site_hash) = (out.len(), assign_site(side, key));
         let ran = self.guarded(
             Phase::Assign,
             site_hash,
-            site,
+            || key_site(side, key),
             || Some(false),
             || self.inner.assign(side, key, pplan, out).map(|()| true),
         )?;
-        if !ran {
-            // Quarantining a misbehaving row means dropping whatever
-            // buckets it managed to emit before the violation.
+        // Quarantining a misbehaving row drops whatever buckets it emitted.
+        if !(ran && self.check_assign(side, key, site_hash, pplan, &out[start..])?) {
             out.truncate(start);
-            return Ok(());
-        }
-        let added = out.len() - start;
-
-        // Contract: declared bucket range.
-        if let Some(n) = self.inner.declared_buckets(pplan) {
-            if let Some(&bad) = out[start..].iter().find(|&&b| b >= n) {
-                return self
-                    .handle
-                    .violation(
-                        Phase::Assign,
-                        Kind::Contract,
-                        site_hash,
-                        &site(),
-                        format!("bucket id {bad} outside the plan's declared range 0..{n}"),
-                        Some(()),
-                    )
-                    .map(|()| out.truncate(start));
-            }
-        }
-
-        // Budget: replication factor per key.
-        let cap = self.handle.limits().max_buckets_per_key;
-        if added > cap {
-            return self
-                .handle
-                .violation(
-                    Phase::Assign,
-                    Kind::Budget,
-                    site_hash,
-                    &site(),
-                    format!("key replicated to {added} buckets (cap {cap})"),
-                    Some(()),
-                )
-                .map(|()| out.truncate(start));
-        }
-
-        // Budget: total fan-out per partition.
-        let fanout = ASSIGN_FANOUT.with(|c| {
-            let v = c.get().saturating_add(added as u64);
-            c.set(v);
-            v
-        });
-        let fanout_cap = self.handle.limits().max_assign_fanout;
-        if fanout > fanout_cap {
-            return self
-                .handle
-                .violation(
-                    Phase::Assign,
-                    Kind::Budget,
-                    site_hash,
-                    &site(),
-                    format!("partition assign fan-out reached {fanout} (cap {fanout_cap})"),
-                    Some(()),
-                )
-                .map(|()| {
-                    out.truncate(start);
-                    ASSIGN_FANOUT.with(|c| c.set(c.get().saturating_sub(added as u64)));
-                });
-        }
-
-        // Contract: determinism, spot re-invoked on a seeded sample.
-        if self.sampled(SALT_DETERMINISM, site_hash) {
-            let mut again = Vec::with_capacity(added);
-            let replay = catch_unwind(AssertUnwindSafe(|| {
-                self.inner.assign(side, key, pplan, &mut again)
-            }));
-            let deterministic = matches!(replay, Ok(Ok(()))) && again == out[start..];
-            if !deterministic {
-                return self
-                    .handle
-                    .violation(
-                        Phase::Assign,
-                        Kind::Contract,
-                        site_hash,
-                        &site(),
-                        format!(
-                            "assign is not deterministic: first call gave {:?}, replay gave {:?}",
-                            &out[start..],
-                            again
-                        ),
-                        Some(()),
-                    )
-                    .map(|()| out.truncate(start));
-            }
         }
         Ok(())
     }
 
-    fn matches(&self, b1: BucketId, b2: BucketId) -> bool {
-        match catch_unwind(AssertUnwindSafe(|| self.inner.matches(b1, b2))) {
-            Ok(v) => v,
-            Err(payload) => {
-                let site = format!("bucket pair ({b1}, {b2})");
-                let site_hash = fold(fold(splitmix(0x3A7), b1), b2);
-                match self.handle.violation(
-                    Phase::Match,
-                    Kind::Panic,
-                    site_hash,
-                    &site,
-                    format!("callback panicked: {}", panic_text(payload)),
-                    Some(false), // quarantine: the bucket pair simply no-matches
-                ) {
-                    Ok(v) => v,
-                    Err(err) => {
-                        // No `Result` channel here: defer and no-match.
-                        self.handle.defer(err);
-                        false
-                    }
+    fn assign_block(
+        &self,
+        side: Side,
+        keys: &[ExtValue],
+        pplan: &PPlanState,
+        out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
+    ) -> Result<()> {
+        let (base, first) = (out.len(), offsets.len());
+        // A block that reports anything but one in-order range per key is a
+        // miss like any other.
+        let run_all = || {
+            self.inner.assign_block(side, keys, pplan, out, offsets)?;
+            let ends = &offsets[first..];
+            let ordered = ends.iter().try_fold(base, |start, &end| {
+                (start <= end && end <= out.len()).then_some(end)
+            });
+            Ok(ends.len() == keys.len() && ordered.is_some())
+        };
+        let ragged = |&ok: &bool| (!ok).then(String::new);
+        if self.run_block(run_all, ragged).is_err() {
+            out.truncate(base);
+            offsets.truncate(first);
+            for key in keys {
+                self.assign(side, key, pplan, out)?;
+                offsets.push(out.len());
+            }
+            return Ok(());
+        }
+        // A clean block's answers are the per-key calls', so each key's
+        // checks resolve in place, in key order; a quarantined key's ids
+        // are squeezed out, and an error leaves the keys before it.
+        let (mut start, mut kept) = (base, base);
+        for (i, key) in keys.iter().enumerate() {
+            let end = offsets[first + i];
+            let ids = &out[start..end];
+            match self.check_assign(side, key, assign_site(side, key), pplan, ids) {
+                Ok(true) => {
+                    out.copy_within(start..end, kept);
+                    kept += end - start;
+                }
+                Ok(false) => {}
+                Err(err) => {
+                    out.truncate(kept);
+                    offsets.truncate(first + i);
+                    return Err(err);
                 }
             }
+            offsets[first + i] = kept;
+            start = end;
         }
+        out.truncate(kept);
+        Ok(())
+    }
+
+    fn matches(&self, b1: BucketId, b2: BucketId) -> bool {
+        self.isolate(|| Ok(self.inner.matches(b1, b2)))
+            .or_else(|miss| {
+                let site_hash = fold(fold(splitmix(0x3A7), b1), b2);
+                let site = || format!("bucket pair ({b1}, {b2})");
+                // Quarantine: the bucket pair simply no-matches.
+                self.resolve(miss, Phase::Match, site_hash, site, || Some(false))
+            })
+            .unwrap_or_else(|err| {
+                // No `Result` channel here: park the violation, no-match.
+                self.handle.defer(err);
+                false
+            })
     }
 
     fn uses_default_match(&self) -> bool {
@@ -905,15 +632,12 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         right: &[BucketId],
         out: &mut Vec<(BucketId, BucketId)>,
     ) {
-        // The inner algorithm's whole loop under one `catch_unwind`. On an
-        // unwind its partial output is discarded and the loop replayed call
-        // by call through the guarded `matches`, which finds the site and
-        // defers or quarantines it as it always has.
         let start = out.len();
-        let whole = catch_unwind(AssertUnwindSafe(|| {
-            self.inner.matching_buckets(left, right, out)
-        }));
-        if whole.is_err() {
+        let run_all = || {
+            self.inner.matching_buckets(left, right, out);
+            Ok(())
+        };
+        if self.run_block(run_all, |_| None).is_err() {
             out.truncate(start);
             matching_pairs(left, right, |b1, b2| self.matches(b1, b2), out);
         }
@@ -939,21 +663,31 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         pplan: &PPlanState,
         emit: &mut dyn FnMut(usize, usize),
     ) -> Result<()> {
-        // The per-key work is per block: the key hashes and one guarded
-        // `prepare` each. The pairs go to the inner algorithm as one block;
-        // only a block that misbehaves is replayed pair by pair through
-        // `verify_pair`, which finds, counts and resolves each violation
-        // exactly as the single-pair `verify` does.
+        // Per key, once per block: the hash and a guarded `prepare`. A block
+        // with a dropped key, or one the runner misses, replays by pair.
         if left.is_empty() || right.is_empty() {
             return Ok(());
         }
         let left = self.prepare_side(Side::Left, left, pplan)?;
         let right = self.prepare_side(Side::Right, right, pplan)?;
-        match self.optimistic_block(b1, &left, b2, &right, pplan) {
+        let block = if left.iter().chain(&right).any(|k| k.dropped) {
+            None
+        } else {
+            let left_forms: Vec<_> = left.iter().map(Hashed::value).collect();
+            let right_forms: Vec<_> = right.iter().map(Hashed::value).collect();
+            let run_all = || {
+                let mut accepted = Vec::new();
+                self.inner
+                    .verify_forms(b1, &left_forms, b2, &right_forms, pplan, &mut accepted)
+                    .map(|()| accepted)
+            };
+            let probes =
+                |accepted: &Vec<_>| self.probe_block(b1, &left, b2, &right, pplan, accepted);
+            self.run_block(run_all, probes).ok()
+        };
+        match block {
             Some(accepted) => {
-                for (i, j) in accepted {
-                    emit(i, j);
-                }
+                accepted.into_iter().for_each(|(i, j)| emit(i, j));
                 Ok(())
             }
             None => self.replay_block(b1, &left, b2, &right, pplan, emit),
@@ -972,10 +706,9 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         k2: &ExtValue,
         pplan: &PPlanState,
     ) -> Result<bool> {
-        let site_hash = fold(fold(fold(ext_hash(k1), ext_hash(k2)), b1 + 7), b2 + 7);
         self.guarded(
             Phase::Dedup,
-            site_hash,
+            fold(fold(fold(ext_hash(k1), ext_hash(k2)), b1 + 7), b2 + 7),
             || format!("pair ({}, {})", short(k1), short(k2)),
             || Some(false), // quarantine: suppress the emission
             || self.inner.dedup(b1, k1, b2, k2, pplan),
@@ -992,99 +725,130 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
 }
 
 impl<J: JoinAlgorithm> GuardedJoin<J> {
-    /// One guarded `prepare` call: the key hashed, and its form for the
-    /// block. The site is the raw key's, like `assign`'s; a violation counts
-    /// under `Phase::Verify` — `prepare` is the first half of `verify` — and
-    /// under `Quarantine` marks the key [`Form::Dropped`], once per distinct
-    /// key however many blocks it recurs in.
-    fn prepare_key<'a>(
+    /// The checks on one key's `assign` answer, for the per-key and block
+    /// paths: range, replication, partition fan-out (taken back whenever the
+    /// key is quarantined) and, sampled, determinism. `Ok(false)`: dropped.
+    fn check_assign(
         &self,
         side: Side,
-        key: &'a ExtValue,
+        key: &ExtValue,
+        site_hash: u64,
         pplan: &PPlanState,
-    ) -> Result<Hashed<'a>> {
-        let hash = ext_hash(key);
-        let form = self.guarded(
-            Phase::Verify,
-            fold(hash, side as u64 + 20),
-            || format!("{side} key {}", short(key)),
-            || Some(Form::Dropped),
-            || {
-                let form = self.inner.prepare(side, key, pplan)?;
-                Ok(form.map_or(Form::Raw, Form::Prepared))
-            },
+        ids: &[BucketId],
+    ) -> Result<bool> {
+        let limits = self.handle.limits();
+        let added = ids.len();
+        let mut charged = 0;
+        let breach = (|| {
+            if let Some(n) = self.inner.declared_buckets(pplan) {
+                if let Some(bad) = ids.iter().find(|&&b| b >= n) {
+                    let detail =
+                        format!("bucket id {bad} outside the plan's declared range 0..{n}");
+                    return Some(Miss::Contract(detail));
+                }
+            }
+            let cap = limits.max_buckets_per_key;
+            if added > cap {
+                let detail = format!("key replicated to {added} buckets (cap {cap})");
+                return Some(Miss::Budget(detail));
+            }
+            charged = added as u64;
+            let fanout = ASSIGN_FANOUT.with(|c| {
+                c.set(c.get().saturating_add(charged));
+                c.get()
+            });
+            let cap = limits.max_assign_fanout;
+            if fanout > cap {
+                let detail = format!("partition assign fan-out reached {fanout} (cap {cap})");
+                return Some(Miss::Budget(detail));
+            }
+            if self.sampled(1, SALT_DETERMINISM, site_hash) {
+                let mut again = Vec::with_capacity(added);
+                let replayed = probe(|| self.inner.assign(side, key, pplan, &mut again));
+                if replayed.is_none() || again != ids {
+                    let detail = format!(
+                        "assign is not deterministic: first call gave {ids:?}, replay gave {again:?}"
+                    );
+                    return Some(Miss::Contract(detail));
+                }
+            }
+            None
+        })();
+        let Some(miss) = breach else {
+            return Ok(true);
+        };
+        let keep = self.resolve(
+            miss,
+            Phase::Assign,
+            site_hash,
+            || key_site(side, key),
+            || Some(false),
         )?;
-        Ok(Hashed { key, hash, form })
+        ASSIGN_FANOUT.with(|c| c.set(c.get().saturating_sub(charged)));
+        Ok(keep)
     }
 
-    /// [`Self::prepare_key`] on every key of one side of a block.
+    /// One guarded `prepare` per key of one side of a block, counted under
+    /// `Phase::Verify` at the raw key's site; quarantine drops the key.
     fn prepare_side<'a>(
         &self,
         side: Side,
         keys: &'a [ExtValue],
         pplan: &PPlanState,
     ) -> Result<Vec<Hashed<'a>>> {
-        keys.iter()
-            .map(|key| self.prepare_key(side, key, pplan))
-            .collect()
+        let prepare_key = |key: &'a ExtValue| {
+            let mut hashed = Hashed::new(key);
+            hashed.form = self
+                .guarded(
+                    Phase::Verify,
+                    fold(hashed.hash, side as u64 + 20),
+                    || key_site(side, key),
+                    || Some(None),
+                    || self.inner.prepare(side, key, pplan).map(Some),
+                )?
+                .unwrap_or_else(|| {
+                    hashed.dropped = true;
+                    None
+                });
+            Ok(hashed)
+        };
+        keys.iter().map(prepare_key).collect()
     }
 
-    /// The happy path of [`JoinAlgorithm::verify_block`]: the whole block
-    /// through the inner algorithm's `verify_forms` under one
-    /// `catch_unwind`, one parked-violation check and one simulated-clock
-    /// budget check, then [`Self::probe_pair`] on every pair a probe can
-    /// apply to. `None` — replay the block pair by pair — on a parked
-    /// violation, a dropped key, an unwind, a library `Err`, a block over
-    /// `call_budget_ms` or a probe that disagrees: every case in which some
-    /// pair of the per-pair path could fail or violate. The budget stays per
-    /// call, since a block within it cannot hold a call over it.
-    fn optimistic_block(
+    /// The probes over a clean block's answers: [`Self::probe_pair`] on every
+    /// pair, accepted or not, that a probe applies to (none in a block under
+    /// neither avoidance nor `prepare`, such as the interval join's).
+    fn probe_block(
         &self,
         b1: BucketId,
         left: &[Hashed<'_>],
         b2: BucketId,
         right: &[Hashed<'_>],
         pplan: &PPlanState,
-    ) -> Option<Vec<(usize, usize)>> {
-        if self.handle.parked() || left.iter().chain(right).any(Hashed::dropped) {
-            return None;
-        }
-        let (left_forms, right_forms) = (values(left), values(right));
-        let mut accepted = Vec::new();
-        let t0 = udf_clock();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.inner
-                .verify_forms(b1, &left_forms, b2, &right_forms, pplan, &mut accepted)
-        }));
-        let elapsed = udf_clock().saturating_sub(t0);
-        if !matches!(outcome, Ok(Ok(()))) || elapsed > self.handle.limits().call_budget_ms {
-            return None;
-        }
-
-        // The probes sample rejected pairs as well as accepted ones, as the
-        // per-pair path does. Site hashes are computed only where a probe
-        // can apply: a block under neither avoidance nor `prepare` (the
-        // interval join's) skips the loop.
+        accepted: &[(usize, usize)],
+    ) -> Option<String> {
         let symmetry = self.symmetry_probed();
-        let prepared = left.iter().chain(right).any(Hashed::prepared);
+        let prepared = left.iter().chain(right).any(|k| k.form.is_some());
         if self.handle.limits().check_sample == 0 || !(symmetry || prepared) {
-            return Some(accepted);
+            return None;
         }
         let mut answers = accepted.iter().copied().peekable();
         for (i, k1) in left.iter().enumerate() {
             for (j, k2) in right.iter().enumerate() {
                 let answer = answers.next_if_eq(&(i, j)).is_some();
-                let probed = (symmetry && same_shape(k1, k2)) || k1.prepared() || k2.prepared();
-                if probed && self.probe_pair(b1, k1, b2, k2, pplan, answer).is_some() {
-                    return None;
+                if (symmetry && same_shape(k1, k2)) || k1.form.is_some() || k2.form.is_some() {
+                    let detail = self.probe_pair(b1, k1, b2, k2, pplan, answer);
+                    if detail.is_some() {
+                        return detail;
+                    }
                 }
             }
         }
-        Some(accepted)
+        None
     }
 
-    /// A block pair by pair, each pair through [`Self::verify_pair`]: the
-    /// path of a block [`Self::optimistic_block`] gave up on.
+    /// A block pair by pair through [`Self::verify_pair`]: the per-call code
+    /// a missed block is replayed through.
     fn replay_block(
         &self,
         b1: BucketId,
@@ -1103,7 +867,7 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
     }
 
     /// One guarded `verify` call on keys whose hashes and forms are already
-    /// known.
+    /// known, then its probes.
     fn verify_pair(
         &self,
         b1: BucketId,
@@ -1112,30 +876,20 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         k2: &Hashed<'_>,
         pplan: &PPlanState,
     ) -> Result<bool> {
-        if k1.dropped() || k2.dropped() {
+        if k1.dropped || k2.dropped {
             return Ok(false);
         }
-        let site_hash = pair_site(b1, k1, b2, k2);
-        let (v1, v2) = (k1.value(), k2.value());
         let site = || format!("pair ({}, {})", short(k1.key), short(k2.key));
-        let accepted = self.guarded(
-            Phase::Verify,
-            site_hash,
-            site,
-            || Some(false), // quarantine: drop the pair
-            || self.inner.verify(b1, v1, b2, v2, pplan),
-        )?;
-        match self.probe_pair(b1, k1, b2, k2, pplan, accepted) {
-            None => Ok(accepted),
-            Some(detail) => self.handle.violation(
-                Phase::Verify,
-                Kind::Contract,
-                site_hash,
-                &site(),
-                detail,
-                Some(false),
-            ),
-        }
+        self.run_block(
+            || self.inner.verify(b1, k1.value(), b2, k2.value(), pplan),
+            |&accepted| self.probe_pair(b1, k1, b2, k2, pplan, accepted),
+        )
+        .or_else(|miss| {
+            // Quarantine: drop the pair.
+            self.resolve(miss, Phase::Verify, pair_site(b1, k1, b2, k2), site, || {
+                Some(false)
+            })
+        })
     }
 
     /// Whether the join is one the symmetry probe checks: symmetric, under
@@ -1144,10 +898,8 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         self.inner.symmetric() && self.inner.dedup_mode() == DedupMode::Avoidance
     }
 
-    /// The sampled contract probes on one verified pair, `accepted` being
-    /// `verify`'s answer on it: the detail of the first probe that
-    /// disagrees, or `None`. The block path and the per-pair path both ask
-    /// this, so their sampling decisions cannot drift apart.
+    /// The sampled probes on one pair `verify` answered `accepted`: the first
+    /// disagreement's detail. The block and per-pair paths share it.
     fn probe_pair(
         &self,
         b1: BucketId,
@@ -1158,91 +910,73 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         accepted: bool,
     ) -> Option<String> {
         let site_hash = pair_site(b1, k1, b2, k2);
-        // Contract: symmetry under the default dedup mode. Only meaningful
-        // when the join is symmetric and the two keys have the same external
-        // shape (mixed-shape joins like polygon × point are exempt). The
-        // swapped call reads the same forms the pair's own call read.
-        if self.sampled(SALT_SYMMETRY, site_hash) && self.symmetry_probed() && same_shape(k1, k2) {
-            let swapped = catch_unwind(AssertUnwindSafe(|| {
-                self.inner.verify(b2, k2.value(), b1, k1.value(), pplan)
-            }));
-            if !matches!(swapped, Ok(Ok(v)) if v == accepted) {
-                return Some(format!(
-                    "verify is not symmetric: verify(k1, k2) = {accepted}, \
-                     swapped call did not agree"
-                ));
-            }
-        }
-
-        // Contract: `prepare` must not change `verify`'s answer. Replayed on
-        // the raw keys, for pairs in which a prepared form took part.
-        if (k1.prepared() || k2.prepared())
-            && self.sampled_every(PREPARE_PROBE_STRIDE, SALT_PREPARE, site_hash)
+        // Symmetry under the default dedup mode, between keys of the same
+        // external shape (polygon × point is exempt); the swapped call reads
+        // the forms the pair's own call read.
+        if self.sampled(1, SALT_SYMMETRY, site_hash)
+            && self.symmetry_probed()
+            && same_shape(k1, k2)
+            && probe(|| self.inner.verify(b2, k2.value(), b1, k1.value(), pplan)) != Some(accepted)
         {
-            let raw = catch_unwind(AssertUnwindSafe(|| {
-                self.inner.verify(b1, k1.key, b2, k2.key, pplan)
-            }));
-            if !matches!(raw, Ok(Ok(v)) if v == accepted) {
-                return Some(format!(
-                    "prepare changed verify's answer: {accepted} on the prepared \
-                     forms, the raw keys did not agree"
-                ));
-            }
+            return Some(format!(
+                "verify is not symmetric: verify(k1, k2) = {accepted}, \
+                 swapped call did not agree"
+            ));
+        }
+        // `prepare` must not change `verify`'s answer: replayed on the raw
+        // keys, for pairs in which a prepared form took part.
+        if (k1.form.is_some() || k2.form.is_some())
+            && self.sampled(PREPARE_PROBE_STRIDE, SALT_PREPARE, site_hash)
+            && probe(|| self.inner.verify(b1, k1.key, b2, k2.key, pplan)) != Some(accepted)
+        {
+            return Some(format!(
+                "prepare changed verify's answer: {accepted} on the prepared \
+                 forms, the raw keys did not agree"
+            ));
         }
         None
     }
 
-    /// Probe merge associativity once per side, as soon as three summaries
-    /// have been sampled: `(a ⊕ b) ⊕ c` and `a ⊕ (b ⊕ c)` must agree. The
-    /// states are opaque, so agreement is compared on the serialized size —
-    /// an order-independent proxy that still catches merges that drop or
-    /// duplicate contributions.
+    /// Probe merge associativity once per side, on the first three sampled
+    /// summaries: `(a ⊕ b) ⊕ c` and `a ⊕ (b ⊕ c)` must serialize to the same
+    /// size, which catches merges that drop or duplicate contributions.
     fn associativity_probe(&self, side: Side) -> Result<()> {
         let idx = side as usize;
         let cells = &self.handle.cells;
-        let ready = {
+        let [s0, s1, s2] = {
             let samples = cells.assoc_samples.lock().expect("guard assoc lock");
-            samples[idx].len() >= 3
+            match &samples[idx][..] {
+                [a, b, c] if cells.assoc_checked[idx].swap(1, Ordering::Relaxed) == 0 => {
+                    [a.clone(), b.clone(), c.clone()]
+                }
+                _ => return Ok(()),
+            }
         };
-        if !ready || cells.assoc_checked[idx].swap(1, Ordering::Relaxed) == 1 {
-            return Ok(());
-        }
-        let (s0, s1, s2) = {
-            let samples = cells.assoc_samples.lock().expect("guard assoc lock");
-            (
-                samples[idx][0].clone(),
-                samples[idx][1].clone(),
-                samples[idx][2].clone(),
-            )
-        };
-        let merge = |a: SummaryState, b: SummaryState| -> Option<SummaryState> {
-            catch_unwind(AssertUnwindSafe(|| self.inner.global_aggregate(side, a, b)))
-                .ok()
-                .and_then(|r| r.ok())
-        };
+        let merge = |a, b| probe(|| self.inner.global_aggregate(side, a, b));
         let left_assoc = merge(s0.clone(), s1.clone()).and_then(|ab| merge(ab, s2.clone()));
         let right_assoc = merge(s1, s2).and_then(|bc| merge(s0, bc));
-        if let (Some(l), Some(r)) = (left_assoc, right_assoc) {
-            if l.serialized_len() != r.serialized_len() {
-                return self.handle.violation(
-                    Phase::Merge,
-                    Kind::Contract,
-                    fold(splitmix(0xA550C), side as u64),
-                    &format!("merge_summaries {side}"),
-                    format!(
-                        "summaries do not merge associatively: (a⊕b)⊕c serializes to {} \
-                         bytes, a⊕(b⊕c) to {}",
-                        l.serialized_len(),
-                        r.serialized_len()
-                    ),
-                    None,
+        match (left_assoc, right_assoc) {
+            (Some(l), Some(r)) if l.serialized_len() != r.serialized_len() => {
+                let detail = format!(
+                    "summaries do not merge associatively: (a⊕b)⊕c serializes to {} \
+                     bytes, a⊕(b⊕c) to {}",
+                    l.serialized_len(),
+                    r.serialized_len()
                 );
+                let (miss, site_hash) =
+                    (Miss::Contract(detail), fold(splitmix(0xA550C), side as u64));
+                self.resolve(
+                    miss,
+                    Phase::Merge,
+                    site_hash,
+                    || format!("merge_summaries {side}"),
+                    || None,
+                )
             }
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1609,6 +1343,34 @@ mod tests {
         ok.limits.max_assign_fanout = 5;
         let (pairs, _) = run(Bad::None, ok).unwrap();
         assert_eq!(pairs, equality_pairs(true), "boundary exactly at the cap");
+    }
+
+    #[test]
+    fn a_key_the_determinism_probe_quarantines_gives_back_its_fanout() {
+        // Four clean keys of one bucket each per partition, at a cap of four:
+        // the poison key's buckets, dropped by the determinism probe, must
+        // not use up the cap, on the per-key path or in a block.
+        let mut config = GuardConfig::with_policy(UdfPolicy::Quarantine);
+        config.limits.check_sample = 1;
+        config.limits.max_assign_fanout = 4;
+        let (pairs, stats) = run(Bad::NonDetAssign, config.clone()).unwrap();
+        assert_eq!(pairs, equality_pairs(false));
+        assert_eq!((stats.budget_overruns, stats.contract_breaches), (0, 2));
+
+        let guarded = GuardedJoin::new(Wild::new(Bad::NonDetAssign), config);
+        guarded.handle().begin_partition();
+        let (mut out, mut offsets) = (Vec::new(), Vec::new());
+        guarded
+            .assign_block(
+                Side::Left,
+                &longs(&LEFT),
+                &PPlanState::new(4u64),
+                &mut out,
+                &mut offsets,
+            )
+            .unwrap();
+        assert_eq!((out, offsets), (vec![1, 2, 1, 2], vec![1, 2, 2, 3, 4]));
+        assert_eq!(guarded.stats().budget_overruns, 0);
     }
 
     #[test]

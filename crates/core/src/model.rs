@@ -72,6 +72,19 @@ pub trait JoinAlgorithm: Send + Sync {
     fn local_aggregate(&self, side: Side, key: &ExtValue, summary: &mut SummaryState)
         -> Result<()>;
 
+    /// [`Self::local_aggregate`] on every key of a block, in order: the
+    /// engine adapter's one crossing per chunk of keys. [`crate::ProxyJoin`]
+    /// overrides the per-key loop with one summary downcast per block.
+    fn summarize_block(
+        &self,
+        side: Side,
+        keys: &[ExtValue],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
+        keys.iter()
+            .try_for_each(|key| self.local_aggregate(side, key, summary))
+    }
+
     /// Merge two partial summaries — the paper's `global_aggregate`.
     fn global_aggregate(
         &self,
@@ -112,6 +125,25 @@ pub trait JoinAlgorithm: Send + Sync {
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
     ) -> Result<()>;
+
+    /// [`Self::assign`] on every key of a block, in order: key `i`'s ids are
+    /// appended to `out`, then `out.len()` to `offsets` (so they start where
+    /// key `i - 1`'s end); on an error both hold the keys before it.
+    /// [`crate::ProxyJoin`] overrides the loop with one plan downcast.
+    fn assign_block(
+        &self,
+        side: Side,
+        keys: &[ExtValue],
+        pplan: &PPlanState,
+        out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
+    ) -> Result<()> {
+        for key in keys {
+            self.assign(side, key, pplan, out)?;
+            offsets.push(out.len());
+        }
+        Ok(())
+    }
 
     // ------------------------------------------------------------------
     // COMBINE
@@ -343,6 +375,14 @@ macro_rules! forward_join_algorithm {
             ) -> Result<()> {
                 (**self).local_aggregate(side, key, summary)
             }
+            fn summarize_block(
+                &self,
+                side: Side,
+                keys: &[ExtValue],
+                summary: &mut SummaryState,
+            ) -> Result<()> {
+                (**self).summarize_block(side, keys, summary)
+            }
             fn global_aggregate(
                 &self,
                 side: Side,
@@ -370,6 +410,16 @@ macro_rules! forward_join_algorithm {
                 out: &mut Vec<BucketId>,
             ) -> Result<()> {
                 (**self).assign(side, key, pplan, out)
+            }
+            fn assign_block(
+                &self,
+                side: Side,
+                keys: &[ExtValue],
+                pplan: &PPlanState,
+                out: &mut Vec<BucketId>,
+                offsets: &mut Vec<usize>,
+            ) -> Result<()> {
+                (**self).assign_block(side, keys, pplan, out, offsets)
             }
             fn matches(&self, b1: BucketId, b2: BucketId) -> bool {
                 (**self).matches(b1, b2)

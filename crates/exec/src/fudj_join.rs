@@ -373,9 +373,8 @@ fn summarize_side(
     let locals: Vec<SummaryState> =
         cluster.parallel_map(metrics, parts.iter().collect::<Vec<&Vec<Row>>>(), |rows| {
             let mut summary = join.new_summary(side);
-            for row in rows {
-                join.local_aggregate(side, row.get(key_col), &mut summary)?;
-            }
+            let keys: Vec<&Value> = rows.iter().map(|r| r.get(key_col)).collect();
+            join.summarize_slice(side, &keys, &mut summary)?;
             Ok(summary)
         })?;
     // Gathering local summaries to the coordinator costs their bytes

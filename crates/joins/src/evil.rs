@@ -26,8 +26,8 @@ use fudj_core::{
     SummaryState,
 };
 use fudj_types::{ExtValue, Result};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 /// Name of the adversarial library bundle.
 pub const EVIL_LIBRARY_NAME: &str = "evillib";
@@ -105,8 +105,9 @@ pub enum EvilMode {
     HangIn(EvilPhase, u64),
     /// Emit a bucket id outside the declared range from `assign`.
     OutOfRangeBucket,
-    /// Return a different assignment every time `assign` is called on a
-    /// poisoned key (defeats retry safety and duplicate avoidance).
+    /// Answer a poisoned key with one extra bucket on every `assign` call
+    /// after its first, whatever order keys come in (defeats retry safety
+    /// and duplicate avoidance).
     NonDeterministicAssign,
     /// Emit every assigned bucket this many extra times.
     OverReplicate(usize),
@@ -116,9 +117,9 @@ pub enum EvilMode {
 pub struct EvilJoin {
     inner: Arc<dyn JoinAlgorithm>,
     mode: EvilMode,
-    /// Flipped on every poisoned `assign` call so
-    /// [`EvilMode::NonDeterministicAssign`] never answers the same twice.
-    flip: AtomicU64,
+    /// Poisoned keys (by [`key_hash`]) already assigned once, for
+    /// [`EvilMode::NonDeterministicAssign`].
+    assigned: Mutex<HashSet<u64>>,
 }
 
 impl EvilJoin {
@@ -127,7 +128,7 @@ impl EvilJoin {
         EvilJoin {
             inner,
             mode,
-            flip: AtomicU64::new(0),
+            assigned: Mutex::default(),
         }
     }
 
@@ -201,7 +202,8 @@ impl JoinAlgorithm for EvilJoin {
             }
             EvilMode::NonDeterministicAssign if poisoned(key) => {
                 self.inner.assign(side, key, pplan, out)?;
-                if self.flip.fetch_add(1, Ordering::Relaxed) % 2 == 1 {
+                let mut assigned = self.assigned.lock().expect("evil assigned lock");
+                if !assigned.insert(key_hash(key)) {
                     let extra = out.last().copied().unwrap_or(0);
                     out.push(extra);
                 }
@@ -367,7 +369,7 @@ impl JoinAlgorithm for EqualityFudj {
 /// | `evil.PanicVerify` | panics in `verify` on poisoned left keys |
 /// | `evil.HangAssign` | burns 60 simulated s in `assign` on poisoned keys |
 /// | `evil.OutOfRange` | emits a bucket past the declared range |
-/// | `evil.NonDetAssign` | different assignment on every retry |
+/// | `evil.NonDetAssign` | an extra bucket on every call after a key's first |
 /// | `evil.OverReplicate` | 64× replication of poisoned keys |
 pub fn evil_library() -> JoinLibrary {
     fn wrap(mode: EvilMode) -> Arc<dyn JoinAlgorithm> {

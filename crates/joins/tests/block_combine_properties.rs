@@ -9,6 +9,12 @@
 //! never calls `prepare`, so for the text join the same comparison pins
 //! `prepare`'s contract: token sets made once per key per block answer as
 //! the raw texts do.
+//!
+//! The same holds for SUMMARIZE and ASSIGN: `summarize_slice` and
+//! `assign_slice`, one block call per chunk of keys through the guard's
+//! block runner, agree with the per-key `local_aggregate` and `assign` on
+//! the summaries, the PPlan, every key's bucket list, the first error and
+//! every counter.
 
 use fudj_core::{
     BucketId, EngineJoin, FlexibleJoin, FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm,
@@ -462,4 +468,258 @@ fn a_prepare_that_drops_a_token_is_caught_by_the_guard_probe() {
         (pairs.len(), result, stats),
         (64, Ok(()), UdfStats::default())
     );
+}
+
+// -- SUMMARIZE and ASSIGN: block ≡ per key ------------------------------------
+
+/// An order-insensitive rendering of a state: its `Debug` text with the
+/// characters sorted, since hash-map states print their entries in a
+/// different order on every run.
+fn canonical(state: &impl std::fmt::Debug) -> Vec<char> {
+    let mut chars: Vec<char> = format!("{state:?}").chars().collect();
+    chars.sort_unstable();
+    chars
+}
+
+/// Both summaries' serialized sizes and renderings, the PPlan's, each side's
+/// `(key index, sorted bucket ids)` list, the first error, guard counters.
+type FlowOutcome = (
+    Vec<(usize, Vec<char>)>,
+    Option<(usize, Vec<char>)>,
+    [Vec<(usize, Vec<BucketId>)>; 2],
+    Result<()>,
+    UdfStats,
+);
+
+/// SUMMARIZE, DIVIDE and ASSIGN over both sides: through the slice entry
+/// points, one block call per chunk of keys, or key by key through the
+/// per-key calls.
+fn summarize_and_assign(
+    ej: &FudjEngineJoin,
+    params: &[Value],
+    left: &[Value],
+    right: &[Value],
+    block: bool,
+) -> FlowOutcome {
+    let (mut summaries, mut plan_seen, mut buckets) = (Vec::new(), None, [Vec::new(), Vec::new()]);
+    let sides = [(Side::Left, left), (Side::Right, right)];
+    let result = (|| {
+        let mut states = Vec::new();
+        for (side, keys) in sides {
+            let mut summary = ej.new_summary(side);
+            if block {
+                ej.summarize_slice(side, &keys.iter().collect::<Vec<_>>(), &mut summary)?;
+            } else {
+                for key in keys {
+                    ej.local_aggregate(side, key, &mut summary)?;
+                }
+            }
+            summaries.push((summary.serialized_len(), canonical(&summary)));
+            states.push(summary);
+        }
+        let plan = ej.divide(&states[0], &states[1], params)?;
+        plan_seen = Some((plan.serialized_len(), canonical(&plan)));
+        for (s, (side, keys)) in sides.into_iter().enumerate() {
+            if let Some(g) = ej.guard() {
+                g.begin_partition();
+            }
+            let seen = &mut buckets[s];
+            if block {
+                let keys: Vec<&Value> = keys.iter().collect();
+                ej.assign_slice(side, &keys, &plan, &mut |i, ids| {
+                    seen.push((i, ids.to_vec()))
+                })?;
+            } else {
+                let mut out = Vec::new();
+                for (i, key) in keys.iter().enumerate() {
+                    out.clear();
+                    ej.assign(side, key, &plan, &mut out)?;
+                    out.sort_unstable();
+                    out.dedup();
+                    seen.push((i, out.clone()));
+                }
+            }
+        }
+        Ok(())
+    })();
+    let stats = ej.guard().map(|g| g.stats()).unwrap_or_default();
+    (summaries, plan_seen, buckets, result, stats)
+}
+
+/// Both paths on fresh strategies, compared field for field; also that the
+/// block path crossed the boundary once per key per phase, as the per-key
+/// path does.
+fn assert_flows_agree(
+    make: &dyn Fn() -> Arc<dyn JoinAlgorithm>,
+    guard: Option<GuardConfig>,
+    params: &[Value],
+    left: &[Value],
+    right: &[Value],
+) -> FlowOutcome {
+    let run = |block: bool| {
+        let ej = engine_join(make(), guard.clone());
+        let outcome = summarize_and_assign(&ej, params, left, right, block);
+        (outcome, ej.translation_count())
+    };
+    let ((by_block, block_xlates), (by_key, key_xlates)) = (run(true), run(false));
+    assert_eq!(by_block, by_key, "block path vs per-key path");
+    if by_block.3.is_ok() {
+        assert_eq!(block_xlates, key_xlates, "translations");
+    }
+    by_block
+}
+
+fn longs(side: &[i64]) -> Vec<Value> {
+    side.iter().map(|&v| Value::Int64(v)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn spatial_summarize_and_assign_blocks_agree_with_per_key(
+        parks in prop::collection::vec((0.0f64..90.0, 0.0f64..90.0, 0.5f64..30.0, 0.5f64..30.0), 1..20),
+        fires in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..30),
+        guard in arb_guard(),
+        grid in prop::sample::select(vec![4i64, 16, 64]),
+    ) {
+        let left: Vec<Value> = parks
+            .iter()
+            .map(|&(x, y, w, h)| Value::polygon(Polygon::from_rect(&Rect::new(x, y, x + w, y + h))))
+            .collect();
+        let right: Vec<Value> = fires.iter().map(|&(x, y)| Value::Point(Point::new(x, y))).collect();
+        let (_, _, _, result, stats) = assert_flows_agree(
+            &|| Arc::new(ProxyJoin::new(SpatialFudj::new())),
+            guard,
+            &[Value::Int64(grid)],
+            &left,
+            &right,
+        );
+        prop_assert_eq!((result, stats), (Ok(()), UdfStats::default()));
+    }
+
+    #[test]
+    fn interval_summarize_and_assign_blocks_agree_with_per_key(
+        left in prop::collection::vec((0i64..5_000, 0i64..900), 1..30),
+        right in prop::collection::vec((0i64..5_000, 0i64..900), 1..30),
+        guard in arb_guard(),
+        granules in prop::sample::select(vec![4i64, 16, 128]),
+    ) {
+        let intervals = |side: &[(i64, i64)]| -> Vec<Value> {
+            side.iter().map(|&(s, len)| Value::Interval(Interval::new(s, s + len))).collect()
+        };
+        let (_, _, _, result, stats) = assert_flows_agree(
+            &|| Arc::new(ProxyJoin::new(IntervalFudj::new())),
+            guard,
+            &[Value::Int64(granules)],
+            &intervals(&left),
+            &intervals(&right),
+        );
+        prop_assert_eq!((result, stats), (Ok(()), UdfStats::default()));
+    }
+
+    #[test]
+    fn text_summarize_and_assign_blocks_agree_with_per_key(
+        left in prop::collection::vec(arb_text(), 1..20),
+        right in prop::collection::vec(arb_text(), 1..20),
+        threshold in prop::sample::select(vec![0.3f64, 0.5, 0.9]),
+        guard in arb_guard(),
+    ) {
+        let texts = |side: &[String]| -> Vec<Value> { side.iter().map(Value::str).collect() };
+        let (_, _, _, result, stats) = assert_flows_agree(
+            &|| Arc::new(ProxyJoin::new(TextSimilarityFudj::new())),
+            guard,
+            &[Value::Float64(threshold)],
+            &texts(&left),
+            &texts(&right),
+        );
+        prop_assert_eq!((result, stats), (Ok(()), UdfStats::default()));
+    }
+
+    /// A library that panics or hangs in `local_aggregate` or `assign`, emits
+    /// an out-of-range bucket, over-replicates or assigns a key differently
+    /// after its first call, on poisoned keys wherever they fall: the block
+    /// path must fail at the same key with the same site, or quarantine the
+    /// same keys and count the same sites, at every probe rate. A 4 s hang
+    /// is within the per-call budget, so only a block holding three or more
+    /// poisoned keys goes over it in sum, is replayed, and comes out clean.
+    #[test]
+    fn evil_summarize_and_assign_blocks_agree_with_per_key(
+        left in prop::collection::vec(0i64..60, 1..40),
+        right in prop::collection::vec(0i64..60, 1..40),
+        mode in prop::sample::select(vec![
+            EvilMode::Tame,
+            EvilMode::PanicIn(EvilPhase::Summarize),
+            EvilMode::PanicIn(EvilPhase::Assign),
+            EvilMode::HangIn(EvilPhase::Summarize, 60_000),
+            EvilMode::HangIn(EvilPhase::Summarize, 4_000),
+            EvilMode::HangIn(EvilPhase::Assign, 60_000),
+            EvilMode::HangIn(EvilPhase::Assign, 4_000),
+            EvilMode::OutOfRangeBucket,
+            EvilMode::OverReplicate(64),
+            EvilMode::NonDeterministicAssign,
+        ]),
+        policy in prop::sample::select(vec![UdfPolicy::FailFast, UdfPolicy::Quarantine]),
+        check_sample in prop::sample::select(vec![0u64, 1, 3, 16]),
+        max_assign_fanout in prop::sample::select(vec![1u64 << 24, 24]),
+    ) {
+        let mut config = GuardConfig::with_policy(policy);
+        config.limits.check_sample = check_sample;
+        config.limits.max_buckets_per_key = 16;
+        config.limits.max_assign_fanout = max_assign_fanout;
+        let (_, _, _, result, stats) = assert_flows_agree(
+            &|| Arc::new(EvilJoin::new(Arc::new(EqualityFudj), mode)),
+            Some(config),
+            &[],
+            &longs(&left),
+            &longs(&right),
+        );
+        if policy == UdfPolicy::Quarantine {
+            prop_assert_eq!(result, Ok(()));
+            prop_assert_eq!(
+                stats.quarantined_rows,
+                stats.summarize_violations + stats.assign_violations
+            );
+        }
+    }
+}
+
+/// Keys past one block: the slice entry points hand the library more than
+/// one chunk, and a misbehaving key in a later chunk is found at its own
+/// index, by either policy.
+#[test]
+fn summarize_and_assign_agree_across_chunks() {
+    let keys = longs(&(0..2_500).map(|v| v % 700).collect::<Vec<_>>());
+    for mode in [
+        EvilMode::Tame,
+        EvilMode::PanicIn(EvilPhase::Summarize),
+        EvilMode::PanicIn(EvilPhase::Assign),
+        EvilMode::NonDeterministicAssign,
+    ] {
+        for policy in [UdfPolicy::FailFast, UdfPolicy::Quarantine] {
+            let mut config = GuardConfig::with_policy(policy);
+            config.limits.check_sample = 3;
+            let (summaries, _, buckets, result, stats) = assert_flows_agree(
+                &|| Arc::new(EvilJoin::new(Arc::new(EqualityFudj), mode)),
+                Some(config),
+                &[],
+                &keys,
+                &keys[..1_300],
+            );
+            if (mode, result.is_ok()) == (EvilMode::Tame, true) {
+                assert_eq!(summaries.len(), 2);
+                assert_eq!(buckets[0].len(), 2_500);
+                assert_eq!(stats, UdfStats::default());
+            }
+            if policy == UdfPolicy::Quarantine {
+                assert_eq!(result, Ok(()), "{mode:?}");
+                assert_eq!(buckets[0].len(), 2_500, "{mode:?}: every key is reported");
+            } else if mode != EvilMode::Tame {
+                assert!(
+                    matches!(&result, Err(FudjError::UdfViolation { .. })),
+                    "{mode:?}: {result:?}"
+                );
+            }
+        }
+    }
 }
