@@ -9,7 +9,7 @@ use crate::plan::{AggFunc, Aggregate, PhysicalPlan, SortKey};
 use crate::pool::WorkerPool;
 use crate::recovery::{self, ClusterRecovery, Membership, WorkerInfo};
 use fudj_storage::CheckpointStore;
-use fudj_types::{Batch, DataType, FudjError, Result, Row, Value};
+use fudj_types::{Batch, DataType, FudjError, Result, Row, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -295,7 +295,8 @@ impl Cluster {
                 input,
                 group_by,
                 aggregates,
-            } => self.execute_aggregate(input, group_by, aggregates, metrics),
+                schema,
+            } => self.execute_aggregate(input, group_by, aggregates, schema, metrics),
 
             PhysicalPlan::Sort { input, keys } => {
                 let parts = self.execute_partitioned(input, metrics)?;
@@ -335,17 +336,18 @@ impl Cluster {
         input: &PhysicalPlan,
         group_by: &[usize],
         aggregates: &[Aggregate],
+        schema: &Schema,
         metrics: &QueryMetrics,
     ) -> Result<PartitionedData> {
-        let in_schema = input.schema();
+        // Only a SUM cares whether its input is a double, and its output
+        // column is one exactly then (`Aggregate::output_type`). The
+        // aggregate's own schema says so without building its input's: an
+        // on-top join of three inputs that share a column name has no
+        // valid physical schema (`Schema::join` repeats `right.<name>`).
         let float_sum: Vec<bool> = aggregates
             .iter()
-            .map(|a| {
-                matches!(
-                    a.input.map(|i| &in_schema.fields()[i].data_type),
-                    Some(DataType::Float64)
-                )
-            })
+            .zip(&schema.fields()[group_by.len()..])
+            .map(|(a, f)| a.func == AggFunc::Sum && f.data_type == DataType::Float64)
             .collect();
         // Crash-restart resume: a durably committed `agg:shuffle` boundary
         // means the shuffled partials survive on disk — skip input
@@ -565,17 +567,17 @@ mod tests {
     fn aggregate_group_by_matches_sequential() {
         for workers in [1, 2, 5] {
             let cluster = Cluster::new(workers);
-            let plan = PhysicalPlan::HashAggregate {
-                input: Box::new(scan(90, 4)),
-                group_by: vec![1],
-                aggregates: vec![
+            let plan = PhysicalPlan::hash_aggregate(
+                scan(90, 4),
+                vec![1],
+                vec![
                     Aggregate::count_star("c"),
                     Aggregate::on(AggFunc::Sum, 2, "s"),
                     Aggregate::on(AggFunc::Avg, 2, "a"),
                     Aggregate::on(AggFunc::Min, 0, "mn"),
                     Aggregate::on(AggFunc::Max, 0, "mx"),
                 ],
-            };
+            );
             let (batch, _) = cluster.execute(&plan).unwrap();
             assert_eq!(batch.len(), 3, "workers={workers}");
             for row in batch.rows() {
@@ -595,11 +597,8 @@ mod tests {
     #[test]
     fn global_aggregate_without_groups() {
         let cluster = Cluster::new(3);
-        let plan = PhysicalPlan::HashAggregate {
-            input: Box::new(scan(25, 2)),
-            group_by: vec![],
-            aggregates: vec![Aggregate::count_star("c")],
-        };
+        let plan =
+            PhysicalPlan::hash_aggregate(scan(25, 2), vec![], vec![Aggregate::count_star("c")]);
         let (batch, _) = cluster.execute(&plan).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.rows()[0].get(0), &Value::Int64(25));

@@ -1,9 +1,10 @@
 //! Physical plans: the operator tree the [`crate::Cluster`] executes.
 //!
-//! Predicates, projections, and aggregate inputs arrive as compiled
-//! closures: the planner crate lowers its expression trees into these, which
-//! keeps this crate free of any expression language and the hot loops free
-//! of interpretation overhead beyond one indirect call.
+//! Predicates and computed projections arrive as compiled closures, and
+//! column selections, group keys and aggregate inputs as column indices:
+//! the planner crate lowers its expression trees into these, which keeps
+//! this crate free of any expression language and the hot loops free of
+//! interpretation overhead beyond one indirect call.
 
 use fudj_core::EngineJoin;
 use fudj_storage::Dataset;
@@ -268,11 +269,15 @@ pub enum PhysicalPlan {
         right: Box<PhysicalPlan>,
         predicate: JoinPredicate,
     },
-    /// Two-step hash aggregation.
+    /// Two-step hash aggregation over columns of its input: the planner
+    /// points `group_by` and every [`Aggregate::input`] straight at the
+    /// child's columns, so no projection copies rows for it. `schema`
+    /// names the output: the group columns, then one per aggregate.
     HashAggregate {
         input: Box<PhysicalPlan>,
         group_by: Vec<usize>,
         aggregates: Vec<Aggregate>,
+        schema: SchemaRef,
     },
     /// Global sort (gathers to one worker).
     Sort {
@@ -287,6 +292,29 @@ pub enum PhysicalPlan {
 }
 
 impl PhysicalPlan {
+    /// A [`PhysicalPlan::HashAggregate`] whose group columns keep the names
+    /// they have in `input`.
+    pub fn hash_aggregate(
+        input: PhysicalPlan,
+        group_by: Vec<usize>,
+        aggregates: Vec<Aggregate>,
+    ) -> Self {
+        let in_schema = input.schema();
+        let mut fields: Vec<Field> = group_by
+            .iter()
+            .map(|&i| in_schema.fields()[i].clone())
+            .collect();
+        for agg in &aggregates {
+            fields.push(Field::new(agg.name.clone(), agg.output_type(&in_schema)));
+        }
+        PhysicalPlan::HashAggregate {
+            input: Box::new(input),
+            group_by,
+            aggregates,
+            schema: Arc::new(Schema::new(fields)),
+        }
+    }
+
     /// The operator's output schema.
     pub fn schema(&self) -> SchemaRef {
         match self {
@@ -299,21 +327,7 @@ impl PhysicalPlan {
             PhysicalPlan::NlJoin { left, right, .. } => {
                 Arc::new(left.schema().join(&right.schema()))
             }
-            PhysicalPlan::HashAggregate {
-                input,
-                group_by,
-                aggregates,
-            } => {
-                let in_schema = input.schema();
-                let mut fields: Vec<Field> = group_by
-                    .iter()
-                    .map(|&i| in_schema.fields()[i].clone())
-                    .collect();
-                for agg in aggregates {
-                    fields.push(Field::new(agg.name.clone(), agg.output_type(&in_schema)));
-                }
-                Arc::new(Schema::new(fields))
-            }
+            PhysicalPlan::HashAggregate { schema, .. } => schema.clone(),
             PhysicalPlan::Sort { input, .. } => input.schema(),
             PhysicalPlan::Limit { input, .. } => input.schema(),
         }
@@ -390,8 +404,16 @@ impl PhysicalPlan {
                 input,
                 group_by,
                 aggregates,
+                ..
             } => {
-                let aggs: Vec<&str> = aggregates.iter().map(|a| a.name.as_str()).collect();
+                // An aggregate that reads a column shows its index: `s(#2)`.
+                let aggs: Vec<String> = aggregates
+                    .iter()
+                    .map(|a| match a.input {
+                        Some(c) => format!("{}(#{c})", a.name),
+                        None => a.name.clone(),
+                    })
+                    .collect();
                 let _ = writeln!(out, "{pad}HashAggregate [group by {group_by:?}; {aggs:?}]");
                 input.explain_into(depth + 1, out);
             }
@@ -434,15 +456,15 @@ mod tests {
 
     #[test]
     fn aggregate_schema() {
-        let plan = PhysicalPlan::HashAggregate {
-            input: Box::new(scan()),
-            group_by: vec![0],
-            aggregates: vec![
+        let plan = PhysicalPlan::hash_aggregate(
+            scan(),
+            vec![0],
+            vec![
                 Aggregate::count_star("c"),
                 Aggregate::on(AggFunc::Avg, 1, "avg_v"),
                 Aggregate::on(AggFunc::Max, 1, "max_v"),
             ],
-        };
+        );
         let s = plan.schema();
         assert_eq!(
             s.to_string(),

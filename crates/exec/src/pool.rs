@@ -485,6 +485,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{self, RecvTimeoutError};
 
     #[test]
     fn runs_items_in_order_preserving_slots() {
@@ -662,6 +663,33 @@ mod tests {
         // straggler (10x median) crosses the 3x speculation threshold.
         assert_eq!(f.speculations, f.injected_stragglers, "{f:?}");
         assert!(f.sim_clock_ms >= SIM_TASK_MS, "{f:?}");
+    }
+
+    /// Dropping a pool joins its workers, which leave their receive loop
+    /// when the channel disconnects. Pools are created and dropped one at
+    /// a time, so each drop races a worker that is just parking; a missed
+    /// wakeup would block `drop` forever. The pools live on a helper
+    /// thread, and the test fails when they have not all dropped within
+    /// the watchdog's time instead of hanging.
+    #[test]
+    fn pools_drop_without_hanging() {
+        const POOLS: usize = 300;
+        let (done_tx, done_rx) = mpsc::channel();
+        let pools = std::thread::spawn(move || {
+            for i in 0..POOLS {
+                let pool = WorkerPool::new(2);
+                if i % 2 == 0 {
+                    assert_eq!(pool.run(vec![1, 2], |_, x: i32| Ok(x)).unwrap(), [1, 2]);
+                }
+                drop(pool);
+            }
+            let _ = done_tx.send(());
+        });
+        let timeout = std::time::Duration::from_secs(60);
+        if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(timeout) {
+            panic!("a worker pool's drop hung: {POOLS} pools not dropped in 60 s");
+        }
+        pools.join().expect("a pool failed");
     }
 
     #[test]

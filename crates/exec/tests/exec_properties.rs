@@ -61,17 +61,17 @@ proptest! {
     /// Two-step grouped aggregation equals a sequential group-by.
     #[test]
     fn aggregate_matches_oracle(rows in arb_rows(), workers in 1usize..5) {
-        let plan = PhysicalPlan::HashAggregate {
-            input: Box::new(PhysicalPlan::Scan { dataset: dataset(&rows, 4) }),
-            group_by: vec![1],
-            aggregates: vec![
+        let plan = PhysicalPlan::hash_aggregate(
+            PhysicalPlan::Scan { dataset: dataset(&rows, 4) },
+            vec![1],
+            vec![
                 Aggregate::count_star("c"),
                 Aggregate::on(AggFunc::Sum, 2, "s"),
                 Aggregate::on(AggFunc::Min, 2, "mn"),
                 Aggregate::on(AggFunc::Max, 2, "mx"),
                 Aggregate::on(AggFunc::Avg, 2, "a"),
             ],
-        };
+        );
         let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
 
         let mut oracle: HashMap<i64, (i64, i64, i64, i64)> = HashMap::new();

@@ -118,25 +118,58 @@ pub fn lower(
                 });
             }
             let pre_schema: SchemaRef = Arc::new(Schema::new(pre_fields));
+            // Named by the binder, not by the child: a child's names may
+            // lack an alias or repeat (`Schema::join` names the `id` of a
+            // second and of a third joined input `right.id`).
+            let width = group_by.len();
+            let mut out_fields = pre_schema.fields()[..width].to_vec();
+            for agg in &exec_aggs {
+                out_fields.push(Field::new(agg.name.clone(), agg.output_type(&pre_schema)));
+            }
             let child = lower(input, registry, options)?;
-            let pre = match compile_columns(&pre_bound) {
-                Some(columns) => project_onto(child, columns, pre_schema),
-                None => PhysicalPlan::Project {
-                    input: Box::new(child),
-                    mapper: Arc::new(move |row: &Row| {
-                        let mut values = Vec::with_capacity(pre_bound.len());
-                        for b in &pre_bound {
-                            values.push(b.eval(row)?);
-                        }
-                        Ok(Row::new(values))
-                    }),
-                    schema: pre_schema,
-                },
+            let (child, group_by) = match compile_columns(&pre_bound) {
+                // A bare-column pre-projection folds into the aggregate's
+                // indices, so it reads its input rows in place. Over a FUDJ
+                // join it folds into the join's emit list instead, which
+                // keeps COMBINE's output rows narrow.
+                Some(columns) if !matches!(child, PhysicalPlan::FudjJoin(_)) => {
+                    let (child, columns) = match child {
+                        PhysicalPlan::VecProject {
+                            input,
+                            columns: inner,
+                            ..
+                        } => (*input, columns.iter().map(|&c| inner[c]).collect()),
+                        child => (child, columns),
+                    };
+                    for agg in &mut exec_aggs {
+                        agg.input = agg.input.map(|i| columns[i]);
+                    }
+                    (child, columns[..width].to_vec())
+                }
+                Some(columns) => (
+                    project_onto(child, columns, pre_schema),
+                    (0..width).collect(),
+                ),
+                None => (
+                    PhysicalPlan::Project {
+                        input: Box::new(child),
+                        mapper: Arc::new(move |row: &Row| {
+                            let mut values = Vec::with_capacity(pre_bound.len());
+                            for b in &pre_bound {
+                                values.push(b.eval(row)?);
+                            }
+                            Ok(Row::new(values))
+                        }),
+                        schema: pre_schema,
+                    },
+                    (0..width).collect(),
+                ),
             };
             PhysicalPlan::HashAggregate {
-                input: Box::new(pre),
-                group_by: (0..group_by.len()).collect(),
+                input: Box::new(child),
+                group_by,
                 aggregates: exec_aggs,
+                schema: Arc::new(Schema::new(out_fields)),
             }
         }
 

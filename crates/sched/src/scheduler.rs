@@ -742,16 +742,16 @@ mod tests {
     /// gather. Enough batches to give the scheduler boundaries to work
     /// with.
     fn agg_plan(rows: usize) -> Arc<PhysicalPlan> {
-        Arc::new(PhysicalPlan::HashAggregate {
-            input: Box::new(PhysicalPlan::Filter {
+        Arc::new(PhysicalPlan::hash_aggregate(
+            PhysicalPlan::Filter {
                 input: Box::new(PhysicalPlan::Scan {
                     dataset: dataset(rows, 4),
                 }),
                 predicate: Arc::new(|r| Ok(r.get(0).as_i64()? % 2 == 0)),
-            }),
-            group_by: vec![1],
-            aggregates: vec![Aggregate::count_star("c")],
-        })
+            },
+            vec![1],
+            vec![Aggregate::count_star("c")],
+        ))
     }
 
     /// A plan whose filter blocks every partition until `release` flips —

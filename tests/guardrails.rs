@@ -258,10 +258,11 @@ fn pool_survives_guarded_failures_and_keeps_answering() {
 
 // -- guard semantics do not depend on `exec_mode` ---------------------------
 
-/// ASSIGN hands the executor a whole partition of keys (`assign_slice`),
-/// whose default still calls the UDF once per key. A guarded evil join
-/// panicking partway through a partition must attribute the violation to
-/// the `assign` phase with per-call isolation — FailFast errors
+/// ASSIGN hands the executor a whole partition of keys (`assign_slice`);
+/// `FudjEngineJoin` makes one guarded `assign_block` call per 1 024 keys
+/// and replays a block key by key only when it misbehaves. A guarded evil
+/// join panicking partway through a partition must attribute the
+/// violation to the `assign` phase with per-call isolation — FailFast errors
 /// identically, Quarantine drops exactly the poisoned keys, and the
 /// counters are the same under either `exec_mode`.
 #[test]
