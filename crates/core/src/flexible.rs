@@ -1,6 +1,8 @@
 //! The user-facing typed programming model and its proxy adapter.
 
-use crate::model::{matching_pairs, verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{
+    assign_each, matching_pairs, verify_pairs, BucketId, DedupMode, Join, JoinAlgorithm, Side,
+};
 use crate::state::{PPlanState, StateObject, SummaryState};
 use fudj_types::{ExtValue, FudjError, Result};
 use std::fmt;
@@ -172,7 +174,7 @@ impl<J: FlexibleJoin> fmt::Debug for ProxyJoin<J> {
     }
 }
 
-impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
+impl<J: FlexibleJoin> Join<ExtValue> for ProxyJoin<J> {
     fn name(&self) -> &str {
         self.join.name()
     }
@@ -181,19 +183,10 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
         SummaryState::new(J::Summary::default())
     }
 
-    fn local_aggregate(
-        &self,
-        side: Side,
-        key: &ExtValue,
-        summary: &mut SummaryState,
-    ) -> Result<()> {
-        self.summarize_block(side, std::slice::from_ref(key), summary)
-    }
-
     fn summarize_block(
         &self,
         side: Side,
-        keys: &[ExtValue],
+        keys: &[&ExtValue],
         summary: &mut SummaryState,
     ) -> Result<()> {
         // In-place update: local aggregation runs once per record, so the
@@ -237,41 +230,19 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
         Ok(PPlanState::new(self.join.divide(l, r, params)?))
     }
 
-    fn assign(
-        &self,
-        side: Side,
-        key: &ExtValue,
-        pplan: &PPlanState,
-        out: &mut Vec<BucketId>,
-    ) -> Result<()> {
-        let plan = self.pplan(pplan, "assign")?;
-        match side {
-            Side::Left => self.join.assign(key, plan, out),
-            Side::Right => self.join.assign_right(key, plan, out),
-        }
-    }
-
     fn assign_block(
         &self,
         side: Side,
-        keys: &[ExtValue],
+        keys: &[&ExtValue],
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
         offsets: &mut Vec<usize>,
     ) -> Result<()> {
         let plan = self.pplan(pplan, "assign")?;
-        for key in keys {
-            match side {
-                Side::Left => self.join.assign(key, plan, out)?,
-                Side::Right => self.join.assign_right(key, plan, out)?,
-            }
-            offsets.push(out.len());
-        }
-        Ok(())
-    }
-
-    fn matches(&self, b1: BucketId, b2: BucketId) -> bool {
-        self.join.matches(b1, b2)
+        assign_each(keys, out, offsets, |key, out| match side {
+            Side::Left => self.join.assign(key, plan, out),
+            Side::Right => self.join.assign_right(key, plan, out),
+        })
     }
 
     fn uses_default_match(&self) -> bool {
@@ -287,41 +258,36 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
         matching_pairs(left, right, |b1, b2| self.join.matches(b1, b2), out);
     }
 
-    fn verify(
-        &self,
-        _b1: BucketId,
-        k1: &ExtValue,
-        _b2: BucketId,
-        k2: &ExtValue,
-        pplan: &PPlanState,
-    ) -> Result<bool> {
-        let plan = self.pplan(pplan, "verify")?;
-        self.join.verify(k1, k2, plan)
-    }
-
-    fn prepare(&self, _side: Side, key: &ExtValue, pplan: &PPlanState) -> Result<Option<ExtValue>> {
-        let plan = self.pplan(pplan, "prepare")?;
-        self.join.prepare(key, plan)
-    }
-
-    fn verify_forms(
+    fn verify_block(
         &self,
         _b1: BucketId,
         left: &[&ExtValue],
         _b2: BucketId,
         right: &[&ExtValue],
         pplan: &PPlanState,
+        prepare: bool,
         out: &mut Vec<(usize, usize)>,
     ) -> Result<()> {
         // One plan downcast per block; the user's `verify` is called on the
-        // typed plan directly.
+        // typed plan directly, on the prepared form where `prepare` made one
+        // (each key prepared once for all its pairs).
         let plan = self.pplan(pplan, "verify")?;
-        verify_pairs(
-            left.len(),
-            right.len(),
-            |i, j| self.join.verify(left[i], right[j], plan),
-            |i, j| out.push((i, j)),
-        )
+        let verify_all = |left: &[&ExtValue], right: &[&ExtValue], out: &mut Vec<_>| {
+            let verify = |i: usize, j: usize| self.join.verify(left[i], right[j], plan);
+            verify_pairs(left.len(), right.len(), verify, |i, j| out.push((i, j)))
+        };
+        if !prepare || left.is_empty() || right.is_empty() {
+            return verify_all(left, right, out);
+        }
+        let forms = |keys: &[&ExtValue]| -> Result<Vec<Option<ExtValue>>> {
+            keys.iter()
+                .map(|key| self.join.prepare(key, plan))
+                .collect()
+        };
+        let (left_forms, right_forms) = (forms(left)?, forms(right)?);
+        let left = forms_or_keys(left, &left_forms);
+        let right = forms_or_keys(right, &right_forms);
+        verify_all(&left, &right, out)
     }
 
     fn dedup_mode(&self) -> DedupMode {
@@ -339,11 +305,27 @@ impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
         let plan = self.pplan(pplan, "dedup")?;
         self.join.custom_dedup(b1, k1, b2, k2, plan)
     }
+}
+
+impl<J: FlexibleJoin> JoinAlgorithm for ProxyJoin<J> {
+    fn prepare(&self, _side: Side, key: &ExtValue, pplan: &PPlanState) -> Result<Option<ExtValue>> {
+        let plan = self.pplan(pplan, "prepare")?;
+        self.join.prepare(key, plan)
+    }
 
     fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
         let plan = self.pplan(pplan, "declared_buckets").ok()?;
         self.join.declared_buckets(plan)
     }
+}
+
+/// What `verify` reads for each key of a block: its prepared form where
+/// `prepare` made one, the key itself where it returned `None`.
+fn forms_or_keys<'a>(keys: &[&'a ExtValue], forms: &'a [Option<ExtValue>]) -> Vec<&'a ExtValue> {
+    keys.iter()
+        .zip(forms)
+        .map(|(&key, form)| form.as_ref().unwrap_or(key))
+        .collect()
 }
 
 #[cfg(test)]
@@ -396,8 +378,8 @@ mod tests {
         }
     }
 
-    fn proxy() -> ProxyJoin<ModJoin> {
-        ProxyJoin::new(ModJoin)
+    fn proxy() -> Box<dyn JoinAlgorithm> {
+        Box::new(ProxyJoin::new(ModJoin))
     }
 
     #[test]
@@ -459,9 +441,9 @@ mod tests {
         let plan = PPlanState::new(4i64);
         let k = ExtValue::Long(10);
         // bucket of 10 mod 4 = 2: the only matching pair is (2, 2).
-        assert!(avoidance_accepts(&p, 2, &k, 2, &k, &plan).unwrap());
+        assert!(avoidance_accepts(p.as_ref(), 2, &k, 2, &k, &plan).unwrap());
         // A pair reported from the wrong bucket is rejected.
-        assert!(!avoidance_accepts(&p, 3, &k, 3, &k, &plan).unwrap());
+        assert!(!avoidance_accepts(p.as_ref(), 3, &k, 3, &k, &plan).unwrap());
     }
 
     /// Equality on longs whose `prepare` wraps the key in a one-element
@@ -517,16 +499,19 @@ mod tests {
 
     #[test]
     fn block_prepares_each_key_once_and_verifies_prepared_forms() {
-        let p = ProxyJoin::new(PreparingJoin::default());
+        let preparing = ProxyJoin::new(PreparingJoin::default());
+        let p: &dyn JoinAlgorithm = &preparing;
         let plan = PPlanState::new(1i64);
         let longs = |xs: &[i64]| xs.iter().map(|&x| ExtValue::Long(x)).collect::<Vec<_>>();
         let (left, right) = (longs(&[1, 2, 3]), longs(&[3, 1, 3, 9]));
+        let (left_keys, right_keys): (Vec<_>, Vec<_>) =
+            (left.iter().collect(), right.iter().collect());
         let count = |c: &AtomicUsize| c.load(Ordering::Relaxed);
 
         let mut block = Vec::new();
-        p.verify_block(0, &left, 0, &right, &plan, &mut |i, j| block.push((i, j)))
+        p.verify_block(0, &left_keys, 0, &right_keys, &plan, true, &mut block)
             .unwrap();
-        let join = p.inner();
+        let join = preparing.inner();
         assert_eq!(count(&join.prepares), 3 + 4, "m + n");
         assert_eq!(count(&join.verifies), 3 * 4, "m·n");
         assert_eq!(
@@ -550,8 +535,10 @@ mod tests {
         assert_eq!(count(&join.raw_operands), 2 * 3 * 4);
 
         // No candidate pair, no prepare.
-        p.verify_block(0, &left, 0, &[], &plan, &mut |_, _| unreachable!())
+        let mut none = Vec::new();
+        p.verify_block(0, &left_keys, 0, &[], &plan, true, &mut none)
             .unwrap();
+        assert_eq!(none, []);
         assert_eq!(count(&join.prepares), 3 + 4);
 
         // A join that does not override `prepare` keeps its keys.

@@ -21,11 +21,12 @@
 //! fail fast. A well-behaved library's guarded run is bit-identical to its
 //! unguarded one.
 
-use crate::model::{matching_pairs, verify_pairs, BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{verify_pairs, BucketId, DedupMode, Join, JoinAlgorithm, Side};
 use crate::state::{PPlanState, SummaryState};
 use fudj_types::{ExtValue, FudjError, Result};
 use std::cell::Cell;
 use std::collections::HashSet;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -226,7 +227,7 @@ fn probe<T>(f: impl FnOnce() -> Result<T>) -> Option<T> {
 }
 
 /// Shared handle to one [`GuardedJoin`]'s configuration and counters, which
-/// engines reach through [`JoinAlgorithm::guard`].
+/// engines reach through [`Join::guard`].
 #[derive(Clone)]
 pub struct GuardHandle {
     config: GuardConfig,
@@ -282,15 +283,15 @@ impl GuardHandle {
     }
 }
 
-/// The guardrail wrapper (see the module docs): `GuardedJoin<Arc<dyn
-/// JoinAlgorithm>>` on the planned path, `GuardedJoin<&dyn JoinAlgorithm>`
-/// in the standalone runner.
-pub struct GuardedJoin<J: JoinAlgorithm> {
+/// The guardrail wrapper (see the module docs) around a pointer to an
+/// algorithm: `GuardedJoin<Arc<dyn JoinAlgorithm>>` on the planned path,
+/// `GuardedJoin<&dyn JoinAlgorithm>` in the standalone runner.
+pub struct GuardedJoin<J: Deref<Target: JoinAlgorithm>> {
     inner: J,
     handle: GuardHandle,
 }
 
-impl<J: JoinAlgorithm> GuardedJoin<J> {
+impl<J: Deref<Target: JoinAlgorithm>> GuardedJoin<J> {
     /// Wrap `inner` under `config`.
     pub fn new(inner: J, config: GuardConfig) -> Self {
         let cells = Arc::default();
@@ -419,7 +420,7 @@ const SALT_PREPARE: u64 = 0x9A3E;
 /// replays, ~2 % of `fudjbench`'s `text_join` (1 in N would be ~18 %).
 const PREPARE_PROBE_STRIDE: u64 = 8;
 
-impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
+impl<J: Deref<Target: JoinAlgorithm> + Send + Sync> Join<ExtValue> for GuardedJoin<J> {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -439,27 +440,22 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
             })
     }
 
-    fn local_aggregate(
-        &self,
-        side: Side,
-        key: &ExtValue,
-        summary: &mut SummaryState,
-    ) -> Result<()> {
-        self.guarded(
-            Phase::Summarize,
-            fold(ext_hash(key), side as u64),
-            || key_site(side, key),
-            || Some(()), // quarantine: skip this key's contribution
-            || self.inner.local_aggregate(side, key, summary),
-        )
-    }
-
     fn summarize_block(
         &self,
         side: Side,
-        keys: &[ExtValue],
+        keys: &[&ExtValue],
         summary: &mut SummaryState,
     ) -> Result<()> {
+        if let [key] = keys {
+            // One call, folded in place; quarantine skips the key.
+            return self.guarded(
+                Phase::Summarize,
+                fold(ext_hash(key), side as u64),
+                || key_site(side, key),
+                || Some(()),
+                || self.inner.summarize_block(side, keys, summary),
+            );
+        }
         // Folded into a copy, so a replayed block folds each key once.
         if keys.len() > 1 {
             let mut block = summary.clone();
@@ -469,8 +465,8 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
                 return Ok(());
             }
         }
-        keys.iter()
-            .try_for_each(|key| self.local_aggregate(side, key, summary))
+        keys.chunks(1)
+            .try_for_each(|key| self.summarize_block(side, key, summary))
     }
 
     fn global_aggregate(
@@ -530,32 +526,10 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         Ok(pplan)
     }
 
-    fn assign(
-        &self,
-        side: Side,
-        key: &ExtValue,
-        pplan: &PPlanState,
-        out: &mut Vec<BucketId>,
-    ) -> Result<()> {
-        let (start, site_hash) = (out.len(), assign_site(side, key));
-        let ran = self.guarded(
-            Phase::Assign,
-            site_hash,
-            || key_site(side, key),
-            || Some(false),
-            || self.inner.assign(side, key, pplan, out).map(|()| true),
-        )?;
-        // Quarantining a misbehaving row drops whatever buckets it emitted.
-        if !(ran && self.check_assign(side, key, site_hash, pplan, &out[start..])?) {
-            out.truncate(start);
-        }
-        Ok(())
-    }
-
     fn assign_block(
         &self,
         side: Side,
-        keys: &[ExtValue],
+        keys: &[&ExtValue],
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
         offsets: &mut Vec<usize>,
@@ -571,15 +545,23 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
             });
             Ok(ends.len() == keys.len() && ordered.is_some())
         };
-        let ragged = |&ok: &bool| (!ok).then(String::new);
-        if self.run_block(run_all, ragged).is_err() {
+        let ragged =
+            |&ok: &bool| (!ok).then(|| "assign_block did not report one range per key".into());
+        if let Err(miss) = self.run_block(run_all, ragged) {
             out.truncate(base);
             offsets.truncate(first);
-            for key in keys {
-                self.assign(side, key, pplan, out)?;
+            if let [key] = keys {
+                // One call: quarantine drops whatever buckets it emitted.
+                let site = || key_site(side, key);
+                self.resolve(miss, Phase::Assign, assign_site(side, key), site, || {
+                    Some(())
+                })?;
                 offsets.push(out.len());
+                return Ok(());
             }
-            return Ok(());
+            return keys
+                .chunks(1)
+                .try_for_each(|key| self.assign_block(side, key, pplan, out, offsets));
         }
         // A clean block's answers are the per-key calls', so each key's
         // checks resolve in place, in key order; a quarantined key's ids
@@ -607,21 +589,6 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         Ok(())
     }
 
-    fn matches(&self, b1: BucketId, b2: BucketId) -> bool {
-        self.isolate(|| Ok(self.inner.matches(b1, b2)))
-            .or_else(|miss| {
-                let site_hash = fold(fold(splitmix(0x3A7), b1), b2);
-                let site = || format!("bucket pair ({b1}, {b2})");
-                // Quarantine: the bucket pair simply no-matches.
-                self.resolve(miss, Phase::Match, site_hash, site, || Some(false))
-            })
-            .unwrap_or_else(|err| {
-                // No `Result` channel here: park the violation, no-match.
-                self.handle.defer(err);
-                false
-            })
-    }
-
     fn uses_default_match(&self) -> bool {
         self.inner.uses_default_match()
     }
@@ -637,40 +604,52 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
             self.inner.matching_buckets(left, right, out);
             Ok(())
         };
-        if self.run_block(run_all, |_| None).is_err() {
-            out.truncate(start);
-            matching_pairs(left, right, |b1, b2| self.matches(b1, b2), out);
+        let Err(miss) = (match (left, right) {
+            // One call, not behind the parked-violation check: the first
+            // violation of a partition is the one parked.
+            ([_], [_]) => self.isolate(run_all),
+            _ => self.run_block(run_all, |_| None),
+        }) else {
+            return;
+        };
+        out.truncate(start);
+        if let ([b1], [b2]) = (left, right) {
+            let site_hash = fold(fold(splitmix(0x3A7), *b1), *b2);
+            let site = || format!("bucket pair ({b1}, {b2})");
+            // Quarantine: the bucket pair simply no-matches. No `Result`
+            // channel otherwise: park the violation, no-match.
+            if let Err(err) = self.resolve(miss, Phase::Match, site_hash, site, || Some(())) {
+                self.handle.defer(err);
+            }
+            return;
         }
-    }
-
-    fn verify(
-        &self,
-        b1: BucketId,
-        k1: &ExtValue,
-        b2: BucketId,
-        k2: &ExtValue,
-        pplan: &PPlanState,
-    ) -> Result<bool> {
-        self.verify_pair(b1, &Hashed::new(k1), b2, &Hashed::new(k2), pplan)
+        for b1 in left.chunks(1) {
+            for b2 in right.chunks(1) {
+                self.matching_buckets(b1, b2, out);
+            }
+        }
     }
 
     fn verify_block(
         &self,
         b1: BucketId,
-        left: &[ExtValue],
+        left: &[&ExtValue],
         b2: BucketId,
-        right: &[ExtValue],
+        right: &[&ExtValue],
         pplan: &PPlanState,
-        emit: &mut dyn FnMut(usize, usize),
+        prepare: bool,
+        out: &mut Vec<(usize, usize)>,
     ) -> Result<()> {
-        // Per key, once per block: the hash and a guarded `prepare`. A block
-        // with a dropped key, or one the runner misses, replays by pair.
+        // Per key, once per block: the hash and, if asked, a guarded
+        // `prepare`. A block of one pair, a block with a dropped key, or one
+        // the runner misses, goes by pair.
         if left.is_empty() || right.is_empty() {
             return Ok(());
         }
-        let left = self.prepare_side(Side::Left, left, pplan)?;
-        let right = self.prepare_side(Side::Right, right, pplan)?;
-        let block = if left.iter().chain(&right).any(|k| k.dropped) {
+        let left = self.prepare_side(Side::Left, left, pplan, prepare)?;
+        let right = self.prepare_side(Side::Right, right, pplan, prepare)?;
+        let by_pair = left.len() * right.len() == 1;
+        let block = if by_pair || left.iter().chain(&right).any(|k| k.dropped) {
             None
         } else {
             let left_forms: Vec<_> = left.iter().map(Hashed::value).collect();
@@ -678,7 +657,15 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
             let run_all = || {
                 let mut accepted = Vec::new();
                 self.inner
-                    .verify_forms(b1, &left_forms, b2, &right_forms, pplan, &mut accepted)
+                    .verify_block(
+                        b1,
+                        &left_forms,
+                        b2,
+                        &right_forms,
+                        pplan,
+                        false,
+                        &mut accepted,
+                    )
                     .map(|()| accepted)
             };
             let probes =
@@ -687,10 +674,10 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         };
         match block {
             Some(accepted) => {
-                accepted.into_iter().for_each(|(i, j)| emit(i, j));
+                out.extend(accepted);
                 Ok(())
             }
-            None => self.replay_block(b1, &left, b2, &right, pplan, emit),
+            None => self.replay_block(b1, &left, b2, &right, pplan, out),
         }
     }
 
@@ -715,16 +702,20 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         )
     }
 
-    fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
-        self.inner.declared_buckets(pplan)
-    }
-
     fn guard(&self) -> Option<&GuardHandle> {
         Some(&self.handle)
     }
 }
 
-impl<J: JoinAlgorithm> GuardedJoin<J> {
+/// The guard reports no prepared form of its own: it prepares inside
+/// `verify_block`, where a violation is attributed to the raw key.
+impl<J: Deref<Target: JoinAlgorithm> + Send + Sync> JoinAlgorithm for GuardedJoin<J> {
+    fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
+        self.inner.declared_buckets(pplan)
+    }
+}
+
+impl<J: Deref<Target: JoinAlgorithm>> GuardedJoin<J> {
     /// The checks on one key's `assign` answer, for the per-key and block
     /// paths: range, replication, partition fan-out (taken back whenever the
     /// key is quarantined) and, sampled, determinism. `Ok(false)`: dropped.
@@ -764,7 +755,10 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
             }
             if self.sampled(1, SALT_DETERMINISM, site_hash) {
                 let mut again = Vec::with_capacity(added);
-                let replayed = probe(|| self.inner.assign(side, key, pplan, &mut again));
+                let replayed = probe(|| {
+                    self.inner
+                        .assign_block(side, &[key], pplan, &mut again, &mut vec![])
+                });
                 if replayed.is_none() || again != ids {
                     let detail = format!(
                         "assign is not deterministic: first call gave {ids:?}, replay gave {again:?}"
@@ -793,11 +787,15 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
     fn prepare_side<'a>(
         &self,
         side: Side,
-        keys: &'a [ExtValue],
+        keys: &[&'a ExtValue],
         pplan: &PPlanState,
+        prepare: bool,
     ) -> Result<Vec<Hashed<'a>>> {
-        let prepare_key = |key: &'a ExtValue| {
+        let prepare_key = |&key: &&'a ExtValue| {
             let mut hashed = Hashed::new(key);
+            if !prepare {
+                return Ok(hashed);
+            }
             hashed.form = self
                 .guarded(
                     Phase::Verify,
@@ -856,13 +854,13 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         b2: BucketId,
         right: &[Hashed<'_>],
         pplan: &PPlanState,
-        emit: &mut dyn FnMut(usize, usize),
+        out: &mut Vec<(usize, usize)>,
     ) -> Result<()> {
         verify_pairs(
             left.len(),
             right.len(),
             |i, j| self.verify_pair(b1, &left[i], b2, &right[j], pplan),
-            emit,
+            |i, j| out.push((i, j)),
         )
     }
 
@@ -881,7 +879,7 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         }
         let site = || format!("pair ({}, {})", short(k1.key), short(k2.key));
         self.run_block(
-            || self.inner.verify(b1, k1.value(), b2, k2.value(), pplan),
+            || self.verify_one(b1, k1.value(), b2, k2.value(), pplan),
             |&accepted| self.probe_pair(b1, k1, b2, k2, pplan, accepted),
         )
         .or_else(|miss| {
@@ -890,6 +888,22 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
                 Some(false)
             })
         })
+    }
+
+    /// The inner `verify` on one pair of values as given: its block entry
+    /// on a block of one, unguarded.
+    fn verify_one(
+        &self,
+        b1: BucketId,
+        k1: &ExtValue,
+        b2: BucketId,
+        k2: &ExtValue,
+        pplan: &PPlanState,
+    ) -> Result<bool> {
+        let mut accepted = Vec::new();
+        self.inner
+            .verify_block(b1, &[k1], b2, &[k2], pplan, false, &mut accepted)?;
+        Ok(!accepted.is_empty())
     }
 
     /// Whether the join is one the symmetry probe checks: symmetric, under
@@ -916,7 +930,7 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         if self.sampled(1, SALT_SYMMETRY, site_hash)
             && self.symmetry_probed()
             && same_shape(k1, k2)
-            && probe(|| self.inner.verify(b2, k2.value(), b1, k1.value(), pplan)) != Some(accepted)
+            && probe(|| self.verify_one(b2, k2.value(), b1, k1.value(), pplan)) != Some(accepted)
         {
             return Some(format!(
                 "verify is not symmetric: verify(k1, k2) = {accepted}, \
@@ -927,7 +941,7 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
         // keys, for pairs in which a prepared form took part.
         if (k1.form.is_some() || k2.form.is_some())
             && self.sampled(PREPARE_PROBE_STRIDE, SALT_PREPARE, site_hash)
-            && probe(|| self.inner.verify(b1, k1.key, b2, k2.key, pplan)) != Some(accepted)
+            && probe(|| self.verify_one(b1, k1.key, b2, k2.key, pplan)) != Some(accepted)
         {
             return Some(format!(
                 "prepare changed verify's answer: {accepted} on the prepared \
@@ -980,6 +994,7 @@ impl<J: JoinAlgorithm> GuardedJoin<J> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::matching_pairs;
     use crate::standalone::{run_guarded, run_standalone};
     use proptest::prelude::*;
 
@@ -1036,25 +1051,40 @@ mod tests {
     const POISON: i64 = 13;
 
     impl JoinAlgorithm for Wild {
+        fn prepare(
+            &self,
+            side: Side,
+            key: &ExtValue,
+            _pplan: &PPlanState,
+        ) -> Result<Option<ExtValue>> {
+            let k = key.as_long()?;
+            let poisoned = k == POISON && side == Side::Left;
+            let form = match self.bad {
+                Bad::Prepare => k,
+                Bad::PanicPrepare if poisoned => panic!("prepare kaboom"),
+                Bad::HangPrepare if poisoned => {
+                    consume_udf_time(60_000);
+                    k
+                }
+                Bad::PanicPrepare | Bad::HangPrepare => k,
+                Bad::LossyPrepare => k / 2,
+                _ => return Ok(None),
+            };
+            Ok(Some(ExtValue::LongArray(vec![form])))
+        }
+
+        fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
+            pplan.downcast_ref::<u64>().copied()
+        }
+    }
+
+    impl Join<ExtValue> for Wild {
         fn name(&self) -> &str {
             "wild"
         }
 
         fn new_summary(&self, _side: Side) -> SummaryState {
             SummaryState::new(0i64)
-        }
-
-        fn local_aggregate(
-            &self,
-            _side: Side,
-            key: &ExtValue,
-            summary: &mut SummaryState,
-        ) -> Result<()> {
-            if self.bad == Bad::PanicSummarize && key.as_long()? == POISON {
-                panic!("summarize kaboom");
-            }
-            *summary.downcast_mut::<i64>().unwrap() += 1;
-            Ok(())
         }
 
         fn global_aggregate(
@@ -1081,6 +1111,84 @@ mod tests {
                 return Ok(PPlanState::new(vec![0u64; 1024]));
             }
             Ok(PPlanState::new(self.buckets))
+        }
+
+        fn uses_default_match(&self) -> bool {
+            self.bad != Bad::PanicMatches
+        }
+
+        fn dedup_mode(&self) -> DedupMode {
+            // Single-assign: dedup is unnecessary, except that the symmetry
+            // probe only arms under the default avoidance mode.
+            if self.bad == Bad::AsymVerify {
+                DedupMode::Avoidance
+            } else {
+                DedupMode::None
+            }
+        }
+
+        fn summarize_block(
+            &self,
+            side: Side,
+            keys: &[&ExtValue],
+            summary: &mut SummaryState,
+        ) -> Result<()> {
+            keys.iter()
+                .try_for_each(|key| self.local_aggregate(side, key, summary))
+        }
+
+        fn assign_block(
+            &self,
+            side: Side,
+            keys: &[&ExtValue],
+            pplan: &PPlanState,
+            out: &mut Vec<BucketId>,
+            offsets: &mut Vec<usize>,
+        ) -> Result<()> {
+            for key in keys {
+                self.assign(side, key, pplan, out)?;
+                offsets.push(out.len());
+            }
+            Ok(())
+        }
+
+        fn matching_buckets(
+            &self,
+            left: &[BucketId],
+            right: &[BucketId],
+            out: &mut Vec<(BucketId, BucketId)>,
+        ) {
+            matching_pairs(left, right, |b1, b2| self.matches(b1, b2), out);
+        }
+
+        fn verify_block(
+            &self,
+            b1: BucketId,
+            left: &[&ExtValue],
+            b2: BucketId,
+            right: &[&ExtValue],
+            pplan: &PPlanState,
+            _prepare: bool,
+            out: &mut Vec<(usize, usize)>,
+        ) -> Result<()> {
+            let verify = |i: usize, j: usize| self.verify(b1, left[i], b2, right[j], pplan);
+            verify_pairs(left.len(), right.len(), verify, |i, j| out.push((i, j)))
+        }
+    }
+
+    /// The per-call fixture logic the block entries loop over.
+    impl Wild {
+        fn local_aggregate(
+            &self,
+            _side: Side,
+            key: &ExtValue,
+            summary: &mut SummaryState,
+        ) -> Result<()> {
+            if self.bad == Bad::PanicSummarize && key.as_long()? == POISON {
+                panic!("summarize kaboom");
+            }
+            *summary.downcast_mut::<i64>().unwrap() += 1;
+            Ok(())
         }
 
         fn assign(
@@ -1122,32 +1230,6 @@ mod tests {
             b1 == b2
         }
 
-        fn uses_default_match(&self) -> bool {
-            self.bad != Bad::PanicMatches
-        }
-
-        fn prepare(
-            &self,
-            side: Side,
-            key: &ExtValue,
-            _pplan: &PPlanState,
-        ) -> Result<Option<ExtValue>> {
-            let k = key.as_long()?;
-            let poisoned = k == POISON && side == Side::Left;
-            let form = match self.bad {
-                Bad::Prepare => k,
-                Bad::PanicPrepare if poisoned => panic!("prepare kaboom"),
-                Bad::HangPrepare if poisoned => {
-                    consume_udf_time(60_000);
-                    k
-                }
-                Bad::PanicPrepare | Bad::HangPrepare => k,
-                Bad::LossyPrepare => k / 2,
-                _ => return Ok(None),
-            };
-            Ok(Some(ExtValue::LongArray(vec![form])))
-        }
-
         fn verify(
             &self,
             _b1: BucketId,
@@ -1177,24 +1259,15 @@ mod tests {
             }
             Ok(a == b)
         }
-
-        fn dedup_mode(&self) -> DedupMode {
-            // Single-assign: dedup is unnecessary, except that the symmetry
-            // probe only arms under the default avoidance mode.
-            if self.bad == Bad::AsymVerify {
-                DedupMode::Avoidance
-            } else {
-                DedupMode::None
-            }
-        }
-
-        fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
-            pplan.downcast_ref::<u64>().copied()
-        }
     }
 
     fn longs(xs: &[i64]) -> Vec<ExtValue> {
         xs.iter().map(|&x| ExtValue::Long(x)).collect()
+    }
+
+    /// A block's keys as `verify_block` takes them.
+    fn refs(keys: &[ExtValue]) -> Vec<&ExtValue> {
+        keys.iter().collect()
     }
 
     const LEFT: [i64; 5] = [1, 2, 13, 5, 6];
@@ -1357,13 +1430,13 @@ mod tests {
         assert_eq!(pairs, equality_pairs(false));
         assert_eq!((stats.budget_overruns, stats.contract_breaches), (0, 2));
 
-        let guarded = GuardedJoin::new(Wild::new(Bad::NonDetAssign), config);
+        let guarded = GuardedJoin::new(Box::new(Wild::new(Bad::NonDetAssign)), config);
         guarded.handle().begin_partition();
         let (mut out, mut offsets) = (Vec::new(), Vec::new());
         guarded
             .assign_block(
                 Side::Left,
-                &longs(&LEFT),
+                &refs(&longs(&LEFT)),
                 &PPlanState::new(4u64),
                 &mut out,
                 &mut offsets,
@@ -1437,23 +1510,24 @@ mod tests {
         right: &[ExtValue],
         path: Path,
     ) -> (Vec<(usize, usize)>, Result<()>, UdfStats) {
-        let guarded = GuardedJoin::new(Wild::new(bad), config);
+        let guarded = GuardedJoin::new(Box::new(Wild::new(bad)), config);
         let plan = PPlanState::new(4u64);
         let mut pairs = Vec::new();
-        let mut emit = |i, j| pairs.push((i, j));
+        let (left, right) = (refs(left), refs(right));
         let result = match path {
-            Path::Block => guarded.verify_block(b1, left, b2, right, &plan, &mut emit),
+            Path::Block => guarded.verify_block(b1, &left, b2, &right, &plan, true, &mut pairs),
             Path::Replay if left.is_empty() || right.is_empty() => Ok(()),
             Path::Replay => (|| {
-                let left = guarded.prepare_side(Side::Left, left, &plan)?;
-                let right = guarded.prepare_side(Side::Right, right, &plan)?;
-                guarded.replay_block(b1, &left, b2, &right, &plan, &mut emit)
+                let left = guarded.prepare_side(Side::Left, &left, &plan, true)?;
+                let right = guarded.prepare_side(Side::Right, &right, &plan, true)?;
+                guarded.replay_block(b1, &left, b2, &right, &plan, &mut pairs)
             })(),
             Path::Single => (|| {
+                let single: &dyn JoinAlgorithm = &guarded;
                 for (i, k1) in left.iter().enumerate() {
                     for (j, k2) in right.iter().enumerate() {
-                        if guarded.verify(b1, k1, b2, k2, &plan)? {
-                            emit(i, j);
+                        if single.verify(b1, k1, b2, k2, &plan)? {
+                            pairs.push((i, j));
                         }
                     }
                 }
@@ -1518,13 +1592,13 @@ mod tests {
         // block's 12 s over it. The block is replayed, each call is checked
         // on its own, and nothing is a violation.
         let run = |left: &[i64], right: &[i64]| {
-            let guarded = GuardedJoin::new(Wild::new(Bad::SlowVerify), GuardConfig::default());
+            let guarded =
+                GuardedJoin::new(Box::new(Wild::new(Bad::SlowVerify)), GuardConfig::default());
             let plan = PPlanState::new(4u64);
             let mut pairs = Vec::new();
+            let (left, right) = (longs(left), longs(right));
             guarded
-                .verify_block(1, &longs(left), 1, &longs(right), &plan, &mut |i, j| {
-                    pairs.push((i, j))
-                })
+                .verify_block(1, &refs(&left), 1, &refs(&right), &plan, true, &mut pairs)
                 .unwrap();
             let verifies = guarded.inner.verifies.load(Ordering::Relaxed);
             (pairs, verifies, guarded.stats())
@@ -1549,7 +1623,7 @@ mod tests {
         for policy in [UdfPolicy::FailFast, UdfPolicy::Quarantine] {
             let run = |whole: bool| {
                 let guarded = GuardedJoin::new(
-                    Wild::new(Bad::PanicMatches),
+                    Box::new(Wild::new(Bad::PanicMatches)),
                     GuardConfig::with_policy(policy),
                 );
                 let (left, right) = ([0, 1, 2, 3], [3, 1, 0]);
@@ -1559,7 +1633,7 @@ mod tests {
                 } else {
                     for b1 in left {
                         for b2 in right {
-                            if guarded.matches(b1, b2) {
+                            if (&guarded as &dyn JoinAlgorithm).matches(b1, b2) {
                                 matched.push((b1, b2));
                             }
                         }
@@ -1584,7 +1658,7 @@ mod tests {
         }
 
         // A well-behaved `matches` goes through the inner loop untouched.
-        let guarded = GuardedJoin::new(Wild::new(Bad::None), GuardConfig::default());
+        let guarded = GuardedJoin::new(Box::new(Wild::new(Bad::None)), GuardConfig::default());
         let mut matched = Vec::new();
         guarded.matching_buckets(&[0, 1, 2], &[2, 1], &mut matched);
         assert_eq!(matched, vec![(1, 1), (2, 2)]);
@@ -1648,7 +1722,7 @@ mod tests {
     fn violation_in_prepare_quarantines_the_key_once_across_blocks() {
         for bad in [Bad::PanicPrepare, Bad::HangPrepare] {
             let guarded = GuardedJoin::new(
-                Wild::new(bad),
+                Box::new(Wild::new(bad)),
                 GuardConfig::with_policy(UdfPolicy::Quarantine),
             );
             let plan = PPlanState::new(4u64);
@@ -1659,7 +1733,7 @@ mod tests {
             for b in 0..3 {
                 let mut pairs = Vec::new();
                 guarded
-                    .verify_block(b, &left, b, &right, &plan, &mut |i, j| pairs.push((i, j)))
+                    .verify_block(b, &refs(&left), b, &refs(&right), &plan, true, &mut pairs)
                     .unwrap();
                 assert_eq!(pairs, vec![(0, 2), (2, 1)], "block {b}: (1, 0) dropped");
             }
@@ -1734,7 +1808,7 @@ mod tests {
         // The same misbehaving row re-executed (fault recovery) must not
         // inflate the counters.
         for _ in 0..3 {
-            guarded
+            (&guarded as &dyn JoinAlgorithm)
                 .local_aggregate(Side::Left, &ExtValue::Long(POISON), &mut s)
                 .unwrap();
         }
@@ -1747,23 +1821,25 @@ mod tests {
     /// but truncates to `max(len) + 1`, so association changes the size.
     struct LossyMerge;
 
-    impl JoinAlgorithm for LossyMerge {
+    impl JoinAlgorithm for LossyMerge {}
+
+    impl Join<ExtValue> for LossyMerge {
         fn name(&self) -> &str {
             "lossy_merge"
         }
         fn new_summary(&self, _side: Side) -> SummaryState {
             SummaryState::new(Vec::<i64>::new())
         }
-        fn local_aggregate(
+        fn summarize_block(
             &self,
             _side: Side,
-            key: &ExtValue,
+            keys: &[&ExtValue],
             summary: &mut SummaryState,
         ) -> Result<()> {
-            summary
-                .downcast_mut::<Vec<i64>>()
-                .unwrap()
-                .push(key.as_long()?);
+            let summary = summary.downcast_mut::<Vec<i64>>().unwrap();
+            for key in keys {
+                summary.push(key.as_long()?);
+            }
             Ok(())
         }
         fn global_aggregate(
@@ -1791,31 +1867,42 @@ mod tests {
         ) -> Result<PPlanState> {
             Ok(PPlanState::new(1u64))
         }
-        fn assign(
+        fn assign_block(
             &self,
             _side: Side,
-            _key: &ExtValue,
+            keys: &[&ExtValue],
             _pplan: &PPlanState,
             out: &mut Vec<BucketId>,
+            offsets: &mut Vec<usize>,
         ) -> Result<()> {
-            out.push(0);
+            for _ in keys {
+                out.push(0);
+                offsets.push(out.len());
+            }
             Ok(())
         }
-        fn verify(
+        fn verify_block(
             &self,
             _b1: BucketId,
-            _k1: &ExtValue,
+            left: &[&ExtValue],
             _b2: BucketId,
-            _k2: &ExtValue,
+            right: &[&ExtValue],
             _pplan: &PPlanState,
-        ) -> Result<bool> {
-            Ok(true)
+            _prepare: bool,
+            out: &mut Vec<(usize, usize)>,
+        ) -> Result<()> {
+            verify_pairs(
+                left.len(),
+                right.len(),
+                |_, _| Ok(true),
+                |i, j| out.push((i, j)),
+            )
         }
     }
 
     #[test]
     fn non_associative_merge_is_caught_by_the_triple_probe() {
-        let guarded = GuardedJoin::new(LossyMerge, GuardConfig::default());
+        let guarded = GuardedJoin::new(Box::new(LossyMerge), GuardConfig::default());
         let s = |n: usize| SummaryState::new(vec![0i64; n]);
         // Two merges feed the sampler three summaries of distinct sizes; the
         // probe then compares (a⊕b)⊕c against a⊕(b⊕c).

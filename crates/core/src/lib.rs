@@ -47,6 +47,9 @@ pub use guard::{
     UdfStats,
 };
 pub use library::{JoinLibrary, JoinLibraryBuilder};
-pub use model::{avoidance_accepts, first_matching_pair, BucketId, DedupMode, JoinAlgorithm, Side};
+pub use model::{
+    assign_each, avoidance_accepts, first_matching_pair, matching_pairs, verify_pairs, BucketId,
+    DedupMode, Join, JoinAlgorithm, Side,
+};
 pub use registry::{JoinDefinition, JoinLease, JoinRegistry, RegistryEvent, RegistrySink};
 pub use state::{PPlanState, StateObject, SummaryState};

@@ -11,7 +11,8 @@
 //! produce exactly the pairs this code produces.
 
 use crate::guard::{GuardConfig, GuardedJoin, UdfPolicy, UdfStats};
-use crate::model::{avoidance_accepts, BucketId, DedupMode, JoinAlgorithm, Side};
+use crate::model::{avoidance_accepts, BucketId, DedupMode, Join, JoinAlgorithm, Side};
+use crate::state::SummaryState;
 use fudj_types::{ExtValue, FudjError, Result};
 use std::collections::HashMap;
 
@@ -100,58 +101,48 @@ pub fn run_guarded(
     }
 }
 
-/// The actual three-phase flow; `alg` is expected to already be guarded.
-fn run_flow(
-    alg: &dyn JoinAlgorithm,
-    left_keys: &[ExtValue],
-    right_keys: &[ExtValue],
-    params: &[ExtValue],
+/// The three-phase flow, one key and one pair at a time: each call is a
+/// block entry on a block of one. [`run_standalone`] runs it over a guarded
+/// algorithm, [`crate::reference_execute`] over an engine join.
+pub(crate) fn run_flow<K>(
+    alg: &dyn Join<K>,
+    left_keys: &[K],
+    right_keys: &[K],
+    params: &[K],
 ) -> Result<(Vec<(usize, usize)>, StandaloneStats)> {
     let mut stats = StandaloneStats::default();
 
     // ---- SUMMARIZE ----------------------------------------------------
-    let mut left_summary = alg.new_summary(Side::Left);
-    for k in left_keys {
-        alg.local_aggregate(Side::Left, k, &mut left_summary)?;
-    }
-    let mut right_summary = alg.new_summary(Side::Right);
-    for k in right_keys {
-        alg.local_aggregate(Side::Right, k, &mut right_summary)?;
-    }
+    let summarize = |side: Side, keys: &[K]| -> Result<SummaryState> {
+        let mut summary = alg.new_summary(side);
+        for k in keys {
+            alg.local_aggregate(side, k, &mut summary)?;
+        }
+        Ok(summary)
+    };
+    let left_summary = summarize(Side::Left, left_keys)?;
+    let right_summary = summarize(Side::Right, right_keys)?;
 
     // ---- DIVIDE --------------------------------------------------------
     let pplan = alg.divide(&left_summary, &right_summary, params)?;
 
     // ---- PARTITION ------------------------------------------------------
-    let mut scratch: Vec<BucketId> = Vec::new();
-    let mut left_buckets: HashMap<BucketId, Vec<usize>> = HashMap::new();
-    if let Some(g) = alg.guard() {
-        g.begin_partition();
-    }
-    for (i, k) in left_keys.iter().enumerate() {
-        scratch.clear();
-        alg.assign(Side::Left, k, &pplan, &mut scratch)?;
-        stats.left_assignments += scratch.len();
-        scratch.sort_unstable();
-        scratch.dedup();
-        for &b in &scratch {
-            left_buckets.entry(b).or_default().push(i);
+    let bucketize = |side: Side, keys: &[K], assignments: &mut usize| {
+        if let Some(g) = alg.guard() {
+            g.begin_partition();
         }
-    }
-    let mut right_buckets: HashMap<BucketId, Vec<usize>> = HashMap::new();
-    if let Some(g) = alg.guard() {
-        g.begin_partition();
-    }
-    for (j, k) in right_keys.iter().enumerate() {
-        scratch.clear();
-        alg.assign(Side::Right, k, &pplan, &mut scratch)?;
-        stats.right_assignments += scratch.len();
-        scratch.sort_unstable();
-        scratch.dedup();
-        for &b in &scratch {
-            right_buckets.entry(b).or_default().push(j);
+        let (mut buckets, mut scratch) = (HashMap::<BucketId, Vec<usize>>::new(), Vec::new());
+        for (i, k) in keys.iter().enumerate() {
+            alg.assign(side, k, &pplan, &mut scratch)?;
+            *assignments += scratch.len();
+            for &b in &scratch {
+                buckets.entry(b).or_default().push(i);
+            }
         }
-    }
+        Ok::<_, FudjError>(buckets)
+    };
+    let left_buckets = bucketize(Side::Left, left_keys, &mut stats.left_assignments)?;
+    let right_buckets = bucketize(Side::Right, right_keys, &mut stats.right_assignments)?;
     stats.left_buckets = left_buckets.len();
     stats.right_buckets = right_buckets.len();
 
@@ -194,9 +185,9 @@ fn run_flow(
                 stats.verified_pairs += 1;
                 // Per-pair `verify` on raw keys on purpose: this runner is
                 // the oracle the distributed engine is checked against
-                // (§VI-D-2), so it must not share COMBINE's `verify_block`
-                // path — and since it never calls `prepare`, agreeing with
-                // it is what cross-checks a library's `prepare` contract.
+                // (§VI-D-2), so it verifies blocks of one pair — and since
+                // it never prepares, agreeing with it is what cross-checks
+                // a library's `prepare` contract.
                 if !alg.verify(b1, &left_keys[i], b2, &right_keys[j], &pplan)? {
                     continue;
                 }

@@ -341,9 +341,7 @@ impl Cluster {
     ) -> Result<PartitionedData> {
         // Only a SUM cares whether its input is a double, and its output
         // column is one exactly then (`Aggregate::output_type`). The
-        // aggregate's own schema says so without building its input's: an
-        // on-top join of three inputs that share a column name has no
-        // valid physical schema (`Schema::join` repeats `right.<name>`).
+        // aggregate's own schema says so without building its input's.
         let float_sum: Vec<bool> = aggregates
             .iter()
             .zip(&schema.fields()[group_by.len()..])

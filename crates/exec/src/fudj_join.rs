@@ -374,7 +374,7 @@ fn summarize_side(
         cluster.parallel_map(metrics, parts.iter().collect::<Vec<&Vec<Row>>>(), |rows| {
             let mut summary = join.new_summary(side);
             let keys: Vec<&Value> = rows.iter().map(|r| r.get(key_col)).collect();
-            join.summarize_slice(side, &keys, &mut summary)?;
+            join.summarize_block(side, &keys, &mut summary)?;
             Ok(summary)
         })?;
     // Gathering local summaries to the coordinator costs their bytes
@@ -413,7 +413,7 @@ fn assign_and_tag(
         let mut out = Vec::with_capacity(rows.len());
         // The callback sees sorted, deduplicated buckets per key.
         let keys: Vec<&Value> = rows.iter().map(|r| r.get(key_col)).collect();
-        join.assign_slice(side, &keys, pplan, &mut |i, buckets| {
+        join.assign_sorted(side, &keys, pplan, &mut |i, buckets| {
             for &b in buckets {
                 out.push(rows[i].with_appended(Value::Int64(b as i64)));
             }
@@ -516,44 +516,40 @@ fn join_bucket_pair(
     ridx: &[usize],
     out: &mut Vec<Row>,
 ) -> Result<()> {
-    let lkeys: Vec<Value> = lidx
-        .iter()
-        .map(|&i| lrows[i].get(ctx.left_key).clone())
-        .collect();
-    let rkeys: Vec<Value> = ridx
-        .iter()
-        .map(|&j| rrows[j].get(ctx.right_key).clone())
-        .collect();
+    let lkeys: Vec<&Value> = lidx.iter().map(|&i| lrows[i].get(ctx.left_key)).collect();
+    let rkeys: Vec<&Value> = ridx.iter().map(|&j| rrows[j].get(ctx.right_key)).collect();
     ctx.metrics
         .record_verify_calls((lkeys.len() * rkeys.len()) as u64);
 
     let mut verified: Vec<(usize, usize)> = Vec::new();
     ctx.join
-        .local_join_pairs(b1, &lkeys, b2, &rkeys, ctx.pplan, &mut |i, j| {
-            verified.push((i, j));
-        })?;
+        .verify_block(b1, &lkeys, b2, &rkeys, ctx.pplan, true, &mut verified)?;
 
     // Once per key per block, never once per pair: the library call above
     // runs `prepare` on each of the m + n keys before it verifies the m·n
-    // pairs, and the framework's duplicate avoidance below runs `assign` on
-    // a key the first time one of its pairs verifies and reuses the bucket
-    // list afterwards. For the text join either step per pair would mean
-    // re-tokenising both records — in `assign`'s case the difference
-    // between avoidance beating or losing to elimination.
-    let mut lassign: Vec<Option<Vec<BucketId>>> = vec![None; lkeys.len()];
-    let mut rassign: Vec<Option<Vec<BucketId>>> = vec![None; rkeys.len()];
+    // pairs, and duplicate avoidance below assigns each key that has a
+    // verified pair once, in one block call per side. For the text join
+    // either step per pair would mean re-tokenising both records — in
+    // `assign`'s case the difference between avoidance beating or losing to
+    // elimination.
+    let (lassign, rassign) = match ctx.dedup_mode {
+        DedupMode::Avoidance => (
+            verified_buckets(ctx, Side::Left, &lkeys, verified.iter().map(|p| p.0))?,
+            verified_buckets(ctx, Side::Right, &rkeys, verified.iter().map(|p| p.1))?,
+        ),
+        _ => (Vec::new(), Vec::new()),
+    };
 
     let mut rejections = 0u64;
     for (i, j) in verified {
         let keep = match ctx.dedup_mode {
             DedupMode::None | DedupMode::Elimination => true,
-            DedupMode::Custom => ctx.join.dedup(b1, &lkeys[i], b2, &rkeys[j], ctx.pplan)?,
+            DedupMode::Custom => ctx.join.dedup(b1, lkeys[i], b2, rkeys[j], ctx.pplan)?,
             DedupMode::Avoidance => {
                 // Accept only from the first matching bucket pair, found as
                 // `fudj_core::avoidance_accepts` finds it: a merge walk
                 // under default match, `matches` in row-major order else.
-                let lb = cached_assign(ctx, Side::Left, &lkeys[i], &mut lassign[i])?;
-                let rb = cached_assign(ctx, Side::Right, &rkeys[j], &mut rassign[j])?;
+                let (lb, rb) = (&lassign[i], &rassign[j]);
                 let first =
                     first_matching_pair(lb, rb, ctx.default_match, |x, y| ctx.join.matches(x, y));
                 first == Some((b1, b2))
@@ -574,22 +570,25 @@ fn join_bucket_pair(
     Ok(())
 }
 
-/// A key's sorted, deduplicated bucket list for avoidance dedup, assigned on
-/// first use and borrowed from `slot` afterwards.
-fn cached_assign<'c>(
+/// The sorted, deduplicated bucket lists duplicate avoidance reads: for
+/// each key of `keys` that `used` names, from one `assign_sorted` call over
+/// those keys; empty for the rest.
+fn verified_buckets(
     ctx: &CombineContext<'_>,
     side: Side,
-    key: &Value,
-    slot: &'c mut Option<Vec<BucketId>>,
-) -> Result<&'c [BucketId]> {
-    if slot.is_none() {
-        let mut buckets = Vec::new();
-        ctx.join.assign(side, key, ctx.pplan, &mut buckets)?;
-        buckets.sort_unstable();
-        buckets.dedup();
-        *slot = Some(buckets);
-    }
-    Ok(slot.as_deref().unwrap_or_default())
+    keys: &[&Value],
+    used: impl Iterator<Item = usize>,
+) -> Result<Vec<Vec<BucketId>>> {
+    let mut picked: Vec<usize> = used.collect();
+    picked.sort_unstable();
+    picked.dedup();
+    let block: Vec<&Value> = picked.iter().map(|&k| keys[k]).collect();
+    let mut lists = vec![Vec::new(); keys.len()];
+    ctx.join
+        .assign_sorted(side, &block, ctx.pplan, &mut |k, ids| {
+            lists[picked[k]] = ids.to_vec()
+        })?;
+    Ok(lists)
 }
 
 #[cfg(test)]

@@ -722,7 +722,7 @@ mod tests {
         let join =
             fudj_core::FudjEngineJoin::new(std::sync::Arc::new(fudj_joins::evil::EqualityFudj));
         let pplan = {
-            use fudj_core::{EngineJoin, Side};
+            use fudj_core::{Join, Side};
             let s = join.new_summary(Side::Left);
             join.divide(&s, &s, &[]).unwrap()
         };

@@ -4,7 +4,7 @@
 //! integrated *into the engine by hand*: a rewrite rule, typed aggregate,
 //! unnest, match, and verify functions written against engine internals
 //! (~1,600–1,900 LOC each in AsterixDB; Table II). These are the Rust
-//! equivalents: they implement [`EngineJoin`] directly on native
+//! equivalents: they implement [`fudj_core::EngineJoin`] directly on native
 //! [`Value`]s — no external-type translation, concrete state types, typed
 //! fast paths, and (for the advanced spatial operator) a custom local join.
 //!
@@ -12,7 +12,10 @@
 //! framework overhead the §VII-B experiment measures; the LOC delta is
 //! Table II.
 
-use fudj_core::{BucketId, DedupMode, EngineJoin, PPlanState, Side, SummaryState};
+use fudj_core::{
+    assign_each, matching_pairs, verify_pairs, BucketId, DedupMode, Join, PPlanState, Side,
+    SummaryState,
+};
 use fudj_geo::{sweep::plane_sweep_join_into, Rect, UniformGrid};
 use fudj_temporal::granule::{buckets_overlap, MAX_GRANULES};
 use fudj_temporal::{GranuleTimeline, Interval, IntervalSummary};
@@ -96,7 +99,7 @@ impl BuiltinSpatialJoin {
     }
 }
 
-impl EngineJoin for BuiltinSpatialJoin {
+impl Join<Value> for BuiltinSpatialJoin {
     fn name(&self) -> &str {
         "builtin_spatial_join"
     }
@@ -105,12 +108,18 @@ impl EngineJoin for BuiltinSpatialJoin {
         SummaryState::new(Rect::default())
     }
 
-    fn local_aggregate(&self, _side: Side, key: &Value, summary: &mut SummaryState) -> Result<()> {
-        let mbr = value_mbr(key)?;
+    fn summarize_block(
+        &self,
+        _side: Side,
+        keys: &[&Value],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
         let s = summary
             .downcast_mut::<Rect>()
             .ok_or_else(|| wrong_state(self.name(), "summary"))?;
-        s.expand_rect(&mbr);
+        for key in keys {
+            s.expand_rect(&value_mbr(key)?);
+        }
         Ok(())
     }
 
@@ -151,32 +160,43 @@ impl EngineJoin for BuiltinSpatialJoin {
         }))
     }
 
-    fn assign(
+    fn assign_block(
         &self,
         _side: Side,
-        key: &Value,
+        keys: &[&Value],
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
     ) -> Result<()> {
         let plan = pplan
             .downcast_ref::<BuiltinSpatialPlan>()
             .ok_or_else(|| wrong_state(self.name(), "pplan"))?;
-        let clipped = value_mbr(key)?.intersection(&plan.grid.extent());
-        if !clipped.is_empty() {
-            out.extend(plan.grid.overlapping_tiles(&clipped));
-        }
-        Ok(())
+        assign_each(keys, out, offsets, |key, out| {
+            let clipped = value_mbr(key)?.intersection(&plan.grid.extent());
+            if !clipped.is_empty() {
+                out.extend(plan.grid.overlapping_tiles(&clipped));
+            }
+            Ok(())
+        })
     }
 
-    fn verify(
+    fn verify_block(
         &self,
         _b1: BucketId,
-        k1: &Value,
+        left_keys: &[&Value],
         _b2: BucketId,
-        k2: &Value,
+        right_keys: &[&Value],
         _pplan: &PPlanState,
-    ) -> Result<bool> {
-        values_intersect(k1, k2)
+        _prepare: bool,
+        out: &mut Vec<(usize, usize)>,
+    ) -> Result<()> {
+        let (m, n) = (left_keys.len(), right_keys.len());
+        verify_pairs(
+            m,
+            n,
+            |i, j| values_intersect(left_keys[i], right_keys[j]),
+            |i, j| out.push((i, j)),
+        )
     }
 
     fn dedup_mode(&self) -> DedupMode {
@@ -220,7 +240,7 @@ impl AdvancedSpatialJoin {
     }
 }
 
-impl EngineJoin for AdvancedSpatialJoin {
+impl Join<Value> for AdvancedSpatialJoin {
     fn name(&self) -> &str {
         "advanced_spatial_join"
     }
@@ -229,8 +249,13 @@ impl EngineJoin for AdvancedSpatialJoin {
         self.inner.new_summary(side)
     }
 
-    fn local_aggregate(&self, side: Side, key: &Value, summary: &mut SummaryState) -> Result<()> {
-        self.inner.local_aggregate(side, key, summary)
+    fn summarize_block(
+        &self,
+        side: Side,
+        keys: &[&Value],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
+        self.inner.summarize_block(side, keys, summary)
     }
 
     fn global_aggregate(
@@ -255,25 +280,15 @@ impl EngineJoin for AdvancedSpatialJoin {
         self.inner.divide(left, right, params)
     }
 
-    fn assign(
+    fn assign_block(
         &self,
         side: Side,
-        key: &Value,
+        keys: &[&Value],
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
     ) -> Result<()> {
-        self.inner.assign(side, key, pplan, out)
-    }
-
-    fn verify(
-        &self,
-        b1: BucketId,
-        k1: &Value,
-        b2: BucketId,
-        k2: &Value,
-        pplan: &PPlanState,
-    ) -> Result<bool> {
-        self.inner.verify(b1, k1, b2, k2, pplan)
+        self.inner.assign_block(side, keys, pplan, out, offsets)
     }
 
     fn dedup_mode(&self) -> DedupMode {
@@ -291,24 +306,31 @@ impl EngineJoin for AdvancedSpatialJoin {
         self.inner.dedup(b1, k1, b2, k2, pplan)
     }
 
-    fn local_join_pairs(
+    fn verify_block(
         &self,
         _b1: BucketId,
-        left_keys: &[Value],
+        left_keys: &[&Value],
         _b2: BucketId,
-        right_keys: &[Value],
+        right_keys: &[&Value],
         _pplan: &PPlanState,
-        emit: &mut dyn FnMut(usize, usize),
+        _prepare: bool,
+        out: &mut Vec<(usize, usize)>,
     ) -> Result<()> {
-        let left_mbrs: Vec<Rect> = left_keys.iter().map(value_mbr).collect::<Result<_>>()?;
-        let right_mbrs: Vec<Rect> = right_keys.iter().map(value_mbr).collect::<Result<_>>()?;
+        let left_mbrs: Vec<Rect> = left_keys
+            .iter()
+            .map(|k| value_mbr(k))
+            .collect::<Result<_>>()?;
+        let right_mbrs: Vec<Rect> = right_keys
+            .iter()
+            .map(|k| value_mbr(k))
+            .collect::<Result<_>>()?;
         let mut verify_err = None;
         plane_sweep_join_into(&left_mbrs, &right_mbrs, |i, j| {
             if verify_err.is_some() {
                 return;
             }
-            match values_intersect(&left_keys[i], &right_keys[j]) {
-                Ok(true) => emit(i, j),
+            match values_intersect(left_keys[i], right_keys[j]) {
+                Ok(true) => out.push((i, j)),
                 Ok(false) => {}
                 Err(e) => verify_err = Some(e),
             }
@@ -336,7 +358,7 @@ impl BuiltinIntervalJoin {
     }
 }
 
-impl EngineJoin for BuiltinIntervalJoin {
+impl Join<Value> for BuiltinIntervalJoin {
     fn name(&self) -> &str {
         "builtin_interval_join"
     }
@@ -345,12 +367,18 @@ impl EngineJoin for BuiltinIntervalJoin {
         SummaryState::new(IntervalSummary::default())
     }
 
-    fn local_aggregate(&self, _side: Side, key: &Value, summary: &mut SummaryState) -> Result<()> {
-        let iv = key.as_interval()?;
-        summary
+    fn summarize_block(
+        &self,
+        _side: Side,
+        keys: &[&Value],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
+        let s = summary
             .downcast_mut::<IntervalSummary>()
-            .ok_or_else(|| wrong_state(self.name(), "summary"))?
-            .observe(&iv);
+            .ok_or_else(|| wrong_state(self.name(), "summary"))?;
+        for key in keys {
+            s.observe(&key.as_interval()?);
+        }
         Ok(())
     }
 
@@ -401,52 +429,57 @@ impl EngineJoin for BuiltinIntervalJoin {
         Ok(PPlanState::new(GranuleTimeline::new(range, n)))
     }
 
-    fn assign(
+    fn assign_block(
         &self,
         _side: Side,
-        key: &Value,
+        keys: &[&Value],
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
     ) -> Result<()> {
         let tl = pplan
             .downcast_ref::<GranuleTimeline>()
             .ok_or_else(|| wrong_state(self.name(), "pplan"))?;
-        out.push(tl.assign(&key.as_interval()?));
-        Ok(())
-    }
-
-    fn matches(&self, b1: BucketId, b2: BucketId) -> bool {
-        buckets_overlap(b1, b2)
+        assign_each(keys, out, offsets, |key, out| {
+            out.push(tl.assign(&key.as_interval()?));
+            Ok(())
+        })
     }
 
     fn uses_default_match(&self) -> bool {
         false
     }
 
-    fn verify(
+    fn matching_buckets(
+        &self,
+        left: &[BucketId],
+        right: &[BucketId],
+        out: &mut Vec<(BucketId, BucketId)>,
+    ) {
+        matching_pairs(left, right, buckets_overlap, out);
+    }
+
+    fn verify_block(
         &self,
         _b1: BucketId,
-        k1: &Value,
+        left_keys: &[&Value],
         _b2: BucketId,
-        k2: &Value,
+        right_keys: &[&Value],
         _pplan: &PPlanState,
-    ) -> Result<bool> {
-        Ok(k1.as_interval()?.overlaps(&k2.as_interval()?))
+        _prepare: bool,
+        out: &mut Vec<(usize, usize)>,
+    ) -> Result<()> {
+        let (m, n) = (left_keys.len(), right_keys.len());
+        let overlap = |i: usize, j: usize| -> Result<bool> {
+            Ok(left_keys[i]
+                .as_interval()?
+                .overlaps(&right_keys[j].as_interval()?))
+        };
+        verify_pairs(m, n, overlap, |i, j| out.push((i, j)))
     }
 
     fn dedup_mode(&self) -> DedupMode {
         DedupMode::None
-    }
-
-    fn dedup(
-        &self,
-        _b1: BucketId,
-        _k1: &Value,
-        _b2: BucketId,
-        _k2: &Value,
-        _pplan: &PPlanState,
-    ) -> Result<bool> {
-        Ok(true)
     }
 }
 
@@ -471,7 +504,7 @@ impl AdvancedIntervalJoin {
     }
 }
 
-impl EngineJoin for AdvancedIntervalJoin {
+impl Join<Value> for AdvancedIntervalJoin {
     fn name(&self) -> &str {
         "advanced_interval_join"
     }
@@ -480,8 +513,13 @@ impl EngineJoin for AdvancedIntervalJoin {
         self.inner.new_summary(side)
     }
 
-    fn local_aggregate(&self, side: Side, key: &Value, summary: &mut SummaryState) -> Result<()> {
-        self.inner.local_aggregate(side, key, summary)
+    fn summarize_block(
+        &self,
+        side: Side,
+        keys: &[&Value],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
+        self.inner.summarize_block(side, keys, summary)
     }
 
     fn global_aggregate(
@@ -506,68 +544,53 @@ impl EngineJoin for AdvancedIntervalJoin {
         self.inner.divide(left, right, params)
     }
 
-    fn assign(
+    fn assign_block(
         &self,
         side: Side,
-        key: &Value,
+        keys: &[&Value],
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
     ) -> Result<()> {
-        self.inner.assign(side, key, pplan, out)
-    }
-
-    fn matches(&self, b1: BucketId, b2: BucketId) -> bool {
-        self.inner.matches(b1, b2)
+        self.inner.assign_block(side, keys, pplan, out, offsets)
     }
 
     fn uses_default_match(&self) -> bool {
         false
     }
 
-    fn verify(
+    fn matching_buckets(
         &self,
-        b1: BucketId,
-        k1: &Value,
-        b2: BucketId,
-        k2: &Value,
-        pplan: &PPlanState,
-    ) -> Result<bool> {
-        self.inner.verify(b1, k1, b2, k2, pplan)
+        left: &[BucketId],
+        right: &[BucketId],
+        out: &mut Vec<(BucketId, BucketId)>,
+    ) {
+        self.inner.matching_buckets(left, right, out)
     }
 
     fn dedup_mode(&self) -> DedupMode {
         DedupMode::None
     }
 
-    fn dedup(
+    fn verify_block(
         &self,
         _b1: BucketId,
-        _k1: &Value,
+        left_keys: &[&Value],
         _b2: BucketId,
-        _k2: &Value,
+        right_keys: &[&Value],
         _pplan: &PPlanState,
-    ) -> Result<bool> {
-        Ok(true)
-    }
-
-    fn local_join_pairs(
-        &self,
-        _b1: BucketId,
-        left_keys: &[Value],
-        _b2: BucketId,
-        right_keys: &[Value],
-        _pplan: &PPlanState,
-        emit: &mut dyn FnMut(usize, usize),
+        _prepare: bool,
+        out: &mut Vec<(usize, usize)>,
     ) -> Result<()> {
         let left: Vec<Interval> = left_keys
             .iter()
-            .map(Value::as_interval)
+            .map(|k| k.as_interval())
             .collect::<Result<_>>()?;
         let right: Vec<Interval> = right_keys
             .iter()
-            .map(Value::as_interval)
+            .map(|k| k.as_interval())
             .collect::<Result<_>>()?;
-        fudj_temporal::sweep::forward_scan_join_into(&left, &right, emit);
+        fudj_temporal::sweep::forward_scan_join_into(&left, &right, |i, j| out.push((i, j)));
         Ok(())
     }
 }
@@ -604,7 +627,7 @@ impl BuiltinTextSimJoin {
     }
 }
 
-impl EngineJoin for BuiltinTextSimJoin {
+impl Join<Value> for BuiltinTextSimJoin {
     fn name(&self) -> &str {
         "builtin_text_similarity_join"
     }
@@ -613,13 +636,19 @@ impl EngineJoin for BuiltinTextSimJoin {
         SummaryState::new(TokenCounts::new())
     }
 
-    fn local_aggregate(&self, _side: Side, key: &Value, summary: &mut SummaryState) -> Result<()> {
-        let text = key.as_str()?;
+    fn summarize_block(
+        &self,
+        _side: Side,
+        keys: &[&Value],
+        summary: &mut SummaryState,
+    ) -> Result<()> {
         let counts = summary
             .downcast_mut::<TokenCounts>()
             .ok_or_else(|| wrong_state(self.name(), "summary"))?;
-        for token in tokenize(text) {
-            counts.observe(&token);
+        for key in keys {
+            for token in tokenize(key.as_str()?) {
+                counts.observe(&token);
+            }
         }
         Ok(())
     }
@@ -675,31 +704,22 @@ impl EngineJoin for BuiltinTextSimJoin {
         }))
     }
 
-    fn assign(
+    fn assign_block(
         &self,
         _side: Side,
-        key: &Value,
+        keys: &[&Value],
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
     ) -> Result<()> {
         let plan = self.plan(pplan)?;
-        let tokens = token_set(key.as_str()?);
-        let ranked = plan.ranks.ranked_tokens(&tokens);
-        let p = prefix_length(ranked.len(), plan.threshold);
-        out.extend(ranked[..p.min(ranked.len())].iter().map(|&r| r as BucketId));
-        Ok(())
-    }
-
-    fn verify(
-        &self,
-        _b1: BucketId,
-        k1: &Value,
-        _b2: BucketId,
-        k2: &Value,
-        pplan: &PPlanState,
-    ) -> Result<bool> {
-        let plan = self.plan(pplan)?;
-        Ok(jaccard_of_sorted(&token_set(k1.as_str()?), &token_set(k2.as_str()?)) >= plan.threshold)
+        assign_each(keys, out, offsets, |key, out| {
+            let tokens = token_set(key.as_str()?);
+            let ranked = plan.ranks.ranked_tokens(&tokens);
+            let p = prefix_length(ranked.len(), plan.threshold);
+            out.extend(ranked[..p.min(ranked.len())].iter().map(|&r| r as BucketId));
+            Ok(())
+        })
     }
 
     fn dedup_mode(&self) -> DedupMode {
@@ -726,14 +746,15 @@ impl EngineJoin for BuiltinTextSimJoin {
         Ok(first_shared == Some(&(b1 as u32)))
     }
 
-    fn local_join_pairs(
+    fn verify_block(
         &self,
         b1: BucketId,
-        left_keys: &[Value],
+        left_keys: &[&Value],
         _b2: BucketId,
-        right_keys: &[Value],
+        right_keys: &[&Value],
         pplan: &PPlanState,
-        emit: &mut dyn FnMut(usize, usize),
+        _prepare: bool,
+        out: &mut Vec<(usize, usize)>,
     ) -> Result<()> {
         let plan = self.plan(pplan)?;
         let _ = b1;
@@ -749,7 +770,7 @@ impl EngineJoin for BuiltinTextSimJoin {
         for (i, a) in left_sets.iter().enumerate() {
             for (j, b) in right_sets.iter().enumerate() {
                 if jaccard_of_sorted(a, b) >= plan.threshold {
-                    emit(i, j);
+                    out.push((i, j));
                 }
             }
         }
@@ -763,7 +784,7 @@ mod tests {
     use crate::interval::IntervalFudj;
     use crate::spatial::SpatialFudj;
     use crate::textsim::TextSimilarityFudj;
-    use fudj_core::{reference_execute, FudjEngineJoin, ProxyJoin};
+    use fudj_core::{reference_execute, EngineJoin, FudjEngineJoin, ProxyJoin};
     use fudj_geo::{Point, Polygon};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::sync::Arc;
@@ -868,13 +889,13 @@ mod tests {
 
     #[test]
     fn builtin_rejects_wrong_key_types() {
-        let j = BuiltinSpatialJoin::new();
+        let j: &dyn EngineJoin = &BuiltinSpatialJoin::new();
         let mut s = j.new_summary(Side::Left);
         assert!(j
             .local_aggregate(Side::Left, &Value::Int64(1), &mut s)
             .is_err());
 
-        let ij = BuiltinIntervalJoin::new();
+        let ij: &dyn EngineJoin = &BuiltinIntervalJoin::new();
         let mut s = ij.new_summary(Side::Left);
         assert!(ij
             .local_aggregate(Side::Left, &Value::str("x"), &mut s)

@@ -22,8 +22,8 @@
 //! end-to-end SQL tests.
 
 use fudj_core::{
-    consume_udf_time, BucketId, DedupMode, JoinAlgorithm, JoinLibrary, PPlanState, Side,
-    SummaryState,
+    assign_each, consume_udf_time, verify_pairs, BucketId, DedupMode, Join, JoinAlgorithm,
+    JoinLibrary, PPlanState, Side, SummaryState,
 };
 use fudj_types::{ExtValue, Result};
 use std::collections::HashSet;
@@ -144,7 +144,7 @@ impl EvilJoin {
     }
 }
 
-impl JoinAlgorithm for EvilJoin {
+impl Join<ExtValue> for EvilJoin {
     fn name(&self) -> &str {
         self.inner.name()
     }
@@ -153,14 +153,16 @@ impl JoinAlgorithm for EvilJoin {
         self.inner.new_summary(side)
     }
 
-    fn local_aggregate(
+    fn summarize_block(
         &self,
         side: Side,
-        key: &ExtValue,
+        keys: &[&ExtValue],
         summary: &mut SummaryState,
     ) -> Result<()> {
-        self.sabotage(EvilPhase::Summarize, Some(key));
-        self.inner.local_aggregate(side, key, summary)
+        for key in keys {
+            self.sabotage(EvilPhase::Summarize, Some(key));
+        }
+        self.inner.summarize_block(side, keys, summary)
     }
 
     fn global_aggregate(
@@ -186,60 +188,50 @@ impl JoinAlgorithm for EvilJoin {
         self.inner.divide(left, right, params)
     }
 
-    fn assign(
+    fn assign_block(
         &self,
         side: Side,
-        key: &ExtValue,
+        keys: &[&ExtValue],
         pplan: &PPlanState,
         out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
     ) -> Result<()> {
-        self.sabotage(EvilPhase::Assign, Some(key));
-        match self.mode {
-            EvilMode::OutOfRangeBucket if poisoned(key) => {
-                // One past the end of whatever range is declared.
-                out.push(self.declared_buckets(pplan).unwrap_or(RANGE_SENTINEL));
-                Ok(())
-            }
-            EvilMode::NonDeterministicAssign if poisoned(key) => {
-                self.inner.assign(side, key, pplan, out)?;
-                let mut assigned = self.assigned.lock().expect("evil assigned lock");
-                if !assigned.insert(key_hash(key)) {
-                    let extra = out.last().copied().unwrap_or(0);
-                    out.push(extra);
-                }
-                Ok(())
-            }
-            EvilMode::OverReplicate(factor) if poisoned(key) => {
-                let start = out.len();
-                self.inner.assign(side, key, pplan, out)?;
-                let assigned: Vec<BucketId> = out[start..].to_vec();
-                for _ in 0..factor {
-                    out.extend_from_slice(&assigned);
-                }
-                Ok(())
-            }
-            _ => self.inner.assign(side, key, pplan, out),
-        }
-    }
-
-    fn matches(&self, b1: BucketId, b2: BucketId) -> bool {
-        self.inner.matches(b1, b2)
+        assign_each(keys, out, offsets, |key, out| {
+            self.assign(side, key, pplan, out)
+        })
     }
 
     fn uses_default_match(&self) -> bool {
         self.inner.uses_default_match()
     }
 
-    fn verify(
+    fn matching_buckets(
+        &self,
+        left: &[BucketId],
+        right: &[BucketId],
+        out: &mut Vec<(BucketId, BucketId)>,
+    ) {
+        self.inner.matching_buckets(left, right, out)
+    }
+
+    fn verify_block(
         &self,
         b1: BucketId,
-        k1: &ExtValue,
+        left: &[&ExtValue],
         b2: BucketId,
-        k2: &ExtValue,
+        right: &[&ExtValue],
         pplan: &PPlanState,
-    ) -> Result<bool> {
-        self.sabotage(EvilPhase::Verify, Some(k1));
-        self.inner.verify(b1, k1, b2, k2, pplan)
+        prepare: bool,
+        out: &mut Vec<(usize, usize)>,
+    ) -> Result<()> {
+        // Scoped to the left key, once per pair.
+        for key in left {
+            for _ in right {
+                self.sabotage(EvilPhase::Verify, Some(key));
+            }
+        }
+        self.inner
+            .verify_block(b1, left, b2, right, pplan, prepare, out)
     }
 
     fn dedup_mode(&self) -> DedupMode {
@@ -256,13 +248,59 @@ impl JoinAlgorithm for EvilJoin {
     ) -> Result<bool> {
         self.inner.dedup(b1, k1, b2, k2, pplan)
     }
+}
 
+impl JoinAlgorithm for EvilJoin {
     fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
         // Out-of-range sabotage needs *some* declared range to violate.
         self.inner.declared_buckets(pplan).or(match self.mode {
             EvilMode::OutOfRangeBucket => Some(RANGE_SENTINEL),
             _ => None,
         })
+    }
+}
+
+impl EvilJoin {
+    /// One key's `assign`, misbehaving per the mode.
+    fn assign(
+        &self,
+        side: Side,
+        key: &ExtValue,
+        pplan: &PPlanState,
+        out: &mut Vec<BucketId>,
+    ) -> Result<()> {
+        self.sabotage(EvilPhase::Assign, Some(key));
+        // The inner join's ids for this key, appended to `out`.
+        let inner = |out: &mut Vec<BucketId>| {
+            self.inner
+                .assign_block(side, &[key], pplan, out, &mut Vec::new())
+        };
+        match self.mode {
+            EvilMode::OutOfRangeBucket if poisoned(key) => {
+                // One past the end of whatever range is declared.
+                out.push(self.declared_buckets(pplan).unwrap_or(RANGE_SENTINEL));
+                Ok(())
+            }
+            EvilMode::NonDeterministicAssign if poisoned(key) => {
+                inner(out)?;
+                let mut assigned = self.assigned.lock().expect("evil assigned lock");
+                if !assigned.insert(key_hash(key)) {
+                    let extra = out.last().copied().unwrap_or(0);
+                    out.push(extra);
+                }
+                Ok(())
+            }
+            EvilMode::OverReplicate(factor) if poisoned(key) => {
+                let start = out.len();
+                inner(out)?;
+                let assigned: Vec<BucketId> = out[start..].to_vec();
+                for _ in 0..factor {
+                    out.extend_from_slice(&assigned);
+                }
+                Ok(())
+            }
+            _ => inner(out),
+        }
     }
 }
 
@@ -275,7 +313,7 @@ impl JoinAlgorithm for EvilJoin {
 /// results exactly.
 pub struct EqualityFudj;
 
-impl JoinAlgorithm for EqualityFudj {
+impl Join<ExtValue> for EqualityFudj {
     fn name(&self) -> &str {
         "equality"
     }
@@ -284,14 +322,14 @@ impl JoinAlgorithm for EqualityFudj {
         SummaryState::new(0i64)
     }
 
-    fn local_aggregate(
+    fn summarize_block(
         &self,
         _side: Side,
-        _key: &ExtValue,
+        keys: &[&ExtValue],
         summary: &mut SummaryState,
     ) -> Result<()> {
         if let Some(count) = summary.downcast_mut::<i64>() {
-            *count += 1;
+            *count += keys.len() as i64;
         }
         Ok(())
     }
@@ -320,33 +358,45 @@ impl JoinAlgorithm for EqualityFudj {
         Ok(PPlanState::new(EQ_BUCKETS as i64))
     }
 
-    fn assign(
+    fn assign_block(
         &self,
         _side: Side,
-        key: &ExtValue,
+        keys: &[&ExtValue],
         _pplan: &PPlanState,
         out: &mut Vec<BucketId>,
+        offsets: &mut Vec<usize>,
     ) -> Result<()> {
-        out.push(key_hash(key) % EQ_BUCKETS);
-        Ok(())
+        assign_each(keys, out, offsets, |key, out| {
+            out.push(key_hash(key) % EQ_BUCKETS);
+            Ok(())
+        })
     }
 
-    fn verify(
+    fn verify_block(
         &self,
         _b1: BucketId,
-        k1: &ExtValue,
+        left: &[&ExtValue],
         _b2: BucketId,
-        k2: &ExtValue,
+        right: &[&ExtValue],
         _pplan: &PPlanState,
-    ) -> Result<bool> {
-        Ok(k1 == k2)
+        _prepare: bool,
+        out: &mut Vec<(usize, usize)>,
+    ) -> Result<()> {
+        verify_pairs(
+            left.len(),
+            right.len(),
+            |i, j| Ok(left[i] == right[j]),
+            |i, j| out.push((i, j)),
+        )
     }
 
     fn dedup_mode(&self) -> DedupMode {
         // Single-assign: duplicates cannot arise.
         DedupMode::None
     }
+}
 
+impl JoinAlgorithm for EqualityFudj {
     fn declared_buckets(&self, _pplan: &PPlanState) -> Option<BucketId> {
         Some(EQ_BUCKETS)
     }
@@ -456,7 +506,7 @@ mod tests {
         ];
         for mode in modes {
             let alg = GuardedJoin::new(
-                EvilJoin::new(Arc::new(EqualityFudj), mode),
+                Box::new(EvilJoin::new(Arc::new(EqualityFudj), mode)),
                 GuardConfig::default(),
             );
             let err = run_standalone(&alg, &left, &right, &[]).unwrap_err();
@@ -473,7 +523,10 @@ mod tests {
         let mut config = GuardConfig::default();
         config.limits.check_sample = 1; // probe every call
         let alg = GuardedJoin::new(
-            EvilJoin::new(Arc::new(EqualityFudj), EvilMode::NonDeterministicAssign),
+            Box::new(EvilJoin::new(
+                Arc::new(EqualityFudj),
+                EvilMode::NonDeterministicAssign,
+            )),
             config,
         );
         let err = run_standalone(&alg, &keys(&[poison, clean]), &keys(&[clean]), &[]).unwrap_err();
@@ -491,7 +544,10 @@ mod tests {
         let right = keys(&[clean, poison, clean]);
         let config = GuardConfig::with_policy(UdfPolicy::Quarantine);
         let guarded = GuardedJoin::new(
-            EvilJoin::new(Arc::new(EqualityFudj), EvilMode::PanicIn(EvilPhase::Assign)),
+            Box::new(EvilJoin::new(
+                Arc::new(EqualityFudj),
+                EvilMode::PanicIn(EvilPhase::Assign),
+            )),
             config,
         );
         let mut got = run_standalone(&guarded, &left, &right, &[]).unwrap();

@@ -1,8 +1,8 @@
 //! Property tests: one matched bucket pair through
-//! `FudjEngineJoin::local_join_pairs` (adapter → guard → proxy, one
+//! `FudjEngineJoin::verify_block` (adapter → guard → proxy, one
 //! `verify_block` call, which hands the proxy the whole block and replays it
 //! pair by pair only when it misbehaves) agrees with the nested loop over
-//! the single-pair `EngineJoin::verify` it replaced — on the pairs emitted, on the first
+//! the single-pair `verify` (the same entry on a block of one pair) — on the pairs emitted, on the first
 //! error (a `UdfViolation`'s phase, site and detail included) and on every
 //! `UdfStats` counter — for the three library joins and for the adversarial
 //! `verify` fixtures, under `FailFast` and `Quarantine`. The per-pair path
@@ -10,9 +10,10 @@
 //! `prepare`'s contract: token sets made once per key per block answer as
 //! the raw texts do.
 //!
-//! The same holds for SUMMARIZE and ASSIGN: `summarize_slice` and
-//! `assign_slice`, one block call per chunk of keys through the guard's
-//! block runner, agree with the per-key `local_aggregate` and `assign` on
+//! The same holds for SUMMARIZE and ASSIGN: `summarize_block` and
+//! `assign_block`, one block call per chunk of keys through the guard's
+//! block runner, agree with the per-key `local_aggregate` and `assign` (the
+//! same entries on a slice of one) on
 //! the summaries, the PPlan, every key's bucket list, the first error and
 //! every counter.
 
@@ -44,7 +45,7 @@ fn engine_join(alg: Arc<dyn JoinAlgorithm>, guard: Option<GuardConfig>) -> FudjE
 /// SUMMARIZE and DIVIDE over both sides, then COMBINE the two sides as one
 /// bucket pair: through the block entry point, or pair by pair.
 fn combine(
-    ej: &FudjEngineJoin,
+    ej: &dyn EngineJoin,
     params: &[Value],
     (b1, b2): (BucketId, BucketId),
     left: &[Value],
@@ -69,7 +70,8 @@ fn combine(
 
     let mut pairs = Vec::new();
     let result = if block {
-        ej.local_join_pairs(b1, left, b2, right, &plan, &mut |i, j| pairs.push((i, j)))
+        let (left, right): (Vec<_>, Vec<_>) = (left.iter().collect(), right.iter().collect());
+        ej.verify_block(b1, &left, b2, &right, &plan, true, &mut pairs)
     } else {
         (|| {
             for (i, k1) in left.iter().enumerate() {
@@ -495,7 +497,7 @@ type FlowOutcome = (
 /// points, one block call per chunk of keys, or key by key through the
 /// per-key calls.
 fn summarize_and_assign(
-    ej: &FudjEngineJoin,
+    ej: &dyn EngineJoin,
     params: &[Value],
     left: &[Value],
     right: &[Value],
@@ -508,7 +510,7 @@ fn summarize_and_assign(
         for (side, keys) in sides {
             let mut summary = ej.new_summary(side);
             if block {
-                ej.summarize_slice(side, &keys.iter().collect::<Vec<_>>(), &mut summary)?;
+                ej.summarize_block(side, &keys.iter().collect::<Vec<_>>(), &mut summary)?;
             } else {
                 for key in keys {
                     ej.local_aggregate(side, key, &mut summary)?;
@@ -526,7 +528,7 @@ fn summarize_and_assign(
             let seen = &mut buckets[s];
             if block {
                 let keys: Vec<&Value> = keys.iter().collect();
-                ej.assign_slice(side, &keys, &plan, &mut |i, ids| {
+                ej.assign_sorted(side, &keys, &plan, &mut |i, ids| {
                     seen.push((i, ids.to_vec()))
                 })?;
             } else {

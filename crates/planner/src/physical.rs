@@ -119,8 +119,8 @@ pub fn lower(
             }
             let pre_schema: SchemaRef = Arc::new(Schema::new(pre_fields));
             // Named by the binder, not by the child: a child's names may
-            // lack an alias or repeat (`Schema::join` names the `id` of a
-            // second and of a third joined input `right.id`).
+            // lack an alias (`Schema::join` names the `id` of a second joined
+            // input `right.id`, and of a third `right.right.id`).
             let width = group_by.len();
             let mut out_fields = pre_schema.fields()[..width].to_vec();
             for agg in &exec_aggs {

@@ -82,16 +82,17 @@ impl Schema {
         self.index_of(name).map(|i| &self.fields[i])
     }
 
-    /// New schema with both field lists concatenated; right-side duplicates
-    /// get a `right.` prefix (how the join operators build output schemas).
+    /// New schema with both field lists concatenated; a right-side name
+    /// already taken gets a `right.` prefix, repeated until it is free (how
+    /// the join operators build output schemas: a third joined input's `id`
+    /// beside `id` and `right.id` is `right.right.id`).
     pub fn join(&self, right: &Schema) -> Schema {
         let mut fields = self.fields.clone();
         for f in &right.fields {
-            let name = if self.index_of(&f.name).is_ok() {
-                format!("right.{}", f.name)
-            } else {
-                f.name.clone()
-            };
+            let mut name = f.name.clone();
+            while fields.iter().any(|g| g.name == name) {
+                name = format!("right.{name}");
+            }
             fields.push(Field::new(name, f.data_type.clone()));
         }
         Schema::new(fields)
@@ -158,6 +159,22 @@ mod tests {
         assert_eq!(j.len(), 5);
         assert!(j.index_of("right.id").is_ok());
         assert!(j.index_of("temp").is_ok());
+    }
+
+    #[test]
+    fn join_qualifies_a_repeated_name_until_it_is_free() {
+        let ids = |names: &[&str]| {
+            let fields = names.iter().map(|n| Field::new(*n, DataType::Int64));
+            Schema::new(fields.collect())
+        };
+        // Three inputs that all have `id`, joined left-deep.
+        let three = ids(&["id"]).join(&ids(&["id"])).join(&ids(&["id", "x"]));
+        let names: Vec<&str> = three.fields().iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["id", "right.id", "right.right.id", "x"]);
+        // A right side holding the qualified name too keeps it as it is.
+        let j = ids(&["id"]).join(&ids(&["right.id", "id"]));
+        let names: Vec<&str> = j.fields().iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["id", "right.id", "right.right.id"]);
     }
 
     #[test]

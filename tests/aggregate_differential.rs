@@ -234,9 +234,9 @@ fn cases() -> Vec<Case> {
     });
 
     // On-top nested-loop join of three inputs that each have an `id`
-    // column: the joined physical schema repeats `right.id` (the shape of
-    // the paper's Query 3 on-top plan), so the aggregate must take its
-    // names from the binder, not from its child.
+    // column: the joined physical schema names them `id`, `right.id` and
+    // `right.right.id` (the shape of the paper's Query 3 on-top plan), so
+    // the aggregate must take its names from the binder, not from its child.
     let mut groups: BTreeMap<Value, Acc> = BTreeMap::new();
     for (_, _, k, v, x) in &t {
         for b in u.iter().filter(|b| b.1 == *k) {

@@ -3,9 +3,12 @@
 //! plan as the semantic oracle.
 
 use fudj_repro::datagen::{amazon_reviews, nyctaxi, parks, weather, wildfires, GeneratorConfig};
+use fudj_repro::exec::PhysicalPlan;
 use fudj_repro::joins::standard_library;
-use fudj_repro::planner::PlanOptions;
-use fudj_repro::sql::{QueryOutput, Session};
+use fudj_repro::planner::{plan, PlanOptions};
+use fudj_repro::sql::ast::Statement;
+use fudj_repro::sql::binder::bind_select;
+use fudj_repro::sql::{parse, QueryOutput, Session};
 use fudj_repro::types::Row;
 
 /// Build a session with all five datasets and all paper joins registered.
@@ -221,4 +224,87 @@ fn join_parameters_flow_from_sql_and_options() {
         )
         .unwrap();
     assert_eq!(via_sql.rows(), via_options.rows());
+}
+
+/// Three inputs that all have an `id` column, joined on top: the physical
+/// join schema qualifies the repeated name until it is free (`id`,
+/// `right.id`, `right.right.id`), so the plan builds, and the rows come back
+/// under the names the query gave them.
+#[test]
+fn three_way_on_top_join_over_same_named_columns() {
+    let sql = "SELECT * \
+               FROM Wildfires f, Parks p, Weather w \
+               WHERE ST_Contains(p.boundary, f.location) \
+                 AND overlapping_interval(interval(f.fire_start, f.fire_end), w.reading_interval) \
+                 AND ST_Distance(f.location, w.location) < 5";
+    let mut on_top = session(2);
+    on_top.set_options(PlanOptions {
+        force_on_top: true,
+        ..Default::default()
+    });
+    let batch = on_top.query(sql).unwrap();
+    let names: Vec<&str> = batch
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| f.name.as_str())
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "f.id",
+            "f.location",
+            "f.fire_start",
+            "f.fire_end",
+            "p.id",
+            "p.boundary",
+            "p.tags",
+            "w.id",
+            "w.location",
+            "w.reading_interval",
+            "w.temp"
+        ]
+    );
+    assert!(!batch.rows().is_empty(), "the fixture joins some rows");
+    assert_eq!(
+        sorted_rows(&batch),
+        sorted_rows(&session(2).query(sql).unwrap())
+    );
+
+    // The physical join's own schema, which the projection above it does
+    // not need to build.
+    let Statement::Select(select) = parse(sql).unwrap() else {
+        panic!("not a SELECT")
+    };
+    let logical = bind_select(&select, on_top.catalog()).unwrap();
+    let options = on_top.effective_options();
+    let physical = plan(logical, on_top.registry(), &options).unwrap();
+    let join = top_nl_join(&physical);
+    let schema = join.schema();
+    let ids: Vec<&str> = schema
+        .fields()
+        .iter()
+        .map(|f| f.name.as_str())
+        .filter(|n| n.ends_with("id"))
+        .collect();
+    assert_eq!(
+        ids,
+        ["id", "right.id", "right.right.id"],
+        "{}",
+        join.explain()
+    );
+}
+
+/// The topmost nested-loop join under `plan`'s single-input operators.
+fn top_nl_join(plan: &PhysicalPlan) -> &PhysicalPlan {
+    match plan {
+        PhysicalPlan::NlJoin { .. } => plan,
+        PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::VecFilter { input, .. }
+        | PhysicalPlan::VecProject { input, .. }
+        | PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Limit { input, .. } => top_nl_join(input),
+        other => panic!("no on-top join:\n{}", other.explain()),
+    }
 }

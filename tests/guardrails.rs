@@ -258,7 +258,7 @@ fn pool_survives_guarded_failures_and_keeps_answering() {
 
 // -- guard semantics do not depend on `exec_mode` ---------------------------
 
-/// ASSIGN hands the executor a whole partition of keys (`assign_slice`);
+/// ASSIGN hands the executor a whole partition of keys (`assign_block`);
 /// `FudjEngineJoin` makes one guarded `assign_block` call per 1 024 keys
 /// and replays a block key by key only when it misbehaves. A guarded evil
 /// join panicking partway through a partition must attribute the
