@@ -18,6 +18,7 @@ use crate::model::{avoidance_accepts, BucketId, DedupMode, Join, JoinAlgorithm, 
 use crate::standalone::run_flow;
 use crate::state::{PPlanState, SummaryState};
 use fudj_types::{ext, ExtValue, Result, Value};
+use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -174,6 +175,8 @@ const BLOCK_KEYS: usize = 1024;
 /// Carries the [`Value`] → [`ExtValue`] translation — one block call per
 /// 1 024 keys (`BLOCK_KEYS`) in SUMMARIZE and PARTITION, one per matched
 /// bucket pair in COMBINE — and counts every key that crosses the boundary.
+/// Each block is translated into slots its worker thread keeps, so a key
+/// is copied but, once the slots have grown, not allocated.
 pub struct FudjEngineJoin {
     alg: Arc<dyn JoinAlgorithm>,
     translations: AtomicU64,
@@ -214,29 +217,59 @@ impl FudjEngineJoin {
         self.translations.load(Ordering::Relaxed)
     }
 
-    /// Translate keys, counted as one crossing per key.
-    fn xlate<'v>(&self, keys: impl IntoIterator<Item = &'v Value>) -> Result<Vec<ExtValue>> {
+    /// Translate keys into `slots` (grown as needed), counted as one
+    /// crossing per key: the number of keys translated.
+    fn xlate_into<'v>(
+        &self,
+        keys: impl IntoIterator<Item = &'v Value>,
+        slots: &mut Vec<ExtValue>,
+    ) -> Result<usize> {
         let mut crossed = 0;
-        let keys = keys.into_iter().inspect(|_| crossed += 1);
-        let translated = keys.map(ext::to_external).collect();
-        self.translations.fetch_add(crossed, Ordering::Relaxed);
-        translated
+        let translated = keys.into_iter().try_for_each(|key| {
+            if crossed == slots.len() {
+                slots.push(ExtValue::Null);
+            }
+            crossed += 1;
+            ext::to_external_into(key, &mut slots[crossed - 1])
+        });
+        self.translations
+            .fetch_add(crossed as u64, Ordering::Relaxed);
+        translated.map(|()| crossed)
     }
 
-    /// [`Self::xlate`], handing `f` the translated block as the block
-    /// entries take it; a block of one (a per-key call) allocates no `Vec`.
-    fn with_external<R>(
+    /// Translate keys into fresh values (the `divide` parameters).
+    fn xlate<'v>(&self, keys: impl IntoIterator<Item = &'v Value>) -> Result<Vec<ExtValue>> {
+        let mut fresh = Vec::new();
+        self.xlate_into(keys, &mut fresh)?;
+        Ok(fresh)
+    }
+
+    /// Translate a block into this thread's scratch slots and hand `f` the
+    /// translated block as the block entries take it. The slots keep their
+    /// buffers from block to block (see [`ext::to_external_into`]); a block
+    /// of one (a per-key call) allocates nothing.
+    fn with_external<'v, R>(
         &self,
-        keys: &[&Value],
+        keys: impl IntoIterator<Item = &'v Value>,
         f: impl FnOnce(&[&ExtValue]) -> Result<R>,
     ) -> Result<R> {
-        if let [key] = keys {
-            self.translations.fetch_add(1, Ordering::Relaxed);
-            return f(&[&ext::to_external(key)?]);
-        }
-        let keys = self.xlate(keys.iter().copied())?;
-        f(&keys.iter().collect::<Vec<_>>())
+        SCRATCH.with(|scratch| {
+            // A library cannot call back into the engine, so the slots are
+            // free; a fresh set covers the case all the same.
+            let (mut borrowed, mut fresh) = (scratch.try_borrow_mut(), Vec::new());
+            let slots = borrowed.as_deref_mut().unwrap_or(&mut fresh);
+            let n = self.xlate_into(keys, slots)?;
+            match &slots[..n] {
+                [key] => f(&[key]),
+                block => f(&block.iter().collect::<Vec<_>>()),
+            }
+        })
     }
+}
+
+thread_local! {
+    /// The slots each worker thread translates its blocks into.
+    static SCRATCH: RefCell<Vec<ExtValue>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Join<Value> for FudjEngineJoin {
@@ -255,7 +288,7 @@ impl Join<Value> for FudjEngineJoin {
         summary: &mut SummaryState,
     ) -> Result<()> {
         keys.chunks(BLOCK_KEYS).try_for_each(|chunk| {
-            self.with_external(chunk, |chunk| {
+            self.with_external(chunk.iter().copied(), |chunk| {
                 self.alg.summarize_block(side, chunk, summary)
             })
         })
@@ -292,7 +325,7 @@ impl Join<Value> for FudjEngineJoin {
         offsets: &mut Vec<usize>,
     ) -> Result<()> {
         keys.chunks(BLOCK_KEYS).try_for_each(|chunk| {
-            self.with_external(chunk, |chunk| {
+            self.with_external(chunk.iter().copied(), |chunk| {
                 self.alg.assign_block(side, chunk, pplan, out, offsets)
             })
         })
@@ -327,12 +360,13 @@ impl Join<Value> for FudjEngineJoin {
         if left.is_empty() || right.is_empty() {
             return Ok(());
         }
-        // Both sides in one translated block: two allocations per block.
-        let keys = self.xlate(left.iter().chain(right).copied())?;
-        let keys: Vec<&ExtValue> = keys.iter().collect();
-        let (left, right) = keys.split_at(left.len());
-        self.alg
-            .verify_block(b1, left, b2, right, pplan, prepare, out)
+        // Both sides in one translated block.
+        let m = left.len();
+        self.with_external(left.iter().chain(right).copied(), |keys| {
+            let (left, right) = keys.split_at(m);
+            self.alg
+                .verify_block(b1, left, b2, right, pplan, prepare, out)
+        })
     }
 
     fn dedup_mode(&self) -> DedupMode {
@@ -347,12 +381,13 @@ impl Join<Value> for FudjEngineJoin {
         k2: &Value,
         pplan: &PPlanState,
     ) -> Result<bool> {
-        let keys = self.xlate([k1, k2])?;
-        let (e1, e2) = (&keys[0], &keys[1]);
-        match self.alg.dedup_mode() {
-            DedupMode::Custom => self.alg.dedup(b1, e1, b2, e2, pplan),
-            _ => avoidance_accepts(&**self.alg, b1, e1, b2, e2, pplan),
-        }
+        self.with_external([k1, k2], |keys| {
+            let (e1, e2) = (keys[0], keys[1]);
+            match self.alg.dedup_mode() {
+                DedupMode::Custom => self.alg.dedup(b1, e1, b2, e2, pplan),
+                _ => avoidance_accepts(&**self.alg, b1, e1, b2, e2, pplan),
+            }
+        })
     }
 
     fn guard(&self) -> Option<&crate::guard::GuardHandle> {
@@ -547,6 +582,98 @@ mod tests {
         );
         assert!(!ej.dedup(3, &a, 3, &a, &plan).unwrap(), "a later one");
         assert_eq!(fudj.translation_count() - before, 4, "dedup");
+    }
+
+    /// Records every key `summarize`, `assign` and `verify` are handed.
+    struct Echo(Arc<std::sync::Mutex<Vec<ExtValue>>>);
+    impl FlexibleJoin for Echo {
+        type Summary = i64;
+        type PPlan = i64;
+        fn name(&self) -> &str {
+            "echo"
+        }
+        fn summarize(&self, key: &ExtValue, _: &mut i64) -> Result<()> {
+            self.0.lock().unwrap().push(key.clone());
+            Ok(())
+        }
+        fn merge_summaries(&self, a: i64, _: i64) -> i64 {
+            a
+        }
+        fn divide(&self, _: &i64, _: &i64, _: &[ExtValue]) -> Result<i64> {
+            Ok(1)
+        }
+        fn assign(&self, key: &ExtValue, _: &i64, out: &mut Vec<BucketId>) -> Result<()> {
+            self.0.lock().unwrap().push(key.clone());
+            out.push(0);
+            Ok(())
+        }
+        fn verify(&self, k1: &ExtValue, k2: &ExtValue, _: &i64) -> Result<bool> {
+            self.0.lock().unwrap().extend([k1.clone(), k2.clone()]);
+            Ok(false)
+        }
+    }
+
+    #[test]
+    fn blocks_translated_into_reused_slots_never_read_a_stale_key() {
+        use fudj_geo::{Point, Polygon};
+        use fudj_temporal::Interval;
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let fudj = FudjEngineJoin::new(Arc::new(ProxyJoin::new(Echo(seen.clone()))));
+        let ej: &dyn EngineJoin = &fudj;
+        let ring = |n: usize| {
+            let pts = (0..n)
+                .map(|i| Point::new(i as f64, 1.0 + i as f64))
+                .collect();
+            Value::polygon(Polygon::new(pts))
+        };
+        let s = ej.new_summary(Side::Left);
+        let plan = ej.divide(&s, &s, &[]).unwrap();
+
+        // Each block follows a longer one, and each slot changes what it
+        // holds: a shorter ring or a point where a ring was, text where an
+        // array was, an interval where text was, a uuid where a string was.
+        let long = [ring(12), ring(9), Value::str("a long review text"), ring(5)];
+        let short = [ring(3), Value::Point(Point::new(4.0, 5.0)), Value::Uuid(7)];
+        let mixed = [Value::str("ab"), Value::Interval(Interval::new(2, 9))];
+        let third = [Value::Int64(3), Value::DateTime(8)];
+        fn refs(keys: &[Value]) -> Vec<&Value> {
+            keys.iter().collect()
+        }
+        let mut summary = ej.new_summary(Side::Left);
+        let (mut ids, mut ends) = (Vec::new(), Vec::new());
+        let mut expected: Vec<ExtValue> = Vec::new();
+        let mut crossings = 0;
+        let mut check = |name: &str, keys: &[&[Value]], expected: &[ExtValue]| {
+            let calls: usize = keys.iter().map(|k| k.len()).sum();
+            crossings += calls as u64;
+            assert_eq!(fudj.translation_count(), crossings, "{name}: one per key");
+            assert_eq!(*seen.lock().unwrap(), expected, "{name}");
+        };
+        ej.summarize_block(Side::Left, &refs(&long), &mut summary)
+            .unwrap();
+        expected.extend(long.iter().map(|k| ext::to_external(k).unwrap()));
+        check("summarize", &[&long], &expected);
+
+        ej.assign_block(Side::Left, &refs(&short), &plan, &mut ids, &mut ends)
+            .unwrap();
+        expected.extend(short.iter().map(|k| ext::to_external(k).unwrap()));
+        check("assign", &[&short], &expected);
+
+        let mut pairs = Vec::new();
+        ej.verify_block(0, &refs(&mixed), 0, &refs(&third), &plan, true, &mut pairs)
+            .unwrap();
+        for l in &mixed {
+            for r in &third {
+                expected.extend([ext::to_external(l).unwrap(), ext::to_external(r).unwrap()]);
+            }
+        }
+        check("verify", &[&mixed, &third], &expected);
+
+        // A block of one reads its own key, not the slot's last block.
+        ej.summarize_block(Side::Left, &refs(&long[3..]), &mut summary)
+            .unwrap();
+        expected.push(ext::to_external(&long[3]).unwrap());
+        check("one key", &[&long[3..]], &expected);
     }
 
     #[test]

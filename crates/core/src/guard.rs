@@ -7,7 +7,8 @@
 //! caps on PPlan size, buckets per key and assign fan-out per partition) and
 //! **contract-checked** (bucket ids inside the declared range; on a seeded
 //! sample, a deterministic `assign`, a symmetric `verify` under default
-//! dedup, a `prepare` that keeps `verify`'s answer, associative merges).
+//! dedup over one declared key type, a `prepare` that keeps `verify`'s
+//! answer, associative merges).
 //!
 //! Every phase runs through one block runner: a parked-violation check, one
 //! `catch_unwind` around the inner algorithm's whole block, a budget check
@@ -24,7 +25,7 @@
 use crate::model::{verify_pairs, BucketId, DedupMode, Join, JoinAlgorithm, Side};
 use crate::state::{PPlanState, SummaryState};
 use fudj_types::{ExtValue, FudjError, Result};
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashSet;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -153,10 +154,11 @@ fn ext_hash(v: &ExtValue) -> u64 {
 }
 
 /// A COMBINE key, hashed and prepared once per block for every pair it is
-/// in; sites and probe decisions use the raw key's hash.
+/// in; sites and probe decisions use the raw key's hash, computed the first
+/// time one needs it (a clean block no probe applies to needs none).
 struct Hashed<'a> {
     key: &'a ExtValue,
-    hash: u64,
+    hash: OnceCell<u64>,
     /// The library's prepared form; `None` reads the key itself.
     form: Option<ExtValue>,
     /// `prepare` violated under quarantine: the key's pairs are dropped.
@@ -167,10 +169,15 @@ impl<'a> Hashed<'a> {
     fn new(key: &'a ExtValue) -> Self {
         Hashed {
             key,
-            hash: ext_hash(key),
+            hash: OnceCell::new(),
             form: None,
             dropped: false,
         }
+    }
+
+    /// The raw key's structural hash.
+    fn hash(&self) -> u64 {
+        *self.hash.get_or_init(|| ext_hash(self.key))
     }
 
     /// The value `verify` reads.
@@ -179,14 +186,15 @@ impl<'a> Hashed<'a> {
     }
 }
 
-/// Whether two keys have one external shape, as the symmetry probe needs.
+/// Whether two keys have one external shape, as the symmetry probe needs
+/// beside matching declared types: a null key is exempt.
 fn same_shape(k1: &Hashed<'_>, k2: &Hashed<'_>) -> bool {
     std::mem::discriminant(k1.key) == std::mem::discriminant(k2.key)
 }
 
 /// The site of one candidate pair: both raw keys' hashes and the bucket ids.
 fn pair_site(b1: BucketId, k1: &Hashed<'_>, b2: BucketId, k2: &Hashed<'_>) -> u64 {
-    fold(fold(fold(k1.hash, k2.hash), b1), b2)
+    fold(fold(fold(k1.hash(), k2.hash()), b1), b2)
 }
 
 /// The site hash of one key's `assign`.
@@ -289,14 +297,32 @@ impl GuardHandle {
 pub struct GuardedJoin<J: Deref<Target: JoinAlgorithm>> {
     inner: J,
     handle: GuardHandle,
+    /// Whether the join's two declared key types are one type.
+    same_key_types: bool,
 }
 
 impl<J: Deref<Target: JoinAlgorithm>> GuardedJoin<J> {
-    /// Wrap `inner` under `config`.
+    /// Wrap `inner` under `config`, its two key types taken to be one type.
     pub fn new(inner: J, config: GuardConfig) -> Self {
         let cells = Arc::default();
         let handle = GuardHandle { config, cells };
-        GuardedJoin { inner, handle }
+        GuardedJoin {
+            inner,
+            handle,
+            same_key_types: true,
+        }
+    }
+
+    /// Declare whether the join's two key types are one type, as the join
+    /// definition's argument types say. The symmetry probe swaps a pair's
+    /// keys, so it runs only when they are: `st_contains(polygon, point)`
+    /// swapped would call `verify` on a point and a polygon, outside the
+    /// declared signature, though both arrive as a `DoubleArray`.
+    pub fn with_same_key_types(self, same: bool) -> Self {
+        GuardedJoin {
+            same_key_types: same,
+            ..self
+        }
     }
 
     /// The engine-facing handle (stats, pending check, fallback note).
@@ -782,8 +808,10 @@ impl<J: Deref<Target: JoinAlgorithm>> GuardedJoin<J> {
         Ok(keep)
     }
 
-    /// One guarded `prepare` per key of one side of a block, counted under
-    /// `Phase::Verify` at the raw key's site; quarantine drops the key.
+    /// One side of a block with, if asked, each key's `prepare` run: the
+    /// side's calls as one block, replayed key by key only on a miss. A
+    /// key's call is counted under `Phase::Verify` at the raw key's site;
+    /// quarantine drops the key.
     fn prepare_side<'a>(
         &self,
         side: Side,
@@ -791,26 +819,38 @@ impl<J: Deref<Target: JoinAlgorithm>> GuardedJoin<J> {
         pplan: &PPlanState,
         prepare: bool,
     ) -> Result<Vec<Hashed<'a>>> {
-        let prepare_key = |&key: &&'a ExtValue| {
-            let mut hashed = Hashed::new(key);
-            if !prepare {
+        let mut hashed: Vec<Hashed<'a>> = keys.iter().map(|&key| Hashed::new(key)).collect();
+        if !prepare {
+            return Ok(hashed);
+        }
+        if keys.len() > 1 {
+            let run_all = || {
+                let prepare_key = |key: &&ExtValue| self.inner.prepare(side, key, pplan);
+                keys.iter().map(prepare_key).collect::<Result<Vec<_>>>()
+            };
+            if let Ok(forms) = self.run_block(run_all, |_| None) {
+                for (key, form) in hashed.iter_mut().zip(forms) {
+                    key.form = form;
+                }
                 return Ok(hashed);
             }
-            hashed.form = self
+        }
+        for key in &mut hashed {
+            let raw = key.key;
+            key.form = self
                 .guarded(
                     Phase::Verify,
-                    fold(hashed.hash, side as u64 + 20),
-                    || key_site(side, key),
+                    fold(key.hash(), side as u64 + 20),
+                    || key_site(side, raw),
                     || Some(None),
-                    || self.inner.prepare(side, key, pplan).map(Some),
+                    || self.inner.prepare(side, raw, pplan).map(Some),
                 )?
                 .unwrap_or_else(|| {
-                    hashed.dropped = true;
+                    key.dropped = true;
                     None
                 });
-            Ok(hashed)
-        };
-        keys.iter().map(prepare_key).collect()
+        }
+        Ok(hashed)
     }
 
     /// The probes over a clean block's answers: [`Self::probe_pair`] on every
@@ -907,9 +947,11 @@ impl<J: Deref<Target: JoinAlgorithm>> GuardedJoin<J> {
     }
 
     /// Whether the join is one the symmetry probe checks: symmetric, under
-    /// the default dedup mode.
+    /// the default dedup mode, over one declared key type.
     fn symmetry_probed(&self) -> bool {
-        self.inner.symmetric() && self.inner.dedup_mode() == DedupMode::Avoidance
+        self.same_key_types
+            && self.inner.symmetric()
+            && self.inner.dedup_mode() == DedupMode::Avoidance
     }
 
     /// The sampled probes on one pair `verify` answered `accepted`: the first
@@ -924,9 +966,10 @@ impl<J: Deref<Target: JoinAlgorithm>> GuardedJoin<J> {
         accepted: bool,
     ) -> Option<String> {
         let site_hash = pair_site(b1, k1, b2, k2);
-        // Symmetry under the default dedup mode, between keys of the same
-        // external shape (polygon × point is exempt); the swapped call reads
-        // the forms the pair's own call read.
+        // Symmetry under the default dedup mode, between keys of one
+        // declared type and one external shape (polygon × point is exempt,
+        // and so is a null key); the swapped call reads the forms the
+        // pair's own call read.
         if self.sampled(1, SALT_SYMMETRY, site_hash)
             && self.symmetry_probed()
             && same_shape(k1, k2)

@@ -19,7 +19,9 @@
 //! 4. **COMBINE** — each worker groups its rows by bucket in a hash map,
 //!    matches bucket pairs (map lookup for default match, NLJ over bucket
 //!    ids for theta), and runs the strategy's local join (`verify` inside)
-//!    plus duplicate avoidance. Each joined row is built once, holding only
+//!    plus duplicate avoidance, which reads the first-bucket flag PARTITION
+//!    left on each row and assigns again only the keys of pairs the flags
+//!    leave open. Each joined row is built once, holding only
 //!    the columns in [`FudjJoinNode::output`]: the planner folds the
 //!    projections above the join into that list. Duplicate *elimination*
 //!    instead costs one more shuffle of the full-width joined output
@@ -395,6 +397,9 @@ fn summarize_side(
 
 /// ASSIGN/UNNEST one side: each row becomes one tagged row per bucket id,
 /// with the bucket appended as a trailing `Int64` column (bit-preserving).
+/// Under duplicate avoidance a `Bool` goes before the tag: whether the
+/// bucket is the first of its key's sorted list, which settles most of
+/// COMBINE's avoidance checks without assigning the key again.
 fn assign_and_tag(
     cluster: &Cluster,
     join: &dyn EngineJoin,
@@ -413,9 +418,12 @@ fn assign_and_tag(
         let mut out = Vec::with_capacity(rows.len());
         // The callback sees sorted, deduplicated buckets per key.
         let keys: Vec<&Value> = rows.iter().map(|r| r.get(key_col)).collect();
+        let flagged = join.dedup_mode() == DedupMode::Avoidance;
         join.assign_sorted(side, &keys, pplan, &mut |i, buckets| {
-            for &b in buckets {
-                out.push(rows[i].with_appended(Value::Int64(b as i64)));
+            for (k, &b) in buckets.iter().enumerate() {
+                let flag = flagged.then_some(Value::Bool(k == 0));
+                let values = rows[i].values().iter().cloned().chain(flag);
+                out.push(values.chain([Value::Int64(b as i64)]).collect());
             }
         })?;
         Ok(out)
@@ -431,6 +439,18 @@ pub(crate) fn bucket_of(row: &Row) -> Result<BucketId> {
         Some(Value::Int64(b)) => Ok(*b as BucketId),
         other => Err(FudjError::Execution(format!(
             "tagged row must end with an Int64 bucket, got {other:?}"
+        ))),
+    }
+}
+
+/// Whether a tagged row's bucket is the first of its key's (the flag
+/// before the tag, present under duplicate avoidance only).
+#[inline]
+fn first_bucket_flag(row: &Row) -> Result<bool> {
+    match row.values().iter().nth_back(1) {
+        Some(Value::Bool(first)) => Ok(*first),
+        other => Err(FudjError::Execution(format!(
+            "avoidance row must carry a Bool first-bucket flag before its tag, got {other:?}"
         ))),
     }
 }
@@ -525,28 +545,45 @@ fn join_bucket_pair(
     ctx.join
         .verify_block(b1, &lkeys, b2, &rkeys, ctx.pplan, true, &mut verified)?;
 
-    // Once per key per block, never once per pair: the library call above
-    // runs `prepare` on each of the m + n keys before it verifies the m·n
-    // pairs, and duplicate avoidance below assigns each key that has a
-    // verified pair once, in one block call per side. For the text join
-    // either step per pair would mean re-tokenising both records — in
-    // `assign`'s case the difference between avoidance beating or losing to
-    // elimination.
-    let (lassign, rassign) = match ctx.dedup_mode {
-        DedupMode::Avoidance => (
-            verified_buckets(ctx, Side::Left, &lkeys, verified.iter().map(|p| p.0))?,
-            verified_buckets(ctx, Side::Right, &rkeys, verified.iter().map(|p| p.1))?,
-        ),
-        _ => (Vec::new(), Vec::new()),
+    // Duplicate avoidance accepts a pair only from its first matching
+    // bucket pair. ASSIGN flagged each row whose bucket is its key's first,
+    // which settles a pair without assigning again: under default match
+    // when either row is flagged (its bucket is then the smallest the two
+    // keys share), else when both are (the pair of firsts leads row-major
+    // order, and it matches). Only the keys of unsettled pairs are assigned
+    // again, once per key per block in one call per side, never once per
+    // pair: for the text join that would mean re-tokenising both records.
+    // Likewise the library call above runs `prepare` on each of the m + n
+    // keys once before it verifies the m·n pairs.
+    let settled = |i: usize, j: usize| -> Result<bool> {
+        let left = first_bucket_flag(&lrows[lidx[i]])?;
+        let right = first_bucket_flag(&rrows[ridx[j]])?;
+        Ok(if ctx.default_match {
+            left || right
+        } else {
+            left && right
+        })
     };
+    let mut unsettled = Vec::new();
+    if ctx.dedup_mode == DedupMode::Avoidance {
+        for &(i, j) in &verified {
+            if !settled(i, j)? {
+                unsettled.push((i, j));
+            }
+        }
+    }
+    let lassign = verified_buckets(ctx, Side::Left, &lkeys, unsettled.iter().map(|p| p.0))?;
+    let rassign = verified_buckets(ctx, Side::Right, &rkeys, unsettled.iter().map(|p| p.1))?;
 
     let mut rejections = 0u64;
+    let mut unsettled = unsettled.into_iter().peekable();
     for (i, j) in verified {
         let keep = match ctx.dedup_mode {
             DedupMode::None | DedupMode::Elimination => true,
             DedupMode::Custom => ctx.join.dedup(b1, lkeys[i], b2, rkeys[j], ctx.pplan)?,
+            DedupMode::Avoidance if unsettled.next_if_eq(&(i, j)).is_none() => true,
             DedupMode::Avoidance => {
-                // Accept only from the first matching bucket pair, found as
+                // The first matching bucket pair, found as
                 // `fudj_core::avoidance_accepts` finds it: a merge walk
                 // under default match, `matches` in row-major order else.
                 let (lb, rb) = (&lassign[i], &rassign[j]);
@@ -572,7 +609,7 @@ fn join_bucket_pair(
 
 /// The sorted, deduplicated bucket lists duplicate avoidance reads: for
 /// each key of `keys` that `used` names, from one `assign_sorted` call over
-/// those keys; empty for the rest.
+/// those keys; empty for the rest, and no call when `used` names none.
 fn verified_buckets(
     ctx: &CombineContext<'_>,
     side: Side,
@@ -580,6 +617,9 @@ fn verified_buckets(
     used: impl Iterator<Item = usize>,
 ) -> Result<Vec<Vec<BucketId>>> {
     let mut picked: Vec<usize> = used.collect();
+    if picked.is_empty() {
+        return Ok(Vec::new());
+    }
     picked.sort_unstable();
     picked.dedup();
     let block: Vec<&Value> = picked.iter().map(|&k| keys[k]).collect();

@@ -299,10 +299,14 @@ fn compile_columns(bound: &[BoundExpr]) -> Option<Vec<usize>> {
 
 /// Project `child` onto `columns` of its output, named by `schema`. Over a
 /// FUDJ join the projection folds into the columns the join emits, over a
-/// column projection the two index lists compose, and anything else gets
-/// a [`PhysicalPlan::VecProject`].
+/// column projection the two index lists compose, a projection that keeps
+/// every column in order under the child's own names (a SELECT list
+/// repeating an aggregate's output) is no operator at all, and anything
+/// else gets a [`PhysicalPlan::VecProject`].
 fn project_onto(child: PhysicalPlan, columns: Vec<usize>, schema: SchemaRef) -> PhysicalPlan {
+    let identity = columns.iter().copied().eq(0..columns.len());
     match child {
+        child if identity && child.schema() == schema => child,
         PhysicalPlan::FudjJoin(mut node) => {
             node.project(&columns, schema);
             PhysicalPlan::FudjJoin(node)
@@ -385,7 +389,12 @@ fn lower_fudj_join(
                 GuardMode::Off => None,
             };
             let alg: Arc<dyn JoinAlgorithm> = match config {
-                Some(config) => Arc::new(GuardedJoin::new(def.algorithm().clone(), config)),
+                Some(config) => {
+                    let keys = def.arg_types();
+                    let guarded = GuardedJoin::new(def.algorithm().clone(), config)
+                        .with_same_key_types(keys.first() == keys.get(1));
+                    Arc::new(guarded)
+                }
                 None => def.algorithm().clone(),
             };
             Arc::new(FudjEngineJoin::with_lease(alg, def.lease()))

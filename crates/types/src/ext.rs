@@ -16,6 +16,13 @@
 //! deserialized, so this is field extraction, not a re-parse. §VII-B of the
 //! paper measures this overhead as near zero for spatial/interval keys and
 //! small for text; the `bench` crate repeats that measurement.
+//!
+//! [`to_external`] builds a fresh value; [`to_external_into`] writes into a
+//! slot and keeps the slot's buffer when the variant matches. The engine's
+//! adapter translates every block into per-thread slots this way, so the
+//! copy of each coordinate or character stays but the allocation per key
+//! goes: a point or a polygon overwrites the `Vec<f64>` the slot's previous
+//! point or polygon left.
 
 use crate::error::{FudjError, Result};
 use crate::value::Value;
@@ -142,11 +149,8 @@ pub fn to_external(v: &Value) -> Result<ExtValue> {
         Value::Interval(iv) => ExtValue::LongArray(vec![iv.start, iv.end]),
         Value::Point(p) => ExtValue::DoubleArray(vec![p.x, p.y]),
         Value::Polygon(poly) => {
-            let mut coords = Vec::with_capacity(poly.ring().len() * 2);
-            for p in poly.ring() {
-                coords.push(p.x);
-                coords.push(p.y);
-            }
+            let mut coords = Vec::new();
+            flatten_ring(poly, &mut coords);
             ExtValue::DoubleArray(coords)
         }
         Value::List(vs) => {
@@ -175,6 +179,48 @@ pub fn to_external(v: &Value) -> Result<ExtValue> {
             }
         }
     })
+}
+
+/// [`to_external`] into `slot`, reusing the slot's `String` or `Vec` when
+/// its variant is the one `v` translates to: translating block after block
+/// into the same slots allocates only where a key outgrows its slot. Any
+/// other pair of variants is translated afresh, so the slot never holds a
+/// stale value; on an error it holds a valid, unspecified one.
+pub fn to_external_into(v: &Value, slot: &mut ExtValue) -> Result<()> {
+    match (v, &mut *slot) {
+        (Value::Str(s), ExtValue::Text(text)) => {
+            text.clear();
+            text.push_str(s);
+        }
+        (Value::Uuid(u), ExtValue::Text(text)) => {
+            use std::fmt::Write;
+            text.clear();
+            write!(text, "{u:032x}").expect("writing to a String cannot fail");
+        }
+        (Value::Interval(iv), ExtValue::LongArray(bounds)) => {
+            bounds.clear();
+            bounds.extend([iv.start, iv.end]);
+        }
+        (Value::Point(p), ExtValue::DoubleArray(coords)) => {
+            coords.clear();
+            coords.extend([p.x, p.y]);
+        }
+        (Value::Polygon(poly), ExtValue::DoubleArray(coords)) => {
+            coords.clear();
+            flatten_ring(poly, coords);
+        }
+        _ => *slot = to_external(v)?,
+    }
+    Ok(())
+}
+
+/// Append a polygon's ring as `[x0, y0, x1, y1, ...]`.
+fn flatten_ring(poly: &Polygon, coords: &mut Vec<f64>) {
+    coords.reserve(poly.ring().len() * 2);
+    for p in poly.ring() {
+        coords.push(p.x);
+        coords.push(p.y);
+    }
 }
 
 /// External simple value → engine value under a target type (the proxy
@@ -269,6 +315,40 @@ mod tests {
         assert_eq!(ev, ExtValue::TextArray(vec!["a".into(), "b".into()]));
         let back = from_external(&ev, &DataType::List(Box::new(DataType::String))).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn translating_into_a_used_slot_equals_a_fresh_translation() {
+        let poly = |n: usize| {
+            let ring = (0..n)
+                .map(|i| Point::new(i as f64, (i * i) as f64))
+                .collect();
+            Value::polygon(Polygon::new(ring))
+        };
+        // Each value lands in a slot the one before it left: a longer and a
+        // shorter ring, a point after a ring, the same variant from another
+        // engine type (uuid and string text), and a change of variant.
+        let values = [
+            poly(9),
+            poly(3),
+            Value::Point(Point::new(7.0, 8.0)),
+            Value::str("a longer string than the uuid"),
+            Value::Uuid(0xabc),
+            Value::str("x"),
+            Value::Interval(Interval::new(3, 4)),
+            Value::Int64(5),
+            Value::Interval(Interval::new(-1, 1)),
+            Value::list(vec![Value::str("a"), Value::str("b")]),
+            Value::Null,
+            poly(4),
+        ];
+        let mut slot = ExtValue::Null;
+        for v in &values {
+            to_external_into(v, &mut slot).unwrap();
+            assert_eq!(slot, to_external(v).unwrap(), "{v}");
+        }
+        let bad = Value::list(vec![Value::Int64(1), Value::str("b")]);
+        assert!(to_external_into(&bad, &mut slot).is_err());
     }
 
     #[test]

@@ -186,7 +186,7 @@ fn cases() -> Vec<Case> {
     }
     out.push(grouped(
         format!("{} FROM T a GROUP BY a.tag ORDER BY a.tag", select("a.tag", "a.v", "a.x", "a.id")),
-        "HashAggregate [group by [1]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n      DataScan [T]",
+        "HashAggregate [group by [1]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n    DataScan [T]",
         "a.tag",
         groups,
     ));
@@ -202,7 +202,7 @@ fn cases() -> Vec<Case> {
             "{} FROM T a WHERE a.v < 40 GROUP BY a.k ORDER BY a.k",
             select("a.k", "a.v", "a.x", "a.id")
         ),
-        "HashAggregate [group by [2]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n      VecFilter [#3 < 40]",
+        "HashAggregate [group by [2]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n    VecFilter [#3 < 40]",
         "a.k",
         groups,
     ));
@@ -217,7 +217,7 @@ fn cases() -> Vec<Case> {
             "{} FROM T a WHERE a.v < a.id GROUP BY a.k ORDER BY a.k",
             select("a.k", "a.v", "a.x", "a.id")
         ),
-        "HashAggregate [group by [2]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n      Filter",
+        "HashAggregate [group by [2]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n    Filter",
         "a.k",
         groups,
     ));
@@ -225,7 +225,7 @@ fn cases() -> Vec<Case> {
     // No GROUP BY: one row straight off the scan.
     out.push(Case {
         sql: "SELECT COUNT(*) AS c, MAX(a.v) AS m FROM T a".to_owned(),
-        plan: "HashAggregate [group by []; [\"c\", \"m(#3)\"]]\n    DataScan [T]",
+        plan: "HashAggregate [group by []; [\"c\", \"m(#3)\"]]\n  DataScan [T]",
         names: vec!["c".to_owned(), "m".to_owned()],
         rows: vec![Row::new(vec![
             int(t.len() as i64),
@@ -251,7 +251,7 @@ fn cases() -> Vec<Case> {
              GROUP BY b.id ORDER BY b.id",
             select("b.id", "a.v", "a.x", "c.w")
         ),
-        "HashAggregate [group by [5]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#10)\", \"av(#3)\"]]\n      NestedLoopJoin",
+        "HashAggregate [group by [5]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#10)\", \"av(#3)\"]]\n    NestedLoopJoin",
         "b.id",
         groups,
     ));
@@ -273,7 +273,7 @@ fn cases() -> Vec<Case> {
              GROUP BY a.tag ORDER BY a.tag",
             select("a.tag", "b.w", "a.x", "b.id")
         ),
-        "HashAggregate [group by [1]; [\"c\", \"s(#7)\", \"mn(#4)\", \"mx(#5)\", \"av(#7)\"]]\n      Filter\n        FudjJoin",
+        "HashAggregate [group by [1]; [\"c\", \"s(#7)\", \"mn(#4)\", \"mx(#5)\", \"av(#7)\"]]\n    Filter\n      FudjJoin",
         "a.tag",
         groups,
     ));
@@ -346,9 +346,8 @@ fn explain_aggregates_over_a_scan_or_filter_read_it_in_place() {
     let s = bench_session();
     assert_eq!(
         explain(&s, "SELECT k.tag, COUNT(*) AS c FROM kv k GROUP BY k.tag"),
-        "VecProject [#0, #1]\n  \
-           HashAggregate [group by [1]; [\"c\"]]\n    \
-             DataScan [kv]\n"
+        "HashAggregate [group by [1]; [\"c\"]]\n  \
+           DataScan [kv]\n"
     );
     assert_eq!(
         explain(
@@ -356,9 +355,8 @@ fn explain_aggregates_over_a_scan_or_filter_read_it_in_place() {
             "SELECT f.grp, COUNT(*) AS c, SUM(f.val) AS s, AVG(f.val) AS a \
              FROM Fact f GROUP BY f.grp"
         ),
-        "VecProject [#0, #1, #2, #3]\n  \
-           HashAggregate [group by [1]; [\"c\", \"s(#2)\", \"a(#2)\"]]\n    \
-             DataScan [Fact]\n"
+        "HashAggregate [group by [1]; [\"c\", \"s(#2)\", \"a(#2)\"]]\n  \
+           DataScan [Fact]\n"
     );
     assert_eq!(
         explain(
@@ -366,10 +364,9 @@ fn explain_aggregates_over_a_scan_or_filter_read_it_in_place() {
             "SELECT f.grp, COUNT(*) AS c, SUM(f.val) AS s, AVG(f.val) AS a \
              FROM Fact f WHERE f.val < 9900 GROUP BY f.grp"
         ),
-        "VecProject [#0, #1, #2, #3]\n  \
-           HashAggregate [group by [1]; [\"c\", \"s(#2)\", \"a(#2)\"]]\n    \
-             VecFilter [#2 < 9900]\n      \
-               DataScan [Fact]\n"
+        "HashAggregate [group by [1]; [\"c\", \"s(#2)\", \"a(#2)\"]]\n  \
+           VecFilter [#2 < 9900]\n    \
+             DataScan [Fact]\n"
     );
 }
 
@@ -405,9 +402,8 @@ fn explain_query5_aggregate_still_folds_into_the_join() {
     );
     assert!(
         plan.starts_with(
-            "VecProject [#0, #1]\n  \
-               HashAggregate [group by [0]; [\"c\"]]\n    \
-                 FudjJoin [spatial_join | match: hash | dedup: Avoidance | emit: [p.id]]\n"
+            "HashAggregate [group by [0]; [\"c\"]]\n  \
+               FudjJoin [spatial_join | match: hash | dedup: Avoidance | emit: [p.id]]\n"
         ),
         "{plan}"
     );

@@ -342,3 +342,131 @@ fn drop_join_refuses_while_a_plan_holds_the_definition() {
     s.execute("DROP JOIN same_key").unwrap();
     assert!(s.registry().get("same_key").is_none());
 }
+
+// -- the symmetry probe stays inside the declared signature -----------------
+
+/// `SpatialFudj` whose `verify` decodes its arguments by declared type, a
+/// polygon then a point, as a library written against `(polygon, point)`
+/// may: swapped arguments are an error.
+struct StrictContains(fudj_repro::joins::SpatialFudj);
+
+impl fudj_repro::core::FlexibleJoin for StrictContains {
+    type Summary = <fudj_repro::joins::SpatialFudj as fudj_repro::core::FlexibleJoin>::Summary;
+    type PPlan = <fudj_repro::joins::SpatialFudj as fudj_repro::core::FlexibleJoin>::PPlan;
+    fn name(&self) -> &str {
+        "strict_contains"
+    }
+    fn summarize(&self, key: &ExtValue, s: &mut Self::Summary) -> fudj_repro::types::Result<()> {
+        self.0.summarize(key, s)
+    }
+    fn merge_summaries(&self, a: Self::Summary, b: Self::Summary) -> Self::Summary {
+        self.0.merge_summaries(a, b)
+    }
+    fn divide(
+        &self,
+        l: &Self::Summary,
+        r: &Self::Summary,
+        params: &[ExtValue],
+    ) -> fudj_repro::types::Result<Self::PPlan> {
+        self.0.divide(l, r, params)
+    }
+    fn assign(
+        &self,
+        key: &ExtValue,
+        plan: &Self::PPlan,
+        out: &mut Vec<fudj_repro::core::BucketId>,
+    ) -> fudj_repro::types::Result<()> {
+        self.0.assign(key, plan, out)
+    }
+    fn verify(
+        &self,
+        polygon: &ExtValue,
+        point: &ExtValue,
+        plan: &Self::PPlan,
+    ) -> fudj_repro::types::Result<bool> {
+        let (ring, xy) = (polygon.as_double_array()?, point.as_double_array()?);
+        if ring.len() < 6 || xy.len() != 2 {
+            return Err(FudjError::JoinLibrary(format!(
+                "verify(polygon, point) called on {} and {} coordinates",
+                ring.len(),
+                xy.len()
+            )));
+        }
+        self.0.verify(polygon, point, plan)
+    }
+}
+
+#[test]
+fn the_symmetry_probe_never_swaps_keys_of_two_declared_types() {
+    use fudj_repro::core::{JoinLibrary, ProxyJoin};
+    use fudj_repro::geo::{flat_ring_contains_point, Point, Polygon, Rect};
+    let s = Session::new(3);
+    s.install_library(
+        JoinLibrary::builder("strict")
+            .with_class("Contains", || {
+                Arc::new(ProxyJoin::new(StrictContains(
+                    fudj_repro::joins::SpatialFudj::new(),
+                )))
+            })
+            .build(),
+    );
+    let squares: Vec<Polygon> = (0..12)
+        .map(|i| {
+            let (x, y) = ((i % 4) as f64 * 20.0, (i / 4) as f64 * 25.0);
+            Polygon::from_rect(&Rect::new(x, y, x + 30.0, y + 30.0))
+        })
+        .collect();
+    let points: Vec<Point> = (0..40)
+        .map(|i| Point::new((i * 37 % 100) as f64 + 0.5, (i * 53 % 90) as f64 + 0.5))
+        .collect();
+    for (name, field, values) in [
+        (
+            "P",
+            DataType::Polygon,
+            squares
+                .iter()
+                .cloned()
+                .map(Value::polygon)
+                .collect::<Vec<_>>(),
+        ),
+        (
+            "F",
+            DataType::Point,
+            points.iter().map(|&p| Value::Point(p)).collect(),
+        ),
+    ] {
+        let schema = Schema::shared(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("g", field),
+        ]);
+        let ds = DatasetBuilder::new(name, schema)
+            .partitions(3)
+            .build()
+            .unwrap();
+        ds.insert_all(
+            values
+                .into_iter()
+                .enumerate()
+                .map(|(id, g)| Row::new(vec![Value::Int64(id as i64), g])),
+        )
+        .unwrap();
+        s.register_dataset(ds).unwrap();
+    }
+    // Every pair sampled, a violation fails the query.
+    s.execute(
+        r#"CREATE JOIN strict_contains(a: polygon, b: point)
+           RETURNS boolean AS "Contains" AT strict WITH (check_sample = 1)"#,
+    )
+    .unwrap();
+    let sql = "SELECT COUNT(*) AS c FROM P p, F f WHERE strict_contains(p.g, f.g)";
+    let contains = |sq: &Polygon, p: &Point| {
+        let ring: Vec<f64> = sq.ring().iter().flat_map(|q| [q.x, q.y]).collect();
+        flat_ring_contains_point(&ring, p)
+    };
+    let expected = squares
+        .iter()
+        .map(|sq| points.iter().filter(|p| contains(sq, p)).count() as i64)
+        .sum::<i64>();
+    assert!(expected > 0);
+    assert_eq!(count_of(&s, sql), expected);
+}

@@ -161,7 +161,7 @@ fn check_class(kind: &Kind, class: &str, expected: &[Vec<Row>]) {
             // emits no column.
             let plan = explain(&s, &shapes(kind)[0].0);
             assert!(
-                plan.contains("HashAggregate [group by []; [\"c\"]]\n    FudjJoin")
+                plan.contains("HashAggregate [group by []; [\"c\"]]\n  FudjJoin")
                     && plan.contains("emit: []"),
                 "{class}: {plan}"
             );
