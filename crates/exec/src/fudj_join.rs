@@ -52,9 +52,6 @@ use fudj_core::{
 use fudj_types::{FudjError, Result, Row, Value};
 use std::collections::{HashMap, HashSet};
 
-/// Tagged rows, plus a bucket → row-index map.
-type GroupedRows = (Vec<Row>, HashMap<BucketId, Vec<usize>>);
-
 /// One joined row holding `columns` of `left ++ right`, built in a single
 /// allocation. Columns from `left_width` on read the right row, so a
 /// bucket tag trailing the left row is never emitted.
@@ -455,14 +452,17 @@ fn first_bucket_flag(row: &Row) -> Result<bool> {
     }
 }
 
-/// Group tagged rows by bucket. The rows keep their tag: [`emit_row`]
-/// never reads it.
-fn group_by_bucket(rows: Vec<Row>) -> Result<GroupedRows> {
+/// Tagged rows, and the bucket id each one's trailing column holds.
+pub(crate) type Tagged = (Vec<Row>, Vec<BucketId>);
+
+/// Bucket → indices of the rows in it. The rows keep their tag:
+/// [`emit_row`] never reads it.
+fn group_by_bucket(buckets: &[BucketId]) -> HashMap<BucketId, Vec<usize>> {
     let mut groups: HashMap<BucketId, Vec<usize>> = HashMap::new();
-    for (i, row) in rows.iter().enumerate() {
-        groups.entry(bucket_of(row)?).or_default().push(i);
+    for (i, &b) in buckets.iter().enumerate() {
+        groups.entry(b).or_default().push(i);
     }
-    Ok((rows, groups))
+    groups
 }
 
 /// Everything one worker's COMBINE needs, bundled to keep signatures sane.
@@ -488,8 +488,22 @@ pub(crate) fn join_worker_partition(
     lrows: Vec<Row>,
     rrows: Vec<Row>,
 ) -> Result<Vec<Row>> {
-    let (lrows, lgroups) = group_by_bucket(lrows)?;
-    let (rrows, rgroups) = group_by_bucket(rrows)?;
+    let tag = |rows: Vec<Row>| -> Result<Tagged> {
+        let buckets = rows.iter().map(bucket_of).collect::<Result<_>>()?;
+        Ok((rows, buckets))
+    };
+    join_tagged(ctx, tag(lrows)?, tag(rrows)?)
+}
+
+/// [`join_worker_partition`] over rows whose buckets were read on the way
+/// in, so the kernel does not read each row's tag again.
+pub(crate) fn join_tagged(
+    ctx: &CombineContext<'_>,
+    (lrows, lbuckets): Tagged,
+    (rrows, rbuckets): Tagged,
+) -> Result<Vec<Row>> {
+    let lgroups = group_by_bucket(&lbuckets);
+    let rgroups = group_by_bucket(&rbuckets);
 
     // Matched bucket pairs, deterministic order.
     let mut matched: Vec<(BucketId, BucketId)> = if ctx.default_match {
@@ -798,8 +812,8 @@ mod tests {
 
         let cluster = Cluster::new(4);
         let plan = fudj_plan(
-            geo_dataset("rides_a", l, 4),
-            geo_dataset("rides_b", r, 4),
+            geo_dataset("rides_a", l.clone(), 4),
+            geo_dataset("rides_b", r.clone(), 4),
             Arc::new(FudjEngineJoin::new(Arc::new(ProxyJoin::new(
                 IntervalFudj::new(),
             )))),
@@ -813,38 +827,8 @@ mod tests {
         );
         // Builtin agrees too.
         let plan2 = fudj_plan(
-            geo_dataset(
-                "rides_a2",
-                {
-                    let mut rng = SmallRng::seed_from_u64(9);
-                    (0..60)
-                        .map(|_| {
-                            let s = rng.gen_range(0i64..20_000);
-                            Value::Interval(Interval::new(s, s + rng.gen_range(0i64..1500)))
-                        })
-                        .collect()
-                },
-                4,
-            ),
-            geo_dataset(
-                "rides_b2",
-                {
-                    let mut rng = SmallRng::seed_from_u64(9);
-                    let _: Vec<Value> = (0..60)
-                        .map(|_| {
-                            let s = rng.gen_range(0i64..20_000);
-                            Value::Interval(Interval::new(s, s + rng.gen_range(0i64..1500)))
-                        })
-                        .collect();
-                    (0..40)
-                        .map(|_| {
-                            let s = rng.gen_range(0i64..20_000);
-                            Value::Interval(Interval::new(s, s + rng.gen_range(0i64..1500)))
-                        })
-                        .collect()
-                },
-                4,
-            ),
+            geo_dataset("rides_a2", l, 4),
+            geo_dataset("rides_b2", r, 4),
             Arc::new(BuiltinIntervalJoin::new()),
             vec![Value::Int64(32)],
         );
@@ -895,8 +879,7 @@ mod tests {
 
     #[test]
     fn elimination_mode_runs_extra_stage_same_result() {
-        use fudj_joins::{SpatialDedup, TextDedup};
-        let _ = TextDedup::Avoidance; // silence unused import paths in some cfgs
+        use fudj_joins::SpatialDedup;
         let (parks, fires) = spatial_values(5, 20, 40);
         let cluster = Cluster::new(3);
         let avoid = fudj_plan(
@@ -1090,9 +1073,10 @@ mod tests {
     #[test]
     fn theta_join_over_budget_spills_block_nested_and_matches_in_memory() {
         // Theta joins cannot grace-partition (matches span bucket-hash
-        // sub-partitions), so an over-budget theta worker streams both
-        // sides to disk and joins block-nested — same answer, bounded
-        // memory, spill counters visible.
+        // sub-partitions): every row shares one slot that never splits, so
+        // an over-budget theta worker evicts it whole and joins it
+        // block-nested — same answer, bounded memory, spill counters
+        // visible.
         let mut rng = SmallRng::seed_from_u64(31);
         let ivs: Vec<Value> = (0..50)
             .map(|_| {
@@ -1134,6 +1118,12 @@ mod tests {
             s.spill_peak_resident_rows <= 5 + 1,
             "block pairs must respect the budget: {s:?}"
         );
+        // One pass per worker, its one slot spilled and joined block-nested:
+        // no recursion, nothing resident.
+        assert_eq!(s.spill_recursion_depth, 0, "{s:?}");
+        assert_eq!(s.spill_resident_partitions, 0, "{s:?}");
+        assert_eq!(s.spill_passes, s.spill_spilled_partitions, "{s:?}");
+        assert_eq!(s.spill_passes, s.spill_bnl_fallbacks, "{s:?}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Memory-adaptive hybrid-hash spilling for the COMBINE phase.
+//! COMBINE on one worker: a dynamic hybrid hash join whose in-memory case
+//! is the pass that evicts nothing.
 //!
 //! When a worker's tagged inputs exceed [`crate::FudjJoinNode`]'s
 //! `memory_budget_rows`, the join grace-partitions them — but naive grace
@@ -32,25 +33,29 @@
 //!   the same, and per pair Σᵢⱼ |L∩blockᵢ|·|R∩blockⱼ| = |L|·|R| `verify`
 //!   calls, while dedup decisions are per-pair and thus unchanged.
 //!
+//! At the end of a pass every resident sub-partition joins in one
+//! in-memory call over their rows together. A join without a budget runs
+//! the same pass with an unbounded one: nothing is evicted, that call sees
+//! every row, and no spill counter is recorded.
+//!
 //! Every spill file lives in its cluster's own [`SpillDir`] and is owned
 //! by an RAII `SpillFile` guard that unlinks it on drop, so an error
 //! anywhere mid-join (a UDF violation under FailFast, an I/O failure)
 //! leaves that directory empty, and dropping the cluster removes it.
 //!
-//! Only default-match joins take the hybrid-hash path: their matches
-//! never cross bucket-hash sub-partitions, so the union of
-//! per-sub-partition joins is exactly the in-memory join. Theta joins
-//! (matches span partitions) spill through `theta_bnl_join` instead:
-//! both sides stream to disk whole and join block against block, which
-//! is sound for any match predicate. `combine` is the one entry: it
-//! makes the budget check and picks the path.
+//! Hash partitioning is sound for default-match joins: their matches never
+//! cross bucket-hash sub-partitions, so the union of per-sub-partition
+//! joins is exactly the in-memory join. Theta joins (matches span
+//! buckets) route every row to one sub-partition that never counts as
+//! splittable: over the budget it is evicted whole and joined block
+//! against block, which is sound for any match predicate.
 //!
 //! The fan-out, depth cap and write batch are fixed: the operator adapts
 //! to the input and the budget through eviction, recursion and the BNL
 //! fallback, not through tuning.
 
 use crate::exchange;
-use crate::fudj_join::{bucket_of, join_worker_partition, CombineContext};
+use crate::fudj_join::{bucket_of, join_tagged, join_worker_partition, CombineContext, Tagged};
 use crate::metrics::EngineStats;
 use bytes::{Buf, BytesMut};
 use fudj_core::BucketId;
@@ -292,134 +297,103 @@ fn part_hash(bucket: BucketId, depth: usize) -> u64 {
     x
 }
 
+/// Memory-resident rows of a pass and their bucket ids, per side (left =
+/// 0, right = 1), in arrival order: the order the rows were decoded, so
+/// the join reads and frees their memory in order.
+type Resident = [Tagged; 2];
+
 /// One sub-partition's in-flight state during a partitioning pass.
+#[derive(Default)]
 struct Slot {
-    /// Memory-resident rows, per side (left = 0, right = 1).
-    mem: [Vec<Row>; 2],
+    /// Rows of this slot in the pass's resident set.
+    mem_rows: usize,
     /// Writers once evicted; `None` while resident.
     writers: Option<[SideWriter; 2]>,
     /// First bucket id routed here, and whether a second one followed —
-    /// a single-bucket sub-partition can never be split by rehashing, so
-    /// it goes straight to the block-nested-loop fallback.
+    /// only a slot holding two buckets or more can be split by rehashing.
+    /// The theta slot tracks no buckets, so it never splits.
     bucket: Option<BucketId>,
     multi_bucket: bool,
 }
 
 impl Slot {
-    fn new() -> Self {
-        Slot {
-            mem: [Vec::new(), Vec::new()],
-            writers: None,
-            bucket: None,
-            multi_bucket: false,
-        }
-    }
-
-    fn mem_rows(&self) -> usize {
-        self.mem[0].len() + self.mem[1].len()
-    }
-
     fn buffered_rows(&self) -> usize {
         self.writers
             .as_ref()
             .map(|ws| ws[0].buffered_rows + ws[1].buffered_rows)
             .unwrap_or(0)
     }
+
+    /// Flush both write buffers to disk. Returns the rows they held.
+    fn flush(&mut self) -> Result<usize> {
+        let flushed = self.buffered_rows();
+        for w in self.writers.iter_mut().flatten() {
+            w.flush()?;
+        }
+        Ok(flushed)
+    }
+
+    /// Evict slot `part` to disk: create its writers and stream its rows
+    /// out of `mem` in write-batch-sized flushes.
+    fn evict(
+        &mut self,
+        part: usize,
+        mem: &mut Resident,
+        route: impl Fn(BucketId) -> usize,
+        dir: &SpillDir,
+        depth: usize,
+    ) -> Result<()> {
+        let mut writers = [
+            SideWriter::create(dir, depth, part, 0)?,
+            SideWriter::create(dir, depth, part, 1)?,
+        ];
+        for (w, (rows, buckets)) in writers.iter_mut().zip(mem.iter_mut()) {
+            let all = std::mem::take(rows)
+                .into_iter()
+                .zip(std::mem::take(buckets));
+            for (row, b) in all {
+                if route(b) != part {
+                    rows.push(row);
+                    buckets.push(b);
+                    continue;
+                }
+                w.push(&row);
+                if w.buffered_rows >= WRITE_BATCH_ROWS {
+                    w.flush()?;
+                }
+            }
+        }
+        self.writers = Some(writers);
+        self.mem_rows = 0;
+        self.flush()?;
+        Ok(())
+    }
 }
 
-/// COMBINE on one worker under an optional row budget (§III-B spilling).
-/// Within the budget the partition joins in memory. Over it, a
-/// default-match join grace-partitions through [`hybrid_hash_join`]; a
-/// theta join (matches span bucket-hash partitions, so hash partitioning
-/// is unsound) streams both sides to disk through [`theta_bnl_join`].
+/// COMBINE on one worker under an optional row budget (§III-B spilling):
+/// one hybrid-hash pass, whose budget is unbounded when none is set.
+/// Records the task's spill counters only if the pass evicted a slot; on
+/// any error the RAII guards have already unlinked every spill file.
 pub(crate) fn combine(
     ctx: &CombineContext<'_>,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
     budget: Option<usize>,
 ) -> Result<Vec<Row>> {
-    match budget {
-        Some(budget) if lrows.len() + rrows.len() > budget => {
-            if ctx.default_match {
-                hybrid_hash_join(ctx, lrows, rrows, budget)
-            } else {
-                theta_bnl_join(ctx, lrows, rrows, budget)
-            }
-        }
-        _ => join_worker_partition(ctx, lrows, rrows),
-    }
-}
-
-/// Hybrid-hash join one over-budget worker partition. Records the task's
-/// spill counters into the metrics on success; on any error the RAII
-/// guards have already unlinked every spill file.
-fn hybrid_hash_join(
-    ctx: &CombineContext<'_>,
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
-    budget: usize,
-) -> Result<Vec<Row>> {
     let mut stats = EngineStats::default();
-    let mut out = Vec::new();
-    pass(
-        ctx,
-        lrows.into_iter().map(Ok as fn(Row) -> Result<Row>),
-        rrows.into_iter().map(Ok as fn(Row) -> Result<Row>),
-        budget,
-        0,
-        &mut stats,
-        &mut out,
-    )?;
-    ctx.metrics.record_spill_run(&stats);
-    Ok(out)
-}
-
-/// Over-budget *theta* joins: matches span bucket-hash
-/// sub-partitions, so hash grace-partitioning is unsound for them —
-/// instead both sides stream to disk whole and join block against block
-/// within the budget. Each (left row, right row) pair is considered in
-/// exactly one block pair, so the union over blocks is exactly the
-/// in-memory theta join and the logical counters are preserved (see
-/// [`block_nested_join`]).
-fn theta_bnl_join(
-    ctx: &CombineContext<'_>,
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
-    budget: usize,
-) -> Result<Vec<Row>> {
-    let spill_side = |rows: Vec<Row>, side: usize| -> Result<ClosedSide> {
-        let mut w = SideWriter::create(ctx.spill_dir, 0, 0, side)?;
-        for row in rows {
-            w.push(&row);
-            if w.buffered_rows >= WRITE_BATCH_ROWS {
-                w.flush()?;
-            }
-        }
-        w.finish()
-    };
-    let lc = spill_side(lrows, 0)?;
-    let rc = spill_side(rrows, 1)?;
-    let mut stats = EngineStats {
-        spill_passes: 1,
-        spill_spilled_partitions: 1,
-        spilled_rows: lc.rows + rc.rows,
-        spilled_bytes: lc.bytes + rc.bytes,
-        spill_bnl_fallbacks: 1,
-        ..EngineStats::default()
-    };
-    let mut out = Vec::new();
-    if lc.rows > 0 && rc.rows > 0 {
-        block_nested_join(ctx, &lc, &rc, budget, &mut stats, &mut out)?;
+    let rows = |rows: Vec<Row>| rows.into_iter().map(Ok as fn(Row) -> Result<Row>);
+    let budget = budget.unwrap_or(usize::MAX);
+    let out = pass(ctx, rows(lrows), rows(rrows), budget, 0, &mut stats)?;
+    if stats.spill_spilled_partitions > 0 {
+        ctx.metrics.record_spill_run(&stats);
     }
-    ctx.metrics.record_spill_run(&stats);
     Ok(out)
 }
 
 /// One partitioning pass at `depth`: stream both sides into fan-out
-/// slots, evicting under budget pressure, then join resident slots in
+/// slots, evicting under budget pressure, then join the resident slots in
 /// memory and resolve spilled slots (direct readback, recursion, or the
-/// block-nested-loop fallback).
-#[allow(clippy::too_many_arguments)]
+/// block-nested-loop fallback). Returns the joined rows.
 fn pass<I>(
     ctx: &CombineContext<'_>,
     left: I,
@@ -427,91 +401,87 @@ fn pass<I>(
     budget: usize,
     depth: usize,
     stats: &mut EngineStats,
-    out: &mut Vec<Row>,
-) -> Result<()>
+) -> Result<Vec<Row>>
 where
     I: Iterator<Item = Result<Row>>,
 {
     stats.spill_passes += 1;
     stats.spill_recursion_depth = stats.spill_recursion_depth.max(depth as u64);
-    let mut slots: Vec<Slot> = (0..FANOUT).map(|_| Slot::new()).collect();
-    // Working-set accounting: `resident` rows live in slot memory,
-    // `buffered` rows sit in unflushed write buffers. Their sum is what
-    // the budget bounds.
-    let mut resident = 0usize;
+    let mut slots: Vec<Slot> = (0..FANOUT).map(|_| Slot::default()).collect();
+    let mut mem: Resident = Default::default();
+    // Working-set accounting: the rows in `mem` plus the `buffered` rows in
+    // unflushed write buffers. Their sum is what the budget bounds.
+    let working_set = |mem: &Resident, buffered: usize| mem[0].0.len() + mem[1].0.len() + buffered;
+    // Default match routes by bucket; theta rows all share slot 0.
+    let route = |b| {
+        if ctx.default_match {
+            (part_hash(b, depth) as usize) % FANOUT
+        } else {
+            0
+        }
+    };
     let mut buffered = 0usize;
 
     for (side, rows) in [(0usize, left), (1usize, right)] {
         for row in rows {
             let row = row?;
             let b = bucket_of(&row)?;
-            let p = (part_hash(b, depth) as usize) % FANOUT;
-            {
-                let slot = &mut slots[p];
+            let p = route(b);
+            let slot = &mut slots[p];
+            if ctx.default_match {
                 match slot.bucket {
                     None => slot.bucket = Some(b),
                     Some(first) if first != b => slot.multi_bucket = true,
                     _ => {}
                 }
-                if let Some(ws) = slot.writers.as_mut() {
-                    ws[side].push(&row);
-                    buffered += 1;
-                } else {
-                    slot.mem[side].push(row);
-                    resident += 1;
-                }
+            }
+            if let Some(ws) = slot.writers.as_mut() {
+                ws[side].push(&row);
+                buffered += 1;
+            } else {
+                mem[side].0.push(row);
+                mem[side].1.push(b);
+                slot.mem_rows += 1;
             }
             stats.spill_peak_resident_rows = stats
                 .spill_peak_resident_rows
-                .max((resident + buffered) as u64);
+                .max(working_set(&mem, buffered) as u64);
             // A spilled slot's buffer flushes once it holds a full batch.
-            if slots[p].writers.is_some() && slots[p].buffered_rows() >= WRITE_BATCH_ROWS {
-                let ws = slots[p].writers.as_mut().expect("spilled slot has writers");
-                buffered -= ws[0].buffered_rows + ws[1].buffered_rows;
-                ws[0].flush()?;
-                ws[1].flush()?;
+            if slot.buffered_rows() >= WRITE_BATCH_ROWS {
+                buffered -= slot.flush()?;
             }
             // Shrink the working set back under the budget: evict the
             // largest resident slot first (skew-friendly — hot slots go
             // to disk, the tail stays resident), then flush the fullest
             // write buffer.
-            while resident + buffered > budget {
+            while working_set(&mem, buffered) > budget {
                 let victim = (0..FANOUT)
-                    .filter(|&i| slots[i].writers.is_none() && slots[i].mem_rows() > 0)
-                    .max_by_key(|&i| slots[i].mem_rows());
+                    .filter(|&i| slots[i].writers.is_none() && slots[i].mem_rows > 0)
+                    .max_by_key(|&i| slots[i].mem_rows);
                 if let Some(v) = victim {
-                    resident -= evict(&mut slots[v], ctx.spill_dir, depth, v)?;
-                } else {
-                    let fullest = (0..FANOUT).max_by_key(|&i| slots[i].buffered_rows());
-                    match fullest {
-                        Some(f) if slots[f].buffered_rows() > 0 => {
-                            let ws = slots[f]
-                                .writers
-                                .as_mut()
-                                .expect("buffered slot has writers");
-                            buffered -= ws[0].buffered_rows + ws[1].buffered_rows;
-                            ws[0].flush()?;
-                            ws[1].flush()?;
-                        }
-                        _ => break, // nothing left to shed
-                    }
+                    slots[v].evict(v, &mut mem, route, ctx.spill_dir, depth)?;
+                    continue;
+                }
+                let fullest = (0..FANOUT).max_by_key(|&i| slots[i].buffered_rows());
+                match slots[fullest.unwrap_or(0)].flush()? {
+                    0 => break, // nothing left to shed
+                    flushed => buffered -= flushed,
                 }
             }
         }
     }
 
-    // Resident slots: join in memory, the hybrid-hash payoff.
-    for slot in slots.iter_mut().filter(|s| s.writers.is_none()) {
-        if slot.mem_rows() == 0 {
-            continue;
-        }
-        stats.spill_resident_partitions += 1;
-        let l = std::mem::take(&mut slot.mem[0]);
-        let r = std::mem::take(&mut slot.mem[1]);
-        if !l.is_empty() && !r.is_empty() {
-            out.extend(join_worker_partition(ctx, l, r)?);
-        }
-    }
+    // The resident slots join in one call: a default-match bucket lives in
+    // one slot and theta has only one, so this is their union exactly —
+    // and with nothing evicted, the whole in-memory join.
+    stats.spill_resident_partitions += slots
+        .iter()
+        .filter(|s| s.writers.is_none() && s.mem_rows > 0)
+        .count() as u64;
+    let mut out = match mem {
+        [l, r] if !l.0.is_empty() && !r.0.is_empty() => join_tagged(ctx, l, r)?,
+        _ => Vec::new(),
+    };
 
     // Spilled slots: read back within budget, recurse, or fall back.
     for slot in slots.iter_mut() {
@@ -524,7 +494,7 @@ where
         stats.spilled_rows += lc.rows + rc.rows;
         stats.spilled_bytes += lc.bytes + rc.bytes;
         if lc.rows == 0 || rc.rows == 0 {
-            // Default-match: a side with no rows here matches nothing.
+            // A side with no rows here matches nothing.
             continue;
         }
         let total = (lc.rows + rc.rows) as usize;
@@ -535,42 +505,14 @@ where
             out.extend(join_worker_partition(ctx, l, r)?);
         } else if depth >= RECURSION_LIMIT || !slot.multi_bucket {
             stats.spill_bnl_fallbacks += 1;
-            block_nested_join(ctx, &lc, &rc, budget, stats, out)?;
+            block_nested_join(ctx, &lc, &rc, budget, stats, &mut out)?;
         } else {
-            pass(
-                ctx,
-                SpillReader::open(lc.path())?,
-                SpillReader::open(rc.path())?,
-                budget,
-                depth + 1,
-                stats,
-                out,
-            )?;
+            let (l, r) = (SpillReader::open(lc.path())?, SpillReader::open(rc.path())?);
+            out.extend(pass(ctx, l, r, budget, depth + 1, stats)?);
         }
         // `lc`/`rc` drop here: both files unlinked.
     }
-    Ok(())
-}
-
-/// Evict a resident slot to disk: create its writers and stream its rows
-/// out in write-batch-sized flushes. Returns the number of rows freed.
-fn evict(slot: &mut Slot, dir: &SpillDir, depth: usize, part: usize) -> Result<usize> {
-    let mut writers = [
-        SideWriter::create(dir, depth, part, 0)?,
-        SideWriter::create(dir, depth, part, 1)?,
-    ];
-    let freed = slot.mem_rows();
-    for (side, w) in writers.iter_mut().enumerate() {
-        for row in slot.mem[side].drain(..) {
-            w.push(&row);
-            if w.buffered_rows >= WRITE_BATCH_ROWS {
-                w.flush()?;
-            }
-        }
-        w.flush()?;
-    }
-    slot.writers = Some(writers);
-    Ok(freed)
+    Ok(out)
 }
 
 /// Block-nested-loop join of two over-budget spill files, block against
@@ -688,6 +630,127 @@ mod tests {
         assert!(moved > 0, "depth salt must remap at least some buckets");
     }
 
+    /// Run `f` on a COMBINE context for `join` under `pplan`: `(id, key,
+    /// bucket)` rows, no dedup, every column of both sides emitted. `f`
+    /// reads what the run recorded through `ctx.metrics`.
+    fn with_ctx<R>(
+        join: &dyn fudj_core::EngineJoin,
+        pplan: &fudj_core::PPlanState,
+        f: impl FnOnce(&CombineContext<'_>) -> R,
+    ) -> R {
+        let metrics = crate::metrics::QueryMetrics::new();
+        let spill_dir = SpillDir::default();
+        f(&CombineContext {
+            join,
+            left_key: 1,
+            right_key: 1,
+            pplan,
+            default_match: join.uses_default_match(),
+            dedup_mode: fudj_core::DedupMode::None,
+            output: &[0, 1, 2, 3],
+            left_width: 2,
+            metrics: &metrics,
+            spill_dir: &spill_dir,
+        })
+    }
+
+    /// Key equality, no dedup: rows meet only on equal keys, whatever
+    /// bucket tags they carry.
+    fn equality_join() -> (fudj_core::FudjEngineJoin, fudj_core::PPlanState) {
+        use fudj_core::{Join, Side};
+        let join =
+            fudj_core::FudjEngineJoin::new(std::sync::Arc::new(fudj_joins::evil::EqualityFudj));
+        let s = join.new_summary(Side::Left);
+        let pplan = join.divide(&s, &s, &[]).unwrap();
+        (join, pplan)
+    }
+
+    /// No spill counter moved.
+    fn assert_no_spill(ctx: &CombineContext<'_>) {
+        let s = ctx.metrics.snapshot();
+        for (name, value) in s.fields() {
+            assert!(!name.starts_with("spill") || value == 0, "{name} = {value}");
+        }
+    }
+
+    /// Without a budget, or with one the input fits, `combine` is the
+    /// in-memory join: the same rows in the same order, no spill counter.
+    fn assert_fitting_runs_are_the_in_memory_join(ctx: &CombineContext<'_>, l: &[Row], r: &[Row]) {
+        let in_memory = join_worker_partition(ctx, l.to_vec(), r.to_vec()).unwrap();
+        assert!(!in_memory.is_empty());
+        for budget in [None, Some(l.len() + r.len())] {
+            let rows = combine(ctx, l.to_vec(), r.to_vec(), budget).unwrap();
+            assert_eq!(rows, in_memory, "budget {budget:?}");
+        }
+        assert_no_spill(ctx);
+    }
+
+    #[test]
+    fn default_match_within_budget_is_the_in_memory_join_in_order() {
+        // 23 buckets spread over every slot; a key's rows share its bucket.
+        let tagged = |n: i64, step: i64| -> Vec<Row> {
+            (0..n)
+                .map(|i| {
+                    let key = (i * step) % 23;
+                    Row::new(vec![Value::Int64(i), Value::Int64(key), Value::Int64(key)])
+                })
+                .collect()
+        };
+        let (join, pplan) = equality_join();
+        with_ctx(&join, &pplan, |ctx| {
+            assert!(ctx.default_match);
+            assert_fitting_runs_are_the_in_memory_join(ctx, &tagged(60, 7), &tagged(40, 5));
+        });
+    }
+
+    #[test]
+    fn theta_within_budget_is_the_in_memory_join_in_order() {
+        use fudj_core::Side;
+        let interval = fudj_core::FudjEngineJoin::new(std::sync::Arc::new(
+            fudj_core::ProxyJoin::new(fudj_joins::IntervalFudj::new()),
+        ));
+        let join: &dyn fudj_core::EngineJoin = &interval;
+        let keys = |seed: i64, n: i64| -> Vec<Value> {
+            (0..n)
+                .map(|i| {
+                    let s = (i * 7_919 + seed) % 5_000;
+                    Value::Interval(fudj_temporal::Interval::new(s, s + (i * 31) % 600))
+                })
+                .collect()
+        };
+        let (lkeys, rkeys) = (keys(1, 50), keys(2_500, 40));
+        let summary = |side: Side, keys: &[Value]| {
+            let mut s = join.new_summary(side);
+            join.summarize_block(side, &keys.iter().collect::<Vec<_>>(), &mut s)
+                .unwrap();
+            s
+        };
+        let pplan = join
+            .divide(
+                &summary(Side::Left, &lkeys),
+                &summary(Side::Right, &rkeys),
+                &[Value::Int64(32)],
+            )
+            .unwrap();
+        let tagged = |side: Side, keys: &[Value]| -> Vec<Row> {
+            let mut out = Vec::new();
+            let refs: Vec<&Value> = keys.iter().collect();
+            join.assign_sorted(side, &refs, &pplan, &mut |i, buckets| {
+                for &b in buckets {
+                    let (id, key) = (Value::Int64(i as i64), keys[i].clone());
+                    out.push(Row::new(vec![id, key, Value::Int64(b as i64)]));
+                }
+            })
+            .unwrap();
+            out
+        };
+        let (l, r) = (tagged(Side::Left, &lkeys), tagged(Side::Right, &rkeys));
+        with_ctx(join, &pplan, |ctx| {
+            assert!(!ctx.default_match);
+            assert_fitting_runs_are_the_in_memory_join(ctx, &l, &r);
+        });
+    }
+
     #[test]
     fn colliding_buckets_reach_the_recursion_cap_then_join_block_nested() {
         // Two buckets whose depth-salted slots agree at every depth up to
@@ -717,42 +780,22 @@ mod tests {
                 })
                 .collect()
         };
-        // Key equality, no dedup: rows meet only on equal keys, whatever
-        // bucket tags they carry.
-        let join =
-            fudj_core::FudjEngineJoin::new(std::sync::Arc::new(fudj_joins::evil::EqualityFudj));
-        let pplan = {
-            use fudj_core::{Join, Side};
-            let s = join.new_summary(Side::Left);
-            join.divide(&s, &s, &[]).unwrap()
-        };
-        let metrics = crate::metrics::QueryMetrics::new();
-        let spill_dir = SpillDir::default();
-        let ctx = CombineContext {
-            join: &join,
-            left_key: 1,
-            right_key: 1,
-            pplan: &pplan,
-            default_match: true,
-            dedup_mode: fudj_core::DedupMode::None,
-            output: &[0, 1, 2, 3],
-            left_width: 2,
-            metrics: &metrics,
-            spill_dir: &spill_dir,
-        };
         let sorted = |mut rows: Vec<Row>| {
             rows.sort();
             rows
         };
-        let in_memory = sorted(join_worker_partition(&ctx, tagged(40), tagged(30)).unwrap());
-        assert!(!in_memory.is_empty());
-        assert_eq!(metrics.snapshot().spilled_rows, 0);
+        let (join, pplan) = equality_join();
+        with_ctx(&join, &pplan, |ctx| {
+            let in_memory = sorted(join_worker_partition(ctx, tagged(40), tagged(30)).unwrap());
+            assert!(!in_memory.is_empty());
+            assert_no_spill(ctx);
 
-        let spilled = sorted(combine(&ctx, tagged(40), tagged(30), Some(8)).unwrap());
-        assert_eq!(spilled, in_memory);
-        let s = metrics.snapshot();
-        assert_eq!(s.spill_recursion_depth, RECURSION_LIMIT as u64, "{s:?}");
-        assert!(s.spill_bnl_fallbacks > 0, "{s:?}");
-        assert!(s.spill_peak_resident_rows <= 8 + 1, "{s:?}");
+            let spilled = sorted(combine(ctx, tagged(40), tagged(30), Some(8)).unwrap());
+            assert_eq!(spilled, in_memory);
+            let s = ctx.metrics.snapshot();
+            assert_eq!(s.spill_recursion_depth, RECURSION_LIMIT as u64, "{s:?}");
+            assert!(s.spill_bnl_fallbacks > 0, "{s:?}");
+            assert!(s.spill_peak_resident_rows <= 8 + 1, "{s:?}");
+        });
     }
 }

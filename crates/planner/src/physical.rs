@@ -301,12 +301,28 @@ fn compile_columns(bound: &[BoundExpr]) -> Option<Vec<usize>> {
 /// FUDJ join the projection folds into the columns the join emits, over a
 /// column projection the two index lists compose, a projection that keeps
 /// every column in order under the child's own names (a SELECT list
-/// repeating an aggregate's output) is no operator at all, and anything
-/// else gets a [`PhysicalPlan::VecProject`].
+/// repeating an aggregate's output) is no operator at all, one that only
+/// renames an aggregate's columns renames them on the aggregate, and
+/// anything else gets a [`PhysicalPlan::VecProject`].
 fn project_onto(child: PhysicalPlan, columns: Vec<usize>, schema: SchemaRef) -> PhysicalPlan {
     let identity = columns.iter().copied().eq(0..columns.len());
+    let same_types = |own: &Schema| {
+        let types = schema.fields().iter().map(|f| &f.data_type);
+        own.fields().iter().map(|f| &f.data_type).eq(types)
+    };
     match child {
         child if identity && child.schema() == schema => child,
+        PhysicalPlan::HashAggregate {
+            input,
+            group_by,
+            aggregates,
+            schema: own,
+        } if identity && same_types(&own) => PhysicalPlan::HashAggregate {
+            input,
+            group_by,
+            aggregates,
+            schema,
+        },
         PhysicalPlan::FudjJoin(mut node) => {
             node.project(&columns, schema);
             PhysicalPlan::FudjJoin(node)

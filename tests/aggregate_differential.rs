@@ -378,9 +378,49 @@ fn explain_computed_group_key_keeps_its_project() {
         "SELECT f.grp + 1 AS g, COUNT(*) AS c FROM Fact f GROUP BY f.grp + 1",
     );
     assert!(
-        plan.contains("HashAggregate [group by [0]; [\"c\"]]\n    Project [(f.grp + 1): bigint]"),
+        plan.contains("HashAggregate [group by [0]; [\"c\"]]\n  Project [(f.grp + 1): bigint]"),
         "{plan}"
     );
+}
+
+#[test]
+fn rename_only_projection_renames_the_aggregate() {
+    // `AS m` only renames the computed key the aggregate groups by: the
+    // aggregate carries the new names itself, and no `VecProject` above it
+    // copies every group row to rename one column.
+    let s = Session::new(2);
+    let kv = DatasetBuilder::new(
+        "kv",
+        Schema::shared(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("tag", DataType::String),
+        ]),
+    )
+    .partitions(2)
+    .build()
+    .unwrap();
+    kv.insert_all((0..20i64).map(|i| Row::new(vec![int(i % 10), Value::from("t")])))
+        .unwrap();
+    s.register_dataset(kv).unwrap();
+    let sql = "SELECT k.id + 1 AS m, COUNT(*) AS c FROM kv k GROUP BY k.id + 1";
+    assert_eq!(
+        explain(&s, sql),
+        "HashAggregate [group by [0]; [\"c\"]]\n  \
+           Project [(k.id + 1): bigint]\n    \
+             DataScan [kv]\n"
+    );
+    let batch = s.query(sql).unwrap();
+    let names: Vec<&str> = batch
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| f.name.as_str())
+        .collect();
+    assert_eq!(names, ["m", "c"]);
+    let mut rows = batch.rows().to_vec();
+    rows.sort();
+    let expected: Vec<Row> = (1..=10).map(|m| Row::new(vec![int(m), int(2)])).collect();
+    assert_eq!(rows, expected);
 }
 
 #[test]
