@@ -60,13 +60,9 @@ struct Outbox {
 /// tagged with their source id)`.
 type Inbox = (usize, Vec<Row>, Vec<(usize, Bytes)>);
 
-fn decode_all(buf: &mut Bytes, out: &mut Vec<Row>) -> Result<usize> {
-    let mut n = 0;
-    while !buf.is_empty() {
-        out.push(wire::decode_row(buf)?);
-        n += 1;
-    }
-    Ok(n)
+/// Decode every row of one inbound buffer into `out`; returns the count.
+fn decode_all(buf: &[u8], out: &mut Vec<Row>) -> Result<usize> {
+    wire::Cursor::new(buf).rows(None, out)
 }
 
 /// The armed fault context (if any) plus a dispatch step claimed for one
@@ -173,8 +169,8 @@ fn shuffle_routed(
         metrics.charge_network(inbound);
         let mut rows = local;
         let mut n = 0usize;
-        for mut buf in unique {
-            n += decode_all(&mut buf, &mut rows)?;
+        for buf in unique {
+            n += decode_all(&buf, &mut rows)?;
         }
         metrics.charge_worker_io(dst, n as u64, inbound);
         Ok((rows, n))
@@ -274,8 +270,7 @@ pub fn broadcast(parts: Parts, pool: &WorkerPool, metrics: &QueryMetrics) -> Res
                             ctx.note_duplicate_discarded();
                         }
                     }
-                    let mut b = buf.clone();
-                    received += decode_all(&mut b, &mut rows)?;
+                    received += decode_all(buf, &mut rows)?;
                 }
             }
             metrics.charge_worker_io(dst, received as u64, inbound);
@@ -321,8 +316,7 @@ pub fn gather(parts: Parts, pool: &WorkerPool, metrics: &QueryMetrics) -> Result
             }
         }
         moved_bytes += buf.len() as u64;
-        let mut b = buf;
-        moved_rows += decode_all(&mut b, &mut out)? as u64;
+        moved_rows += decode_all(&buf, &mut out)? as u64;
     }
     // The coordinator receives everything over its single link.
     metrics.charge_network(moved_bytes);
@@ -479,7 +473,7 @@ mod tests {
         let whole = buf.freeze();
         for cut in 0..=whole.len() {
             let mut out = Vec::new();
-            let got = decode_all(&mut whole.slice(..cut), &mut out);
+            let got = decode_all(&whole[..cut], &mut out);
             match boundaries.iter().position(|&b| b == cut) {
                 Some(n) => assert_eq!(got.unwrap(), n, "cut at a row boundary"),
                 None => assert!(

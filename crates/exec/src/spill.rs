@@ -57,7 +57,7 @@
 use crate::exchange;
 use crate::fudj_join::{bucket_of, join_tagged, join_worker_partition, CombineContext, Tagged};
 use crate::metrics::EngineStats;
-use bytes::{Buf, BytesMut};
+use bytes::BytesMut;
 use fudj_core::BucketId;
 use fudj_types::{wire, FudjError, Result, Row};
 use parking_lot::Mutex;
@@ -222,10 +222,14 @@ impl ClosedSide {
 }
 
 /// Streaming reader over a spill file's length-prefixed frames — decodes
-/// one row at a time from fixed-size read chunks, never the whole file.
+/// one row at a time where its frame lies in the read buffer, never the
+/// whole file.
 struct SpillReader {
     file: File,
-    buf: BytesMut,
+    /// Read buffer; `buf[start..end]` holds bytes read but not yet decoded.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 const READ_CHUNK: usize = 64 * 1024;
@@ -234,7 +238,9 @@ impl SpillReader {
     fn open(path: &Path) -> Result<Self> {
         Ok(SpillReader {
             file: File::open(path).map_err(|e| io_err("open", e))?,
-            buf: BytesMut::new(),
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
         })
     }
 
@@ -256,26 +262,30 @@ impl Iterator for SpillReader {
 
     fn next(&mut self) -> Option<Result<Row>> {
         loop {
-            if self.buf.len() >= 4 {
-                let frame = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-                    as usize;
-                if self.buf.len() >= 4 + frame {
-                    let mut bytes = self.buf.split_to(4 + frame).freeze();
-                    bytes.advance(4);
-                    return Some(wire::decode_row(&mut bytes));
+            let unread = &self.buf[self.start..self.end];
+            if let Some((len, rest)) = unread.split_first_chunk::<4>() {
+                let len = u32::from_le_bytes(*len) as usize;
+                if let Some(frame) = rest.get(..len) {
+                    self.start += 4 + len;
+                    return Some(wire::Cursor::new(frame).row());
                 }
             }
-            let mut chunk = [0u8; READ_CHUNK];
-            match self.file.read(&mut chunk) {
+            // Refill: move the unread tail to the front and read after it,
+            // doubling the buffer only for a frame that outgrows it.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.end == self.buf.len() {
+                self.buf.resize(2 * self.buf.len(), 0);
+            }
+            match self.file.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return None,
                 Ok(0) => {
-                    if self.buf.is_empty() {
-                        return None;
-                    }
                     return Some(Err(FudjError::Execution(
                         "spill file truncated mid-frame".into(),
-                    )));
+                    )))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.end += n,
                 Err(e) => return Some(Err(io_err("read", e))),
             }
         }
@@ -575,6 +585,56 @@ mod tests {
         assert!(closed.bytes > 0);
         let back: Result<Vec<Row>> = SpillReader::open(closed.path()).unwrap().collect();
         assert_eq!(back.unwrap(), rows);
+    }
+
+    #[test]
+    fn frames_straddling_read_chunks_read_back_identical() {
+        use fudj_geo::{Point, Polygon};
+        // A 5 000-vertex polygon encodes to ~80 KB: one frame larger than a
+        // whole read chunk, between rows whose frames cross chunk edges.
+        let ring = (0..5_000)
+            .map(|i| {
+                let a = i as f64 * std::f64::consts::TAU / 5_000.0;
+                Point::new(a.cos(), a.sin())
+            })
+            .collect();
+        let big = Row::new(vec![Value::Int64(-1), Value::polygon(Polygon::new(ring))]);
+        let mut rows: Vec<Row> = (0..3_000)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int64(i),
+                    Value::str("x".repeat(i as usize % 97)),
+                ])
+            })
+            .collect();
+        rows.insert(1_500, big);
+        let dir = SpillDir::default();
+        let mut w = SideWriter::create(&dir, 0, 0, 0).unwrap();
+        for row in &rows {
+            w.push(row);
+        }
+        let closed = w.finish().unwrap();
+        assert!(closed.bytes > 3 * READ_CHUNK as u64);
+        let back: Result<Vec<Row>> = SpillReader::open(closed.path()).unwrap().collect();
+        assert_eq!(back.unwrap(), rows);
+    }
+
+    #[test]
+    fn spill_file_cut_mid_frame_is_an_error() {
+        let dir = SpillDir::default();
+        let mut w = SideWriter::create(&dir, 0, 0, 0).unwrap();
+        for i in 0..3 {
+            w.push(&tagged_row(i, 0));
+        }
+        let closed = w.finish().unwrap();
+        let full = std::fs::read(closed.path()).unwrap();
+        std::fs::write(closed.path(), &full[..full.len() - 1]).unwrap();
+        let mut r = SpillReader::open(closed.path()).unwrap();
+        assert_eq!(r.read_block(2).unwrap().len(), 2);
+        match r.next() {
+            Some(Err(FudjError::Execution(msg))) => assert!(msg.contains("truncated mid-frame")),
+            other => panic!("expected a truncation error, got {other:?}"),
+        }
     }
 
     #[test]

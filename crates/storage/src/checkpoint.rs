@@ -25,8 +25,9 @@
 
 use crate::faultfs::{FaultFs, StorageFaultConfig, Vfs};
 use crate::wal::crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fudj_types::{wire, Result, Row};
+use bytes::{BufMut, BytesMut};
+use fudj_types::wire::{self, Cursor};
+use fudj_types::{Result, Row};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -83,58 +84,52 @@ fn query_prefix(query: u64) -> String {
 }
 
 /// Encode one frame: magic, then `len | body | crc32(body)` with body =
-/// query ++ stage ++ partition ++ row count ++ wire rows. Also returns
-/// the wire rows' size.
+/// query ++ stage ++ partition ++ row count ++ wire rows, written once
+/// behind a length placeholder. Also returns the wire rows' size.
 fn encode_frame(query: u64, stage: &str, partition: usize, rows: &[Row]) -> (Vec<u8>, u64) {
-    let mut body = BytesMut::with_capacity(32 + rows.len() * 32);
-    body.put_u64_le(query);
-    body.put_u32_le(stage.len() as u32);
-    body.put_slice(stage.as_bytes());
-    body.put_u32_le(partition as u32);
-    body.put_u32_le(rows.len() as u32);
-    let header = body.len();
+    let mut out = BytesMut::with_capacity(48 + rows.len() * 32);
+    out.put_slice(CHECKPOINT_MAGIC);
+    out.put_u32_le(0);
+    let body = out.len();
+    out.put_u64_le(query);
+    out.put_u32_le(stage.len() as u32);
+    out.put_slice(stage.as_bytes());
+    out.put_u32_le(partition as u32);
+    out.put_u32_le(rows.len() as u32);
+    let header = out.len();
     for row in rows {
-        wire::encode_row(row, &mut body);
+        wire::encode_row(row, &mut out);
     }
-    let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + body.len() + 8);
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    (out, (body.len() - header) as u64)
+    let len = out.len() - body;
+    out[body - 4..body].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[body..]);
+    out.put_u32_le(crc);
+    let wire_bytes = (out.len() - 4 - header) as u64;
+    (out.into(), wire_bytes)
 }
 
 /// Decode one frame, verifying framing, checksum, and identity. Any
 /// mismatch is `None` — corrupt frames are never mis-decoded.
-fn decode_frame(raw: Vec<u8>, query: u64, stage: &str, partition: usize) -> Option<Vec<Row>> {
+fn decode_frame(raw: &[u8], query: u64, stage: &str, partition: usize) -> Option<Vec<Row>> {
     let rest = raw.strip_prefix(CHECKPOINT_MAGIC.as_slice())?;
     let (len, rest) = rest.split_first_chunk::<4>()?;
     let len = u32::from_le_bytes(*len) as usize;
     if rest.len() != len + 4 || crc32(&rest[..len]).to_le_bytes() != rest[len..] {
         return None;
     }
-    let start = CHECKPOINT_MAGIC.len() + 4;
-    let mut buf = Bytes::from(raw).slice(start..start + len);
-    if buf.remaining() < 8 + 4 || buf.get_u64_le() != query {
+    let mut cur = Cursor::new(&rest[..len]);
+    let stored = (
+        cur.u64("query").ok()?,
+        cur.str("stage").ok()?,
+        cur.u32("partition").ok()? as usize,
+    );
+    if stored != (query, stage, partition) {
         return None;
     }
-    let stage_len = buf.get_u32_le() as usize;
-    if buf.remaining() < stage_len || &buf.chunk()[..stage_len] != stage.as_bytes() {
-        return None;
-    }
-    buf.advance(stage_len);
-    if buf.remaining() < 8 || buf.get_u32_le() as usize != partition {
-        return None;
-    }
-    let nrows = buf.get_u32_le() as usize;
-    let mut rows = Vec::with_capacity(nrows.min(1 << 20));
-    for _ in 0..nrows {
-        rows.push(wire::decode_row(&mut buf).ok()?);
-    }
-    if buf.has_remaining() {
-        return None;
-    }
-    Some(rows)
+    let nrows = cur.u32("row count").ok()? as usize;
+    let mut rows = Vec::new();
+    cur.rows(Some(nrows), &mut rows).ok()?;
+    cur.is_empty().then_some(rows)
 }
 
 struct Inner {
@@ -312,7 +307,7 @@ impl CheckpointStore {
             .vfs
             .read(&inner.dir.join(frame_name(query, stage, partition)))
             .ok()?;
-        let rows = decode_frame(raw, query, stage, partition);
+        let rows = decode_frame(&raw, query, stage, partition);
         match rows {
             Some(_) => inner.stats.read += 1,
             None => inner.stats.quarantined += 1,

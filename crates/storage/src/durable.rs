@@ -28,7 +28,7 @@
 
 use crate::faultfs::Vfs;
 use crate::snapshot::{
-    decode_manifest, decode_snapshot, encode_manifest, encode_snapshot, parse_versioned,
+    decode_manifest, decode_snapshot, encode_manifest, encode_snapshot_at, parse_versioned,
     snapshot_name, wal_name, SnapshotState, SnapshotTable, MANIFEST_NAME,
 };
 use crate::wal::{encode_frame, replay_wal, JoinSpec, WalRecord, WAL_MAGIC};
@@ -502,14 +502,13 @@ impl DurableStore {
 
     /// Commit an atomic snapshot of `state`, rotate the WAL, advance the
     /// manifest, and clean up superseded files. Crash points fire after
-    /// every step (see `snapshot.rs` module docs for the protocol).
+    /// every step (see `snapshot.rs` module docs for the protocol). The
+    /// image covers every record logged so far, whatever `state.last_seq`
+    /// says.
     pub fn snapshot(&self, state: &SnapshotState) -> Result<()> {
         let mut inner = self.inner.lock();
-        let mut state = state.clone();
-        // The snapshot covers everything logged so far.
-        state.last_seq = inner.next_seq - 1;
         let next = inner.version + 1;
-        let bytes = encode_snapshot(&state);
+        let bytes = encode_snapshot_at(inner.next_seq - 1, state);
 
         // 1-3: snapshot write-temp → fsync → rename.
         let tmp = self.dir.join(format!("{}.tmp", snapshot_name(next)));

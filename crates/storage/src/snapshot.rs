@@ -22,9 +22,10 @@
 //! leaves only removable garbage. A corrupt or missing manifest falls
 //! back to a directory scan for the newest *checksum-valid* snapshot.
 
-use crate::wal::{crc32, get_join_spec, get_str, need, put_join_spec, put_str, JoinSpec};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fudj_types::{wire, FudjError, Result, Row};
+use crate::wal::{crc32, get_join_spec, put_join_spec, put_str, JoinSpec};
+use bytes::{BufMut, BytesMut};
+use fudj_types::wire::{self, Cursor};
+use fudj_types::{FudjError, Result, Row};
 
 /// First eight bytes of a snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"FUDJSNP1";
@@ -82,32 +83,38 @@ pub struct SnapshotState {
 
 /// Encode a snapshot file: magic + body + trailing CRC32 over the body.
 pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
-    let mut body = BytesMut::with_capacity(256);
-    body.put_u64_le(state.last_seq);
-    body.put_u32_le(state.joins.len() as u32);
+    encode_snapshot_at(state.last_seq, state)
+}
+
+/// [`encode_snapshot`] of `state` covering WAL sequence numbers up to
+/// `last_seq` instead of `state.last_seq`. Magic and body go into one
+/// buffer and the checksum is taken over the body where it lies.
+pub(crate) fn encode_snapshot_at(last_seq: u64, state: &SnapshotState) -> Vec<u8> {
+    let mut out = BytesMut::with_capacity(256);
+    out.put_slice(SNAPSHOT_MAGIC);
+    out.put_u64_le(last_seq);
+    out.put_u32_le(state.joins.len() as u32);
     for spec in &state.joins {
-        put_join_spec(&mut body, spec);
+        put_join_spec(&mut out, spec);
     }
-    body.put_u32_le(state.tables.len() as u32);
+    out.put_u32_le(state.tables.len() as u32);
     for table in &state.tables {
-        put_str(&mut body, &table.name);
-        body.put_u32_le(table.fields.len() as u32);
+        put_str(&mut out, &table.name);
+        out.put_u32_le(table.fields.len() as u32);
         for (fname, ftype) in &table.fields {
-            put_str(&mut body, fname);
-            put_str(&mut body, ftype);
+            put_str(&mut out, fname);
+            put_str(&mut out, ftype);
         }
-        put_str(&mut body, &table.primary_key);
-        body.put_u32_le(table.partitions);
-        body.put_u32_le(table.rows.len() as u32);
+        put_str(&mut out, &table.primary_key);
+        out.put_u32_le(table.partitions);
+        out.put_u32_le(table.rows.len() as u32);
         for row in &table.rows {
-            wire::encode_row(row, &mut body);
+            wire::encode_row(row, &mut out);
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out
+    let crc = crc32(&out[SNAPSHOT_MAGIC.len()..]);
+    out.put_u32_le(crc);
+    out.into()
 }
 
 /// Decode and checksum-verify a snapshot file. Any corruption — torn
@@ -117,44 +124,34 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotState> {
     if bytes.len() < SNAPSHOT_MAGIC.len() + 4 || &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
         return Err(FudjError::Storage("snapshot header missing or torn".into()));
     }
-    let body_bytes = &bytes[SNAPSHOT_MAGIC.len()..bytes.len() - 4];
-    let stored = u32::from_le_bytes(
-        bytes[bytes.len() - 4..]
-            .try_into()
-            .expect("slice is 4 bytes"),
-    );
-    if crc32(body_bytes) != stored {
+    let (body, stored) =
+        bytes[SNAPSHOT_MAGIC.len()..].split_at(bytes.len() - SNAPSHOT_MAGIC.len() - 4);
+    if crc32(body).to_le_bytes() != stored {
         return Err(FudjError::Storage("snapshot checksum mismatch".into()));
     }
-    let mut buf = Bytes::from(body_bytes);
-    need(&buf, 8 + 4, "snapshot header")?;
-    let last_seq = buf.get_u64_le();
-    let njoins = buf.get_u32_le() as usize;
+    let mut cur = Cursor::new(body);
+    let last_seq = cur.u64("snapshot header")?;
+    let njoins = cur.u32("snapshot header")? as usize;
     let mut joins = Vec::with_capacity(njoins.min(1024));
     for _ in 0..njoins {
-        joins.push(get_join_spec(&mut buf)?);
+        joins.push(get_join_spec(&mut cur)?);
     }
-    need(&buf, 4, "table count")?;
-    let ntables = buf.get_u32_le() as usize;
+    let ntables = cur.u32("table count")? as usize;
     let mut tables = Vec::with_capacity(ntables.min(1024));
     for _ in 0..ntables {
-        let name = get_str(&mut buf, "table name")?;
-        need(&buf, 4, "field count")?;
-        let nfields = buf.get_u32_le() as usize;
+        let name = cur.str("table name")?.to_owned();
+        let nfields = cur.u32("field count")? as usize;
         let mut fields = Vec::with_capacity(nfields.min(1024));
         for _ in 0..nfields {
-            let fname = get_str(&mut buf, "field name")?;
-            let ftype = get_str(&mut buf, "field type")?;
+            let fname = cur.str("field name")?.to_owned();
+            let ftype = cur.str("field type")?.to_owned();
             fields.push((fname, ftype));
         }
-        let primary_key = get_str(&mut buf, "primary key")?;
-        need(&buf, 8, "table header")?;
-        let partitions = buf.get_u32_le();
-        let nrows = buf.get_u32_le() as usize;
-        let mut rows = Vec::with_capacity(nrows.min(65_536));
-        for _ in 0..nrows {
-            rows.push(wire::decode_row(&mut buf)?);
-        }
+        let primary_key = cur.str("primary key")?.to_owned();
+        let partitions = cur.u32("table header")?;
+        let nrows = cur.u32("table header")? as usize;
+        let mut rows = Vec::new();
+        cur.rows(Some(nrows), &mut rows)?;
         tables.push(SnapshotTable {
             name,
             fields,

@@ -27,9 +27,16 @@
 //!   resyncs is **quarantined** — skipped and counted, never decoded.
 //!
 //! Neither case is ever a panic or a wrong answer.
+//!
+//! Both directions work in place: [`encode_frame`] writes the body once,
+//! behind a length placeholder it patches afterwards, and replay checksums
+//! and decodes each frame body where it lies in the segment buffer, through
+//! one [`wire::Cursor`]. The checksum is slicing-by-8: eight table lookups
+//! fold eight bytes, with output identical to the bytewise definition.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fudj_types::{wire, DataType, FudjError, Result, Row};
+use bytes::{BufMut, BytesMut};
+use fudj_types::wire::{self, Cursor};
+use fudj_types::{DataType, FudjError, Result, Row};
 
 /// First eight bytes of every WAL segment.
 pub const WAL_MAGIC: &[u8; 8] = b"FUDJWAL1";
@@ -39,11 +46,14 @@ pub const WAL_MAGIC: &[u8; 8] = b"FUDJWAL1";
 pub const MAX_FRAME: usize = 1 << 26;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, reflected), table-driven.
+// CRC32 (IEEE 802.3 polynomial, reflected), slicing-by-8.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is the
+/// CRC register after byte `b` followed by `k` zero bytes. Eight lookups,
+/// one per table, fold eight input bytes into the register at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -56,20 +66,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) over `bytes` — detects all single-bit flips and any
 /// truncation that changes the covered range.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (blocks, tail) = bytes.as_chunks::<8>();
+    for b in blocks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(x & 0xFF) as usize]
+            ^ t[6][((x >> 8) & 0xFF) as usize]
+            ^ t[5][((x >> 16) & 0xFF) as usize]
+            ^ t[4][(x >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -80,9 +113,24 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Parse a [`DataType`] from its `Display` form (`bigint`, `list<point>`,
 /// ...). The inverse of `DataType::to_string`, used when replaying table
-/// DDL out of the log.
+/// DDL out of the log. `list<…>` nests at most [`wire::MAX_NESTING`] deep.
 pub fn parse_data_type(s: &str) -> Result<DataType> {
-    Ok(match s {
+    let mut inner = s;
+    let mut lists = 0;
+    while let Some(elem) = inner
+        .strip_prefix("list<")
+        .and_then(|r| r.strip_suffix('>'))
+    {
+        if lists == wire::MAX_NESTING {
+            return Err(FudjError::Storage(format!(
+                "data type in log record nests lists deeper than {}",
+                wire::MAX_NESTING
+            )));
+        }
+        inner = elem;
+        lists += 1;
+    }
+    let mut dt = match inner {
         "null" => DataType::Null,
         "boolean" => DataType::Bool,
         "bigint" => DataType::Int64,
@@ -94,18 +142,15 @@ pub fn parse_data_type(s: &str) -> Result<DataType> {
         "point" => DataType::Point,
         "polygon" => DataType::Polygon,
         other => {
-            if let Some(inner) = other
-                .strip_prefix("list<")
-                .and_then(|r| r.strip_suffix('>'))
-            {
-                DataType::List(Box::new(parse_data_type(inner)?))
-            } else {
-                return Err(FudjError::Storage(format!(
-                    "unknown data type {other:?} in log record"
-                )));
-            }
+            return Err(FudjError::Storage(format!(
+                "unknown data type {other:?} in log record"
+            )))
         }
-    })
+    };
+    for _ in 0..lists {
+        dt = DataType::List(Box::new(dt));
+    }
+    Ok(dt)
 }
 
 // ---------------------------------------------------------------------------
@@ -233,28 +278,6 @@ pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-pub(crate) fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(FudjError::Wire(format!(
-            "stored record truncated reading {what}: need {n} bytes, have {}",
-            buf.remaining()
-        )));
-    }
-    Ok(())
-}
-
-pub(crate) fn get_str(buf: &mut Bytes, what: &str) -> Result<String> {
-    need(buf, 4, what)?;
-    let len = buf.get_u32_le() as usize;
-    if len > MAX_FRAME {
-        return Err(FudjError::Wire(format!("implausible {what} length {len}")));
-    }
-    need(buf, len, what)?;
-    let raw = buf.chunk()[..len].to_vec();
-    buf.advance(len);
-    String::from_utf8(raw).map_err(|_| FudjError::Wire(format!("{what} is not valid UTF-8")))
-}
-
 pub(crate) fn put_join_spec(buf: &mut BytesMut, spec: &JoinSpec) {
     put_str(buf, &spec.name);
     put_str(buf, &spec.library);
@@ -278,32 +301,27 @@ pub(crate) fn put_join_spec(buf: &mut BytesMut, spec: &JoinSpec) {
     }
 }
 
-pub(crate) fn get_join_spec(buf: &mut Bytes) -> Result<JoinSpec> {
-    let name = get_str(buf, "join name")?;
-    let library = get_str(buf, "library")?;
-    let class = get_str(buf, "class")?;
-    need(buf, 4, "arg count")?;
-    let nargs = buf.get_u32_le() as usize;
+pub(crate) fn get_join_spec(cur: &mut Cursor<'_>) -> Result<JoinSpec> {
+    let name = cur.str("join name")?.to_owned();
+    let library = cur.str("library")?.to_owned();
+    let class = cur.str("class")?.to_owned();
+    let nargs = cur.u32("arg count")? as usize;
     let mut arg_types = Vec::with_capacity(nargs.min(64));
     for _ in 0..nargs {
-        arg_types.push(get_str(buf, "arg type")?);
+        arg_types.push(cur.str("arg type")?.to_owned());
     }
-    let policy = get_str(buf, "guard policy")?;
-    need(buf, 8 * 5 + 1, "guard limits")?;
+    let policy = cur.str("guard policy")?.to_owned();
     let guard = GuardSpec {
         policy,
-        call_budget_ms: buf.get_u64_le(),
-        max_pplan_bytes: buf.get_u64_le(),
-        max_buckets_per_key: buf.get_u64_le(),
-        max_assign_fanout: buf.get_u64_le(),
-        check_sample: buf.get_u64_le(),
+        call_budget_ms: cur.u64("guard limits")?,
+        max_pplan_bytes: cur.u64("guard limits")?,
+        max_buckets_per_key: cur.u64("guard limits")?,
+        max_assign_fanout: cur.u64("guard limits")?,
+        check_sample: cur.u64("guard limits")?,
     };
-    let memory_budget_rows = match buf.get_u8() {
+    let memory_budget_rows = match cur.u8("memory budget tag")? {
         0 => None,
-        1 => {
-            need(buf, 8, "memory budget")?;
-            Some(buf.get_u64_le())
-        }
+        1 => Some(cur.u64("memory budget")?),
         other => {
             return Err(FudjError::Wire(format!(
                 "bad memory-budget tag {other} in join spec"
@@ -401,57 +419,46 @@ impl WalRecord {
     }
 
     /// Decode one record payload (kind byte + body).
-    fn decode_payload(buf: &mut Bytes) -> Result<WalRecord> {
-        need(buf, 1, "record kind")?;
-        let kind = buf.get_u8();
-        Ok(match kind {
+    fn decode_payload(cur: &mut Cursor<'_>) -> Result<WalRecord> {
+        Ok(match cur.u8("record kind")? {
             KIND_CREATE_TABLE => {
-                let name = get_str(buf, "table name")?;
-                need(buf, 4, "field count")?;
-                let nfields = buf.get_u32_le() as usize;
+                let name = cur.str("table name")?.to_owned();
+                let nfields = cur.u32("field count")? as usize;
                 let mut fields = Vec::with_capacity(nfields.min(1024));
                 for _ in 0..nfields {
-                    let fname = get_str(buf, "field name")?;
-                    let ftype = get_str(buf, "field type")?;
+                    let fname = cur.str("field name")?.to_owned();
+                    let ftype = cur.str("field type")?.to_owned();
                     fields.push((fname, ftype));
                 }
-                let primary_key = get_str(buf, "primary key")?;
-                need(buf, 4, "partition count")?;
-                let partitions = buf.get_u32_le();
                 WalRecord::CreateTable {
                     name,
                     fields,
-                    primary_key,
-                    partitions,
+                    primary_key: cur.str("primary key")?.to_owned(),
+                    partitions: cur.u32("partition count")?,
                 }
             }
             KIND_DROP_TABLE => WalRecord::DropTable {
-                name: get_str(buf, "table name")?,
+                name: cur.str("table name")?.to_owned(),
             },
             KIND_APPEND => {
-                let table = get_str(buf, "table name")?;
-                need(buf, 4, "row count")?;
-                let nrows = buf.get_u32_le() as usize;
-                let mut rows = Vec::with_capacity(nrows.min(4096));
-                for _ in 0..nrows {
-                    rows.push(wire::decode_row(buf)?);
-                }
+                let table = cur.str("table name")?.to_owned();
+                let nrows = cur.u32("row count")? as usize;
+                let mut rows = Vec::new();
+                cur.rows(Some(nrows), &mut rows)?;
                 WalRecord::Append { table, rows }
             }
-            KIND_CREATE_JOIN => WalRecord::CreateJoin(get_join_spec(buf)?),
+            KIND_CREATE_JOIN => WalRecord::CreateJoin(get_join_spec(cur)?),
             KIND_DROP_JOIN => WalRecord::DropJoin {
-                name: get_str(buf, "join name")?,
+                name: cur.str("join name")?.to_owned(),
             },
             KIND_QUERY_SUBMITTED => {
-                need(buf, 8, "query fingerprint")?;
-                let fingerprint = buf.get_u64_le();
-                let sql = get_str(buf, "query sql")?;
-                need(buf, 4, "option count")?;
-                let nopts = buf.get_u32_le() as usize;
+                let fingerprint = cur.u64("query fingerprint")?;
+                let sql = cur.str("query sql")?.to_owned();
+                let nopts = cur.u32("option count")? as usize;
                 let mut options = Vec::with_capacity(nopts.min(64));
                 for _ in 0..nopts {
-                    let key = get_str(buf, "option key")?;
-                    let value = get_str(buf, "option value")?;
+                    let key = cur.str("option key")?.to_owned();
+                    let value = cur.str("option value")?.to_owned();
                     options.push((key, value));
                 }
                 WalRecord::QuerySubmitted {
@@ -461,22 +468,18 @@ impl WalRecord {
                 }
             }
             KIND_STAGE_COMMITTED => {
-                need(buf, 8, "query fingerprint")?;
-                let fingerprint = buf.get_u64_le();
-                let stage = get_str(buf, "stage name")?;
-                need(buf, 4, "counter count")?;
-                let ncounters = buf.get_u32_le() as usize;
+                let fingerprint = cur.u64("query fingerprint")?;
+                let stage = cur.str("stage name")?.to_owned();
+                let ncounters = cur.u32("counter count")? as usize;
                 let mut counters = Vec::with_capacity(ncounters.min(256));
                 for _ in 0..ncounters {
-                    let name = get_str(buf, "counter name")?;
-                    need(buf, 8, "counter value")?;
-                    counters.push((name, buf.get_u64_le()));
+                    let name = cur.str("counter name")?.to_owned();
+                    counters.push((name, cur.u64("counter value")?));
                 }
-                need(buf, 4, "phase count")?;
-                let nphases = buf.get_u32_le() as usize;
+                let nphases = cur.u32("phase count")? as usize;
                 let mut phases = Vec::with_capacity(nphases.min(64));
                 for _ in 0..nphases {
-                    phases.push(get_str(buf, "phase name")?);
+                    phases.push(cur.str("phase name")?.to_owned());
                 }
                 WalRecord::StageCommitted {
                     fingerprint,
@@ -485,12 +488,9 @@ impl WalRecord {
                     phases,
                 }
             }
-            KIND_QUERY_FINISHED => {
-                need(buf, 8, "query fingerprint")?;
-                WalRecord::QueryFinished {
-                    fingerprint: buf.get_u64_le(),
-                }
-            }
+            KIND_QUERY_FINISHED => WalRecord::QueryFinished {
+                fingerprint: cur.u64("query fingerprint")?,
+            },
             other => {
                 return Err(FudjError::Wire(format!("unknown log record kind {other}")));
             }
@@ -498,16 +498,19 @@ impl WalRecord {
     }
 }
 
-/// Encode one framed record: `len | seq ++ kind ++ payload | crc`.
+/// Encode one framed record: `len | seq ++ kind ++ payload | crc`. The
+/// body is written once, straight into the frame, behind a length
+/// placeholder patched when it is complete.
 pub fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
-    let mut body = BytesMut::with_capacity(64);
-    body.put_u64_le(seq);
-    record.encode_payload(&mut body);
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out
+    let mut out = BytesMut::with_capacity(64);
+    out.put_u32_le(0);
+    out.put_u64_le(seq);
+    record.encode_payload(&mut out);
+    let len = out.len() - 4;
+    out[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[4..]);
+    out.put_u32_le(crc);
+    out.into()
 }
 
 /// Outcome of replaying one WAL segment's bytes.
@@ -525,25 +528,16 @@ pub struct WalReplay {
     pub quarantined: u64,
 }
 
-/// Whether a plausible, checksum-valid frame starts at `off`. Returns the
-/// offset just past it when valid.
-fn frame_at(bytes: &[u8], off: usize) -> Option<usize> {
-    let rest = &bytes[off..];
-    if rest.len() < 4 {
+/// The body of the plausible, checksum-valid frame starting at `off`, if
+/// there is one.
+fn frame_at(bytes: &[u8], off: usize) -> Option<&[u8]> {
+    let (len, rest) = bytes[off..].split_first_chunk::<4>()?;
+    let len = u32::from_le_bytes(*len) as usize;
+    if !(9..=MAX_FRAME).contains(&len) || rest.len() < len + 4 {
         return None;
     }
-    let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-    if !(9..=MAX_FRAME).contains(&len) || rest.len() < 4 + len + 4 {
-        return None;
-    }
-    let body = &rest[4..4 + len];
-    let stored = u32::from_le_bytes([
-        rest[4 + len],
-        rest[4 + len + 1],
-        rest[4 + len + 2],
-        rest[4 + len + 3],
-    ]);
-    (crc32(body) == stored).then_some(off + 4 + len + 4)
+    let (body, crc) = rest.split_at(len);
+    (crc32(body).to_le_bytes() == crc[..4]).then_some(body)
 }
 
 /// Replay one segment's bytes back into records, restoring the committed
@@ -564,22 +558,19 @@ pub fn replay_wal(bytes: &[u8]) -> WalReplay {
     out.valid_len = off as u64;
     while off < bytes.len() {
         match frame_at(bytes, off) {
-            Some(end) => {
-                let len = u32::from_le_bytes([
-                    bytes[off],
-                    bytes[off + 1],
-                    bytes[off + 2],
-                    bytes[off + 3],
-                ]) as usize;
-                let mut body = Bytes::from(&bytes[off + 4..off + 4 + len]);
-                let seq = body.get_u64_le();
-                match WalRecord::decode_payload(&mut body) {
-                    Ok(rec) => out.records.push((seq, rec)),
+            Some(body) => {
+                // A frame body is at least 9 bytes, so the seq is there.
+                let mut cur = Cursor::new(body);
+                match cur
+                    .u64("sequence number")
+                    .and_then(|seq| Ok((seq, WalRecord::decode_payload(&mut cur)?)))
+                {
+                    Ok(record) => out.records.push(record),
                     // Checksum valid but undecodable (e.g. a record kind
                     // from a future version): quarantine, keep scanning.
                     Err(_) => out.quarantined += 1,
                 }
-                off = end;
+                off += 4 + body.len() + 4;
                 out.valid_len = off as u64;
             }
             None => {
@@ -740,6 +731,42 @@ mod tests {
         // Standard IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn list_type_nesting_is_capped_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}bigint{}", "list<".repeat(depth), ">".repeat(depth));
+        assert!(parse_data_type(&nested(wire::MAX_NESTING)).is_ok());
+        assert!(parse_data_type(&nested(wire::MAX_NESTING + 1)).is_err());
+        // Deep enough to overflow any worker stack without the cap, and
+        // still well under `MAX_FRAME` as a logged field type.
+        let deep = nested(100_000);
+        assert!(deep.len() < MAX_FRAME);
+        assert!(matches!(parse_data_type(&deep), Err(FudjError::Storage(_))));
+    }
+
+    #[test]
+    fn deeply_nested_appended_row_is_quarantined() {
+        // An `Append` of one row holding 100 000 nested lists, framed with a
+        // valid checksum: replay rejects the body, it does not recurse.
+        let mut body = 1u64.to_le_bytes().to_vec();
+        body.push(KIND_APPEND);
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.push(b't');
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        for _ in 0..100_000 {
+            body.push(10); // list tag
+            body.extend_from_slice(&1u32.to_le_bytes());
+        }
+        body.push(0); // null tag
+        let mut bytes = WAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        let replay = replay_wal(&bytes);
+        assert_eq!((replay.records.len(), replay.quarantined), (0, 1));
+        assert!(!replay.torn_tail);
     }
 
     #[test]

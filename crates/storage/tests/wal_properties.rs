@@ -3,7 +3,9 @@
 //! — replay may drop or quarantine the damaged frame, but it never
 //! mis-decodes one into a different record, and it never panics.
 
-use fudj_storage::wal::{encode_frame, GuardSpec, JoinSpec, WAL_MAGIC};
+use fudj_geo::Point;
+use fudj_storage::snapshot::{decode_snapshot, encode_snapshot};
+use fudj_storage::wal::{crc32, encode_frame, GuardSpec, JoinSpec, WAL_MAGIC};
 use fudj_storage::{replay_wal, SnapshotState, SnapshotTable, WalRecord};
 use fudj_types::{Row, Value};
 use proptest::prelude::*;
@@ -157,4 +159,92 @@ proptest! {
         let at = (cut % clean.len() as u64) as usize; // strictly shorter than clean
         prop_assert!(fudj_storage::snapshot::decode_snapshot(&clean[..at]).is_err());
     }
+}
+
+/// The CRC32 definition itself, one bit at a time: the reflected IEEE
+/// polynomial, register preset to all ones and inverted at the end.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= b as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+proptest! {
+    /// The sliced CRC equals the bitwise definition on every length
+    /// 0..=256 at every start offset 0..8, so each split into 8-byte blocks
+    /// and a byte tail is covered.
+    #[test]
+    fn crc32_equals_bytewise_reference(bytes in prop::collection::vec(any::<u8>(), 264..265)) {
+        for off in 0..8 {
+            for len in 0..=256 {
+                let slice = &bytes[off..off + len];
+                prop_assert_eq!(crc32(slice), crc32_bitwise(slice), "offset {} length {}", off, len);
+            }
+        }
+    }
+}
+
+#[test]
+fn crc32_known_vector() {
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+}
+
+/// A small snapshot image, byte for byte: the encoder must write exactly
+/// these bytes and the decoder must read them back to the same state.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    const IMAGE: &[u8] = &[
+        70, 85, 68, 74, 83, 78, 80, 49, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 110, 101,
+        97, 114, 3, 0, 0, 0, 103, 101, 111, 1, 0, 0, 0, 100, 1, 0, 0, 0, 5, 0, 0, 0, 112, 111, 105,
+        110, 116, 8, 0, 0, 0, 102, 97, 105, 108, 102, 97, 115, 116, 5, 0, 0, 0, 0, 0, 0, 0, 6, 0,
+        0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+        1, 64, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 116, 2, 0, 0, 0, 2, 0, 0, 0, 105, 100,
+        6, 0, 0, 0, 98, 105, 103, 105, 110, 116, 2, 0, 0, 0, 97, 116, 5, 0, 0, 0, 112, 111, 105,
+        110, 116, 2, 0, 0, 0, 105, 100, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0,
+        0, 8, 0, 0, 0, 0, 0, 0, 224, 63, 0, 0, 0, 0, 0, 0, 0, 192, 2, 0, 0, 0, 2, 254, 255, 255,
+        255, 255, 255, 255, 255, 0, 45, 164, 245, 55,
+    ];
+    let state = SnapshotState {
+        last_seq: 9,
+        joins: vec![JoinSpec {
+            name: "near".into(),
+            library: "geo".into(),
+            class: "d".into(),
+            arg_types: vec!["point".into()],
+            guard: GuardSpec {
+                policy: "failfast".into(),
+                call_budget_ms: 5,
+                max_pplan_bytes: 6,
+                max_buckets_per_key: 7,
+                max_assign_fanout: 8,
+                check_sample: 1,
+            },
+            memory_budget_rows: Some(64),
+        }],
+        tables: vec![SnapshotTable {
+            name: "t".into(),
+            fields: vec![
+                ("id".into(), "bigint".into()),
+                ("at".into(), "point".into()),
+            ],
+            primary_key: "id".into(),
+            partitions: 2,
+            rows: vec![
+                Row::new(vec![Value::Int64(1), Value::Point(Point::new(0.5, -2.0))]),
+                Row::new(vec![Value::Int64(-2), Value::Null]),
+            ],
+        }],
+    };
+    assert_eq!(encode_snapshot(&state), IMAGE);
+    assert_eq!(decode_snapshot(IMAGE).unwrap(), state);
 }

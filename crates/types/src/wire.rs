@@ -4,10 +4,21 @@
 //! ship between workers. That keeps the shuffled-byte metrics honest (the
 //! paper's partitioning discussion is largely about network cost) and
 //! faithfully models the serialization work a real shared-nothing engine
-//! performs at each repartitioning.
+//! performs at each repartitioning. The WAL, snapshots, checkpoints and
+//! spill files store rows in the same format.
 //!
 //! Format per value: a 1-byte tag, then a fixed- or length-prefixed payload.
-//! A row is its values back to back; a batch is a `u32` row count + rows.
+//! A row is a `u32` width + its values back to back; a batch is a `u32` row
+//! count + rows.
+//!
+//! Encoding appends to a `BytesMut`. Decoding reads through one [`Cursor`]
+//! over a `&[u8]`, where the bytes lie: a string is UTF-8-checked in place
+//! and copied once, into its `Arc<str>`; a row's values are collected
+//! straight into its `Arc<[Value]>` (one allocation, nothing copied after);
+//! [`Cursor::rows`] decodes every row of a buffer. Lengths read from the
+//! input are checked against the bytes left before anything is allocated,
+//! and `List` nesting is capped at [`MAX_NESTING`], so no input can abort
+//! the process: a short, corrupt or hostile buffer is a [`FudjError::Wire`].
 
 use crate::error::{FudjError, Result};
 use crate::row::{Batch, Row};
@@ -16,6 +27,7 @@ use crate::value::Value;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fudj_geo::{Point, Polygon};
 use fudj_temporal::Interval;
+use std::sync::Arc;
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -86,93 +98,222 @@ pub fn encode_value(v: &Value, buf: &mut BytesMut) {
     }
 }
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(FudjError::Wire(format!("truncated input reading {what}")))
-    } else {
-        Ok(())
+/// Deepest `List` nesting the decoder accepts (a top-level value is depth
+/// 0). Decoding recurses once per level, so a crafted buffer of nested
+/// list headers would otherwise overflow the worker's stack; the same cap
+/// bounds `list<…>` type strings in the storage log.
+pub const MAX_NESTING: usize = 128;
+
+/// A read cursor over a byte slice: every decoder in the workspace reads
+/// through one, where the bytes lie. Each read checks its length first and
+/// moves past what it returns; a short input is a [`FudjError::Wire`],
+/// never a panic.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Cursor { rest: bytes }
     }
+
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// Whether every byte has been read.
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+
+    /// The next `n` bytes, in place.
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        if self.rest.len() < n {
+            return Err(truncated(what, n, self.rest.len()));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let (head, tail) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or_else(|| truncated(what, N, self.rest.len()))?;
+        self.rest = tail;
+        Ok(*head)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, what: &str) -> Result<u8> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, what: &str) -> Result<u32> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, what: &str) -> Result<u64> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// A little-endian `i64`.
+    fn i64(&mut self, what: &str) -> Result<i64> {
+        self.array(what).map(i64::from_le_bytes)
+    }
+
+    /// A little-endian `f64`.
+    fn f64(&mut self, what: &str) -> Result<f64> {
+        self.array(what).map(f64::from_le_bytes)
+    }
+
+    /// A little-endian `u128`.
+    fn u128(&mut self, what: &str) -> Result<u128> {
+        self.array(what).map(u128::from_le_bytes)
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string, checked where it lies.
+    pub fn str(&mut self, what: &str) -> Result<&'a str> {
+        let len = self.u32(what)? as usize;
+        std::str::from_utf8(self.take(len, what)?)
+            .map_err(|e| FudjError::Wire(format!("{what} is not valid UTF-8: {e}")))
+    }
+
+    /// One value.
+    fn value(&mut self) -> Result<Value> {
+        self.value_at(0)
+    }
+
+    fn value_at(&mut self, depth: usize) -> Result<Value> {
+        Ok(match self.u8("tag")? {
+            TAG_NULL => Value::Null,
+            TAG_BOOL => Value::Bool(self.u8("bool")? != 0),
+            TAG_INT64 => Value::Int64(self.i64("int64")?),
+            TAG_FLOAT64 => Value::Float64(self.f64("float64")?),
+            TAG_STR => Value::Str(Arc::from(self.str("string")?)),
+            TAG_UUID => Value::Uuid(self.u128("uuid")?),
+            TAG_DATETIME => Value::DateTime(self.i64("datetime")?),
+            TAG_INTERVAL => {
+                let [start, end] = [self.i64("interval")?, self.i64("interval")?];
+                if start > end {
+                    return Err(FudjError::Wire(format!(
+                        "inverted interval [{start}, {end}]"
+                    )));
+                }
+                Value::Interval(Interval::new(start, end))
+            }
+            TAG_POINT => Value::Point(Point::new(self.f64("point")?, self.f64("point")?)),
+            TAG_POLYGON => {
+                let n = self.u32("polygon vertex count")? as usize;
+                if n < 3 {
+                    return Err(FudjError::Wire(format!("polygon with {n} vertices")));
+                }
+                let ring = self
+                    .take(n.saturating_mul(16), "polygon vertices")?
+                    .chunks_exact(16)
+                    .map(|p| {
+                        let (x, y) = p.split_at(8);
+                        Point::new(le_f64(x), le_f64(y))
+                    })
+                    .collect();
+                Value::polygon(Polygon::new(ring))
+            }
+            TAG_LIST => {
+                let n = self.u32("list length")? as usize;
+                if depth >= MAX_NESTING {
+                    return Err(FudjError::Wire(format!(
+                        "lists nested deeper than {MAX_NESTING}"
+                    )));
+                }
+                Value::List(Arc::new(self.values(n, depth + 1)?))
+            }
+            other => return Err(FudjError::Wire(format!("unknown value tag {other}"))),
+        })
+    }
+
+    /// `n` values collected straight into `C`: an exact-size iterator, so a
+    /// `Row`'s `Arc<[Value]>` or a list's `Vec` is allocated once, at its
+    /// final size, and nothing is copied after.
+    fn values<C: FromIterator<Value>>(&mut self, n: usize, depth: usize) -> Result<C> {
+        // Every value takes at least its tag byte, which bounds the allocation.
+        if n > self.rest.len() {
+            return Err(FudjError::Wire(format!(
+                "{n} values cannot fit in the {} bytes left",
+                self.rest.len()
+            )));
+        }
+        let mut failed = None;
+        let values = (0..n)
+            .map(|_| match failed {
+                Some(_) => Value::Null,
+                None => self.value_at(depth).unwrap_or_else(|e| {
+                    failed = Some(e);
+                    Value::Null
+                }),
+            })
+            .collect();
+        failed.map_or(Ok(values), Err)
+    }
+
+    /// One row.
+    pub fn row(&mut self) -> Result<Row> {
+        let n = self.u32("row width")? as usize;
+        self.values(n, 0)
+    }
+
+    /// The bulk entry every row reader goes through (exchange receive, WAL
+    /// replay, snapshot and checkpoint load, batch decode): decode `count`
+    /// rows into `out`, or, when `count` is `None`, every row up to the end
+    /// of the input. Returns how many rows it decoded.
+    pub fn rows(&mut self, count: Option<usize>, out: &mut Vec<Row>) -> Result<usize> {
+        let Some(n) = count else {
+            let before = out.len();
+            while !self.is_empty() {
+                out.push(self.row()?);
+            }
+            return Ok(out.len() - before);
+        };
+        // Every row takes at least its 4-byte width, which bounds the reservation.
+        out.reserve(n.min(self.rest.len() / 4));
+        for _ in 0..n {
+            out.push(self.row()?);
+        }
+        Ok(n)
+    }
+}
+
+fn truncated(what: &str, need: usize, have: usize) -> FudjError {
+    FudjError::Wire(format!(
+        "truncated input reading {what}: need {need} bytes, have {have}"
+    ))
+}
+
+fn le_f64(bytes: &[u8]) -> f64 {
+    f64::from_le_bytes(bytes.try_into().expect("an 8-byte half of a vertex"))
+}
+
+/// Run `read` on a cursor over `buf`'s unread bytes, then advance `buf`
+/// past what it consumed.
+fn read_through<T>(
+    buf: &mut impl Buf,
+    read: impl FnOnce(&mut Cursor<'_>) -> Result<T>,
+) -> Result<T> {
+    let mut cur = Cursor::new(buf.chunk());
+    let out = read(&mut cur);
+    let used = buf.remaining() - cur.remaining();
+    buf.advance(used);
+    out
 }
 
 /// Decode one value.
 pub fn decode_value(buf: &mut impl Buf) -> Result<Value> {
-    need(buf, 1, "tag")?;
-    let tag = buf.get_u8();
-    Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_BOOL => {
-            need(buf, 1, "bool")?;
-            Value::Bool(buf.get_u8() != 0)
-        }
-        TAG_INT64 => {
-            need(buf, 8, "int64")?;
-            Value::Int64(buf.get_i64_le())
-        }
-        TAG_FLOAT64 => {
-            need(buf, 8, "float64")?;
-            Value::Float64(buf.get_f64_le())
-        }
-        TAG_STR => {
-            need(buf, 4, "string length")?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len, "string bytes")?;
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            let s = String::from_utf8(bytes)
-                .map_err(|e| FudjError::Wire(format!("invalid utf8 string: {e}")))?;
-            Value::str(s)
-        }
-        TAG_UUID => {
-            need(buf, 16, "uuid")?;
-            Value::Uuid(buf.get_u128_le())
-        }
-        TAG_DATETIME => {
-            need(buf, 8, "datetime")?;
-            Value::DateTime(buf.get_i64_le())
-        }
-        TAG_INTERVAL => {
-            need(buf, 16, "interval")?;
-            let start = buf.get_i64_le();
-            let end = buf.get_i64_le();
-            if start > end {
-                return Err(FudjError::Wire(format!(
-                    "inverted interval [{start}, {end}]"
-                )));
-            }
-            Value::Interval(Interval::new(start, end))
-        }
-        TAG_POINT => {
-            need(buf, 16, "point")?;
-            let x = buf.get_f64_le();
-            let y = buf.get_f64_le();
-            Value::Point(Point::new(x, y))
-        }
-        TAG_POLYGON => {
-            need(buf, 4, "polygon vertex count")?;
-            let n = buf.get_u32_le() as usize;
-            if n < 3 {
-                return Err(FudjError::Wire(format!("polygon with {n} vertices")));
-            }
-            need(buf, n * 16, "polygon vertices")?;
-            let mut ring = Vec::with_capacity(n);
-            for _ in 0..n {
-                let x = buf.get_f64_le();
-                let y = buf.get_f64_le();
-                ring.push(Point::new(x, y));
-            }
-            Value::polygon(Polygon::new(ring))
-        }
-        TAG_LIST => {
-            need(buf, 4, "list length")?;
-            let n = buf.get_u32_le() as usize;
-            let mut vs = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                vs.push(decode_value(buf)?);
-            }
-            Value::list(vs)
-        }
-        other => return Err(FudjError::Wire(format!("unknown value tag {other}"))),
-    })
+    read_through(buf, |cur| cur.value())
 }
 
 /// Append one row (its width is implied by the schema on the decode side).
@@ -185,13 +326,7 @@ pub fn encode_row(row: &Row, buf: &mut BytesMut) {
 
 /// Decode one row.
 pub fn decode_row(buf: &mut impl Buf) -> Result<Row> {
-    need(buf, 4, "row width")?;
-    let n = buf.get_u32_le() as usize;
-    let mut values = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        values.push(decode_value(buf)?);
-    }
-    Ok(Row::new(values))
+    read_through(buf, |cur| cur.row())
 }
 
 /// Serialize a whole batch to a frozen buffer.
@@ -205,17 +340,15 @@ pub fn encode_batch(batch: &Batch) -> Bytes {
 }
 
 /// Decode a batch under a known schema.
-pub fn decode_batch(mut bytes: Bytes, schema: SchemaRef) -> Result<Batch> {
-    need(&bytes, 4, "batch row count")?;
-    let n = bytes.get_u32_le() as usize;
-    let mut rows = Vec::with_capacity(n.min(65_536));
-    for _ in 0..n {
-        rows.push(decode_row(&mut bytes)?);
-    }
-    if bytes.has_remaining() {
+pub fn decode_batch(bytes: Bytes, schema: SchemaRef) -> Result<Batch> {
+    let mut cur = Cursor::new(&bytes);
+    let n = cur.u32("batch row count")? as usize;
+    let mut rows = Vec::new();
+    cur.rows(Some(n), &mut rows)?;
+    if !cur.is_empty() {
         return Err(FudjError::Wire(format!(
             "{} trailing bytes after batch",
-            bytes.remaining()
+            cur.remaining()
         )));
     }
     Ok(Batch::new(schema, rows))
@@ -285,6 +418,48 @@ mod tests {
             // Must error (or, for cut=0, error about the tag) — never panic.
             assert!(decode_value(&mut partial).is_err(), "cut at {cut}");
         }
+    }
+
+    /// `depth` nested list headers of one element each, around a null.
+    fn nested_lists(depth: usize) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(depth * 5 + 1);
+        for _ in 0..depth {
+            bytes.push(TAG_LIST);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+        }
+        bytes.push(TAG_NULL);
+        bytes
+    }
+
+    #[test]
+    fn list_nesting_is_capped_not_a_stack_overflow() {
+        let at_cap = nested_lists(MAX_NESTING);
+        assert!(Cursor::new(&at_cap).value().is_ok());
+        let past_cap = nested_lists(MAX_NESTING + 1);
+        assert!(matches!(
+            Cursor::new(&past_cap).value(),
+            Err(FudjError::Wire(_))
+        ));
+        // Deep enough to overflow any worker stack without the cap.
+        let mut row = 1u32.to_le_bytes().to_vec();
+        row.extend(nested_lists(100_000));
+        assert!(matches!(
+            decode_row(&mut Bytes::from(row)),
+            Err(FudjError::Wire(_))
+        ));
+    }
+
+    #[test]
+    fn implausible_widths_fail_before_allocating() {
+        let mut row = u32::MAX.to_le_bytes().to_vec();
+        row.push(TAG_NULL);
+        assert!(matches!(Cursor::new(&row).row(), Err(FudjError::Wire(_))));
+        let mut list = vec![TAG_LIST];
+        list.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Cursor::new(&list).value(),
+            Err(FudjError::Wire(_))
+        ));
     }
 
     #[test]

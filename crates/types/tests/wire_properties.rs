@@ -1,10 +1,10 @@
 //! Property tests: every value round-trips the wire format and the external
 //! translation protocol without loss.
 
-use bytes::{Buf, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use fudj_geo::{Point, Polygon};
 use fudj_temporal::Interval;
-use fudj_types::{ext, wire, DataType, Row, Value};
+use fudj_types::{ext, wire, Batch, DataType, Field, Row, Schema, Value};
 use proptest::prelude::*;
 
 fn arb_scalar() -> impl Strategy<Value = Value> {
@@ -83,6 +83,47 @@ proptest! {
     fn decode_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
         let mut b = bytes::Bytes::from(bytes);
         let _ = wire::decode_value(&mut b);
+    }
+
+    /// The bulk row entry gives exactly what `decode_row` gives called once
+    /// per row, counted or reading to the end of the buffer.
+    #[test]
+    fn rows_entry_equals_repeated_decode_row(rows in prop::collection::vec(arb_row(), 0..8)) {
+        let mut buf = BytesMut::new();
+        for row in &rows {
+            wire::encode_row(row, &mut buf);
+        }
+        let mut one_by_one = Vec::new();
+        let mut bytes = buf.clone().freeze();
+        for _ in 0..rows.len() {
+            one_by_one.push(wire::decode_row(&mut bytes).unwrap());
+        }
+        prop_assert!(!bytes.has_remaining());
+        prop_assert_eq!(&one_by_one, &rows);
+        for count in [Some(rows.len()), None] {
+            let mut cur = wire::Cursor::new(&buf);
+            let mut bulk = vec![Row::new(vec![Value::Null])];
+            prop_assert_eq!(cur.rows(count, &mut bulk).unwrap(), rows.len());
+            prop_assert!(cur.is_empty());
+            prop_assert_eq!(&bulk[1..], &one_by_one[..]);
+        }
+    }
+
+    /// Cutting an encoded multi-row batch anywhere short of its end is an
+    /// error, never a panic and never a shorter batch.
+    #[test]
+    fn every_cut_of_a_multi_row_batch_is_an_error(
+        rows in prop::collection::vec(prop::collection::vec(arb_value(), 2..3).prop_map(Row::new), 2..6)
+    ) {
+        let schema = Schema::shared(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("b", DataType::String),
+        ]);
+        let whole = wire::encode_batch(&Batch::new(schema.clone(), rows));
+        for cut in 0..whole.len() {
+            let part = Bytes::from(&whole[..cut]);
+            prop_assert!(wire::decode_batch(part, schema.clone()).is_err(), "cut at {}", cut);
+        }
     }
 
     /// Translation to external types and back is lossless for the key types
