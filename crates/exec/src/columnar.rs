@@ -43,9 +43,8 @@ fn holds(cmp: &ColumnCompare, row: &Row) -> bool {
     cmp.op.matches(ord)
 }
 
-/// Pure column projection. A row projection is already a column gather
-/// (no expression evaluation), so both modes share this implementation;
-/// the variant exists so the planner can skip closure compilation.
+/// Pure column projection: what a [`crate::PhysicalPlan::Project`] of bare
+/// columns runs, in both modes, with no expression evaluated.
 pub fn project_rows(rows: Vec<Row>, columns: &[usize]) -> Vec<Row> {
     rows.into_iter().map(|r| r.project(columns)).collect()
 }

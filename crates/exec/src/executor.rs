@@ -3,6 +3,7 @@
 use crate::aggregate::Accumulator;
 use crate::columnar;
 use crate::exchange;
+use crate::expr::columns_of;
 use crate::metrics::QueryMetrics;
 use crate::mode::ExecMode;
 use crate::plan::{AggFunc, Aggregate, PhysicalPlan, SortKey};
@@ -232,36 +233,34 @@ impl Cluster {
 
             PhysicalPlan::Filter { input, predicate } => {
                 let parts = self.execute_partitioned(input, metrics)?;
-                self.parallel_map(metrics, parts, |rows| {
-                    let mut out = Vec::with_capacity(rows.len() / 2);
-                    for row in rows {
-                        if predicate(&row)? {
-                            out.push(row);
+                match predicate.compares() {
+                    Some(compares) => self.parallel_map(metrics, parts, |rows| {
+                        Ok(columnar::filter_rows(rows, &compares, ExecMode::default()))
+                    }),
+                    None => self.parallel_map(metrics, parts, |rows| {
+                        let mut out = Vec::with_capacity(rows.len() / 2);
+                        for row in rows {
+                            if predicate.holds(&row)? {
+                                out.push(row);
+                            }
                         }
-                    }
-                    Ok(out)
-                })
+                        Ok(out)
+                    }),
+                }
             }
 
-            PhysicalPlan::VecFilter { input, compares } => {
+            PhysicalPlan::Project { input, exprs, .. } => {
                 let parts = self.execute_partitioned(input, metrics)?;
-                self.parallel_map(metrics, parts, |rows| {
-                    Ok(columnar::filter_rows(rows, compares, ExecMode::default()))
-                })
-            }
-
-            PhysicalPlan::VecProject { input, columns, .. } => {
-                let parts = self.execute_partitioned(input, metrics)?;
-                self.parallel_map(metrics, parts, |rows| {
-                    Ok(columnar::project_rows(rows, columns))
-                })
-            }
-
-            PhysicalPlan::Project { input, mapper, .. } => {
-                let parts = self.execute_partitioned(input, metrics)?;
-                self.parallel_map(metrics, parts, |rows| {
-                    rows.iter().map(|r| mapper(r)).collect::<Result<Vec<Row>>>()
-                })
+                match columns_of(exprs) {
+                    Some(columns) => self.parallel_map(metrics, parts, |rows| {
+                        Ok(columnar::project_rows(rows, &columns))
+                    }),
+                    None => self.parallel_map(metrics, parts, |rows| {
+                        rows.iter()
+                            .map(|r| exprs.iter().map(|e| e.eval(r)).collect())
+                            .collect()
+                    }),
+                }
             }
 
             PhysicalPlan::FudjJoin(node) => crate::fudj_join::execute(self, node, metrics),
@@ -272,7 +271,7 @@ impl Cluster {
                 predicate,
             } => {
                 // On-top plan: broadcast the right side, nested-loop with
-                // the UDF predicate on every worker.
+                // the join condition on every worker.
                 let left_parts = self.execute_partitioned(left, metrics)?;
                 let right_parts = self.execute_partitioned(right, metrics)?;
                 let right_all = exchange::broadcast(right_parts, &self.pool, metrics)?;
@@ -282,8 +281,9 @@ impl Cluster {
                     let mut out = Vec::new();
                     for l in &lrows {
                         for r in &rrows {
-                            if predicate(l, r)? {
-                                out.push(l.concat(r));
+                            let joined = l.concat(r);
+                            if predicate.holds(&joined)? {
+                                out.push(joined);
                             }
                         }
                     }
@@ -495,6 +495,7 @@ pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{BinOp, BoundExpr};
     use crate::plan::AggFunc;
     use fudj_storage::DatasetBuilder;
     use fudj_types::{Field, Schema};
@@ -528,6 +529,18 @@ mod tests {
         }
     }
 
+    fn lit(v: i64) -> BoundExpr {
+        BoundExpr::Literal(Value::Int64(v))
+    }
+
+    fn binary(op: BinOp, left: BoundExpr, right: BoundExpr) -> BoundExpr {
+        BoundExpr::Binary {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
     #[test]
     fn scan_round_robins_partitions() {
         let cluster = Cluster::new(2);
@@ -541,9 +554,9 @@ mod tests {
         let plan = PhysicalPlan::Project {
             input: Box::new(PhysicalPlan::Filter {
                 input: Box::new(scan(50, 4)),
-                predicate: Arc::new(|row| Ok(row.get(0).as_i64()? < 10)),
+                predicate: binary(BinOp::Lt, BoundExpr::Column(0), lit(10)),
             }),
-            mapper: Arc::new(|row| Ok(Row::new(vec![row.get(0).clone()]))),
+            exprs: vec![BoundExpr::Column(0)],
             schema: Schema::shared(vec![Field::new("id", DataType::Int64)]),
         };
         let (batch, _) = cluster.execute(&plan).unwrap();
@@ -556,7 +569,7 @@ mod tests {
         let cluster = Cluster::new(4);
         let plan = PhysicalPlan::Filter {
             input: Box::new(scan(50, 4)),
-            predicate: Arc::new(|row| row.get(0).as_str().map(|_| true)), // type error
+            predicate: BoundExpr::Not(Box::new(BoundExpr::Column(0))), // type error
         };
         assert!(cluster.execute(&plan).is_err());
     }
@@ -627,9 +640,11 @@ mod tests {
         let plan = PhysicalPlan::NlJoin {
             left: Box::new(scan(12, 2)),
             right: Box::new(scan(12, 2)),
-            predicate: Arc::new(|l, r| {
-                Ok(l.get(0).as_i64()? == r.get(0).as_i64()? && l.get(1).as_i64()? == 0)
-            }),
+            predicate: binary(
+                BinOp::And,
+                binary(BinOp::Eq, BoundExpr::Column(0), BoundExpr::Column(3)),
+                binary(BinOp::Eq, BoundExpr::Column(1), lit(0)),
+            ),
         };
         let (batch, metrics) = cluster.execute(&plan).unwrap();
         // ids ≡ 0 mod 3: 0, 3, 6, 9 → 4 matches.

@@ -452,17 +452,14 @@ fn first_bucket_flag(row: &Row) -> Result<bool> {
     }
 }
 
-/// Tagged rows, and the bucket id each one's trailing column holds.
-pub(crate) type Tagged = (Vec<Row>, Vec<BucketId>);
-
-/// Bucket → indices of the rows in it. The rows keep their tag:
-/// [`emit_row`] never reads it.
-fn group_by_bucket(buckets: &[BucketId]) -> HashMap<BucketId, Vec<usize>> {
+/// Bucket → indices of the rows in it, reading each row's tag once, in
+/// arrival order. The rows keep their tag: [`emit_row`] never reads it.
+fn group_by_bucket(rows: &[Row]) -> Result<HashMap<BucketId, Vec<usize>>> {
     let mut groups: HashMap<BucketId, Vec<usize>> = HashMap::new();
-    for (i, &b) in buckets.iter().enumerate() {
-        groups.entry(b).or_default().push(i);
+    for (i, row) in rows.iter().enumerate() {
+        groups.entry(bucket_of(row)?).or_default().push(i);
     }
-    groups
+    Ok(groups)
 }
 
 /// Everything one worker's COMBINE needs, bundled to keep signatures sane.
@@ -481,29 +478,15 @@ pub(crate) struct CombineContext<'a> {
     pub(crate) spill_dir: &'a crate::spill::SpillDir,
 }
 
-/// COMBINE on one worker, in memory: match local bucket pairs, run local
-/// joins, dedup.
+/// COMBINE on one worker, in memory: group the tagged rows by bucket,
+/// match local bucket pairs, run local joins, dedup.
 pub(crate) fn join_worker_partition(
     ctx: &CombineContext<'_>,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
 ) -> Result<Vec<Row>> {
-    let tag = |rows: Vec<Row>| -> Result<Tagged> {
-        let buckets = rows.iter().map(bucket_of).collect::<Result<_>>()?;
-        Ok((rows, buckets))
-    };
-    join_tagged(ctx, tag(lrows)?, tag(rrows)?)
-}
-
-/// [`join_worker_partition`] over rows whose buckets were read on the way
-/// in, so the kernel does not read each row's tag again.
-pub(crate) fn join_tagged(
-    ctx: &CombineContext<'_>,
-    (lrows, lbuckets): Tagged,
-    (rrows, rbuckets): Tagged,
-) -> Result<Vec<Row>> {
-    let lgroups = group_by_bucket(&lbuckets);
-    let rgroups = group_by_bucket(&rbuckets);
+    let lgroups = group_by_bucket(&lrows)?;
+    let rgroups = group_by_bucket(&rrows)?;
 
     // Matched bucket pairs, deterministic order.
     let mut matched: Vec<(BucketId, BucketId)> = if ctx.default_match {

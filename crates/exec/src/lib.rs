@@ -13,7 +13,8 @@
 //!
 //! * `Scan`, `Filter`, `Project`, `HashAggregate` (two-step: partial →
 //!   shuffle by group → final), `Sort`, `Limit` — the relational scaffolding
-//!   the paper's Queries 1–3 and 5 need around their joins;
+//!   the paper's Queries 1–3 and 5 need around their joins, with
+//!   predicates and projections as [`expr::BoundExpr`] data;
 //! * [`plan::FudjJoinNode`] — the Fig. 8 plan: SUMMARIZE (parallel local
 //!   aggregate + gather + global aggregate), DIVIDE (coordinator) +
 //!   broadcast of the `PPlan`, ASSIGN/UNNEST + shuffle (hash by bucket for
@@ -21,7 +22,7 @@
 //!   local bucket join with `verify`, and duplicate handling (avoidance
 //!   inline, elimination as an extra shuffle + distinct);
 //! * `NlJoin` — the *on-top* baseline: broadcast one side, nested-loop with
-//!   a UDF predicate.
+//!   the join condition as its predicate.
 //!
 //! Execution is stage-synchronous (operators materialize partitioned
 //! results), matching how these plans execute as aggregation/repartition
@@ -51,6 +52,7 @@ pub mod columnar;
 pub mod control;
 pub mod exchange;
 pub mod executor;
+pub mod expr;
 pub mod fault;
 pub mod fudj_join;
 pub mod metrics;
@@ -62,6 +64,7 @@ pub mod spill;
 
 pub use control::{DispatchGate, QueryControl};
 pub use executor::{Cluster, ExecOptions, PartitionedData};
+pub use expr::{BinOp, BoundExpr, ScalarFn};
 pub use fault::{DeliveryFault, FaultContext, FaultStats, TaskFault};
 pub use fudj_core::{
     FaultConfig, GuardConfig, GuardMode, GuardedJoin, RetryPolicy, UdfLimits, UdfPolicy, UdfStats,
@@ -72,10 +75,7 @@ pub use metrics::{
     ServingStats, WorkerStats,
 };
 pub use mode::ExecMode;
-pub use plan::{
-    AggFunc, Aggregate, CmpOp, ColumnCompare, FudjJoinNode, JoinPredicate, PhysicalPlan, RowMapper,
-    RowPredicate, SortKey,
-};
+pub use plan::{AggFunc, Aggregate, CmpOp, ColumnCompare, FudjJoinNode, PhysicalPlan, SortKey};
 pub use pool::{panic_message, WorkerPool};
 pub use recovery::{
     ClusterRecovery, CounterSeed, Membership, QueryJournal, QueryTag, RecoveryContext,

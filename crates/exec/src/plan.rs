@@ -1,25 +1,15 @@
 //! Physical plans: the operator tree the [`crate::Cluster`] executes.
 //!
-//! Predicates and computed projections arrive as compiled closures, and
-//! column selections, group keys and aggregate inputs as column indices:
-//! the planner crate lowers its expression trees into these, which keeps
-//! this crate free of any expression language and the hot loops free of
-//! interpretation overhead beyond one indirect call.
+//! Predicates and projections are [`BoundExpr`] data, which EXPLAIN
+//! prints and whose shape picks the executor's kernel; group keys, sort
+//! keys and aggregate inputs are column indices.
 
+use crate::expr::BoundExpr;
 use fudj_core::EngineJoin;
 use fudj_storage::Dataset;
-use fudj_types::{DataType, Field, Result, Row, Schema, SchemaRef, Value};
+use fudj_types::{DataType, Field, Row, Schema, SchemaRef, Value};
 use std::fmt;
 use std::sync::Arc;
-
-/// Compiled row predicate (filters, NLJ join conditions applied post-concat).
-pub type RowPredicate = Arc<dyn Fn(&Row) -> Result<bool> + Send + Sync>;
-
-/// Compiled row transformation (projections, computed columns).
-pub type RowMapper = Arc<dyn Fn(&Row) -> Result<Row> + Send + Sync>;
-
-/// Compiled two-row join predicate (the on-top NLJ's UDF condition).
-pub type JoinPredicate = Arc<dyn Fn(&Row, &Row) -> Result<bool> + Send + Sync>;
 
 /// Comparison operator of a vectorized filter kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,23 +35,11 @@ impl CmpOp {
             CmpOp::GtEq => ord != Less,
         }
     }
-
-    /// SQL-ish spelling, for EXPLAIN output.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::NotEq => "<>",
-            CmpOp::Lt => "<",
-            CmpOp::LtEq => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::GtEq => ">=",
-        }
-    }
 }
 
 /// One `column <op> literal` comparison of a vectorized filter. Semantics
-/// are [`Value`]'s total order — exactly what the planner's interpreted
-/// `eval_binary` uses — so the typed kernel and the closure agree bit-for-bit.
+/// are [`Value`]'s total order — exactly what [`crate::expr::eval_binary`]
+/// uses — so the typed kernel and the interpreted predicate agree.
 #[derive(Clone, Debug)]
 pub struct ColumnCompare {
     pub column: usize,
@@ -230,44 +208,33 @@ impl FudjJoinNode {
 }
 
 /// A physical operator tree. Cloning is shallow where it can be: datasets,
-/// compiled closures and join strategies are shared `Arc`s.
+/// scalar functions and join strategies are shared `Arc`s.
 #[derive(Clone)]
 pub enum PhysicalPlan {
     /// Scan a stored dataset.
     Scan { dataset: Arc<Dataset> },
-    /// Keep rows satisfying the predicate.
+    /// Keep rows satisfying the predicate. A conjunction of
+    /// `column <op> literal` comparisons runs
+    /// [`crate::columnar::filter_rows`]; any other predicate is interpreted.
     Filter {
         input: Box<PhysicalPlan>,
-        predicate: RowPredicate,
+        predicate: BoundExpr,
     },
-    /// Planner-compiled filter: a conjunction of `column <op> literal`
-    /// comparisons, evaluated by [`crate::columnar::filter_rows`] in one
-    /// short-circuit pass. It agrees with the closure a
-    /// [`PhysicalPlan::Filter`] would have carried.
-    VecFilter {
-        input: Box<PhysicalPlan>,
-        compares: Vec<ColumnCompare>,
-    },
-    /// Planner-compiled projection: pure column selection/reorder with no
-    /// computed expressions, vectorizable as whole-column moves.
-    VecProject {
-        input: Box<PhysicalPlan>,
-        columns: Vec<usize>,
-        schema: SchemaRef,
-    },
-    /// Map every row (projection / computed columns).
+    /// One output column per expression, named by `schema`. A projection
+    /// of bare columns moves them ([`crate::columnar::project_rows`]).
     Project {
         input: Box<PhysicalPlan>,
-        mapper: RowMapper,
+        exprs: Vec<BoundExpr>,
         schema: SchemaRef,
     },
     /// The FUDJ distributed join.
     FudjJoin(FudjJoinNode),
-    /// On-top baseline: broadcast right side, nested loop with a predicate.
+    /// On-top baseline: broadcast right side, nested loop with a predicate
+    /// over `left ++ right`.
     NlJoin {
         left: Box<PhysicalPlan>,
         right: Box<PhysicalPlan>,
-        predicate: JoinPredicate,
+        predicate: BoundExpr,
     },
     /// Two-step hash aggregation over columns of its input: the planner
     /// points `group_by` and every [`Aggregate::input`] straight at the
@@ -320,8 +287,6 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::Scan { dataset } => dataset.schema().clone(),
             PhysicalPlan::Filter { input, .. } => input.schema(),
-            PhysicalPlan::VecFilter { input, .. } => input.schema(),
-            PhysicalPlan::VecProject { schema, .. } => schema.clone(),
             PhysicalPlan::Project { schema, .. } => schema.clone(),
             PhysicalPlan::FudjJoin(node) => node.schema(),
             PhysicalPlan::NlJoin { left, right, .. } => {
@@ -347,25 +312,13 @@ impl PhysicalPlan {
             PhysicalPlan::Scan { dataset } => {
                 let _ = writeln!(out, "{pad}DataScan [{}]", dataset.name());
             }
-            PhysicalPlan::Filter { input, .. } => {
-                let _ = writeln!(out, "{pad}Filter");
+            PhysicalPlan::Filter { input, predicate } => {
+                let _ = writeln!(out, "{pad}Filter [{predicate}]");
                 input.explain_into(depth + 1, out);
             }
-            PhysicalPlan::VecFilter { input, compares } => {
-                let cs: Vec<String> = compares
-                    .iter()
-                    .map(|c| format!("#{} {} {}", c.column, c.op.symbol(), c.literal))
-                    .collect();
-                let _ = writeln!(out, "{pad}VecFilter [{}]", cs.join(" and "));
-                input.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::VecProject { input, columns, .. } => {
-                let cs: Vec<String> = columns.iter().map(|c| format!("#{c}")).collect();
-                let _ = writeln!(out, "{pad}VecProject [{}]", cs.join(", "));
-                input.explain_into(depth + 1, out);
-            }
-            PhysicalPlan::Project { input, schema, .. } => {
-                let _ = writeln!(out, "{pad}Project [{schema}]");
+            PhysicalPlan::Project { input, exprs, .. } => {
+                let es: Vec<String> = exprs.iter().map(BoundExpr::to_string).collect();
+                let _ = writeln!(out, "{pad}Project [{}]", es.join(", "));
                 input.explain_into(depth + 1, out);
             }
             PhysicalPlan::FudjJoin(node) => {
@@ -395,8 +348,12 @@ impl PhysicalPlan {
                 node.left.explain_into(depth + 1, out);
                 node.right.explain_into(depth + 1, out);
             }
-            PhysicalPlan::NlJoin { left, right, .. } => {
-                let _ = writeln!(out, "{pad}NestedLoopJoin [on-top UDF predicate]");
+            PhysicalPlan::NlJoin {
+                left,
+                right,
+                predicate,
+            } => {
+                let _ = writeln!(out, "{pad}NestedLoopJoin [{predicate}]");
                 left.explain_into(depth + 1, out);
                 right.explain_into(depth + 1, out);
             }
@@ -476,7 +433,7 @@ mod tests {
     fn filter_preserves_schema() {
         let plan = PhysicalPlan::Filter {
             input: Box::new(scan()),
-            predicate: Arc::new(|_| Ok(true)),
+            predicate: BoundExpr::Literal(Value::Bool(true)),
         };
         assert_eq!(plan.schema().len(), 2);
     }

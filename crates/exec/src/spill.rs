@@ -55,7 +55,7 @@
 //! fallback, not through tuning.
 
 use crate::exchange;
-use crate::fudj_join::{bucket_of, join_tagged, join_worker_partition, CombineContext, Tagged};
+use crate::fudj_join::{bucket_of, join_worker_partition, CombineContext};
 use crate::metrics::EngineStats;
 use bytes::BytesMut;
 use fudj_core::BucketId;
@@ -307,10 +307,10 @@ fn part_hash(bucket: BucketId, depth: usize) -> u64 {
     x
 }
 
-/// Memory-resident rows of a pass and their bucket ids, per side (left =
-/// 0, right = 1), in arrival order: the order the rows were decoded, so
-/// the join reads and frees their memory in order.
-type Resident = [Tagged; 2];
+/// Memory-resident tagged rows of a pass, per side (left = 0, right = 1),
+/// in arrival order: the order the rows were decoded, so the join reads
+/// and frees their memory in order.
+type Resident = [Vec<Row>; 2];
 
 /// One sub-partition's in-flight state during a partitioning pass.
 #[derive(Default)]
@@ -357,14 +357,10 @@ impl Slot {
             SideWriter::create(dir, depth, part, 0)?,
             SideWriter::create(dir, depth, part, 1)?,
         ];
-        for (w, (rows, buckets)) in writers.iter_mut().zip(mem.iter_mut()) {
-            let all = std::mem::take(rows)
-                .into_iter()
-                .zip(std::mem::take(buckets));
-            for (row, b) in all {
-                if route(b) != part {
+        for (w, rows) in writers.iter_mut().zip(mem.iter_mut()) {
+            for row in std::mem::take(rows) {
+                if route(bucket_of(&row)?) != part {
                     rows.push(row);
-                    buckets.push(b);
                     continue;
                 }
                 w.push(&row);
@@ -421,7 +417,7 @@ where
     let mut mem: Resident = Default::default();
     // Working-set accounting: the rows in `mem` plus the `buffered` rows in
     // unflushed write buffers. Their sum is what the budget bounds.
-    let working_set = |mem: &Resident, buffered: usize| mem[0].0.len() + mem[1].0.len() + buffered;
+    let working_set = |mem: &Resident, buffered: usize| mem[0].len() + mem[1].len() + buffered;
     // Default match routes by bucket; theta rows all share slot 0.
     let route = |b| {
         if ctx.default_match {
@@ -449,8 +445,7 @@ where
                 ws[side].push(&row);
                 buffered += 1;
             } else {
-                mem[side].0.push(row);
-                mem[side].1.push(b);
+                mem[side].push(row);
                 slot.mem_rows += 1;
             }
             stats.spill_peak_resident_rows = stats
@@ -489,7 +484,7 @@ where
         .filter(|s| s.writers.is_none() && s.mem_rows > 0)
         .count() as u64;
     let mut out = match mem {
-        [l, r] if !l.0.is_empty() && !r.0.is_empty() => join_tagged(ctx, l, r)?,
+        [l, r] if !l.is_empty() && !r.is_empty() => join_worker_partition(ctx, l, r)?,
         _ => Vec::new(),
     };
 

@@ -7,8 +7,8 @@
 use fudj_core::{FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm, UdfPolicy};
 use fudj_exec::exchange::{gather, rebalance, route_hash, shuffle_by};
 use fudj_exec::{
-    columnar, AggFunc, Aggregate, Cluster, CmpOp, ColumnCompare, ExecMode, FaultConfig,
-    FudjJoinNode, PhysicalPlan, QueryMetrics, SortKey, WorkerPool,
+    columnar, AggFunc, Aggregate, BinOp, BoundExpr, Cluster, CmpOp, ColumnCompare, ExecMode,
+    FaultConfig, FudjJoinNode, PhysicalPlan, QueryMetrics, SortKey, WorkerPool,
 };
 use fudj_joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_joins::poisoned;
@@ -39,6 +39,14 @@ fn dataset(rows: &[(i64, i64, i64)], partitions: usize) -> Arc<fudj_storage::Dat
     Arc::new(d)
 }
 
+fn binary(op: BinOp, left: BoundExpr, right: BoundExpr) -> BoundExpr {
+    BoundExpr::Binary {
+        op,
+        left: Box::new(left),
+        right: Box::new(right),
+    }
+}
+
 fn arb_rows() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
     prop::collection::vec((0i64..1000, 0i64..7, -100i64..100), 0..60)
 }
@@ -51,7 +59,7 @@ proptest! {
     fn filter_matches_oracle(rows in arb_rows(), threshold in -100i64..100, workers in 1usize..5) {
         let plan = PhysicalPlan::Filter {
             input: Box::new(PhysicalPlan::Scan { dataset: dataset(&rows, 3) }),
-            predicate: Arc::new(move |row| Ok(row.get(2).as_i64()? >= threshold)),
+            predicate: binary(BinOp::LtEq, BoundExpr::Literal(Value::Int64(threshold)), BoundExpr::Column(2)),
         };
         let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
         let expected = rows.iter().filter(|r| r.2 >= threshold).count();
@@ -136,7 +144,7 @@ proptest! {
         let plan = PhysicalPlan::NlJoin {
             left: Box::new(PhysicalPlan::Scan { dataset: dataset(&l, 2) }),
             right: Box::new(PhysicalPlan::Scan { dataset: dataset(&r, 2) }),
-            predicate: Arc::new(|a, b| Ok(a.get(1) == b.get(1))),
+            predicate: binary(BinOp::Eq, BoundExpr::Column(1), BoundExpr::Column(4)),
         };
         let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
         let expected: usize = l
@@ -493,7 +501,7 @@ proptest! {
     ) {
         let plan = PhysicalPlan::Filter {
             input: Box::new(PhysicalPlan::Scan { dataset: dataset(&rows, 3) }),
-            predicate: Arc::new(move |row| Ok(row.get(2).as_i64()? >= threshold)),
+            predicate: binary(BinOp::GtEq, BoundExpr::Column(2), BoundExpr::Literal(Value::Int64(threshold))),
         };
         let mut cluster = Cluster::new(workers);
         cluster.set_faults(Some(FaultConfig::chaos(seed)));

@@ -1,55 +1,16 @@
-//! Expression trees, binding, and compilation.
+//! Unbound expression trees and binding.
 //!
-//! [`Expr`] is the unbound form the SQL binder and tests construct (columns
-//! by name). Binding against a schema yields a [`BoundExpr`] (columns by
-//! index), which compiles into an `Arc<dyn Fn(&Row) -> Result<Value>>`
-//! evaluator — the closures `fudj_exec` plans run.
+//! [`Expr`] is the form the SQL binder and tests construct (columns by
+//! name). Binding against a schema yields a [`BoundExpr`]: columns by
+//! index, and each function call resolved to its body once, so a plan
+//! carries the expression as data and evaluates it without looking a
+//! name up per row.
 
 use crate::functions;
-use fudj_types::{DataType, FudjError, Result, Row, Schema, Value};
+pub use fudj_exec::expr::{BinOp, BoundExpr};
+use fudj_types::{DataType, FudjError, Result, Schema, Value};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
-
-/// A compiled row evaluator.
-pub type Evaluator = Arc<dyn Fn(&Row) -> Result<Value> + Send + Sync>;
-
-/// Binary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BinOp {
-    Eq,
-    NotEq,
-    Lt,
-    LtEq,
-    Gt,
-    GtEq,
-    And,
-    Or,
-    Add,
-    Sub,
-    Mul,
-    Div,
-}
-
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BinOp::Eq => "=",
-            BinOp::NotEq => "<>",
-            BinOp::Lt => "<",
-            BinOp::LtEq => "<=",
-            BinOp::Gt => ">",
-            BinOp::GtEq => ">=",
-            BinOp::And => "AND",
-            BinOp::Or => "OR",
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-        };
-        write!(f, "{s}")
-    }
-}
 
 /// An unbound expression (columns referenced by name).
 #[derive(Clone, Debug, PartialEq)]
@@ -168,11 +129,11 @@ impl Expr {
             Expr::Not(inner) => BoundExpr::Not(Box::new(inner.bind(schema)?)),
             Expr::Call { name, args } => {
                 let lowered = name.to_ascii_lowercase();
-                if !functions::is_builtin(&lowered) {
-                    return Err(FudjError::Plan(format!("unknown function {name:?}")));
-                }
+                let func = functions::resolve(&lowered)
+                    .ok_or_else(|| FudjError::Plan(format!("unknown function {name:?}")))?;
                 BoundExpr::Call {
                     name: lowered,
+                    func,
                     args: args.iter().map(|a| a.bind(schema)).collect::<Result<_>>()?,
                 }
             }
@@ -223,134 +184,10 @@ impl fmt::Display for Expr {
     }
 }
 
-/// A bound expression (columns by index), ready to evaluate or compile.
-#[derive(Clone, Debug)]
-pub enum BoundExpr {
-    Column(usize),
-    Literal(Value),
-    Binary {
-        op: BinOp,
-        left: Box<BoundExpr>,
-        right: Box<BoundExpr>,
-    },
-    Not(Box<BoundExpr>),
-    Call {
-        name: String,
-        args: Vec<BoundExpr>,
-    },
-}
-
-impl BoundExpr {
-    /// Evaluate against one row.
-    pub fn eval(&self, row: &Row) -> Result<Value> {
-        match self {
-            BoundExpr::Column(i) => Ok(row.get(*i).clone()),
-            BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::Binary { op, left, right } => {
-                // Short-circuit the logical operators.
-                match op {
-                    BinOp::And => {
-                        return Ok(Value::Bool(
-                            left.eval(row)?.as_bool()? && right.eval(row)?.as_bool()?,
-                        ))
-                    }
-                    BinOp::Or => {
-                        return Ok(Value::Bool(
-                            left.eval(row)?.as_bool()? || right.eval(row)?.as_bool()?,
-                        ))
-                    }
-                    _ => {}
-                }
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
-                eval_binary(*op, &l, &r)
-            }
-            BoundExpr::Not(inner) => Ok(Value::Bool(!inner.eval(row)?.as_bool()?)),
-            BoundExpr::Call { name, args } => {
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(a.eval(row)?);
-                }
-                functions::evaluate(name, &values)
-            }
-        }
-    }
-
-    /// Compile into a shared evaluator closure.
-    pub fn compile(self) -> Evaluator {
-        Arc::new(move |row| self.eval(row))
-    }
-}
-
-fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    use BinOp::*;
-    Ok(match op {
-        Eq => Value::Bool(l == r),
-        NotEq => Value::Bool(l != r),
-        Lt => Value::Bool(l < r),
-        LtEq => Value::Bool(l <= r),
-        Gt => Value::Bool(l > r),
-        GtEq => Value::Bool(l >= r),
-        Add | Sub | Mul | Div => {
-            // Integer arithmetic when both operands are integral. Checked:
-            // overflow on user data is a query error, not a panic.
-            if let (Value::Int64(a), Value::Int64(b)) = (l, r) {
-                let overflow =
-                    || FudjError::Execution(format!("integer overflow evaluating {a} {op:?} {b}"));
-                match op {
-                    Add => Value::Int64(a.checked_add(*b).ok_or_else(overflow)?),
-                    Sub => Value::Int64(a.checked_sub(*b).ok_or_else(overflow)?),
-                    Mul => Value::Int64(a.checked_mul(*b).ok_or_else(overflow)?),
-                    Div => {
-                        if *b == 0 {
-                            return Err(FudjError::Execution("division by zero".into()));
-                        }
-                        Value::Float64(*a as f64 / *b as f64)
-                    }
-                    // The outer arm admits only arithmetic operators; a
-                    // mismatch here is a planner defect, surfaced as an
-                    // error rather than a query-path panic.
-                    other => {
-                        return Err(FudjError::Execution(format!(
-                            "non-arithmetic operator {other:?} reached integer arithmetic"
-                        )))
-                    }
-                }
-            } else {
-                let a = l.as_f64()?;
-                let b = r.as_f64()?;
-                match op {
-                    Add => Value::Float64(a + b),
-                    Sub => Value::Float64(a - b),
-                    Mul => Value::Float64(a * b),
-                    Div => {
-                        if b == 0.0 {
-                            return Err(FudjError::Execution("division by zero".into()));
-                        }
-                        Value::Float64(a / b)
-                    }
-                    other => {
-                        return Err(FudjError::Execution(format!(
-                            "non-arithmetic operator {other:?} reached float arithmetic"
-                        )))
-                    }
-                }
-            }
-        }
-        // `eval` short-circuits the logical operators before calling here;
-        // seeing one is a dispatch defect, not grounds for a panic.
-        And | Or => {
-            return Err(FudjError::Execution(format!(
-                "logical operator {op:?} reached eval_binary without short-circuit handling"
-            )))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fudj_types::Field;
+    use fudj_types::{Field, Row};
 
     fn schema() -> Schema {
         Schema::new(vec![

@@ -1,30 +1,12 @@
 //! Scalar built-in functions — the predicate vocabulary of the paper's
 //! queries (Queries 1–3 and 5).
 
+use fudj_exec::ScalarFn;
 use fudj_geo::Point;
 use fudj_temporal::Interval;
 use fudj_text::jaccard::jaccard_similarity_texts;
 use fudj_types::{DataType, FudjError, Result, Value};
-
-/// Whether `name` (lowercase) is a known scalar built-in.
-pub fn is_builtin(name: &str) -> bool {
-    matches!(
-        name,
-        "st_contains"
-            | "st_makepoint"
-            | "st_make_point"
-            | "st_distance"
-            | "st_intersects"
-            | "jaccard_similarity"
-            | "similarity_jaccard"
-            | "word_tokens"
-            | "overlapping_interval"
-            | "interval_overlapping"
-            | "interval"
-            | "parse_date"
-            | "abs"
-    )
-}
+use std::sync::Arc;
 
 /// Return type of a built-in (used for schema inference).
 pub fn return_type(name: &str) -> DataType {
@@ -65,12 +47,13 @@ fn text_of(v: &Value, ctx: &str) -> Result<String> {
     }
 }
 
-/// Evaluate a built-in over already-evaluated arguments.
-pub fn evaluate(name: &str, args: &[Value]) -> Result<Value> {
-    Ok(match name {
-        "st_contains" => {
-            let a = args_n(name, args, 2)?;
-            match (&a[0], &a[1]) {
+/// The body of a built-in (`name` lowercase), resolved once when an
+/// expression binds; `None` for an unknown name.
+pub fn resolve(name: &str) -> Option<ScalarFn> {
+    let body: fn(&[Value]) -> Result<Value> = match name {
+        "st_contains" => |args| {
+            let a = args_n("st_contains", args, 2)?;
+            Ok(match (&a[0], &a[1]) {
                 (Value::Polygon(poly), Value::Point(p)) => Value::Bool(poly.contains_point(p)),
                 (Value::Polygon(a_poly), Value::Polygon(b_poly)) => {
                     // contains ⊇: every vertex of b inside a and no edge
@@ -85,11 +68,11 @@ pub fn evaluate(name: &str, args: &[Value]) -> Result<Value> {
                         "st_contains",
                     ))
                 }
-            }
-        }
-        "st_intersects" => {
-            let a = args_n(name, args, 2)?;
-            match (&a[0], &a[1]) {
+            })
+        },
+        "st_intersects" => |args| {
+            let a = args_n("st_intersects", args, 2)?;
+            Ok(match (&a[0], &a[1]) {
                 (Value::Polygon(p), Value::Polygon(q)) => Value::Bool(p.intersects(q)),
                 (Value::Polygon(p), Value::Point(q)) | (Value::Point(q), Value::Polygon(p)) => {
                     Value::Bool(p.contains_point(q))
@@ -102,14 +85,14 @@ pub fn evaluate(name: &str, args: &[Value]) -> Result<Value> {
                         "st_intersects",
                     ))
                 }
-            }
-        }
-        "st_makepoint" | "st_make_point" => {
-            let a = args_n(name, args, 2)?;
-            Value::Point(Point::new(a[0].as_f64()?, a[1].as_f64()?))
-        }
-        "st_distance" => {
-            let a = args_n(name, args, 2)?;
+            })
+        },
+        "st_makepoint" | "st_make_point" => |args| {
+            let a = args_n("st_makepoint", args, 2)?;
+            Ok(Value::Point(Point::new(a[0].as_f64()?, a[1].as_f64()?)))
+        },
+        "st_distance" => |args| {
+            let a = args_n("st_distance", args, 2)?;
             let d = match (&a[0], &a[1]) {
                 (Value::Point(p), Value::Point(q)) => p.distance(q),
                 (Value::Point(p), Value::Polygon(poly))
@@ -129,25 +112,27 @@ pub fn evaluate(name: &str, args: &[Value]) -> Result<Value> {
                     ))
                 }
             };
-            Value::Float64(d)
-        }
-        "jaccard_similarity" | "similarity_jaccard" => {
-            let a = args_n(name, args, 2)?;
-            let t1 = text_of(&a[0], name)?;
-            let t2 = text_of(&a[1], name)?;
-            Value::Float64(jaccard_similarity_texts(&t1, &t2))
-        }
-        "word_tokens" => {
-            let a = args_n(name, args, 1)?;
+            Ok(Value::Float64(d))
+        },
+        "jaccard_similarity" | "similarity_jaccard" => |args| {
+            let a = args_n("jaccard_similarity", args, 2)?;
+            let t1 = text_of(&a[0], "jaccard_similarity")?;
+            let t2 = text_of(&a[1], "jaccard_similarity")?;
+            Ok(Value::Float64(jaccard_similarity_texts(&t1, &t2)))
+        },
+        "word_tokens" => |args| {
+            let a = args_n("word_tokens", args, 1)?;
             let tokens = fudj_text::tokenize(a[0].as_str()?);
-            Value::list(tokens.into_iter().map(Value::str).collect())
-        }
-        "overlapping_interval" | "interval_overlapping" => {
-            let a = args_n(name, args, 2)?;
-            Value::Bool(a[0].as_interval()?.overlaps(&a[1].as_interval()?))
-        }
-        "interval" => {
-            let a = args_n(name, args, 2)?;
+            Ok(Value::list(tokens.into_iter().map(Value::str).collect()))
+        },
+        "overlapping_interval" | "interval_overlapping" => |args| {
+            let a = args_n("overlapping_interval", args, 2)?;
+            Ok(Value::Bool(
+                a[0].as_interval()?.overlaps(&a[1].as_interval()?),
+            ))
+        },
+        "interval" => |args| {
+            let a = args_n("interval", args, 2)?;
             let start = a[0].as_f64()? as i64;
             let end = a[1].as_f64()? as i64;
             if start > end {
@@ -155,31 +140,40 @@ pub fn evaluate(name: &str, args: &[Value]) -> Result<Value> {
                     "interval start {start} after end {end}"
                 )));
             }
-            Value::Interval(Interval::new(start, end))
-        }
-        "parse_date" => {
-            let a = args_n(name, args, 2)?;
+            Ok(Value::Interval(Interval::new(start, end)))
+        },
+        "parse_date" => |args| {
+            let a = args_n("parse_date", args, 2)?;
             let ms =
                 fudj_temporal::parse_date(a[0].as_str()?, a[1].as_str()?).ok_or_else(|| {
                     FudjError::Execution(format!("cannot parse date {:?} as {:?}", a[0], a[1]))
                 })?;
-            Value::DateTime(ms)
-        }
-        "abs" => {
-            let a = args_n(name, args, 1)?;
-            match &a[0] {
+            Ok(Value::DateTime(ms))
+        },
+        "abs" => |args| {
+            let a = args_n("abs", args, 1)?;
+            Ok(match &a[0] {
                 Value::Int64(v) => Value::Int64(v.abs()),
                 other => Value::Float64(other.as_f64()?.abs()),
-            }
-        }
-        other => return Err(FudjError::Execution(format!("unknown built-in {other:?}"))),
-    })
+            })
+        },
+        _ => return None,
+    };
+    Some(Arc::new(body))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fudj_geo::{Polygon, Rect};
+
+    fn evaluate(name: &str, args: &[Value]) -> Result<Value> {
+        resolve(name).expect("a built-in")(args)
+    }
+
+    fn is_builtin(name: &str) -> bool {
+        resolve(name).is_some()
+    }
 
     fn square() -> Value {
         Value::polygon(Polygon::from_rect(&Rect::new(0.0, 0.0, 10.0, 10.0)))

@@ -9,18 +9,19 @@
 //! * [`expr`] — an expression tree with the scalar built-ins the paper's
 //!   queries use (`ST_Contains`, `ST_MakePoint`, `ST_Distance`,
 //!   `jaccard_similarity`, `overlapping_interval`, `parse_date`, ...),
-//!   bound against schemas and compiled to closures for execution;
+//!   bound against schemas into `fudj_exec`'s [`BoundExpr`] data, with
+//!   each function resolved to its body once, at bind time;
 //! * [`logical`] — Scan / Filter / Project / Join / Aggregate / Sort /
 //!   Limit, plus the post-rewrite `FudjJoin` node;
 //! * [`optimizer`] — predicate pushdown, the **FUDJ detection & rewrite
 //!   rule**, the self-join summarize-once annotation, and (implicitly, via
 //!   `EngineJoin::uses_default_match`) the hash-join selection;
-//! * [`physical`] — lowering to `fudj_exec` physical plans with compiled
-//!   predicates and key extractors.
+//! * [`physical`] — lowering to `fudj_exec` physical plans whose
+//!   predicates and projections are those bound expressions.
 //!
 //! Joins whose condition contains no registered FUDJ function lower to the
-//! *on-top* plan: broadcast NLJ with the predicate as a UDF — exactly the
-//! baseline the paper measures FUDJ against. [`PlanOptions::force_on_top`]
+//! *on-top* plan: broadcast NLJ with the condition as its predicate —
+//! exactly the baseline the paper measures FUDJ against. [`PlanOptions::force_on_top`]
 //! forces that path even when a FUDJ is registered, which is how the
 //! experiments produce the on-top series.
 

@@ -1,17 +1,19 @@
 //! Lowering: optimized logical plans → executable physical plans.
 //!
-//! Everything symbolic is resolved here: column names bind to indices,
-//! expressions compile to closures, FUDJ names resolve to engine join
+//! Everything symbolic is resolved here: column names bind to indices and
+//! function names to their bodies, FUDJ names resolve to engine join
 //! strategies (the registered library behind [`FudjEngineJoin`], or an
-//! override from [`PlanOptions::join_overrides`]), and computed join keys
-//! become appended key columns the join operator can address by index.
+//! override from [`PlanOptions::join_overrides`]), and a join key that is
+//! a bare column is read where it lies, while a computed one becomes an
+//! appended key column the join operator can address by index.
 
-use crate::expr::{BinOp, BoundExpr, Expr};
+use crate::expr::{BoundExpr, Expr};
 use crate::logical::LogicalPlan;
 use crate::optimizer::PlanOptions;
 use fudj_core::{FudjEngineJoin, GuardMode, GuardedJoin, JoinAlgorithm, JoinRegistry};
-use fudj_exec::{Aggregate, CmpOp, ColumnCompare, FudjJoinNode, PhysicalPlan, SortKey};
-use fudj_types::{Field, FudjError, Result, Row, Schema, SchemaRef, Value};
+use fudj_exec::expr::columns_of;
+use fudj_exec::{Aggregate, FudjJoinNode, PhysicalPlan, SortKey};
+use fudj_types::{Field, FudjError, Result, Schema, SchemaRef, Value};
 use std::sync::Arc;
 
 /// Lower an optimized logical plan.
@@ -25,35 +27,18 @@ pub fn lower(
             dataset: dataset.clone(),
         },
 
-        LogicalPlan::Filter { input, predicate } => {
-            let schema = input.schema()?;
-            let bound = predicate.bind(&schema)?;
-            lower_filter(lower(input, registry, options)?, bound)
-        }
+        LogicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
+            predicate: predicate.bind(input.schema()?.as_ref())?,
+            input: Box::new(lower(input, registry, options)?),
+        },
 
         LogicalPlan::Project { input, exprs } => {
             let in_schema = input.schema()?;
-            let out_schema = plan.schema()?;
             let bound: Vec<BoundExpr> = exprs
                 .iter()
                 .map(|(e, _)| e.bind(&in_schema))
                 .collect::<Result<_>>()?;
-            let child = lower(input, registry, options)?;
-            if let Some(columns) = compile_columns(&bound) {
-                project_onto(child, columns, out_schema)
-            } else {
-                PhysicalPlan::Project {
-                    input: Box::new(child),
-                    mapper: Arc::new(move |row: &Row| {
-                        let mut values = Vec::with_capacity(bound.len());
-                        for b in &bound {
-                            values.push(b.eval(row)?);
-                        }
-                        Ok(Row::new(values))
-                    }),
-                    schema: out_schema,
-                }
-            }
+            project_onto(lower(input, registry, options)?, bound, plan.schema()?)
         }
 
         LogicalPlan::Join {
@@ -61,13 +46,12 @@ pub fn lower(
             right,
             condition,
         } => {
-            // On-top plan: NLJ with the full condition as a UDF predicate.
+            // On-top plan: NLJ with the full condition as its predicate.
             let combined = left.schema()?.join(right.schema()?.as_ref());
-            let bound = condition.bind(&combined)?;
             PhysicalPlan::NlJoin {
                 left: Box::new(lower(left, registry, options)?),
                 right: Box::new(lower(right, registry, options)?),
-                predicate: Arc::new(move |l: &Row, r: &Row| bound.eval(&l.concat(r))?.as_bool()),
+                predicate: condition.bind(&combined)?,
             }
         }
 
@@ -127,18 +111,28 @@ pub fn lower(
                 out_fields.push(Field::new(agg.name.clone(), agg.output_type(&pre_schema)));
             }
             let child = lower(input, registry, options)?;
-            let (child, group_by) = match compile_columns(&pre_bound) {
+            let (child, group_by) = match columns_of(&pre_bound) {
                 // A bare-column pre-projection folds into the aggregate's
                 // indices, so it reads its input rows in place. Over a FUDJ
                 // join it folds into the join's emit list instead, which
                 // keeps COMBINE's output rows narrow.
                 Some(columns) if !matches!(child, PhysicalPlan::FudjJoin(_)) => {
                     let (child, columns) = match child {
-                        PhysicalPlan::VecProject {
+                        PhysicalPlan::Project {
                             input,
-                            columns: inner,
-                            ..
-                        } => (*input, columns.iter().map(|&c| inner[c]).collect()),
+                            exprs,
+                            schema,
+                        } => match columns_of(&exprs) {
+                            Some(inner) => (*input, columns.iter().map(|&c| inner[c]).collect()),
+                            None => (
+                                PhysicalPlan::Project {
+                                    input,
+                                    exprs,
+                                    schema,
+                                },
+                                columns,
+                            ),
+                        },
                         child => (child, columns),
                     };
                     for agg in &mut exec_aggs {
@@ -146,22 +140,8 @@ pub fn lower(
                     }
                     (child, columns[..width].to_vec())
                 }
-                Some(columns) => (
-                    project_onto(child, columns, pre_schema),
-                    (0..width).collect(),
-                ),
-                None => (
-                    PhysicalPlan::Project {
-                        input: Box::new(child),
-                        mapper: Arc::new(move |row: &Row| {
-                            let mut values = Vec::with_capacity(pre_bound.len());
-                            for b in &pre_bound {
-                                values.push(b.eval(row)?);
-                            }
-                            Ok(Row::new(values))
-                        }),
-                        schema: pre_schema,
-                    },
+                _ => (
+                    project_onto(child, pre_bound, pre_schema),
                     (0..width).collect(),
                 ),
             };
@@ -203,108 +183,22 @@ pub fn lower(
     })
 }
 
-fn predicate_closure(bound: BoundExpr) -> fudj_exec::RowPredicate {
-    Arc::new(move |row: &Row| bound.eval(row)?.as_bool())
-}
-
-/// Emit the vectorizable [`PhysicalPlan::VecFilter`] when the predicate is a
-/// conjunction of column-vs-literal comparisons, else the interpreted
-/// closure [`PhysicalPlan::Filter`]. Both evaluate comparisons through the
-/// same [`Value`] total order, so results are identical.
-fn lower_filter(child: PhysicalPlan, bound: BoundExpr) -> PhysicalPlan {
-    match compile_compares(&bound) {
-        Some(compares) => PhysicalPlan::VecFilter {
+/// Project `child` onto `exprs` of its output, named by `schema`. A
+/// projection that computes anything is a [`PhysicalPlan::Project`]. One
+/// of bare columns folds where it can: over a FUDJ join into the columns
+/// the join emits, over another column projection by composing the two
+/// index lists; one that keeps every column in order under the child's own
+/// names (a SELECT list repeating an aggregate's output) is no operator at
+/// all, and one that only renames an aggregate's columns renames them on
+/// the aggregate.
+fn project_onto(child: PhysicalPlan, exprs: Vec<BoundExpr>, schema: SchemaRef) -> PhysicalPlan {
+    let Some(columns) = columns_of(&exprs) else {
+        return PhysicalPlan::Project {
             input: Box::new(child),
-            compares,
-        },
-        None => PhysicalPlan::Filter {
-            input: Box::new(child),
-            predicate: predicate_closure(bound),
-        },
-    }
-}
-
-fn cmp_op_of(op: BinOp) -> Option<CmpOp> {
-    Some(match op {
-        BinOp::Eq => CmpOp::Eq,
-        BinOp::NotEq => CmpOp::NotEq,
-        BinOp::Lt => CmpOp::Lt,
-        BinOp::LtEq => CmpOp::LtEq,
-        BinOp::Gt => CmpOp::Gt,
-        BinOp::GtEq => CmpOp::GtEq,
-        _ => return None,
-    })
-}
-
-/// Mirror a comparison so the column lands on the left: `lit < col` ≡
-/// `col > lit`.
-fn mirror(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::LtEq => CmpOp::GtEq,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::GtEq => CmpOp::LtEq,
-        CmpOp::Eq | CmpOp::NotEq => op,
-    }
-}
-
-/// Decompose a bound predicate into a conjunction of column-vs-literal
-/// comparisons, if that is all it is.
-fn compile_compares(bound: &BoundExpr) -> Option<Vec<ColumnCompare>> {
-    let mut out = Vec::new();
-    collect_compares(bound, &mut out).then_some(out)
-}
-
-fn collect_compares(bound: &BoundExpr, out: &mut Vec<ColumnCompare>) -> bool {
-    let BoundExpr::Binary { op, left, right } = bound else {
-        return false;
+            exprs,
+            schema,
+        };
     };
-    if *op == BinOp::And {
-        return collect_compares(left, out) && collect_compares(right, out);
-    }
-    let Some(op) = cmp_op_of(*op) else {
-        return false;
-    };
-    match (left.as_ref(), right.as_ref()) {
-        (BoundExpr::Column(c), BoundExpr::Literal(v)) => {
-            out.push(ColumnCompare {
-                column: *c,
-                op,
-                literal: v.clone(),
-            });
-            true
-        }
-        (BoundExpr::Literal(v), BoundExpr::Column(c)) => {
-            out.push(ColumnCompare {
-                column: *c,
-                op: mirror(op),
-                literal: v.clone(),
-            });
-            true
-        }
-        _ => false,
-    }
-}
-
-/// A projection that only reorders/drops columns compiles to index lookups.
-fn compile_columns(bound: &[BoundExpr]) -> Option<Vec<usize>> {
-    bound
-        .iter()
-        .map(|b| match b {
-            BoundExpr::Column(i) => Some(*i),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Project `child` onto `columns` of its output, named by `schema`. Over a
-/// FUDJ join the projection folds into the columns the join emits, over a
-/// column projection the two index lists compose, a projection that keeps
-/// every column in order under the child's own names (a SELECT list
-/// repeating an aggregate's output) is no operator at all, one that only
-/// renames an aggregate's columns renames them on the aggregate, and
-/// anything else gets a [`PhysicalPlan::VecProject`].
-fn project_onto(child: PhysicalPlan, columns: Vec<usize>, schema: SchemaRef) -> PhysicalPlan {
     let identity = columns.iter().copied().eq(0..columns.len());
     let same_types = |own: &Schema| {
         let types = schema.fields().iter().map(|f| &f.data_type);
@@ -327,47 +221,46 @@ fn project_onto(child: PhysicalPlan, columns: Vec<usize>, schema: SchemaRef) -> 
             node.project(&columns, schema);
             PhysicalPlan::FudjJoin(node)
         }
-        PhysicalPlan::VecProject {
+        PhysicalPlan::Project {
             input,
-            columns: inner,
+            exprs: inner,
             ..
-        } => PhysicalPlan::VecProject {
+        } if columns_of(&inner).is_some() => PhysicalPlan::Project {
             input,
-            columns: columns.iter().map(|&c| inner[c]).collect(),
+            exprs: columns.iter().map(|&c| inner[c].clone()).collect(),
             schema,
         },
-        child => PhysicalPlan::VecProject {
+        child => PhysicalPlan::Project {
             input: Box::new(child),
-            columns,
+            exprs,
             schema,
         },
     }
 }
 
-/// Append a computed key column to a child plan.
-fn with_key_column(
+/// Where `child` holds the join key: in place when the key binds to a bare
+/// column, else in a column appended under `key_name` by a
+/// [`PhysicalPlan::Project`]. Returns the plan and the key's index.
+fn key_column(
     child: PhysicalPlan,
-    child_schema: &Schema,
+    schema: &Schema,
     key: &Expr,
     key_name: &str,
-) -> Result<(PhysicalPlan, usize, SchemaRef)> {
-    let bound = key.bind(child_schema)?;
-    let key_type = key.data_type(child_schema)?;
-    let mut fields = child_schema.fields().to_vec();
-    fields.push(Field::new(key_name.to_owned(), key_type));
-    let schema: SchemaRef = Arc::new(Schema::new(fields));
-    let key_index = schema.len() - 1;
+) -> Result<(PhysicalPlan, usize)> {
+    let bound = key.bind(schema)?;
+    if let BoundExpr::Column(i) = bound {
+        return Ok((child, i));
+    }
+    let mut fields = schema.fields().to_vec();
+    fields.push(Field::new(key_name.to_owned(), key.data_type(schema)?));
+    let mut exprs: Vec<BoundExpr> = (0..schema.len()).map(BoundExpr::Column).collect();
+    exprs.push(bound);
     let plan = PhysicalPlan::Project {
         input: Box::new(child),
-        mapper: Arc::new(move |row: &Row| {
-            let mut values = Vec::with_capacity(row.len() + 1);
-            values.extend_from_slice(row.values());
-            values.push(bound.eval(row)?);
-            Ok(Row::new(values))
-        }),
-        schema: schema.clone(),
+        exprs,
+        schema: Arc::new(Schema::new(fields)),
     };
-    Ok((plan, key_index, schema))
+    Ok((plan, schema.len()))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -417,19 +310,21 @@ fn lower_fudj_join(
         }
     };
 
-    let (lplan, lkey_idx, _) = with_key_column(
+    let (lplan, lkey_idx) = key_column(
         lower(left, registry, options)?,
         &lschema,
         left_key,
         "__fudj_key_left",
     )?;
-    let (rplan, rkey_idx, _) = with_key_column(
+    let (rplan, rkey_idx) = key_column(
         lower(right, registry, options)?,
         &rschema,
         right_key,
         "__fudj_key_right",
     )?;
 
+    // The right input's columns start after the left's, appended key too.
+    let r_start = lplan.schema().len();
     let mut node = FudjJoinNode::new(lplan, rplan, strategy, lkey_idx, rkey_idx, params.to_vec());
     node.self_join = self_join;
     // Session/query options win; the join definition's own declared
@@ -437,21 +332,21 @@ fn lower_fudj_join(
     // fallback.
     node.memory_budget_rows = options.memory_budget_rows.or(def_budget);
 
-    // The join never emits its two key columns, so upper operators see the
-    // logical schema.
-    let l_len = lschema.len();
-    let r_len = rschema.len();
+    // The join never emits an appended key column, so upper operators see
+    // the logical schema.
     let logical_schema: SchemaRef = Arc::new(lschema.join(&rschema));
-    let keep: Vec<usize> = (0..l_len).chain(l_len + 1..l_len + 1 + r_len).collect();
+    let keep: Vec<usize> = (0..lschema.len())
+        .chain(r_start..r_start + rschema.len())
+        .collect();
     node.project(&keep, logical_schema.clone());
     let joined = PhysicalPlan::FudjJoin(node);
 
     // Residual non-FUDJ conjuncts become a post-join filter.
     Ok(match residual {
-        Some(expr) => {
-            let bound = expr.bind(&logical_schema)?;
-            lower_filter(joined, bound)
-        }
+        Some(expr) => PhysicalPlan::Filter {
+            predicate: expr.bind(&logical_schema)?,
+            input: Box::new(joined),
+        },
         None => joined,
     })
 }

@@ -717,7 +717,7 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fudj_exec::Aggregate;
+    use fudj_exec::{Aggregate, BinOp, BoundExpr};
     use fudj_storage::DatasetBuilder;
     use fudj_types::{DataType, Field, Row, Schema, Value};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -738,8 +738,8 @@ mod tests {
         Arc::new(d)
     }
 
-    /// Multi-stage plan: filter → partial agg → shuffle → final agg →
-    /// gather. Enough batches to give the scheduler boundaries to work
+    /// Multi-stage plan: filter (the lower half of the ids) → partial agg
+    /// → shuffle → final agg → gather. Enough batches to give the scheduler boundaries to work
     /// with.
     fn agg_plan(rows: usize) -> Arc<PhysicalPlan> {
         Arc::new(PhysicalPlan::hash_aggregate(
@@ -747,7 +747,11 @@ mod tests {
                 input: Box::new(PhysicalPlan::Scan {
                     dataset: dataset(rows, 4),
                 }),
-                predicate: Arc::new(|r| Ok(r.get(0).as_i64()? % 2 == 0)),
+                predicate: BoundExpr::Binary {
+                    op: BinOp::Lt,
+                    left: Box::new(BoundExpr::Column(0)),
+                    right: Box::new(BoundExpr::Literal(Value::Int64(rows as i64 / 2))),
+                },
             },
             vec![1],
             vec![Aggregate::count_star("c")],
@@ -761,12 +765,16 @@ mod tests {
             input: Box::new(PhysicalPlan::Scan {
                 dataset: dataset(rows, 2),
             }),
-            predicate: Arc::new(move |_| {
-                while !release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                Ok(true)
-            }),
+            predicate: BoundExpr::Call {
+                name: "wait_for_release".into(),
+                func: Arc::new(move |_| {
+                    while !release.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    Ok(Value::Bool(true))
+                }),
+                args: vec![],
+            },
         })
     }
 

@@ -1,9 +1,9 @@
 //! Aggregate differential suite. When every group key and aggregate input
 //! is a bare column, lowering points `HashAggregate` straight at its
 //! child's columns instead of copying each input row through a
-//! `VecProject`; over a FUDJ join the join's emit list absorbs the
-//! projection instead. Aggregates over a scan, a `VecFilter`, a closure
-//! `Filter`, an on-top nested-loop join whose inputs repeat a column name,
+//! column `Project`; over a FUDJ join the join's emit list absorbs the
+//! projection instead. Aggregates over a scan, a filter the typed kernel
+//! runs, an interpreted `Filter`, an on-top nested-loop join whose inputs repeat a column name,
 //! and a residual `Filter` over a FUDJ join must return exactly the rows
 //! and column names of an oracle computed here, on one worker and on
 //! three, in row and in columnar execution mode. The EXPLAIN tests pin
@@ -191,7 +191,7 @@ fn cases() -> Vec<Case> {
         groups,
     ));
 
-    // Over a vectorized filter, on an integer key (the columnar kernel's
+    // Over a kernel filter, on an integer key (the columnar kernel's
     // typed path).
     let mut groups: BTreeMap<Value, Acc> = BTreeMap::new();
     for (id, _, k, v, x) in t.iter().filter(|r| r.3 < 40) {
@@ -202,12 +202,12 @@ fn cases() -> Vec<Case> {
             "{} FROM T a WHERE a.v < 40 GROUP BY a.k ORDER BY a.k",
             select("a.k", "a.v", "a.x", "a.id")
         ),
-        "HashAggregate [group by [2]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n    VecFilter [#3 < 40]",
+        "HashAggregate [group by [2]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n    Filter [#3 < 40]",
         "a.k",
         groups,
     ));
 
-    // Over a closure filter (column against column).
+    // Over an interpreted filter (column against column).
     let mut groups: BTreeMap<Value, Acc> = BTreeMap::new();
     for (id, _, k, v, x) in t.iter().filter(|r| r.3 < r.0) {
         groups.entry(int(*k)).or_default().add(*v, *x, *id);
@@ -217,7 +217,7 @@ fn cases() -> Vec<Case> {
             "{} FROM T a WHERE a.v < a.id GROUP BY a.k ORDER BY a.k",
             select("a.k", "a.v", "a.x", "a.id")
         ),
-        "HashAggregate [group by [2]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n    Filter",
+        "HashAggregate [group by [2]; [\"c\", \"s(#3)\", \"mn(#4)\", \"mx(#0)\", \"av(#3)\"]]\n    Filter [#3 < #0]",
         "a.k",
         groups,
     ));
@@ -273,7 +273,7 @@ fn cases() -> Vec<Case> {
              GROUP BY a.tag ORDER BY a.tag",
             select("a.tag", "b.w", "a.x", "b.id")
         ),
-        "HashAggregate [group by [1]; [\"c\", \"s(#7)\", \"mn(#4)\", \"mx(#5)\", \"av(#7)\"]]\n    Filter\n      FudjJoin",
+        "HashAggregate [group by [1]; [\"c\", \"s(#7)\", \"mn(#4)\", \"mx(#5)\", \"av(#7)\"]]\n    Filter [#3 <> #7]\n      FudjJoin",
         "a.tag",
         groups,
     ));
@@ -365,7 +365,7 @@ fn explain_aggregates_over_a_scan_or_filter_read_it_in_place() {
              FROM Fact f WHERE f.val < 9900 GROUP BY f.grp"
         ),
         "HashAggregate [group by [1]; [\"c\", \"s(#2)\", \"a(#2)\"]]\n  \
-           VecFilter [#2 < 9900]\n    \
+           Filter [#2 < 9900]\n    \
              DataScan [Fact]\n"
     );
 }
@@ -378,7 +378,7 @@ fn explain_computed_group_key_keeps_its_project() {
         "SELECT f.grp + 1 AS g, COUNT(*) AS c FROM Fact f GROUP BY f.grp + 1",
     );
     assert!(
-        plan.contains("HashAggregate [group by [0]; [\"c\"]]\n  Project [(f.grp + 1): bigint]"),
+        plan.contains("HashAggregate [group by [0]; [\"c\"]]\n  Project [#1 + 1]"),
         "{plan}"
     );
 }
@@ -386,7 +386,7 @@ fn explain_computed_group_key_keeps_its_project() {
 #[test]
 fn rename_only_projection_renames_the_aggregate() {
     // `AS m` only renames the computed key the aggregate groups by: the
-    // aggregate carries the new names itself, and no `VecProject` above it
+    // aggregate carries the new names itself, and no `Project` above it
     // copies every group row to rename one column.
     let s = Session::new(2);
     let kv = DatasetBuilder::new(
@@ -406,7 +406,7 @@ fn rename_only_projection_renames_the_aggregate() {
     assert_eq!(
         explain(&s, sql),
         "HashAggregate [group by [0]; [\"c\"]]\n  \
-           Project [(k.id + 1): bigint]\n    \
+           Project [#0 + 1]\n    \
              DataScan [kv]\n"
     );
     let batch = s.query(sql).unwrap();

@@ -6,11 +6,11 @@
 
 const WORKERS: usize = 3;
 
-/// The relational pipeline around the joins: a SQL query whose plan
-/// compiles to `VecFilter`/`VecProject`/`HashAggregate` must agree across
-/// modes through the full front end, and the plan text must show that the
-/// vector operators (not closures) were selected — the *same* plan serves
-/// both modes.
+/// The relational pipeline around the joins: a SQL query whose plan is a
+/// kernel-shaped `Filter` (a conjunction of column-vs-literal
+/// comparisons), a column `Project` and a `HashAggregate` must agree
+/// across modes through the full front end, and the plan text must show
+/// those shapes — the *same* plan serves both modes.
 #[test]
 fn sql_scan_filter_aggregate_pipeline_agrees_across_modes() {
     use fudj_repro::datagen::{nyctaxi, GeneratorConfig};
@@ -22,7 +22,7 @@ fn sql_scan_filter_aggregate_pipeline_agrees_across_modes() {
             .unwrap();
         s.execute(&format!("SET exec_mode = {mode}")).unwrap();
         // The SELECT list reorders the aggregate's columns, so the plan
-        // keeps a `VecProject` (an identity one is dropped in lowering).
+        // keeps a `Project` (an identity one is dropped in lowering).
         let sql = "SELECT COUNT(*) AS c, n.Vendor, AVG(n.Vendor) AS avg_v \
                    FROM NYCTaxi n \
                    WHERE n.Vendor >= 1 AND n.Vendor <> 3 \
@@ -31,8 +31,8 @@ fn sql_scan_filter_aggregate_pipeline_agrees_across_modes() {
         let fudj_repro::sql::QueryOutput::Plan(text) = explain else {
             panic!("expected a plan")
         };
-        assert!(text.contains("VecFilter"), "{text}");
-        assert!(text.contains("VecProject"), "{text}");
+        assert!(text.contains("Filter [#1 >= 1 AND #1 <> 3]"), "{text}");
+        assert!(text.contains("Project [#1, #0, #2]"), "{text}");
         let out = s.execute(sql).unwrap();
         let rows = out.batch().rows().to_vec();
         let fp = out.metrics().fingerprint();

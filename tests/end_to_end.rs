@@ -300,11 +300,87 @@ fn top_nl_join(plan: &PhysicalPlan) -> &PhysicalPlan {
     match plan {
         PhysicalPlan::NlJoin { .. } => plan,
         PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::VecFilter { input, .. }
-        | PhysicalPlan::VecProject { input, .. }
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::Sort { input, .. }
         | PhysicalPlan::Limit { input, .. } => top_nl_join(input),
         other => panic!("no on-top join:\n{}", other.explain()),
+    }
+}
+
+/// A FUDJ join whose right key is computed: `st_makepoint(s.x, s.y)` over
+/// two double columns. Lowering appends that key with a `Project` on the
+/// computed side only; the left key is read where it lies. FUDJ ≡ on-top
+/// at 1 and 3 workers, in memory and at a budget that spills.
+#[test]
+fn computed_join_key_matches_on_top_in_memory_and_spilled() {
+    use fudj_repro::storage::DatasetBuilder;
+    use fudj_repro::types::{DataType, Field, Schema, Value};
+
+    let sites = |workers: usize| {
+        let fires = wildfires(GeneratorConfig::new(600, 102, workers.max(2))).unwrap();
+        let d = DatasetBuilder::new(
+            "Sites",
+            Schema::shared(vec![
+                Field::new("id", DataType::Int64),
+                Field::new("x", DataType::Float64),
+                Field::new("y", DataType::Float64),
+            ]),
+        )
+        .partitions(workers.max(2))
+        .build()
+        .unwrap();
+        let rows = fires.all_rows().into_iter().enumerate().map(|(i, r)| {
+            let Value::Point(p) = r.get(1) else {
+                panic!("wildfire location is a point")
+            };
+            Row::new(vec![
+                Value::Int64(i as i64),
+                Value::Float64(p.x),
+                Value::Float64(p.y),
+            ])
+        });
+        d.insert_all(rows).unwrap();
+        d
+    };
+    let sql = "SELECT p.id, s.id AS site FROM Parks p, Sites s \
+               WHERE ST_Contains(p.boundary, st_makepoint(s.x, s.y))";
+    for workers in [1, 3] {
+        for budget in [None, Some(8)] {
+            let run = |force_on_top: bool| {
+                let mut s = session(workers);
+                s.register_dataset(sites(workers)).unwrap();
+                s.set_options(PlanOptions {
+                    force_on_top,
+                    memory_budget_rows: budget,
+                    ..Default::default()
+                });
+                let QueryOutput::Plan(explain) = s.execute(&format!("EXPLAIN {sql}")).unwrap()
+                else {
+                    panic!("EXPLAIN returns a plan")
+                };
+                let QueryOutput::Rows(batch, metrics) = s.execute(sql).unwrap() else {
+                    panic!("SELECT returns rows")
+                };
+                (explain, sorted_rows(&batch), metrics.spilled_rows)
+            };
+            let (plan, fudj, spilled) = run(false);
+            let (_, on_top, _) = run(true);
+            let ctx = format!("{workers} workers, budget {budget:?}");
+            assert!(!fudj.is_empty(), "{ctx}: parks contain sites");
+            assert_eq!(fudj, on_top, "{ctx}");
+            assert_eq!(
+                spilled > 0,
+                budget.is_some(),
+                "{ctx}: spilled {spilled} rows"
+            );
+            assert_eq!(
+                plan,
+                "FudjJoin [spatial_join | match: hash | dedup: Avoidance | emit: [p.id, site]]\n  \
+                   DataScan [Parks]\n  \
+                   Project [#0, #1, #2, st_makepoint(#1, #2)]\n    \
+                     DataScan [Sites]\n",
+                "{ctx}"
+            );
+        }
     }
 }

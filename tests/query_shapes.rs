@@ -1,7 +1,7 @@
 //! Query-shape regression tests: the exact SQL constructs the paper's
 //! queries rely on, checked end-to-end against hand-computed semantics.
 
-use fudj_repro::datagen::{parks, GeneratorConfig};
+use fudj_repro::datagen::{amazon_reviews, nyctaxi, parks, wildfires, GeneratorConfig};
 use fudj_repro::joins::standard_library;
 use fudj_repro::sql::{QueryOutput, Session};
 use fudj_repro::textutil::{jaccard_similarity_texts, token_set};
@@ -20,6 +20,13 @@ fn session() -> Session {
     s
 }
 
+fn explain(s: &Session, sql: &str) -> String {
+    let QueryOutput::Plan(plan) = s.execute(&format!("EXPLAIN {sql}")).unwrap() else {
+        panic!("EXPLAIN returns a plan")
+    };
+    plan
+}
+
 /// Query 2's `dp.park_id <> p.id` conjunct must survive as a residual filter
 /// above the FUDJ join, and the threshold comparison must bind as the
 /// join's parameter.
@@ -30,13 +37,16 @@ fn query2_residual_filter_and_threshold() {
                FROM Parks a, Parks b \
                WHERE a.id <> b.id AND jaccard_similarity(a.tags, b.tags) >= 0.8 \
                ORDER BY a.id";
-    let QueryOutput::Plan(plan) = s.execute(&format!("EXPLAIN {sql}")).unwrap() else {
-        panic!()
-    };
-    assert!(plan.contains("FudjJoin"), "{plan}");
-    assert!(
-        plan.contains("Filter"),
-        "residual <> filter present: {plan}"
+    assert_eq!(
+        explain(&s, sql),
+        "Sort [#0]\n  \
+           Project [#0, #3]\n    \
+             Filter [#0 <> #3]\n      \
+               FudjJoin [text_similarity_join | match: hash | dedup: Avoidance | \
+                 self-join: summarize once | \
+                 emit: [a.id, a.boundary, a.tags, b.id, b.boundary, b.tags]]\n        \
+                 DataScan [Parks]\n        \
+                 DataScan [Parks]\n"
     );
 
     let batch = s.query(sql).unwrap();
@@ -135,4 +145,64 @@ fn explain_analyze_text_join() {
     };
     assert!(text.contains("phase join:"), "{text}");
     assert!(text.contains("dedup rejections:"), "{text}");
+}
+
+/// The benchmark's three join workloads (`fudjbench/src/joins.rs`), planned
+/// in full: every predicate and projection prints, and each join key is a
+/// bare column read where it lies, with no appended `__fudj_key_*` column.
+#[test]
+fn join_workload_plans_print_every_expression() {
+    let s = Session::new(2);
+    s.register_dataset(parks(GeneratorConfig::new(50, 1, 2)).unwrap())
+        .unwrap();
+    s.register_dataset(wildfires(GeneratorConfig::new(90, 2, 2)).unwrap())
+        .unwrap();
+    s.register_dataset(nyctaxi(GeneratorConfig::new(50, 3, 2)).unwrap())
+        .unwrap();
+    s.register_dataset(amazon_reviews(GeneratorConfig::new(50, 4, 2)).unwrap())
+        .unwrap();
+    s.install_library(standard_library());
+    for ddl in [
+        r#"CREATE JOIN st_contains(a: polygon, b: point)
+           RETURNS boolean AS "spatial.SpatialJoin" AT flexiblejoins"#,
+        r#"CREATE JOIN overlapping_interval(a: interval, b: interval)
+           RETURNS boolean AS "interval.OverlappingIntervalJoin" AT flexiblejoins"#,
+        r#"CREATE JOIN similarity_jaccard(a: string, b: string, t: double)
+           RETURNS boolean AS "setsimilarity.SetSimilarityJoin" AT flexiblejoins"#,
+    ] {
+        s.execute(ddl).unwrap();
+    }
+    let spatial = "SELECT p.id, COUNT(*) AS c FROM Parks p, Wildfires w \
+                   WHERE st_contains(p.boundary, w.location) GROUP BY p.id";
+    let interval = "SELECT COUNT(*) FROM NYCTaxi n1, NYCTaxi n2 \
+                    WHERE n1.Vendor = 1 AND n2.Vendor = 2 \
+                      AND overlapping_interval(n1.ride_interval, n2.ride_interval)";
+    let text = "SELECT COUNT(*) FROM AmazonReview r1, AmazonReview r2 \
+                WHERE r1.overall = 5 AND r2.overall = 4 \
+                  AND similarity_jaccard(r1.review, r2.review) >= 0.9";
+    assert_eq!(
+        explain(&s, spatial),
+        "HashAggregate [group by [0]; [\"c\"]]\n  \
+           FudjJoin [spatial_join | match: hash | dedup: Avoidance | emit: [p.id]]\n    \
+             DataScan [Parks]\n    \
+             DataScan [Wildfires]\n"
+    );
+    assert_eq!(
+        explain(&s, interval),
+        "HashAggregate [group by []; [\"count\"]]\n  \
+           FudjJoin [interval_join | match: theta-nlj | dedup: None | emit: []]\n    \
+             Filter [#1 = 1]\n      \
+               DataScan [NYCTaxi]\n    \
+             Filter [#1 = 2]\n      \
+               DataScan [NYCTaxi]\n"
+    );
+    assert_eq!(
+        explain(&s, text),
+        "HashAggregate [group by []; [\"count\"]]\n  \
+           FudjJoin [text_similarity_join | match: hash | dedup: Avoidance | emit: []]\n    \
+             Filter [#1 = 5]\n      \
+               DataScan [AmazonReview]\n    \
+             Filter [#1 = 4]\n      \
+               DataScan [AmazonReview]\n"
+    );
 }
