@@ -1,11 +1,108 @@
-//! Aggregate accumulators for the two-step hash aggregation.
+//! Aggregate accumulators for the two-step hash aggregation, and its
+//! Step 1: `PartialAggregate`, one worker's groups.
 //!
 //! Partial states travel between workers as regular [`Value`]s (`Avg`
 //! carries a `[sum, count]` list), matching how the paper treats aggregate
 //! state as ordinary records.
 
 use crate::plan::{AggFunc, Aggregate};
-use fudj_types::{FudjError, Result, Value};
+use fudj_types::{FudjError, Result, Row, Value};
+use std::collections::HashMap;
+
+/// What Step 1 of a hash aggregate reads: its group columns and its
+/// aggregates (inputs as column indices of the rows it folds), and for
+/// each aggregate whether it is a SUM over doubles.
+#[derive(Clone, Debug)]
+pub(crate) struct PartialSpec {
+    group_by: Vec<usize>,
+    aggregates: Vec<Aggregate>,
+    float_sum: Vec<bool>,
+}
+
+impl PartialSpec {
+    pub(crate) fn new(group_by: &[usize], aggregates: &[Aggregate], float_sum: &[bool]) -> Self {
+        PartialSpec {
+            group_by: group_by.to_vec(),
+            aggregates: aggregates.to_vec(),
+            float_sum: float_sum.to_vec(),
+        }
+    }
+
+    /// The same aggregate over rows whose column `columns[c]` holds what
+    /// column `c` held.
+    pub(crate) fn remap(&self, columns: &[usize]) -> Self {
+        let mut spec = self.clone();
+        for c in &mut spec.group_by {
+            *c = columns[*c];
+        }
+        for c in spec.aggregates.iter_mut().filter_map(|a| a.input.as_mut()) {
+            *c = columns[*c];
+        }
+        spec
+    }
+}
+
+/// Step 1 of the two-step hash aggregate on one worker: every input row
+/// folded into its group's accumulators, in arrival order. The executor
+/// folds an input's rows; COMBINE folds each pair it accepts in place,
+/// when the aggregate reads the join directly.
+#[derive(Clone)]
+pub(crate) struct PartialAggregate {
+    spec: PartialSpec,
+    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
+}
+
+impl PartialAggregate {
+    /// A worker's Step 1 under `spec`, before its first row.
+    pub(crate) fn new(spec: PartialSpec) -> Self {
+        PartialAggregate {
+            spec,
+            groups: HashMap::new(),
+        }
+    }
+
+    /// Fold one input row whose column `c` is `column(c)`.
+    #[inline]
+    pub(crate) fn fold<'v>(&mut self, column: impl Fn(usize) -> &'v Value) -> Result<()> {
+        let spec = &self.spec;
+        // Without `GROUP BY` every row folds into the one group: no key to
+        // hash once it exists.
+        let only = if spec.group_by.is_empty() {
+            self.groups.values_mut().next()
+        } else {
+            None
+        };
+        let accs = match only {
+            Some(accs) => accs,
+            None => {
+                let key: Vec<Value> = spec.group_by.iter().map(|&c| column(c).clone()).collect();
+                self.groups.entry(key).or_insert_with(|| {
+                    spec.aggregates
+                        .iter()
+                        .zip(&spec.float_sum)
+                        .map(|(a, &fs)| Accumulator::new(a, fs))
+                        .collect()
+                })
+            }
+        };
+        for (acc, agg) in accs.iter_mut().zip(&spec.aggregates) {
+            acc.update(agg.input.map(&column))?;
+        }
+        Ok(())
+    }
+
+    /// The partial rows: each group's values, then one partial state per
+    /// aggregate.
+    pub(crate) fn finish(self) -> Vec<Row> {
+        self.groups
+            .into_iter()
+            .map(|(mut values, accs)| {
+                values.extend(accs.iter().map(Accumulator::partial_value));
+                Row::new(values)
+            })
+            .collect()
+    }
+}
 
 /// Accumulator for one aggregate column.
 #[derive(Clone, Debug)]

@@ -1,6 +1,6 @@
 //! The cluster executor.
 
-use crate::aggregate::Accumulator;
+use crate::aggregate::{Accumulator, PartialAggregate, PartialSpec};
 use crate::columnar;
 use crate::exchange;
 use crate::expr::columns_of;
@@ -263,7 +263,7 @@ impl Cluster {
                 }
             }
 
-            PhysicalPlan::FudjJoin(node) => crate::fudj_join::execute(self, node, metrics),
+            PhysicalPlan::FudjJoin(node) => crate::fudj_join::execute(self, node, None, metrics),
 
             PhysicalPlan::NlJoin {
                 left,
@@ -331,6 +331,15 @@ impl Cluster {
             .run_metered(parts, Some(metrics), |_, part| f(part))
     }
 
+    /// The two-step hash aggregate. Step 1 folds each worker's input rows
+    /// into one partial row per group ([`PartialAggregate`]); Step 2
+    /// shuffles the partials by group, merges and finalizes them
+    /// ([`Cluster::merge_partials`]). Over a FUDJ join that
+    /// [`PhysicalPlan::folds_aggregate`], Step 1 runs inside the join:
+    /// COMBINE folds each pair it accepts into its task's partials with
+    /// the same fold, in the order it would have built the joined rows,
+    /// and no joined row is built. Either way Step 2 reads the same
+    /// partials.
     fn execute_aggregate(
         &self,
         input: &PhysicalPlan,
@@ -360,43 +369,33 @@ impl Cluster {
             return self.merge_partials(shuffled, group_by, aggregates, &float_sum, metrics);
         }
 
-        let parts = self.execute_partitioned(input, metrics)?;
-        let mode = metrics.exec_mode();
-
-        // Step 1: per-worker partial aggregation.
-        let partials = self.parallel_map(metrics, parts, |rows| {
-            if mode == ExecMode::Columnar {
-                // Typed fast path: single-i64-key grouping with typed
-                // accumulation; declines (→ row path) on other shapes.
-                if let Some(out) =
-                    columnar::partial_aggregate(&rows, group_by, aggregates, &float_sum)
-                {
-                    return out;
-                }
+        // Step 1: per-worker partial aggregation. Over a FUDJ join that
+        // folds it, COMBINE folds each pair it accepts instead of building
+        // a joined row for this loop to read.
+        let spec = PartialSpec::new(group_by, aggregates, &float_sum);
+        let partials = match input.folds_aggregate() {
+            Some(node) => crate::fudj_join::execute(self, node, Some(&spec), metrics)?,
+            None => {
+                let parts = self.execute_partitioned(input, metrics)?;
+                let mode = metrics.exec_mode();
+                self.parallel_map(metrics, parts, |rows| {
+                    if mode == ExecMode::Columnar {
+                        // Typed fast path: single-i64-key grouping with typed
+                        // accumulation; declines (→ row path) on other shapes.
+                        if let Some(out) =
+                            columnar::partial_aggregate(&rows, group_by, aggregates, &float_sum)
+                        {
+                            return out;
+                        }
+                    }
+                    let mut partial = PartialAggregate::new(spec.clone());
+                    for row in &rows {
+                        partial.fold(|i| row.get(i))?;
+                    }
+                    Ok(partial.finish())
+                })?
             }
-            let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-            for row in &rows {
-                let key: Vec<Value> = group_by.iter().map(|&i| row.get(i).clone()).collect();
-                let accs = groups.entry(key).or_insert_with(|| {
-                    aggregates
-                        .iter()
-                        .zip(&float_sum)
-                        .map(|(a, &fs)| Accumulator::new(a, fs))
-                        .collect()
-                });
-                for (acc, agg) in accs.iter_mut().zip(aggregates) {
-                    acc.update(agg.input.map(|i| row.get(i)))?;
-                }
-            }
-            // Partial rows: group values then one partial value per agg.
-            let mut out = Vec::with_capacity(groups.len());
-            for (key, accs) in groups {
-                let mut values = key;
-                values.extend(accs.iter().map(Accumulator::partial_value));
-                out.push(Row::new(values));
-            }
-            Ok(out)
-        })?;
+        };
 
         // Step 2: shuffle partials by group key, merge, finalize.
         let width = group_by.len();

@@ -21,9 +21,15 @@
 //!    ids for theta), and runs the strategy's local join (`verify` inside)
 //!    plus duplicate avoidance, which reads the first-bucket flag PARTITION
 //!    left on each row and assigns again only the keys of pairs the flags
-//!    leave open. Each joined row is built once, holding only
-//!    the columns in [`FudjJoinNode::output`]: the planner folds the
-//!    projections above the join into that list. Duplicate *elimination*
+//!    leave open. Each accepted pair goes to the task's one `PairSink`:
+//!    by default it builds the joined row once, holding only the columns
+//!    in [`FudjJoinNode::output`] (the planner folds the projections above
+//!    the join into that list). Under a hash aggregate that reads the join
+//!    directly ([`crate::PhysicalPlan::folds_aggregate`]), it instead folds
+//!    the pair into the worker's partial aggregate, reading the group and
+//!    input columns from the two rows in place: no joined row is built,
+//!    and the node's output is the aggregate's Step 1 partials, one per
+//!    group per worker however the task spills. Duplicate *elimination*
 //!    instead costs one more shuffle of the full-width joined output
 //!    followed by a distinct pass — the delta Fig. 12a measures — and
 //!    projects each row the distinct pass keeps. Workers whose inputs exceed
@@ -41,6 +47,7 @@
 //! fault-specific code: recovery lives entirely below the phase
 //! boundary, in [`crate::pool::WorkerPool`] and [`crate::exchange`].
 
+use crate::aggregate::{PartialAggregate, PartialSpec};
 use crate::exchange;
 use crate::executor::{Cluster, PartitionedData};
 use crate::metrics::QueryMetrics;
@@ -52,32 +59,113 @@ use fudj_core::{
 use fudj_types::{FudjError, Result, Row, Value};
 use std::collections::{HashMap, HashSet};
 
-/// One joined row holding `columns` of `left ++ right`, built in a single
-/// allocation. Columns from `left_width` on read the right row, so a
-/// bucket tag trailing the left row is never emitted.
-fn emit_row(lrow: &Row, rrow: &Row, columns: &[usize], left_width: usize) -> Row {
-    columns
-        .iter()
-        .map(|&c| match c.checked_sub(left_width) {
-            None => lrow.get(c).clone(),
-            Some(r) => rrow.get(r).clone(),
-        })
-        .collect()
+/// Column `c` of `left ++ right`, read where it lies. Columns from
+/// `left_width` on read the right row, so a bucket tag trailing the left
+/// row is never read.
+#[inline]
+fn pair_column<'r>(lrow: &'r Row, rrow: &'r Row, left_width: usize, c: usize) -> &'r Value {
+    match c.checked_sub(left_width) {
+        None => lrow.get(c),
+        Some(r) => rrow.get(r),
+    }
 }
 
-/// Execute one FUDJ join node.
+/// Where COMBINE puts each pair it accepts. Every task starts from a
+/// clone of its node's empty sink and keeps it however it spills, so a
+/// folding worker emits one partial per group.
+#[derive(Clone)]
+pub(crate) enum PairSink {
+    /// Joined rows holding these columns of `left ++ right`, each built
+    /// in a single allocation.
+    Rows {
+        columns: Vec<usize>,
+        left_width: usize,
+        rows: Vec<Row>,
+    },
+    /// The worker's partial aggregate, which reads its columns of
+    /// `left ++ right` in place: no joined row is built.
+    Fold {
+        left_width: usize,
+        partial: PartialAggregate,
+    },
+}
+
+impl PairSink {
+    /// `node`'s empty sink: the partials of `fold`, the aggregate that
+    /// reads the node directly, when there is one; else rows of `columns`.
+    fn new(node: &FudjJoinNode, fold: Option<&PartialSpec>, columns: Vec<usize>) -> Self {
+        let left_width = node.left.schema().len();
+        match fold {
+            Some(spec) => PairSink::Fold {
+                left_width,
+                partial: PartialAggregate::new(spec.remap(&node.output)),
+            },
+            None => PairSink::Rows {
+                columns,
+                left_width,
+                rows: Vec::new(),
+            },
+        }
+    }
+
+    /// The name the `join:combine` boundary checkpoints this sink's output
+    /// under, so a restart never reads joined rows as partials.
+    fn dataset(&self) -> &'static str {
+        match self {
+            PairSink::Rows { .. } => "joined",
+            PairSink::Fold { .. } => "partials",
+        }
+    }
+
+    /// Take one accepted pair.
+    #[inline]
+    pub(crate) fn accept(&mut self, lrow: &Row, rrow: &Row) -> Result<()> {
+        match self {
+            PairSink::Rows {
+                columns,
+                left_width,
+                rows,
+            } => rows.push(
+                columns
+                    .iter()
+                    .map(|&c| pair_column(lrow, rrow, *left_width, c).clone())
+                    .collect(),
+            ),
+            PairSink::Fold {
+                left_width,
+                partial,
+            } => partial.fold(|c| pair_column(lrow, rrow, *left_width, c))?,
+        }
+        Ok(())
+    }
+
+    /// The joined rows, or the partial rows.
+    pub(crate) fn finish(self) -> Vec<Row> {
+        match self {
+            PairSink::Rows { rows, .. } => rows,
+            PairSink::Fold { partial, .. } => partial.finish(),
+        }
+    }
+}
+
+/// Execute one FUDJ join node. Under `fold`, the Step 1 of the hash
+/// aggregate that reads the node directly
+/// ([`crate::PhysicalPlan::folds_aggregate`]), COMBINE folds each pair it
+/// accepts into its worker's partial aggregate and the result is the
+/// partial rows; else it is the joined rows.
 ///
 /// When the node's join is guarded, this is also the policy seat for
 /// [`UdfPolicy::FallbackEquality`]: a [`FudjError::UdfViolation`] from a
 /// default-equality-match join degrades the whole node to a plain
 /// hash-equality join on the raw keys (re-evaluating the inputs), and the
 /// guard's counters are folded into the query metrics either way.
-pub fn execute(
+pub(crate) fn execute(
     cluster: &Cluster,
     node: &FudjJoinNode,
+    fold: Option<&PartialSpec>,
     metrics: &QueryMetrics,
 ) -> Result<PartitionedData> {
-    let result = execute_flexible(cluster, node, metrics);
+    let result = execute_flexible(cluster, node, fold, metrics);
     let Some(guard) = node.join.guard() else {
         return result;
     };
@@ -86,7 +174,7 @@ pub fn execute(
             if guard.policy() == UdfPolicy::FallbackEquality && node.join.uses_default_match() =>
         {
             guard.note_fallback();
-            equality_fallback(cluster, node, metrics)
+            equality_fallback(cluster, node, fold, metrics)
         }
         other => other,
     };
@@ -101,8 +189,10 @@ pub fn execute(
 fn equality_fallback(
     cluster: &Cluster,
     node: &FudjJoinNode,
+    fold: Option<&PartialSpec>,
     metrics: &QueryMetrics,
 ) -> Result<PartitionedData> {
+    let empty = PairSink::new(node, fold, node.output.clone());
     metrics.phase("fallback", || -> Result<PartitionedData> {
         let workers = cluster.workers();
         let left_parts = cluster.execute_partitioned(&node.left, metrics)?;
@@ -113,7 +203,6 @@ fn equality_fallback(
         };
         let lkey = node.left_key;
         let rkey = node.right_key;
-        let left_width = node.left.schema().len();
         let l = exchange::shuffle_by(left_parts, cluster.pool(), metrics, |row| {
             (exchange::route_hash(row.get(lkey)) as usize) % workers
         })?;
@@ -126,15 +215,15 @@ fn equality_fallback(
             for row in lrows {
                 table.entry(row.get(lkey).clone()).or_default().push(row);
             }
-            let mut out = Vec::new();
+            let mut sink = empty.clone();
             for rrow in rrows {
                 if let Some(ls) = table.get(rrow.get(rkey)) {
                     for lrow in ls {
-                        out.push(emit_row(lrow, &rrow, &node.output, left_width));
+                        sink.accept(lrow, &rrow)?;
                     }
                 }
             }
-            Ok(out)
+            Ok(sink.finish())
         })
     })
 }
@@ -143,20 +232,29 @@ fn equality_fallback(
 fn execute_flexible(
     cluster: &Cluster,
     node: &FudjJoinNode,
+    fold: Option<&PartialSpec>,
     metrics: &QueryMetrics,
 ) -> Result<PartitionedData> {
     let join = node.join.as_ref();
     let workers = cluster.workers();
+    // Elimination's distinct pass needs whole rows: COMBINE emits every
+    // column and `finish_join` projects after the distinct pass.
+    let columns = if join.dedup_mode() == DedupMode::Elimination {
+        (0..node.left.schema().len() + node.right.schema().len()).collect()
+    } else {
+        node.output.clone()
+    };
+    let empty = PairSink::new(node, fold, columns);
 
     // Crash-restart resume: a durably committed `join:combine` boundary
-    // means the joined output survives on disk — skip input evaluation and
-    // SUMMARIZE / DIVIDE / PARTITION / COMBINE entirely, re-running only
-    // the post-boundary work (duplicate elimination and the guard check).
-    // A partly covered boundary falls back to the full flow, which is
-    // always correct.
+    // means COMBINE's output (joined rows, or folded partials) survives on
+    // disk — skip input evaluation and SUMMARIZE / DIVIDE / PARTITION /
+    // COMBINE entirely, re-running only the post-boundary work (duplicate
+    // elimination and the guard check). A partly covered boundary falls
+    // back to the full flow, which is always correct.
     if let Some(mut datasets) = metrics
         .recovery()
-        .and_then(|r| r.try_resume("join:combine", &["joined"], workers))
+        .and_then(|r| r.try_resume("join:combine", &[empty.dataset()], workers))
     {
         let joined = datasets.pop().unwrap_or_default();
         return finish_join(cluster, node, joined, metrics);
@@ -271,15 +369,6 @@ fn execute_flexible(
     )?;
 
     // ---- COMBINE -----------------------------------------------------------
-    // Elimination's distinct pass needs whole rows: COMBINE emits every
-    // column and `finish_join` projects after the distinct pass.
-    let dedup_mode = join.dedup_mode();
-    let left_width = node.left.schema().len();
-    let output: Vec<usize> = if dedup_mode == DedupMode::Elimination {
-        (0..left_width + node.right.schema().len()).collect()
-    } else {
-        node.output.clone()
-    };
     let run_combine = |lt: PartitionedData, rt: PartitionedData| -> Result<PartitionedData> {
         let zipped: Vec<(Vec<Row>, Vec<Row>)> = lt.into_iter().zip(rt).collect();
         let ctx = CombineContext {
@@ -288,9 +377,7 @@ fn execute_flexible(
             right_key: node.right_key,
             pplan: &pplan,
             default_match,
-            dedup_mode,
-            output: &output,
-            left_width,
+            dedup_mode: join.dedup_mode(),
             metrics,
             spill_dir: &cluster.spill,
         };
@@ -300,7 +387,9 @@ fn execute_flexible(
             if let Some(g) = join.guard() {
                 g.begin_partition();
             }
-            crate::spill::combine(&ctx, lrows, rrows, node.memory_budget_rows)
+            let mut sink = empty.clone();
+            crate::spill::combine(&ctx, lrows, rrows, node.memory_budget_rows, &mut sink)?;
+            Ok(sink.finish())
         })
     };
     let combine_src = deaths_armed.then(|| (left_tagged.clone(), right_tagged.clone()));
@@ -308,7 +397,7 @@ fn execute_flexible(
     recovery::stage_boundary(
         metrics,
         "join:combine",
-        &mut [("joined", &mut joined)],
+        &mut [(empty.dataset(), &mut joined)],
         || {
             let (lt, rt) = combine_src.clone().ok_or_else(|| {
                 FudjError::Execution("join:combine replay requested without retained inputs".into())
@@ -323,8 +412,8 @@ fn execute_flexible(
 /// The post-COMBINE tail of the flexible-join flow: the optional duplicate
 /// *elimination* stage (one more shuffle + distinct over full-width rows,
 /// then the node's projection) and the deferred guard-violation check.
-/// Split out so a crash-restart resume can enter here directly with the
-/// joined output restored from durable checkpoints.
+/// Split out so a crash-restart resume can enter here directly with
+/// COMBINE's output restored from durable checkpoints.
 fn finish_join(
     cluster: &Cluster,
     node: &FudjJoinNode,
@@ -453,7 +542,7 @@ fn first_bucket_flag(row: &Row) -> Result<bool> {
 }
 
 /// Bucket → indices of the rows in it, reading each row's tag once, in
-/// arrival order. The rows keep their tag: [`emit_row`] never reads it.
+/// arrival order. The rows keep their tag: [`pair_column`] never reads it.
 fn group_by_bucket(rows: &[Row]) -> Result<HashMap<BucketId, Vec<usize>>> {
     let mut groups: HashMap<BucketId, Vec<usize>> = HashMap::new();
     for (i, row) in rows.iter().enumerate() {
@@ -470,21 +559,19 @@ pub(crate) struct CombineContext<'a> {
     pub(crate) pplan: &'a PPlanState,
     pub(crate) default_match: bool,
     pub(crate) dedup_mode: DedupMode,
-    /// The columns of `left ++ right` (untagged) each joined row holds.
-    pub(crate) output: &'a [usize],
-    /// Untagged width of the left input.
-    pub(crate) left_width: usize,
     pub(crate) metrics: &'a QueryMetrics,
     pub(crate) spill_dir: &'a crate::spill::SpillDir,
 }
 
 /// COMBINE on one worker, in memory: group the tagged rows by bucket,
-/// match local bucket pairs, run local joins, dedup.
+/// match local bucket pairs, run local joins, dedup, and hand each
+/// accepted pair to `sink`.
 pub(crate) fn join_worker_partition(
     ctx: &CombineContext<'_>,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
-) -> Result<Vec<Row>> {
+    sink: &mut PairSink,
+) -> Result<()> {
     let lgroups = group_by_bucket(&lrows)?;
     let rgroups = group_by_bucket(&rrows)?;
 
@@ -511,17 +598,17 @@ pub(crate) fn join_worker_partition(
     };
     matched.sort_unstable();
 
-    let mut out = Vec::new();
     for (b1, b2) in matched {
         let lidx = &lgroups[&b1];
         let ridx = &rgroups[&b2];
-        join_bucket_pair(ctx, b1, &lrows, lidx, b2, &rrows, ridx, &mut out)?;
+        join_bucket_pair(ctx, b1, &lrows, lidx, b2, &rrows, ridx, sink)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Local join of one matched bucket pair: run the strategy's local join
-/// (`verify` inside), then duplicate handling; append joined rows to `out`.
+/// (`verify` inside), then duplicate handling; hand each accepted pair to
+/// `sink`.
 #[allow(clippy::too_many_arguments)]
 fn join_bucket_pair(
     ctx: &CombineContext<'_>,
@@ -531,7 +618,7 @@ fn join_bucket_pair(
     b2: BucketId,
     rrows: &[Row],
     ridx: &[usize],
-    out: &mut Vec<Row>,
+    sink: &mut PairSink,
 ) -> Result<()> {
     let lkeys: Vec<&Value> = lidx.iter().map(|&i| lrows[i].get(ctx.left_key)).collect();
     let rkeys: Vec<&Value> = ridx.iter().map(|&j| rrows[j].get(ctx.right_key)).collect();
@@ -590,12 +677,7 @@ fn join_bucket_pair(
             }
         };
         if keep {
-            out.push(emit_row(
-                &lrows[lidx[i]],
-                &rrows[ridx[j]],
-                ctx.output,
-                ctx.left_width,
-            ));
+            sink.accept(&lrows[lidx[i]], &rrows[ridx[j]])?;
         } else {
             rejections += 1;
         }
@@ -631,7 +713,8 @@ fn verified_buckets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PhysicalPlan;
+    use crate::expr::BoundExpr;
+    use crate::plan::{AggFunc, Aggregate, PhysicalPlan};
     use fudj_core::{reference_execute, FudjEngineJoin, ProxyJoin};
     use fudj_geo::{Point, Polygon, Rect};
     use fudj_joins::builtin::{AdvancedSpatialJoin, BuiltinIntervalJoin, BuiltinSpatialJoin};
@@ -1107,6 +1190,239 @@ mod tests {
         assert_eq!(s.spill_resident_partitions, 0, "{s:?}");
         assert_eq!(s.spill_passes, s.spill_spilled_partitions, "{s:?}");
         assert_eq!(s.spill_passes, s.spill_bnl_fallbacks, "{s:?}");
+    }
+
+    /// `(id, key, x, g)` rows: `x` a double (NULL on every fifth row), `g`
+    /// a small integer group.
+    fn agg_dataset(name: &str, keys: Vec<Value>, parts: usize) -> Arc<fudj_storage::Dataset> {
+        let schema = Schema::shared(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("key", keys[0].data_type()),
+            Field::new("x", DataType::Float64),
+            Field::new("g", DataType::Int64),
+        ]);
+        let d = DatasetBuilder::new(name, schema)
+            .partitions(parts)
+            .build()
+            .unwrap();
+        for (i, key) in keys.into_iter().enumerate() {
+            let x = match i % 5 {
+                4 => Value::Null,
+                _ => Value::Float64(i as f64 * 0.1 + 1.0 / (i as f64 + 3.0)),
+            };
+            let g = Value::Int64((i % 3) as i64);
+            d.insert(Row::new(vec![Value::Int64(i as i64), key, x, g]))
+                .unwrap();
+        }
+        Arc::new(d)
+    }
+
+    /// Each worker's partial rows, each printed with its variant and every
+    /// bit of its doubles, sorted: the partials' identity up to the order
+    /// a worker emits its groups in, which only the shuffle sees.
+    fn partial_bits(parts: &PartitionedData) -> Vec<Vec<String>> {
+        parts
+            .iter()
+            .map(|rows| {
+                let mut v: Vec<String> = rows.iter().map(|r| format!("{:?}", r.values())).collect();
+                v.sort();
+                v
+            })
+            .collect()
+    }
+
+    /// The fold's claim: COMBINE folding its pairs gives each worker the
+    /// partials Step 1 gives over the rows the join would have built, bit
+    /// for bit — for every aggregate kind, with and without group columns
+    /// from either side, in memory, spilled, and block-nested.
+    #[test]
+    fn folding_into_combine_gives_the_row_path_partials_bit_for_bit() {
+        let (parks, fires) = spatial_values(21, 30, 90);
+        let mut rng = SmallRng::seed_from_u64(4);
+        let mut intervals = |n: usize| -> Vec<Value> {
+            (0..n)
+                .map(|_| {
+                    let s = rng.gen_range(0i64..5_000);
+                    Value::Interval(Interval::new(s, s + rng.gen_range(0i64..700)))
+                })
+                .collect()
+        };
+        let (ivl, ivr) = (intervals(45), intervals(35));
+        let spatial = || -> Arc<dyn EngineJoin> {
+            Arc::new(FudjEngineJoin::new(Arc::new(ProxyJoin::new(
+                SpatialFudj::new(),
+            ))))
+        };
+        let interval = || -> Arc<dyn EngineJoin> {
+            Arc::new(FudjEngineJoin::new(Arc::new(ProxyJoin::new(
+                IntervalFudj::new(),
+            ))))
+        };
+        // The join emits `[l.g, r.g, l.x, r.x, l.id, r.id]` of `left ++
+        // right`, so the fold reads through the node's output list.
+        let node = |name: &str, l: &[Value], r: &[Value], join, param, budget| {
+            let mut node = FudjJoinNode::new(
+                PhysicalPlan::Scan {
+                    dataset: agg_dataset(&format!("{name}_l"), l.to_vec(), 3),
+                },
+                PhysicalPlan::Scan {
+                    dataset: agg_dataset(&format!("{name}_r"), r.to_vec(), 3),
+                },
+                join,
+                1,
+                1,
+                vec![Value::Int64(param)],
+            );
+            let schema = node.schema();
+            let columns = [3, 7, 2, 6, 0, 4];
+            let fields = columns.iter().map(|&c| schema.fields()[c].clone());
+            node.project(&columns, Schema::shared(fields.collect()));
+            node.memory_budget_rows = budget;
+            node
+        };
+        let cases = [
+            ("mem", node("sp_mem", &parks, &fires, spatial(), 8, None)),
+            (
+                "spill",
+                node("sp_spill", &parks, &fires, spatial(), 8, Some(10)),
+            ),
+            ("theta", node("iv_mem", &ivl, &ivr, interval(), 16, None)),
+            ("bnl", node("iv_bnl", &ivl, &ivr, interval(), 16, Some(6))),
+        ];
+        let aggregates = vec![
+            Aggregate::count_star("c"),
+            Aggregate::on(AggFunc::Count, 3, "cx"),
+            Aggregate::on(AggFunc::Sum, 5, "si"),
+            Aggregate::on(AggFunc::Sum, 2, "sf"),
+            Aggregate::on(AggFunc::Avg, 3, "a"),
+            Aggregate::on(AggFunc::Min, 3, "mn"),
+            Aggregate::on(AggFunc::Max, 2, "mx"),
+        ];
+        let float_sum = [false, false, false, true, false, false, false];
+        let cluster = Cluster::new(3);
+        for (label, node) in &cases {
+            for group_by in [vec![], vec![0], vec![1], vec![0, 1]] {
+                let spec = PartialSpec::new(&group_by, &aggregates, &float_sum);
+                let metrics = QueryMetrics::new();
+                let joined = execute(&cluster, node, None, &metrics).unwrap();
+                assert!(joined.iter().any(|rows| !rows.is_empty()), "{label}");
+                let row_path: PartitionedData = joined
+                    .iter()
+                    .map(|rows| {
+                        let mut partial = PartialAggregate::new(spec.clone());
+                        for row in rows {
+                            partial.fold(|c| row.get(c)).unwrap();
+                        }
+                        partial.finish()
+                    })
+                    .collect();
+                let folded = execute(&cluster, node, Some(&spec), &metrics).unwrap();
+                assert_eq!(
+                    partial_bits(&folded),
+                    partial_bits(&row_path),
+                    "{label}, group by {group_by:?}"
+                );
+            }
+        }
+        // The budgets do spill, and the theta one joins block-nested.
+        let spilled = |node: &FudjJoinNode| {
+            let (_, metrics) = cluster
+                .execute(&PhysicalPlan::FudjJoin(node.clone()))
+                .unwrap();
+            metrics.snapshot()
+        };
+        assert!(spilled(&cases[1].1).spilled_rows > 0);
+        assert!(spilled(&cases[3].1).spill_bnl_fallbacks > 0);
+    }
+
+    /// Only an aggregate reading a non-eliminating FUDJ join directly folds;
+    /// EXPLAIN marks exactly those, and folded or not, a query's answer is
+    /// the same.
+    #[test]
+    fn only_an_aggregate_straight_over_a_non_eliminating_join_folds() {
+        use fudj_joins::SpatialDedup;
+        let (parks, fires) = spatial_values(8, 20, 60);
+        let join = |dedup| -> Arc<dyn EngineJoin> {
+            Arc::new(FudjEngineJoin::new(Arc::new(ProxyJoin::new(
+                SpatialFudj::with_dedup(dedup),
+            ))))
+        };
+        let fudj = |name: &str, dedup| {
+            PhysicalPlan::FudjJoin(FudjJoinNode::new(
+                PhysicalPlan::Scan {
+                    dataset: agg_dataset(&format!("{name}_l"), parks.clone(), 2),
+                },
+                PhysicalPlan::Scan {
+                    dataset: agg_dataset(&format!("{name}_r"), fires.clone(), 2),
+                },
+                join(dedup),
+                1,
+                1,
+                vec![Value::Int64(8)],
+            ))
+        };
+        let aggregate = |input: PhysicalPlan| {
+            PhysicalPlan::hash_aggregate(
+                input,
+                vec![3],
+                vec![
+                    Aggregate::count_star("c"),
+                    Aggregate::on(AggFunc::Sum, 6, "s"),
+                ],
+            )
+        };
+        let all_columns = |input: PhysicalPlan| PhysicalPlan::Project {
+            schema: input.schema(),
+            exprs: (0..8).map(BoundExpr::Column).collect(),
+            input: Box::new(input),
+        };
+        let residual = |input: PhysicalPlan| PhysicalPlan::Filter {
+            input: Box::new(input),
+            predicate: BoundExpr::Literal(Value::Bool(true)),
+        };
+        let plans = [
+            (
+                "avoidance",
+                aggregate(fudj("a", SpatialDedup::FrameworkAvoidance)),
+                true,
+            ),
+            (
+                "custom",
+                aggregate(fudj("c", SpatialDedup::ReferencePoint)),
+                true,
+            ),
+            (
+                "elimination",
+                aggregate(fudj("e", SpatialDedup::Elimination)),
+                false,
+            ),
+            (
+                "project",
+                aggregate(all_columns(fudj("p", SpatialDedup::FrameworkAvoidance))),
+                false,
+            ),
+            (
+                "filter",
+                aggregate(residual(fudj("f", SpatialDedup::FrameworkAvoidance))),
+                false,
+            ),
+        ];
+        let cluster = Cluster::new(3);
+        let mut answers = Vec::new();
+        for (label, plan, folds) in &plans {
+            let PhysicalPlan::HashAggregate { input, .. } = plan else {
+                unreachable!()
+            };
+            assert_eq!(input.folds_aggregate().is_some(), *folds, "{label}");
+            let marked = plan.explain().contains("; step 1 in COMBINE]");
+            assert_eq!(marked, *folds, "{label}: {}", plan.explain());
+            let (batch, _) = cluster.execute(plan).unwrap();
+            let mut rows = batch.rows().to_vec();
+            rows.sort();
+            answers.push(rows);
+        }
+        assert!(!answers[0].is_empty());
+        assert!(answers.iter().all(|a| a == &answers[0]));
     }
 
     #[test]

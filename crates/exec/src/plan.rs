@@ -5,7 +5,7 @@
 //! keys and aggregate inputs are column indices.
 
 use crate::expr::BoundExpr;
-use fudj_core::EngineJoin;
+use fudj_core::{DedupMode, EngineJoin};
 use fudj_storage::Dataset;
 use fudj_types::{DataType, Field, Row, Schema, SchemaRef, Value};
 use std::fmt;
@@ -282,6 +282,19 @@ impl PhysicalPlan {
         }
     }
 
+    /// The FUDJ join that runs Step 1 of a hash aggregate reading this
+    /// plan, inside its COMBINE: this plan, when it is a FUDJ join whose
+    /// duplicate handling is not elimination (whose distinct pass needs
+    /// every joined row). The executor and EXPLAIN both ask here.
+    pub fn folds_aggregate(&self) -> Option<&FudjJoinNode> {
+        match self {
+            PhysicalPlan::FudjJoin(node) if node.join.dedup_mode() != DedupMode::Elimination => {
+                Some(node)
+            }
+            _ => None,
+        }
+    }
+
     /// The operator's output schema.
     pub fn schema(&self) -> SchemaRef {
         match self {
@@ -371,7 +384,15 @@ impl PhysicalPlan {
                         None => a.name.clone(),
                     })
                     .collect();
-                let _ = writeln!(out, "{pad}HashAggregate [group by {group_by:?}; {aggs:?}]");
+                let folded = if input.folds_aggregate().is_some() {
+                    "; step 1 in COMBINE"
+                } else {
+                    ""
+                };
+                let _ = writeln!(
+                    out,
+                    "{pad}HashAggregate [group by {group_by:?}; {aggs:?}{folded}]"
+                );
                 input.explain_into(depth + 1, out);
             }
             PhysicalPlan::Sort { input, keys } => {

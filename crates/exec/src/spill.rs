@@ -55,7 +55,7 @@
 //! fallback, not through tuning.
 
 use crate::exchange;
-use crate::fudj_join::{bucket_of, join_worker_partition, CombineContext};
+use crate::fudj_join::{bucket_of, join_worker_partition, CombineContext, PairSink};
 use crate::metrics::EngineStats;
 use bytes::BytesMut;
 use fudj_core::BucketId;
@@ -377,29 +377,31 @@ impl Slot {
 }
 
 /// COMBINE on one worker under an optional row budget (§III-B spilling):
-/// one hybrid-hash pass, whose budget is unbounded when none is set.
-/// Records the task's spill counters only if the pass evicted a slot; on
-/// any error the RAII guards have already unlinked every spill file.
+/// one hybrid-hash pass, whose budget is unbounded when none is set, that
+/// hands every accepted pair to `sink` in order. Records the task's spill
+/// counters only if the pass evicted a slot; on any error the RAII guards
+/// have already unlinked every spill file.
 pub(crate) fn combine(
     ctx: &CombineContext<'_>,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
     budget: Option<usize>,
-) -> Result<Vec<Row>> {
+    sink: &mut PairSink,
+) -> Result<()> {
     let mut stats = EngineStats::default();
     let rows = |rows: Vec<Row>| rows.into_iter().map(Ok as fn(Row) -> Result<Row>);
     let budget = budget.unwrap_or(usize::MAX);
-    let out = pass(ctx, rows(lrows), rows(rrows), budget, 0, &mut stats)?;
+    pass(ctx, rows(lrows), rows(rrows), budget, 0, &mut stats, sink)?;
     if stats.spill_spilled_partitions > 0 {
         ctx.metrics.record_spill_run(&stats);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// One partitioning pass at `depth`: stream both sides into fan-out
 /// slots, evicting under budget pressure, then join the resident slots in
 /// memory and resolve spilled slots (direct readback, recursion, or the
-/// block-nested-loop fallback). Returns the joined rows.
+/// block-nested-loop fallback), handing the accepted pairs to `sink`.
 fn pass<I>(
     ctx: &CombineContext<'_>,
     left: I,
@@ -407,7 +409,8 @@ fn pass<I>(
     budget: usize,
     depth: usize,
     stats: &mut EngineStats,
-) -> Result<Vec<Row>>
+    sink: &mut PairSink,
+) -> Result<()>
 where
     I: Iterator<Item = Result<Row>>,
 {
@@ -483,10 +486,10 @@ where
         .iter()
         .filter(|s| s.writers.is_none() && s.mem_rows > 0)
         .count() as u64;
-    let mut out = match mem {
-        [l, r] if !l.is_empty() && !r.is_empty() => join_worker_partition(ctx, l, r)?,
-        _ => Vec::new(),
-    };
+    let [l, r] = mem;
+    if !l.is_empty() && !r.is_empty() {
+        join_worker_partition(ctx, l, r, sink)?;
+    }
 
     // Spilled slots: read back within budget, recurse, or fall back.
     for slot in slots.iter_mut() {
@@ -507,17 +510,17 @@ where
             let l = SpillReader::open(lc.path())?.read_block(usize::MAX)?;
             let r = SpillReader::open(rc.path())?.read_block(usize::MAX)?;
             stats.spill_peak_resident_rows = stats.spill_peak_resident_rows.max(total as u64);
-            out.extend(join_worker_partition(ctx, l, r)?);
+            join_worker_partition(ctx, l, r, sink)?;
         } else if depth >= RECURSION_LIMIT || !slot.multi_bucket {
             stats.spill_bnl_fallbacks += 1;
-            block_nested_join(ctx, &lc, &rc, budget, stats, &mut out)?;
+            block_nested_join(ctx, &lc, &rc, budget, stats, sink)?;
         } else {
             let (l, r) = (SpillReader::open(lc.path())?, SpillReader::open(rc.path())?);
-            out.extend(pass(ctx, l, r, budget, depth + 1, stats)?);
+            pass(ctx, l, r, budget, depth + 1, stats, sink)?;
         }
         // `lc`/`rc` drop here: both files unlinked.
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Block-nested-loop join of two over-budget spill files, block against
@@ -531,7 +534,7 @@ fn block_nested_join(
     rc: &ClosedSide,
     budget: usize,
     stats: &mut EngineStats,
-    out: &mut Vec<Row>,
+    sink: &mut PairSink,
 ) -> Result<()> {
     let block = (budget / 2).max(1);
     let mut lr = SpillReader::open(lc.path())?;
@@ -549,7 +552,7 @@ fn block_nested_join(
             stats.spill_peak_resident_rows = stats
                 .spill_peak_resident_rows
                 .max((lblock.len() + rblock.len()) as u64);
-            out.extend(join_worker_partition(ctx, lblock.clone(), rblock)?);
+            join_worker_partition(ctx, lblock.clone(), rblock, sink)?;
         }
     }
     Ok(())
@@ -686,8 +689,8 @@ mod tests {
     }
 
     /// Run `f` on a COMBINE context for `join` under `pplan`: `(id, key,
-    /// bucket)` rows, no dedup, every column of both sides emitted. `f`
-    /// reads what the run recorded through `ctx.metrics`.
+    /// bucket)` rows, no dedup. `f` reads what the run recorded through
+    /// `ctx.metrics`.
     fn with_ctx<R>(
         join: &dyn fudj_core::EngineJoin,
         pplan: &fudj_core::PPlanState,
@@ -702,11 +705,38 @@ mod tests {
             pplan,
             default_match: join.uses_default_match(),
             dedup_mode: fudj_core::DedupMode::None,
-            output: &[0, 1, 2, 3],
-            left_width: 2,
             metrics: &metrics,
             spill_dir: &spill_dir,
         })
+    }
+
+    /// A sink of joined rows holding every column of both `(id, key,
+    /// bucket)` sides but the tags.
+    fn all_columns() -> PairSink {
+        PairSink::Rows {
+            columns: vec![0, 1, 2, 3],
+            left_width: 2,
+            rows: Vec::new(),
+        }
+    }
+
+    /// The in-memory join's rows, in the order it accepts them.
+    fn in_memory(ctx: &CombineContext<'_>, l: Vec<Row>, r: Vec<Row>) -> Vec<Row> {
+        let mut sink = all_columns();
+        join_worker_partition(ctx, l, r, &mut sink).unwrap();
+        sink.finish()
+    }
+
+    /// `combine`'s rows under `budget`, in the order it accepts them.
+    fn combined(
+        ctx: &CombineContext<'_>,
+        l: Vec<Row>,
+        r: Vec<Row>,
+        budget: Option<usize>,
+    ) -> Vec<Row> {
+        let mut sink = all_columns();
+        combine(ctx, l, r, budget, &mut sink).unwrap();
+        sink.finish()
     }
 
     /// Key equality, no dedup: rows meet only on equal keys, whatever
@@ -731,10 +761,10 @@ mod tests {
     /// Without a budget, or with one the input fits, `combine` is the
     /// in-memory join: the same rows in the same order, no spill counter.
     fn assert_fitting_runs_are_the_in_memory_join(ctx: &CombineContext<'_>, l: &[Row], r: &[Row]) {
-        let in_memory = join_worker_partition(ctx, l.to_vec(), r.to_vec()).unwrap();
+        let in_memory = in_memory(ctx, l.to_vec(), r.to_vec());
         assert!(!in_memory.is_empty());
         for budget in [None, Some(l.len() + r.len())] {
-            let rows = combine(ctx, l.to_vec(), r.to_vec(), budget).unwrap();
+            let rows = combined(ctx, l.to_vec(), r.to_vec(), budget);
             assert_eq!(rows, in_memory, "budget {budget:?}");
         }
         assert_no_spill(ctx);
@@ -841,11 +871,11 @@ mod tests {
         };
         let (join, pplan) = equality_join();
         with_ctx(&join, &pplan, |ctx| {
-            let in_memory = sorted(join_worker_partition(ctx, tagged(40), tagged(30)).unwrap());
+            let in_memory = sorted(in_memory(ctx, tagged(40), tagged(30)));
             assert!(!in_memory.is_empty());
             assert_no_spill(ctx);
 
-            let spilled = sorted(combine(ctx, tagged(40), tagged(30), Some(8)).unwrap());
+            let spilled = sorted(combined(ctx, tagged(40), tagged(30), Some(8)));
             assert_eq!(spilled, in_memory);
             let s = ctx.metrics.snapshot();
             assert_eq!(s.spill_recursion_depth, RECURSION_LIMIT as u64, "{s:?}");

@@ -116,7 +116,11 @@ impl Expr {
         exprs.into_iter().reduce(Expr::and)
     }
 
-    /// Bind column names to indices in `schema`.
+    /// Bind column names to indices in `schema`. A call whose arguments
+    /// all bind to literals binds to the literal it evaluates to, so a
+    /// plan neither evaluates it per row nor hides a `column op literal`
+    /// comparison behind it; a call that errs stays a call, and errs
+    /// where it always did.
     pub fn bind(&self, schema: &Schema) -> Result<BoundExpr> {
         Ok(match self {
             Expr::Column(name) => BoundExpr::Column(schema.index_of(name)?),
@@ -131,10 +135,22 @@ impl Expr {
                 let lowered = name.to_ascii_lowercase();
                 let func = functions::resolve(&lowered)
                     .ok_or_else(|| FudjError::Plan(format!("unknown function {name:?}")))?;
-                BoundExpr::Call {
-                    name: lowered,
-                    func,
-                    args: args.iter().map(|a| a.bind(schema)).collect::<Result<_>>()?,
+                let args: Vec<BoundExpr> =
+                    args.iter().map(|a| a.bind(schema)).collect::<Result<_>>()?;
+                let literals: Option<Vec<Value>> = args
+                    .iter()
+                    .map(|a| match a {
+                        BoundExpr::Literal(v) => Some(v.clone()),
+                        _ => None,
+                    })
+                    .collect();
+                match literals.map(|values| func(&values)) {
+                    Some(Ok(value)) => BoundExpr::Literal(value),
+                    _ => BoundExpr::Call {
+                        name: lowered,
+                        func,
+                        args,
+                    },
                 }
             }
         })
@@ -239,6 +255,38 @@ mod tests {
             Expr::binary(BinOp::Lt, Expr::col("b"), Expr::lit(1i64)).eq(Expr::lit(true)),
         );
         assert_eq!(eval(e), Value::Bool(false));
+    }
+
+    #[test]
+    fn literal_only_calls_fold_at_bind_and_failing_ones_stay_calls() {
+        // Query 1's conjunct: the date parses once, at bind, and the
+        // comparison becomes the filter kernel's `column op literal`.
+        let dates = Schema::new(vec![Field::new("w.fire_start", DataType::DateTime)]);
+        let date = Expr::call(
+            "PARSE_DATE",
+            vec![Expr::lit("01/01/2022"), Expr::lit("M/D/Y")],
+        );
+        let conjunct = Expr::binary(BinOp::GtEq, Expr::col("w.fire_start"), date);
+        let bound = conjunct.bind(&dates).unwrap();
+        let day = fudj_temporal::parse_date("01/01/2022", "M/D/Y").unwrap();
+        assert_eq!(bound.to_string(), format!("#0 >= {}", Value::DateTime(day)));
+        let compares = bound.compares().expect("a column against a literal");
+        assert_eq!(compares.len(), 1);
+        assert_eq!(compares[0].literal, Value::DateTime(day));
+
+        // A call over a column, or one whose evaluation errs, stays a call.
+        let over_column = Expr::call("abs", vec![Expr::col("a")]);
+        assert!(matches!(
+            over_column.bind(&schema()).unwrap(),
+            BoundExpr::Call { .. }
+        ));
+        let bad = Expr::call(
+            "parse_date",
+            vec![Expr::lit("13/40/2022"), Expr::lit("M/D/Y")],
+        );
+        let bound = bad.bind(&dates).unwrap();
+        assert!(matches!(bound, BoundExpr::Call { .. }), "{bound}");
+        assert!(bound.eval(&Row::new(vec![Value::DateTime(0)])).is_err());
     }
 
     #[test]

@@ -50,10 +50,13 @@ pub(super) enum Entry<'a> {
 }
 
 /// Stages a crashed query can resume from: their checkpoints carry the
-/// complete post-boundary input (`join:combine` holds the joined rows
-/// before duplicate handling, `agg:shuffle` the shuffled partials before
-/// the final merge). Earlier boundaries need in-memory state a restart
-/// cannot reconstruct, so they fall back to full replay.
+/// complete post-boundary input. `join:combine` holds either the joined
+/// rows before duplicate handling or, under an aggregate that reads the
+/// join directly, the partials COMBINE folded its pairs into (a resume
+/// then goes straight to the aggregate's shuffle); `agg:shuffle` holds
+/// the shuffled partials before the final merge. Earlier boundaries need
+/// in-memory state a restart cannot reconstruct, so they fall back to
+/// full replay.
 const RESUMABLE_STAGES: &[&str] = &["join:combine", "agg:shuffle"];
 
 /// Where a resumed `query` restarts: its last committed resumable stage

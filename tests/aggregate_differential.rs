@@ -442,7 +442,7 @@ fn explain_query5_aggregate_still_folds_into_the_join() {
     );
     assert!(
         plan.starts_with(
-            "HashAggregate [group by [0]; [\"c\"]]\n  \
+            "HashAggregate [group by [0]; [\"c\"]; step 1 in COMBINE]\n  \
                FudjJoin [spatial_join | match: hash | dedup: Avoidance | emit: [p.id]]\n"
         ),
         "{plan}"

@@ -182,14 +182,14 @@ fn join_workload_plans_print_every_expression() {
                   AND similarity_jaccard(r1.review, r2.review) >= 0.9";
     assert_eq!(
         explain(&s, spatial),
-        "HashAggregate [group by [0]; [\"c\"]]\n  \
+        "HashAggregate [group by [0]; [\"c\"]; step 1 in COMBINE]\n  \
            FudjJoin [spatial_join | match: hash | dedup: Avoidance | emit: [p.id]]\n    \
              DataScan [Parks]\n    \
              DataScan [Wildfires]\n"
     );
     assert_eq!(
         explain(&s, interval),
-        "HashAggregate [group by []; [\"count\"]]\n  \
+        "HashAggregate [group by []; [\"count\"]; step 1 in COMBINE]\n  \
            FudjJoin [interval_join | match: theta-nlj | dedup: None | emit: []]\n    \
              Filter [#1 = 1]\n      \
                DataScan [NYCTaxi]\n    \
@@ -198,11 +198,42 @@ fn join_workload_plans_print_every_expression() {
     );
     assert_eq!(
         explain(&s, text),
-        "HashAggregate [group by []; [\"count\"]]\n  \
+        "HashAggregate [group by []; [\"count\"]; step 1 in COMBINE]\n  \
            FudjJoin [text_similarity_join | match: hash | dedup: Avoidance | emit: []]\n    \
              Filter [#1 = 5]\n      \
                DataScan [AmazonReview]\n    \
              Filter [#1 = 4]\n      \
                DataScan [AmazonReview]\n"
     );
+}
+
+/// Query 1's date bound is a call over literals: it folds to a datetime
+/// literal when bound, so the filter below the join is the typed kernel's
+/// `column >= literal` (`BoundExpr::compares`), not a date parse per row.
+#[test]
+fn query1_date_bound_folds_to_a_literal() {
+    let s = Session::new(2);
+    s.register_dataset(parks(GeneratorConfig::new(100, 1, 2)).unwrap())
+        .unwrap();
+    s.register_dataset(wildfires(GeneratorConfig::new(600, 2, 2)).unwrap())
+        .unwrap();
+    s.install_library(standard_library());
+    s.execute(
+        r#"CREATE JOIN st_contains(a: polygon, b: point)
+           RETURNS boolean AS "spatial.SpatialJoin" AT flexiblejoins"#,
+    )
+    .unwrap();
+    let sql = "SELECT p.id, COUNT(w.id) AS num_fires FROM Parks p, Wildfires w \
+               WHERE ST_Contains(p.boundary, w.location) \
+                 AND w.fire_start >= parse_date('01/01/2022', 'M/D/Y') \
+               GROUP BY p.id";
+    assert_eq!(
+        explain(&s, sql),
+        "HashAggregate [group by [0]; [\"num_fires(#1)\"]; step 1 in COMBINE]\n  \
+           FudjJoin [spatial_join | match: hash | dedup: Avoidance | emit: [p.id, __agg_in_0]]\n    \
+             DataScan [Parks]\n    \
+             Filter [#2 >= 2022-01-01 00:00:00]\n      \
+               DataScan [Wildfires]\n"
+    );
+    assert!(!s.query(sql).unwrap().is_empty());
 }

@@ -17,10 +17,11 @@
 //! Seeds come from `CHAOS_SEEDS` (comma-separated, default pinned matrix)
 //! so CI can widen the sweep without a code change.
 
+use fudj_repro::core::FaultConfig;
 use fudj_repro::datagen::{parks, wildfires, GeneratorConfig};
 use fudj_repro::exec::{CounterFingerprint, MetricsSnapshot};
 use fudj_repro::joins::standard_library;
-use fudj_repro::sql::Session;
+use fudj_repro::sql::{QueryOutput, Session};
 use fudj_repro::storage::{
     DatasetBuilder, FaultFs, StorageFaultConfig, Vfs, CHECKPOINT_DIR, CRASH_POINTS,
     QUERY_CRASH_POINTS,
@@ -431,4 +432,107 @@ fn crash_resume_cycles_leave_no_disk_litter() {
         "sealed queries must leave no checkpoint frames or staging files"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `QUERIES[0]` over tables large enough that the join matches (the
+/// workload's 40 parks and 80 fires match nothing). Its aggregate reads
+/// the join directly, so its Step 1 runs inside COMBINE and
+/// `join:combine` holds partials, not joined rows.
+fn folded_session() -> Session {
+    let s = Session::new(3);
+    s.install_library(standard_library());
+    s.register_dataset(parks(GeneratorConfig::new(200, 1, 3)).unwrap())
+        .unwrap();
+    s.register_dataset(wildfires(GeneratorConfig::new(2000, 2, 3)).unwrap())
+        .unwrap();
+    s.execute(CREATE_ST).unwrap();
+    let QueryOutput::Plan(plan) = s.execute(&format!("EXPLAIN {}", QUERIES[0])).unwrap() else {
+        panic!("EXPLAIN returns a plan")
+    };
+    assert!(
+        plan.contains("; step 1 in COMBINE]\n    FudjJoin"),
+        "{plan}"
+    );
+    s
+}
+
+/// The uninterrupted folded run: rows and normalized fingerprint, with
+/// every boundary checkpointed as under the durable tier.
+fn folded_oracle() -> (Vec<Row>, CounterFingerprint) {
+    let s = folded_session();
+    s.execute("SET checkpoint_stages = all").unwrap();
+    let out = s.execute(QUERIES[0]).unwrap();
+    let rows = sorted_rows(out.batch());
+    assert!(rows.len() > 5, "the join must match: {rows:?}");
+    (rows, logical_fingerprint(out.metrics()))
+}
+
+/// A folded aggregate crashed at each `journal:stage` write resumes to the
+/// uninterrupted run's rows and logical counters; crashed once
+/// `join:combine` is journaled, it resumes from the partials that boundary
+/// checkpointed, straight into Step 2.
+#[test]
+fn folded_aggregate_crashed_after_join_combine_resumes_from_its_partials() {
+    let (want_rows, want_fp) = folded_oracle();
+    let mut from_combine = 0;
+    for hit in 1..=3 {
+        let fs = FaultFs::new(StorageFaultConfig::crash_at(7, "journal:stage", hit));
+        let dir = format!("/restart-folded-{hit}");
+        let session = folded_session();
+        session.execute("SET checkpoint_durable = on").unwrap();
+        session.open_wal_with(&dir, fs.clone()).unwrap();
+        match session.execute(QUERIES[0]) {
+            Err(FudjError::Crash(_)) => {}
+            other => panic!("[hit {hit}] expected a crash, got {:?}", other.map(|_| ())),
+        }
+        drop(session);
+
+        fs.reopen_after_crash();
+        let recovered = folded_session();
+        recovered.execute("SET checkpoint_durable = on").unwrap();
+        recovered.open_wal_with(&dir, fs.clone()).unwrap();
+        let resumed = recovered.take_resumed();
+        assert_eq!(resumed.len(), 1, "[hit {hit}]");
+        let (batch, snapshot) = resumed[0].result.as_ref().unwrap();
+        assert_eq!(sorted_rows(batch), want_rows, "[hit {hit}]");
+        assert_eq!(logical_fingerprint(snapshot), want_fp, "[hit {hit}]");
+        if resumed[0].resumed_from.as_deref() == Some("join:combine") {
+            from_combine += 1;
+            // Step 2 starts from the restored partials: no verify call
+            // and no pair runs again.
+            assert_eq!(snapshot.recovery.stages_resumed, 1, "[hit {hit}]");
+            assert!(snapshot.recovery.resume_rows_restored > 0, "[hit {hit}]");
+        }
+    }
+    assert!(from_combine > 0, "no crash resumed at join:combine");
+}
+
+/// Worker deaths under chaos, without checkpoints, on a folded aggregate:
+/// a death at `join:combine` replays the whole stage, which folds every
+/// pair again (its `verify` calls count twice), and every seed returns
+/// the quiet run's rows.
+#[test]
+fn folded_aggregate_survives_worker_deaths_under_chaos() {
+    let (want_rows, want_fp) = folded_oracle();
+    let (mut deaths, mut combine_replays) = (0, 0);
+    for seed in seeds() {
+        let mut session = folded_session();
+        session.set_faults(Some(FaultConfig {
+            worker_death_prob: 0.35,
+            ..FaultConfig::chaos(seed)
+        }));
+        let out = session.execute(QUERIES[0]).unwrap();
+        assert_eq!(sorted_rows(out.batch()), want_rows, "[seed {seed}]");
+        let snap = out.metrics();
+        deaths += snap.recovery.deaths_survived;
+        if snap.verify_calls > want_fp.engine.verify_calls {
+            combine_replays += 1;
+            assert!(snap.recovery.full_stage_replays > 0, "[seed {seed}]");
+        }
+    }
+    assert!(deaths > 0, "no worker died across the seed matrix");
+    assert!(
+        combine_replays > 0,
+        "no death struck join:combine across the seed matrix"
+    );
 }
